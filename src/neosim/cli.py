@@ -12,7 +12,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -103,19 +102,6 @@ def _load_model(path: str) -> ModelSpec:
 
 def _load_cluster(path: str) -> ClusterSpec:
     return parse_cluster_spec(Path(path).read_text())
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("NEOSIM_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise NeosimError(f"NEOSIM_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise NeosimError("NEOSIM_THREADS must be >= 1")
-    return cap
 
 
 def _policy_from_args(args) -> CandidatePolicy:
@@ -546,7 +532,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads_cap()  # sequential execution; the cap is validated only
         return COMMANDS[args.command](args)
     except Infeasible as exc:
         print(f"infeasible: {exc.reason}", file=sys.stderr)

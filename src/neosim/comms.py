@@ -51,7 +51,6 @@ class CollectiveKind(str, Enum):
     ALLTOALL = "alltoall"
     ALLREDUCE = "allreduce"
     REDUCE_SCATTER = "reduce_scatter"
-    ONE_TO_MANY = "one_to_many"
     MANY_TO_MANY = "many_to_many"
 
 
@@ -397,15 +396,20 @@ def volume_gradient_collectives(
     model: ModelSpec,
     num_workers: int,
     elem_bytes: Optional[int] = None,
+    forward: Optional[CollectiveVolume] = None,
 ) -> list[CollectiveVolume]:
     """Backward-path collectives plus the row-wise forward ReduceScatter.
 
-    The backward pooled AlltoAll mirrors the forward volume; DP tables and
-    dense parameters synchronize with ring AllReduce at 2(W-1)/W x bytes.
+    The backward pooled AlltoAll mirrors the forward volume, which callers
+    that already hold it (computed at the same elem_bytes) pass as
+    `forward`; DP tables and dense parameters synchronize with ring
+    AllReduce at 2(W-1)/W x bytes.
     """
     global_batch = model.local_batch * num_workers
     elem = ACTIVATION_BYTES if elem_bytes is None else elem_bytes
-    fwd = volume_forward_alltoall(plan, model, num_workers, elem_bytes)
+    fwd = forward
+    if fwd is None:
+        fwd = volume_forward_alltoall(plan, model, num_workers, elem_bytes)
     out = [
         CollectiveVolume(
             kind=CollectiveKind.ALLTOALL,
@@ -488,33 +492,38 @@ def volume_input_alltoall(
 
     Payload counts each sender's local-batch indices routed to remote shard
     owners; column shards replicate, row shards take a 1/k split. The lengths
-    phase rides in metadata_bytes.
+    phase rides in metadata_bytes. Every worker sends each shard's payload
+    unless it owns the shard, so worker w sends the total payload less the
+    payload of its own shards.
     """
     B = model.local_batch
-    send = [0.0] * num_workers
-    meta = [0.0] * num_workers
+    owners = []
+    payloads = []
     for assignment in plan.assignments:
-        table = model.tables[model.table_index(assignment.table_id)]
         kind = assignment.scheme.kind
         if kind is SchemeKind.DATA_PARALLEL:
             continue
-        k = len(assignment.shards)
+        table = model.tables[model.table_index(assignment.table_id)]
+        share = 1.0 / len(assignment.shards) if kind is SchemeKind.ROW_WISE else 1.0
+        payload = B * table.avg_pooling * share * table.index_bytes
         for shard in assignment.shards:
-            share = 1.0 / k if kind is SchemeKind.ROW_WISE else 1.0
-            payload = B * table.avg_pooling * share * table.index_bytes
-            for w in range(num_workers):
-                if w == shard.worker:
-                    continue
-                send[w] += payload
-                meta[w] += B * LENGTH_BYTES
+            owners.append(shard.worker)
+            payloads.append(payload)
+    owners = np.asarray(owners, dtype=np.int64)
+    owned = np.bincount(
+        owners, weights=np.asarray(payloads, dtype=np.float64), minlength=num_workers
+    )
+    # a sum of non-negative terms never rounds below one of them, so send >= 0
+    send = owned.sum() - owned
+    meta = B * LENGTH_BYTES * (len(owners) - np.bincount(owners, minlength=num_workers))
     return CollectiveVolume(
         kind=CollectiveKind.ALLTOALL,
         label="input_a2a",
-        per_worker_send_bytes=tuple(send),
+        per_worker_send_bytes=tuple(send.tolist()),
         message_count=2,  # lengths phase + indices phase
         payload_elem_bytes=None,  # integer ids, not quantizable
         direction=None,
-        metadata_bytes=tuple(meta),
+        metadata_bytes=tuple(meta.astype(np.float64).tolist()),
     )
 
 

@@ -109,6 +109,8 @@ class ModelSpec:
     mflops_per_sample: float
     interaction_flops_per_sample: float
     dense_param_bytes: int
+    # table id -> position in `tables`; derived, so outside eq/hash/repr
+    _table_pos: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.local_batch < 1:
@@ -117,9 +119,10 @@ class ModelSpec:
             raise InvalidValue("mflops_per_sample", "must be >= 0")
         if self.interaction_flops_per_sample < 0:
             raise InvalidValue("interaction_flops_per_sample", "must be >= 0")
-        ids = [t.id for t in self.tables]
-        if len(set(ids)) != len(ids):
+        pos = {t.id: i for i, t in enumerate(self.tables)}
+        if len(pos) != len(self.tables):
             raise InvalidValue("tables", "duplicate table ids")
+        object.__setattr__(self, "_table_pos", pos)
         layers = self.bottom_mlp_layers + self.top_mlp_layers
         if layers:
             expected = mlp_param_bytes(layers)
@@ -162,10 +165,7 @@ class ModelSpec:
         return self.bottom_mlp_layers[0][0] if self.bottom_mlp_layers else 0
 
     def table_index(self, table_id: str) -> int:
-        for i, t in enumerate(self.tables):
-            if t.id == table_id:
-                return i
-        raise KeyError(table_id)
+        return self._table_pos[table_id]
 
 
 def mlp_param_bytes(layers: Iterable[tuple[int, int]]) -> int:
@@ -242,27 +242,6 @@ class ClusterSpec:
     @property
     def dram_capacity_per_gpu(self) -> float:
         return self.dram_capacity_per_node / self.gpus_per_node
-
-    def node_of(self, worker: int) -> int:
-        return worker // self.gpus_per_node
-
-    def with_nodes(self, num_nodes: int) -> "ClusterSpec":
-        """Same per-node hardware at a different node count."""
-        return ClusterSpec(
-            num_nodes=num_nodes,
-            gpus_per_node=self.gpus_per_node,
-            hbm_capacity_per_gpu=self.hbm_capacity_per_gpu,
-            hbm_bw=self.hbm_bw,
-            dram_capacity_per_node=self.dram_capacity_per_node,
-            dram_to_gpu_bw=self.dram_to_gpu_bw,
-            scaleup_bw=self.scaleup_bw,
-            scaleout_bw_per_gpu=self.scaleout_bw_per_gpu,
-            peak_flops=dict(self.peak_flops),
-            mlp_efficiency=self.mlp_efficiency,
-            alltoall_bw_points=self.alltoall_bw_points,
-            allreduce_bw_points=self.allreduce_bw_points,
-            fixed_latency_per_collective=self.fixed_latency_per_collective,
-        )
 
 
 def _check_bw_points(name, points, link_peak):

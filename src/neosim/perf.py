@@ -201,6 +201,24 @@ def _collective_time(
     return t + fixed * messages
 
 
+def collective_volumes(
+    plan: ShardingPlan,
+    model: ModelSpec,
+    a2a_fwd_precision: Precision = Precision.FP32,
+    a2a_bwd_precision: Precision = Precision.FP32,
+) -> list[CollectiveVolume]:
+    """Every collective of one iteration, pooled exchanges quantized to the
+    AlltoAll precisions: forward AlltoAll, the gradient-path collectives,
+    then the input AlltoAll."""
+    W = plan.num_workers
+    fwd = volume_forward_alltoall(plan, model, W)
+    volumes = [fwd, *volume_gradient_collectives(plan, model, W, forward=fwd)]
+    volumes.append(volume_input_alltoall(plan, model, W))
+    return [
+        quantized_volume(v, a2a_fwd_precision, a2a_bwd_precision) for v in volumes
+    ]
+
+
 def component_latencies(
     model: ModelSpec,
     plan: ShardingPlan,
@@ -210,6 +228,7 @@ def component_latencies(
     a2a_fwd_precision: Precision = Precision.FP32,
     a2a_bwd_precision: Precision = Precision.FP32,
     flags: CompressionFlags = CompressionFlags(rowwise_optimizer=True),
+    volumes: Optional[Sequence[CollectiveVolume]] = None,
 ) -> ComponentLatencies:
     """Calibrated per-component latencies for one training iteration.
 
@@ -217,7 +236,8 @@ def component_latencies(
     divide shard bytes touched by the effective row bandwidth of the worker's
     memory tier; collective terms divide the straggler's volume by the
     achieved bandwidth for its message size. Model-parallel terms take the
-    max over workers.
+    max over workers. `volumes` is collective_volumes' result at the same
+    AlltoAll precisions; it is computed here when not given.
     """
     from .cache import effective_row_bandwidth
 
@@ -278,29 +298,19 @@ def component_latencies(
 
     fixed = cluster.fixed_latency_per_collective
     remote_frac = _remote_fraction(W, cluster.gpus_per_node)
-    fwd_vol = quantized_volume(
-        volume_forward_alltoall(plan, model, W),
-        a2a_fwd_precision,
-        a2a_bwd_precision,
-    )
+    if volumes is None:
+        volumes = collective_volumes(plan, model, a2a_fwd_precision, a2a_bwd_precision)
+    by_label = {v.label: v for v in volumes}
     a2a_fwd = _collective_time(
-        fwd_vol.max_bytes, remote_frac, cluster.alltoall_bw_points,
-        cluster.scaleup_bw, fixed, 1,
+        by_label["pooled_a2a_fwd"].max_bytes, remote_frac,
+        cluster.alltoall_bw_points, cluster.scaleup_bw, fixed, 1,
     )
-    grad_vols = [
-        quantized_volume(v, a2a_fwd_precision, a2a_bwd_precision)
-        for v in volume_gradient_collectives(plan, model, W)
-    ]
-    a2a_bwd = 0.0
-    dp_allreduce_bytes = 0.0
-    for vol in grad_vols:
-        if vol.label == "pooled_a2a_bwd":
-            a2a_bwd = _collective_time(
-                vol.max_bytes, remote_frac, cluster.alltoall_bw_points,
-                cluster.scaleup_bw, fixed, 1,
-            )
-        elif vol.label == "dp_table_allreduce":
-            dp_allreduce_bytes += vol.max_bytes
+    a2a_bwd = _collective_time(
+        by_label["pooled_a2a_bwd"].max_bytes, remote_frac,
+        cluster.alltoall_bw_points, cluster.scaleup_bw, fixed, 1,
+    )
+    dp_vol = by_label.get("dp_table_allreduce")
+    dp_allreduce_bytes = 0.0 if dp_vol is None else dp_vol.max_bytes
     # Row-wise partial-pool exchanges ride with the pooled AlltoAll terms.
     # Hierarchical row shards stay inside one node, so their reduction runs
     # on the scale-up fabric; flat shards cross the scale-out network.
@@ -339,7 +349,7 @@ def component_latencies(
         cluster.scaleup_bw, fixed, 1,
     )
 
-    input_vol = volume_input_alltoall(plan, model, W)
+    input_vol = by_label["input_a2a"]
     input_bytes = max(
         (p + m for p, m in zip(input_vol.per_worker_send_bytes, input_vol.metadata_bytes)),
         default=0.0,
@@ -413,6 +423,7 @@ def simulate(
     a2a_bwd_precision: Precision = Precision.FP32,
     flags: CompressionFlags = CompressionFlags(rowwise_optimizer=True),
 ) -> SimulationResult:
+    volumes = collective_volumes(plan, model, a2a_fwd_precision, a2a_bwd_precision)
     comps = component_latencies(
         model,
         plan,
@@ -422,15 +433,10 @@ def simulate(
         a2a_fwd_precision=a2a_fwd_precision,
         a2a_bwd_precision=a2a_bwd_precision,
         flags=flags,
+        volumes=volumes,
     )
     global_batch = model.local_batch * cluster.num_workers
     estimate = iteration_latency(comps, global_batch)
-    volumes = [volume_forward_alltoall(plan, model, cluster.num_workers)]
-    volumes += volume_gradient_collectives(plan, model, cluster.num_workers)
-    volumes.append(volume_input_alltoall(plan, model, cluster.num_workers))
-    volumes = [
-        quantized_volume(v, a2a_fwd_precision, a2a_bwd_precision) for v in volumes
-    ]
     return SimulationResult(
         estimate=estimate,
         volumes=tuple(volumes),
@@ -508,7 +514,7 @@ def scaling_sweep(
     entries: list[SweepEntry] = []
     baseline: Optional[tuple[int, float]] = None  # (workers, qps)
     for n in node_counts:
-        cluster = cluster_template.with_nodes(n)
+        cluster = replace(cluster_template, num_nodes=n)
         scale_model = (
             shrink_to_fit(model, cluster, policy.flags) if shrink else model
         )

@@ -19,8 +19,6 @@ from .errors import (
     Infeasible,
     InvalidScheme,
     InvalidValue,
-    MalformedDocument,
-    MissingKey,
     NoFeasibleScheme,
 )
 from .model import (
@@ -30,6 +28,12 @@ from .model import (
     Precision,
     PRECISION_BYTES,
     TableSpec,
+    _as_dict,
+    _as_int,
+    _check_version,
+    _load_json,
+    _reject_unknown,
+    _take,
 )
 
 OPTIMIZER_STATE_BYTES = 4  # AdaGrad moments are kept in FP32
@@ -137,12 +141,17 @@ class ShardingPlan:
     gpus_per_node: int
     assignments: tuple[TableAssignment, ...]
     heuristic: str = "greedy"
+    # table id -> its first assignment; derived, so outside eq/hash/repr
+    _by_table: dict[str, TableAssignment] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        by_table = {a.table_id: a for a in reversed(self.assignments)}
+        object.__setattr__(self, "_by_table", by_table)
 
     def assignment_for(self, table_id: str) -> TableAssignment:
-        for a in self.assignments:
-            if a.table_id == table_id:
-                return a
-        raise KeyError(table_id)
+        return self._by_table[table_id]
 
 
 def even_bounds(extent: int, parts: int) -> list[tuple[int, int]]:
@@ -327,13 +336,16 @@ def greedy_partition(items: Sequence[tuple], k: int) -> dict:
     order = sorted(items, key=lambda it: (-it[1], it[0]))
     sums = [0.0] * k
     assign = {}
-    for i, (item_id, cost) in enumerate(order):
-        if i < k:
-            bin_idx = i
-        else:
-            bin_idx = min(range(k), key=lambda j: sums[j])
+    for i, (item_id, cost) in enumerate(order[:k]):
+        assign[item_id] = i
+        sums[i] += cost
+    # (sum, bin) pairs: the heap top is the lightest bin, ties the lowest index
+    heap = [(total, j) for j, total in enumerate(sums)]
+    heapq.heapify(heap)
+    for item_id, cost in order[k:]:
+        total, bin_idx = heap[0]
         assign[item_id] = bin_idx
-        sums[bin_idx] += cost
+        heapq.heapreplace(heap, (total + cost, bin_idx))
     return assign
 
 
@@ -879,41 +891,107 @@ def _scheme_to_doc(scheme: Scheme) -> dict:
 
 
 def plan_from_json(text: str) -> ShardingPlan:
+    """Parse a plan document; the version, unknown keys and types are checked.
+
+    The per-worker memory summary (`workers`) that plan_to_json writes is
+    derived output: it is accepted and ignored.
+    """
+    doc = _load_json(text)
+    _check_version(doc)
+    num_workers = _as_int(_take(doc, "num_workers", ""), "num_workers")
+    if num_workers < 1:
+        raise InvalidValue("num_workers", "must be >= 1")
+    gpus_per_node = _as_int(
+        _take(doc, "gpus_per_node", "", required=False, default=num_workers),
+        "gpus_per_node",
+    )
+    if gpus_per_node < 1:
+        raise InvalidValue("gpus_per_node", "must be >= 1")
+    heuristic = _take(doc, "heuristic", "", required=False, default="greedy")
+    if not isinstance(heuristic, str):
+        raise InvalidValue("heuristic", "expected a string")
+    tables = _as_list(_take(doc, "tables", ""), "tables")
+    _as_list(_take(doc, "workers", "", required=False, default=[]), "workers")
+    _reject_unknown(doc, "")
+    assignments = tuple(
+        _parse_assignment(td, f"tables[{i}]") for i, td in enumerate(tables)
+    )
+    return ShardingPlan(num_workers, gpus_per_node, assignments, heuristic)
+
+
+def _as_list(value, path) -> list:
+    if not isinstance(value, list):
+        raise InvalidValue(path, "expected a list")
+    return value
+
+
+def _as_kind(value, path) -> SchemeKind:
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise MalformedDocument("plan document must be an object")
-    try:
-        num_workers = doc["num_workers"]
-        gpus_per_node = doc.get("gpus_per_node", num_workers)
-        heuristic = doc.get("heuristic", "greedy")
-        assignments = []
-        for td in doc["tables"]:
-            sd = td["scheme"]
-            kind = SchemeKind(sd["kind"])
-            scheme = Scheme(
-                kind,
-                num_row_shards=sd.get("num_row_shards", 1),
-                col_splits=tuple(tuple(p) for p in sd.get("col_splits", [])),
-                hierarchical=(
-                    tuple(SchemeKind(v) for v in sd["hierarchical"])
-                    if "hierarchical" in sd
-                    else None
-                ),
-            )
-            shards = tuple(
-                Shard(
-                    worker=s.get("worker"),
-                    rows=tuple(s["rows"]) if "rows" in s else None,
-                    cols=tuple(s["cols"]) if "cols" in s else None,
-                )
-                for s in td["shards"]
-            )
-            assignments.append(TableAssignment(td["table_id"], scheme, shards))
-    except KeyError as exc:
-        raise MissingKey(str(exc)) from None
-    except (TypeError, ValueError) as exc:
-        raise InvalidValue("plan", str(exc)) from None
-    return ShardingPlan(num_workers, gpus_per_node, tuple(assignments), heuristic)
+        return SchemeKind(value)
+    except (ValueError, TypeError):
+        raise InvalidValue(path, f"unknown scheme kind {value!r}") from None
+
+
+def _as_bounds(value, path) -> tuple[int, int]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise InvalidValue(path, "expected a [start, end] pair")
+    return (_as_int(value[0], f"{path}[0]"), _as_int(value[1], f"{path}[1]"))
+
+
+def _parse_assignment(doc, path) -> TableAssignment:
+    doc = dict(_as_dict(doc, path))
+    table_id = _take(doc, "table_id", path)
+    if not isinstance(table_id, str):
+        raise InvalidValue(f"{path}.table_id", "expected a string")
+    scheme = _parse_scheme(_take(doc, "scheme", path), f"{path}.scheme")
+    shards_doc = _as_list(_take(doc, "shards", path), f"{path}.shards")
+    _reject_unknown(doc, path)
+    shards = tuple(
+        _parse_shard(sd, f"{path}.shards[{i}]") for i, sd in enumerate(shards_doc)
+    )
+    return TableAssignment(table_id, scheme, shards)
+
+
+def _parse_scheme(doc, path) -> Scheme:
+    doc = dict(_as_dict(doc, path))
+    kind = _as_kind(_take(doc, "kind", path), f"{path}.kind")
+    num_row_shards = _as_int(
+        _take(doc, "num_row_shards", path, required=False, default=1),
+        f"{path}.num_row_shards",
+    )
+    splits = _as_list(
+        _take(doc, "col_splits", path, required=False, default=[]),
+        f"{path}.col_splits",
+    )
+    hierarchical = _take(doc, "hierarchical", path, required=False)
+    _reject_unknown(doc, path)
+    if hierarchical is not None:
+        levels = _as_list(hierarchical, f"{path}.hierarchical")
+        if len(levels) != 2:
+            raise InvalidValue(f"{path}.hierarchical", "expected two scheme kinds")
+        hierarchical = tuple(
+            _as_kind(v, f"{path}.hierarchical[{i}]") for i, v in enumerate(levels)
+        )
+    return Scheme(
+        kind,
+        num_row_shards=num_row_shards,
+        col_splits=tuple(
+            _as_bounds(p, f"{path}.col_splits[{i}]") for i, p in enumerate(splits)
+        ),
+        hierarchical=hierarchical,
+    )
+
+
+def _parse_shard(doc, path) -> Shard:
+    doc = dict(_as_dict(doc, path))
+    worker = _take(doc, "worker", path)
+    if worker is not None:
+        worker = _as_int(worker, f"{path}.worker")
+    rows = _take(doc, "rows", path, required=False)
+    cols = _take(doc, "cols", path, required=False)
+    _reject_unknown(doc, path)
+    return Shard(
+        worker=worker,
+        rows=None if rows is None else _as_bounds(rows, f"{path}.rows"),
+        cols=None if cols is None else _as_bounds(cols, f"{path}.cols"),
+    )

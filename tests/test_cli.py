@@ -398,13 +398,6 @@ class TestManifest:
         for digest in manifest["inputs"].values():
             assert len(digest) == 64
 
-    def test_threads_env_validated(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NEOSIM_THREADS", "abc")
-        code = main(
-            ["cache", "--sets", "1", "--ways", "1", "--trace", TRACE, "--out", str(tmp_path)]
-        )
-        assert code == 1
-
 
 class TestInputHardening:
     def test_malformed_weights(self, tmp_path):

@@ -1,12 +1,16 @@
 """Input redistribution, collective volumes and sharded-vs-reference execution."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import desk_model, random_desk_model
+from conftest import desk_cluster, desk_model, random_desk_model
 
 from neosim import (
+    CandidatePolicy,
     CollectiveKind,
+    CostWeights,
     LayoutMismatch,
     LayoutTag,
     OptimizerConfig,
@@ -21,7 +25,9 @@ from neosim import (
     alltoall_redistribute,
     bucketize_rowwise,
     gen_synthetic_batch,
+    hierarchical_plan,
     permute_WTB_to_TWB,
+    plan_4d,
     quantized_volume,
     replicate_columnwise,
     train_step_reference,
@@ -29,7 +35,9 @@ from neosim import (
     volume_forward_alltoall,
     volume_gradient_collectives,
 )
+from neosim.bundled import load_bundled_cluster, load_bundled_model
 from neosim.comms import (
+    LENGTH_BYTES,
     LaidOutBatch,
     from_twb,
     permute_TWB_to_WTB,
@@ -40,7 +48,7 @@ from neosim.comms import (
 )
 from neosim.embedding import apply_rowwise_adagrad, RowGradients
 from neosim.model import GlobalBatchLayout
-from neosim.planner import even_bounds
+from neosim.planner import CompressionFlags, even_bounds
 
 
 def tw_plan(model, workers, gpus_per_node=None):
@@ -312,6 +320,104 @@ def make_mixed_plan(model, W, gpn):
         else:
             assignments.append(TableAssignment(t.id, Scheme(kind), (Shard(worker=None),)))
     return ShardingPlan(W, gpn, tuple(assignments))
+
+
+def brute_input_volume(plan, model, W):
+    """Loop over (shard, sender): each sender ships its local-batch share of
+    the shard's indices, and its lengths, unless it owns the shard."""
+    tables = {t.id: t for t in model.tables}
+    B = model.local_batch
+    send = [0.0] * W
+    meta = [0.0] * W
+    for a in plan.assignments:
+        kind = a.scheme.kind
+        if kind is SchemeKind.DATA_PARALLEL:
+            continue
+        t = tables[a.table_id]
+        share = 1.0 / len(a.shards) if kind is SchemeKind.ROW_WISE else 1.0
+        for shard in a.shards:
+            for src in range(W):
+                if src != shard.worker:
+                    send[src] += B * t.avg_pooling * share * t.index_bytes
+                    meta[src] += B * LENGTH_BYTES
+    return send, meta
+
+
+class TestInputAlltoallVolume:
+    def assert_matches_brute_force(self, plan, model, exact=False):
+        W = plan.num_workers
+        vol = volume_input_alltoall(plan, model, W)
+        send, meta = brute_input_volume(plan, model, W)
+        assert len(vol.per_worker_send_bytes) == len(vol.metadata_bytes) == W
+        assert list(vol.metadata_bytes) == meta
+        if exact:
+            assert list(vol.per_worker_send_bytes) == send
+        else:
+            assert list(vol.per_worker_send_bytes) == pytest.approx(send, rel=1e-12)
+
+    def test_random_mixed_plans(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            model = random_desk_model(rng)
+            W = int(rng.integers(1, 10))
+            self.assert_matches_brute_force(make_mixed_plan(model, W, W), model)
+
+    def test_random_planner_plans(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            model = random_desk_model(rng)
+            cluster = desk_cluster(int(rng.integers(1, 9)))
+            plan = plan_4d(model, cluster, CostWeights(), CandidatePolicy(fine_grain=True))
+            self.assert_matches_brute_force(plan, model)
+
+    def test_six_gpu_hierarchical_plans(self):
+        # 1/6 row shares are not dyadic, so summation order shows in the last bits
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            model = random_desk_model(rng)
+            cluster = desk_cluster(6 * int(rng.integers(2, 4)), gpus_per_node=6)
+            plan = hierarchical_plan(model, cluster, CostWeights(), CandidatePolicy())
+            assert {len(a.shards) for a in plan.assignments} == {6}
+            self.assert_matches_brute_force(plan, model)
+
+    def test_single_worker_sends_nothing(self):
+        model = random_desk_model(np.random.default_rng(14))
+        vol = volume_input_alltoall(make_mixed_plan(model, 1, 1), model, 1)
+        assert vol.per_worker_send_bytes == (0.0,)
+        assert vol.metadata_bytes == (0.0,)
+
+    def test_data_parallel_only_plan_sends_nothing(self):
+        model = random_desk_model(np.random.default_rng(15))
+        plan = ShardingPlan(
+            4,
+            4,
+            tuple(
+                TableAssignment(
+                    t.id, Scheme(SchemeKind.DATA_PARALLEL), (Shard(worker=None),)
+                )
+                for t in model.tables
+            ),
+        )
+        vol = volume_input_alltoall(plan, model, 4)
+        assert vol.per_worker_send_bytes == (0.0,) * 4
+        assert vol.metadata_bytes == (0.0,) * 4
+        self.assert_matches_brute_force(plan, model, exact=True)
+
+    @pytest.mark.parametrize(
+        "name,nodes,hierarchical",
+        [("model_a", 16, False), ("model_a", 2, True), ("model_f", 16, False)],
+    )
+    def test_bundled_plans_exact(self, name, nodes, hierarchical):
+        model = load_bundled_model(name)
+        cluster = dataclasses.replace(load_bundled_cluster(), num_nodes=nodes)
+        policy = CandidatePolicy(
+            flags=CompressionFlags(table_precision=Precision.FP16, rowwise_optimizer=True)
+        )
+        if hierarchical:
+            plan = hierarchical_plan(model, cluster, CostWeights(), policy)
+        else:
+            plan = plan_4d(model, cluster, CostWeights(), policy)
+        self.assert_matches_brute_force(plan, model, exact=True)
 
 
 class TestTrainStepSharded:

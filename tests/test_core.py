@@ -1,5 +1,6 @@
 """Core domain types, spec parsing and batch format."""
 
+import dataclasses
 import io
 import json
 
@@ -109,6 +110,28 @@ class TestParseModelSpec:
         model = load_bundled_model("model_a")
         again = parse_model_spec(serialize_model_spec(model))
         assert again == model
+
+    def test_table_index_is_position_and_unknown_id_raises(self):
+        model = load_bundled_model("model_a")
+        assert [model.table_index(t.id) for t in model.tables] == list(
+            range(model.num_tables)
+        )
+        with pytest.raises(KeyError):
+            model.table_index("nope")
+
+    def test_rebuilt_model_equal_hash_repr(self):
+        model = small_model()
+        again = small_model()
+        assert again == model
+        assert hash(again) == hash(model)
+        assert repr(again) == repr(model)
+        assert "_table_pos" not in repr(model)
+        renamed = dataclasses.replace(
+            model, tables=(dataclasses.replace(model.tables[0], id="x"),) + model.tables[1:]
+        )
+        assert renamed.table_index("x") == 0
+        with pytest.raises(KeyError):
+            renamed.table_index("t0")
 
     def test_unknown_key_rejected_with_path(self):
         doc = {

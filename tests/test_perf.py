@@ -1,5 +1,6 @@
 """Roofline/overlap model: bandwidth curves, latency composition, sweeps."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -314,7 +315,7 @@ class TestScalingSweep:
 
     def test_shrink_preserves_table_count_and_dims(self):
         model = load_bundled_model("model_a")
-        cluster = load_bundled_cluster().with_nodes(1)
+        cluster = dataclasses.replace(load_bundled_cluster(), num_nodes=1)
         shrunk = shrink_to_fit(
             model, cluster, CompressionFlags(rowwise_optimizer=True)
         )

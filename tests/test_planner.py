@@ -1,6 +1,8 @@
 """Sharding planner: cost model, heuristics, plan construction, memory math."""
 
+import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -15,6 +17,7 @@ from neosim import (
     Infeasible,
     InvalidScheme,
     InvalidValue,
+    MissingKey,
     NoFeasibleScheme,
     Precision,
     Scheme,
@@ -173,6 +176,25 @@ class TestGreedyPartition:
         items = [(f"i{j}", 2.0) for j in range(4)]
         assignment = greedy_partition(items, 4)
         assert sorted(assignment.values()) == [0, 1, 2, 3]
+
+    def test_matches_lowest_index_min_rule_on_ties(self):
+        def min_rule(items, k):
+            order = sorted(items, key=lambda it: (-it[1], it[0]))
+            sums = [0.0] * k
+            assign = {}
+            for i, (item_id, cost) in enumerate(order):
+                b = i if i < k else min(range(k), key=lambda j: sums[j])
+                assign[item_id] = b
+                sums[b] += cost
+            return assign
+
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            n = int(rng.integers(0, 60))
+            k = int(rng.integers(1, 13))
+            palette = [0, 0.5, 1, 1, 2, 3, float(rng.random())]
+            items = [(f"i{j:02d}", palette[int(rng.integers(len(palette)))]) for j in range(n)]
+            assert greedy_partition(items, k) == min_rule(items, k)
 
 
 class TestKarmarkarKarp:
@@ -488,6 +510,43 @@ class TestPlanValidation:
         with pytest.raises(InvalidScheme):
             validate_plan(plan, model)
 
+    def test_assignment_for_unknown_id_raises_key_error(self):
+        plan = self.plan_with_two_tables()
+        assert plan.assignment_for("u").table_id == "u"
+        with pytest.raises(KeyError):
+            plan.assignment_for("nope")
+
+    def test_assignment_for_returns_first_of_duplicates(self):
+        tw = Scheme(SchemeKind.TABLE_WISE)
+        first = TableAssignment("t", tw, (Shard(worker=0),))
+        plan = ShardingPlan(2, 2, (first, TableAssignment("t", tw, (Shard(worker=1),))))
+        assert plan.assignment_for("t") is first
+
+    def test_rebuilt_plan_equal_hash_repr(self):
+        plan = self.plan_with_two_tables()
+        again = ShardingPlan(
+            plan.num_workers, plan.gpus_per_node, plan.assignments, plan.heuristic
+        )
+        assert again == plan
+        assert hash(again) == hash(plan)
+        assert repr(again) == repr(plan)
+        assert "_by_table" not in repr(plan)
+        fewer = dataclasses.replace(plan, assignments=plan.assignments[:1])
+        assert fewer != plan
+        with pytest.raises(KeyError):
+            fewer.assignment_for("u")
+
+    def plan_with_two_tables(self):
+        tw = Scheme(SchemeKind.TABLE_WISE)
+        return ShardingPlan(
+            2,
+            2,
+            (
+                TableAssignment("t", tw, (Shard(worker=0),)),
+                TableAssignment("u", tw, (Shard(worker=1),)),
+            ),
+        )
+
     def test_json_round_trip(self):
         model = desk_model(
             [TableSpec(id=f"t{i}", num_rows=64, dim=8, avg_pooling=2.0) for i in range(3)]
@@ -507,3 +566,67 @@ class TestCostWeights:
     def test_negative_rejected(self):
         with pytest.raises(InvalidValue):
             CostWeights(-1.0, 1.0, 1.0)
+
+
+class TestPlanFromJson:
+    """The plan document keeps the README contract: version, keys, types."""
+
+    def plan_doc(self):
+        model = desk_model(
+            [TableSpec(id=f"t{i}", num_rows=64, dim=8, avg_pooling=2.0) for i in range(3)]
+        )
+        cluster = desk_cluster(2)
+        plan = plan_4d(model, cluster, CostWeights(), CandidatePolicy())
+        text = plan_to_json(plan, model, cluster)
+        return plan, json.loads(text)
+
+    def test_memory_summary_accepted(self):
+        plan, doc = self.plan_doc()
+        assert "workers" in doc
+        assert plan_from_json(json.dumps(doc)) == plan
+
+    def test_missing_spec_version_rejected(self):
+        _, doc = self.plan_doc()
+        del doc["spec_version"]
+        with pytest.raises(MissingKey):
+            plan_from_json(json.dumps(doc))
+
+    def test_wrong_spec_version_rejected(self):
+        _, doc = self.plan_doc()
+        doc["spec_version"] = 2
+        with pytest.raises(InvalidValue) as err:
+            plan_from_json(json.dumps(doc))
+        assert err.value.path == "spec_version"
+
+    def test_unknown_top_level_key_rejected_with_path(self):
+        _, doc = self.plan_doc()
+        doc["bogus"] = 1
+        with pytest.raises(InvalidValue) as err:
+            plan_from_json(json.dumps(doc))
+        assert err.value.path == "bogus"
+
+    def test_unknown_nested_keys_rejected_with_path(self):
+        for where, path in (
+            (lambda d: d["tables"][1], "tables[1].extra"),
+            (lambda d: d["tables"][1]["scheme"], "tables[1].scheme.extra"),
+            (lambda d: d["tables"][1]["shards"][0], "tables[1].shards[0].extra"),
+        ):
+            _, doc = self.plan_doc()
+            where(doc)["extra"] = 0
+            with pytest.raises(InvalidValue) as err:
+                plan_from_json(json.dumps(doc))
+            assert err.value.path == path
+
+    def test_string_worker_rejected(self):
+        _, doc = self.plan_doc()
+        doc["tables"][0]["shards"][0]["worker"] = "0"
+        with pytest.raises(InvalidValue) as err:
+            plan_from_json(json.dumps(doc))
+        assert err.value.path == "tables[0].shards[0].worker"
+
+    def test_boolean_worker_rejected(self):
+        _, doc = self.plan_doc()
+        doc["tables"][0]["shards"][0]["worker"] = True
+        with pytest.raises(InvalidValue) as err:
+            plan_from_json(json.dumps(doc))
+        assert err.value.path == "tables[0].shards[0].worker"
