@@ -6,6 +6,12 @@ before a single optimizer application per touched row; applying a non-linear
 sparse optimizer once per occurrence instead would corrupt the update.
 Master weights are float64; FP16 table storage is emulated by a round-trip
 at step boundaries.
+
+Sample pooling, per-row gradient aggregation and the data-parallel gradient
+merge are all one scatter-sum (`_scatter_sum`). It adds each output cell's
+terms in buffer order starting from 0.0, exactly as a scalar loop does, so
+every result is bit-for-bit reproducible. Sort-and-reduce forms such as
+np.add.reduceat are not: numpy's reduction loop reassociates the sum.
 """
 
 from __future__ import annotations
@@ -130,6 +136,48 @@ def build_tables(
 
 
 # ---------------------------------------------------------------------------
+# scatter-sum kernel and input checks
+
+
+def _scatter_sum(rows: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
+    """out[r] = sum of values[i] over every i with rows[i] == r.
+
+    One bincount over flattened (row, column) cells. bincount adds its
+    weights in buffer order into a zeroed output, so each cell's sum is the
+    scalar loop's, bit for bit (the same as np.add.at on a zero matrix).
+    """
+    dim = values.shape[1]
+    cells = (rows[:, None] * dim + np.arange(dim)).ravel()
+    out = np.bincount(cells, weights=values.ravel(), minlength=num_rows * dim)
+    return out.reshape(num_rows, dim)
+
+
+def _sum_by_row(ids: np.ndarray, grads: np.ndarray) -> RowGradients:
+    """Ascending unique ids, each with the buffer-order sum of its grads."""
+    unique, inverse = np.unique(ids, return_inverse=True)
+    return RowGradients(unique, _scatter_sum(inverse, grads, len(unique)))
+
+
+def _checked_batch(lengths, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Checked (indices, owning sample of each index) for a pooled batch."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    if np.any(lengths < 0):
+        raise InvalidValue("lengths", "must be >= 0")
+    if int(lengths.sum()) != len(indices):
+        raise LayoutMismatch("lengths do not cover the index buffer")
+    return indices, np.repeat(np.arange(len(lengths)), lengths)
+
+
+def _check_rows(table: EmbeddingTable, indices: np.ndarray) -> None:
+    """Raise IndexOutOfRange on the first index outside [0, H)."""
+    indices = np.asarray(indices, dtype=np.int64)
+    if len(indices) and (indices.min() < 0 or indices.max() >= table.num_rows):
+        bad = indices[(indices < 0) | (indices >= table.num_rows)][0]
+        raise IndexOutOfRange(table.spec.id, int(bad))
+
+
+# ---------------------------------------------------------------------------
 # forward
 
 
@@ -137,18 +185,10 @@ def forward_pooled(
     table: EmbeddingTable, lengths: np.ndarray, indices: np.ndarray
 ) -> np.ndarray:
     """Sum-pool table rows per sample; an empty sample yields a zero vector."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)
-    if int(lengths.sum()) != len(indices):
-        raise LayoutMismatch("lengths do not cover the index buffer")
-    if len(indices) and (indices.min() < 0 or indices.max() >= table.num_rows):
-        bad = indices[(indices < 0) | (indices >= table.num_rows)][0]
-        raise IndexOutOfRange(table.spec.id, int(bad))
-    out = np.zeros((len(lengths), table.dim), dtype=np.float64)
-    sample_ids = np.repeat(np.arange(len(lengths)), lengths)
-    # np.add.at applies accumulations in buffer order, matching a scalar loop
-    np.add.at(out, sample_ids, table.values[indices])
-    return out
+    indices, sample_ids = _checked_batch(lengths, indices)
+    _check_rows(table, indices)
+    # each sample's rows are added in buffer order, matching a scalar loop
+    return _scatter_sum(sample_ids, table.values[indices], len(lengths))
 
 
 def fused_forward(
@@ -178,31 +218,23 @@ def backward_sort_aggregate(
     """Adjoint of sum pooling: per-row sums of the contributing samples'
     upstream gradients. Duplicate indices within a sample contribute once per
     occurrence."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)
+    indices, sample_ids = _checked_batch(lengths, indices)
     upstream = np.asarray(upstream, dtype=np.float64)
-    if int(lengths.sum()) != len(indices):
-        raise LayoutMismatch("lengths do not cover the index buffer")
     if upstream.shape[0] != len(lengths):
         raise LayoutMismatch("one upstream gradient row per sample required")
-    sample_ids = np.repeat(np.arange(len(lengths)), lengths)
-    ids, inverse = np.unique(indices, return_inverse=True)
-    grads = np.zeros((len(ids), upstream.shape[1]), dtype=np.float64)
-    np.add.at(grads, inverse, upstream[sample_ids])
-    return RowGradients(ids=ids, grads=grads)
+    return _sum_by_row(indices, upstream[sample_ids])
 
 
 def merge_row_gradients(parts: Sequence[RowGradients], dim: int) -> RowGradients:
-    """Sum per-row gradients across partial results (e.g. DP replicas)."""
+    """Sum per-row gradients across partial results (e.g. DP replicas);
+    each row's parts are added in the order given."""
     parts = [p for p in parts if len(p.ids)]
     if not parts:
         return RowGradients(np.empty(0, dtype=np.int64), np.zeros((0, dim)))
-    all_ids = np.unique(np.concatenate([p.ids for p in parts]))
-    grads = np.zeros((len(all_ids), dim), dtype=np.float64)
-    for p in parts:
-        pos = np.searchsorted(all_ids, p.ids)
-        np.add.at(grads, pos, p.grads)
-    return RowGradients(all_ids, grads)
+    return _sum_by_row(
+        np.concatenate([p.ids for p in parts]),
+        np.concatenate([p.grads for p in parts]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +307,9 @@ def fused_backward_update(
     cfg: OptimizerConfig,
 ) -> RowGradients:
     """Sort-aggregate then exactly one optimizer application per touched row,
-    never one per occurrence."""
+    never one per occurrence. Ids outside the table are rejected before the
+    table is touched."""
+    _check_rows(table, indices)
     grads = backward_sort_aggregate(lengths, indices, upstream)
     apply_optimizer(table, grads, cfg)
     return grads

@@ -32,6 +32,7 @@ from neosim.embedding import (
     apply_sgd,
     dump_table,
     load_table,
+    merge_row_gradients,
 )
 
 
@@ -58,6 +59,63 @@ def naive_forward(values, lengths, indices):
     return out
 
 
+def naive_backward(lengths, indices, upstream):
+    """Scalar-loop oracle for sort-aggregate: ascending unique ids, each
+    row's sum built occurrence by occurrence in buffer order."""
+    ids = sorted({int(i) for i in indices})
+    row = {r: k for k, r in enumerate(ids)}
+    grads = np.zeros((len(ids), upstream.shape[1]))
+    pos = 0
+    for s, count in enumerate(lengths):
+        for _ in range(count):
+            grads[row[int(indices[pos])]] += upstream[s]
+            pos += 1
+    return np.array(ids, dtype=np.int64), grads
+
+
+def naive_merge(parts, dim):
+    """Scalar-loop oracle for the gradient AllReduce: parts added in order."""
+    ids = sorted({int(i) for p in parts for i in p.ids})
+    row = {r: k for k, r in enumerate(ids)}
+    grads = np.zeros((len(ids), dim))
+    for p in parts:
+        for r, g in zip(p.ids, p.grads):
+            grads[row[int(r)]] += g
+    return np.array(ids, dtype=np.int64), grads
+
+
+def pooling_cases():
+    """Inputs for the zero-ULP oracles: pooling up to 40, a hot row repeated
+    hundreds of times as under Zipf skew, empty samples, an empty batch and
+    dim 1. Row magnitudes span e^-5..e^5 so that any reordering of a sum
+    shows up in the last bits."""
+    rng = np.random.default_rng(12)
+
+    def rows(n, dim):
+        scale = np.exp(rng.uniform(-5.0, 5.0, size=(n, 1)))
+        return rng.standard_normal((n, dim)) * scale
+
+    cases = []
+    for dim in (1, 3, 16):
+        for _ in range(8):
+            num_rows = int(rng.integers(1, 50))
+            lengths = rng.integers(0, 41, size=int(rng.integers(1, 16)))
+            lengths[rng.random(len(lengths)) < 0.25] = 0  # empty samples
+            indices = rng.integers(0, num_rows, size=int(lengths.sum()))
+            cases.append((rows(num_rows, dim), lengths, indices))
+        # hot row 0 takes 80% of ~600 occurrences, across and within samples
+        lengths = rng.integers(0, 41, size=30)
+        total = int(lengths.sum())
+        indices = np.where(rng.random(total) < 0.8, 0, rng.integers(0, 20, size=total))
+        cases.append((rows(20, dim), lengths, indices))
+        # one sample repeating row 5 four hundred times
+        cases.append((rows(8, dim), np.array([400]), np.full(400, 5)))
+        # every sample empty, then an empty batch
+        cases.append((rows(5, dim), np.zeros(4, dtype=np.int64), np.zeros(0, np.int64)))
+        cases.append((rows(5, dim), np.zeros(0, dtype=np.int64), np.zeros(0, np.int64)))
+    return cases
+
+
 class TestForwardPooled:
     def test_two_row_sum(self):
         table = make_table([[1, 2], [3, 4], [5, 6]])
@@ -76,13 +134,16 @@ class TestForwardPooled:
 
     def test_matches_scalar_loop_to_zero_ulp(self):
         rng = np.random.default_rng(0)
+        cases = []
         for _ in range(10):
             values = rng.standard_normal((30, 5))
             lengths = rng.integers(0, 6, size=12)
             indices = rng.integers(0, 30, size=int(lengths.sum()))
-            table = make_table(values)
-            got = forward_pooled(table, lengths, indices)
+            cases.append((values, lengths, indices))
+        for values, lengths, indices in cases + pooling_cases():
+            got = forward_pooled(make_table(values), lengths, indices)
             want = naive_forward(values, lengths, indices)
+            assert got.shape == want.shape
             assert np.array_equal(got, want)  # identical accumulation order
 
     def test_index_out_of_range(self):
@@ -91,6 +152,12 @@ class TestForwardPooled:
         table = make_table([[1.0, 2.0]])
         with pytest.raises(IndexOutOfRange):
             forward_pooled(table, [1], [5])
+
+    def test_negative_length_rejected(self):
+        table = make_table([[1.0], [2.0], [3.0]])
+        with pytest.raises(InvalidValue) as err:
+            forward_pooled(table, [3, -1], [0, 1])
+        assert err.value.path == "lengths"
 
     def test_pooling_linearity(self):
         rng = np.random.default_rng(1)
@@ -187,6 +254,22 @@ class TestBackwardSortAggregate:
         assert base.ids.tolist() == shuffled.ids.tolist()
         assert np.allclose(base.grads, shuffled.grads, atol=1e-12)
 
+    def test_matches_scalar_loop_to_zero_ulp(self):
+        rng = np.random.default_rng(13)
+        for values, lengths, indices in pooling_cases():
+            upstream = rng.standard_normal((len(lengths), values.shape[1]))
+            upstream *= np.exp(rng.uniform(-5.0, 5.0, size=(len(lengths), 1)))
+            got = backward_sort_aggregate(lengths, indices, upstream)
+            want_ids, want_grads = naive_backward(lengths, indices, upstream)
+            assert np.array_equal(got.ids, want_ids)
+            assert got.grads.shape == want_grads.shape
+            assert np.array_equal(got.grads, want_grads)
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(InvalidValue) as err:
+            backward_sort_aggregate([3, -1], [0, 1], np.ones((2, 1)))
+        assert err.value.path == "lengths"
+
     def test_matches_central_finite_differences(self):
         # loss = sum_s w_s . pooled_s with random per-sample weights; FD step 1e-4
         rng = np.random.default_rng(6)
@@ -214,6 +297,29 @@ class TestBackwardSortAggregate:
                     down[r, j] -= step
                     fd = (loss(up) - loss(down)) / (2 * step)
                     assert abs(fd - dense[r, j]) <= 1e-6
+
+
+class TestMergeRowGradients:
+    def test_matches_scalar_loop_to_zero_ulp(self):
+        rng = np.random.default_rng(14)
+        for dim in (1, 3, 16):
+            for _ in range(20):
+                parts = []
+                for _ in range(int(rng.integers(1, 13))):  # up to 12 replicas
+                    ids = np.unique(rng.integers(0, 30, size=int(rng.integers(0, 25))))
+                    grads = rng.standard_normal((len(ids), dim))
+                    grads *= np.exp(rng.uniform(-5.0, 5.0, size=(len(ids), 1)))
+                    parts.append(RowGradients(ids, grads))
+                got = merge_row_gradients(parts, dim)
+                want_ids, want_grads = naive_merge(parts, dim)
+                assert np.array_equal(got.ids, want_ids)
+                assert got.grads.shape == want_grads.shape
+                assert np.array_equal(got.grads, want_grads)
+
+    def test_all_parts_empty(self):
+        empty = RowGradients(np.empty(0, dtype=np.int64), np.zeros((0, 2)))
+        got = merge_row_gradients([empty, empty], 2)
+        assert got.ids.shape == (0,) and got.grads.shape == (0, 2)
 
 
 class TestRowWiseAdagrad:
@@ -308,6 +414,27 @@ class TestFusedBackwardUpdate:
             grads = backward_sort_aggregate(lengths, indices, upstream)
             apply_optimizer(manual, grads, cfg)
             assert np.array_equal(fused.values, manual.values)
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    @pytest.mark.parametrize("kind", list(OptimizerKind))
+    def test_out_of_range_id_rejected_table_unchanged(self, kind, bad):
+        from neosim import IndexOutOfRange
+
+        rng = np.random.default_rng(9)
+        moment = None
+        if kind is OptimizerKind.ROWWISE_ADAGRAD:
+            moment = np.zeros(4)
+        elif kind is OptimizerKind.ADAGRAD:
+            moment = np.zeros((4, 2))
+        table = make_table(rng.standard_normal((4, 2)), moment)
+        before = table.copy()
+        cfg = OptimizerConfig(kind, lr=0.1, eps=1e-8)
+        with pytest.raises(IndexOutOfRange) as err:
+            fused_backward_update(table, [1, 1], [2, bad], np.ones((2, 2)), cfg)
+        assert err.value.table_id == "t" and err.value.index == bad
+        assert np.array_equal(table.values, before.values)
+        if moment is not None:
+            assert np.array_equal(table.moment, before.moment)
 
 
 class TestFp16Roundtrip:

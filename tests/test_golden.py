@@ -1,20 +1,45 @@
-"""Golden outputs: the plan JSON and the simulate report body of the bundled
-models, pinned by SHA-256.
+"""Golden outputs, pinned by SHA-256: the plan JSON and the simulate report
+body of the bundled models, and the verify path's training steps.
 
-The digests were captured at commit 812b26e, before the planner and the
-simulator were rewritten for speed (id->index maps, one volume pass per
-simulate, the O(shards + W) input-AlltoAll volume, heap greedy placement).
-Any change that moves a digest changes what neosim prints; a pure
-performance change must leave every digest as it is.
+The plan and simulate digests were captured at commit 812b26e, before the
+planner and the simulator were rewritten for speed (id->index maps, one
+volume pass per simulate, the O(shards + W) input-AlltoAll volume, heap
+greedy placement). The verify digests (train_step_reference and
+train_step_sharded on a fixed desk model, SGD / row-wise AdaGrad / AdaGrad
+at W = 1, 2 and 8) were captured at commit 34a43bf, before the np.add.at
+scatters of embedding.py were replaced. Any change that moves a digest
+changes what neosim prints or computes; a pure performance change must
+leave every digest as it is.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from conftest import desk_model
+
+from neosim import (
+    IndexSkew,
+    OptimizerConfig,
+    OptimizerKind,
+    Precision,
+    Scheme,
+    SchemeKind,
+    Shard,
+    ShardingPlan,
+    SkewKind,
+    TableAssignment,
+    TableSpec,
+    gen_synthetic_batch,
+    train_step_reference,
+    train_step_sharded,
+)
 from neosim.bundled import data_path
 from neosim.cli import main
+from neosim.comms import reassemble_values
+from neosim.planner import even_bounds
 
 CLUSTER = str(data_path("cluster_16node.json"))
 
@@ -92,3 +117,174 @@ def golden_digests(tmp_path, model, flags):
 )
 def test_golden_plan_and_simulate(tmp_path, capsys, model, flags):
     assert golden_digests(tmp_path, model, flags) == GOLDEN[(model, flags)]
+
+
+# ---------------------------------------------------------------------------
+# verify path: the executable reference and the sharded step
+
+
+def _verify_model(workers: int):
+    """Eight tables mixing dims 1..16, pooling 2..40, uniform and Zipf rows,
+    FP32 and FP16 storage; the global batch is 32 samples at every W."""
+    zipf = IndexSkew(SkewKind.ZIPF, alpha=1.05)
+    rows = (
+        # (id, rows, dim, pooling, zipf, fp16)
+        ("tw", 50, 4, 3.0, False, False),
+        ("rw", 60, 6, 8.0, True, True),
+        ("cw", 40, 8, 5.0, False, False),
+        ("dp", 30, 3, 12.0, True, True),
+        ("hier", 64, 2, 20.0, True, False),
+        ("tw_d1", 20, 1, 2.0, False, False),
+        ("cw_hot", 45, 16, 40.0, True, True),
+        ("dp_d1", 25, 1, 6.0, False, False),
+    )
+    tables = [
+        TableSpec(
+            id=i,
+            num_rows=h,
+            dim=d,
+            avg_pooling=L,
+            value_precision=Precision.FP16 if fp16 else Precision.FP32,
+            index_skew=zipf if z else IndexSkew(),
+        )
+        for i, h, d, L, z, fp16 in rows
+    ]
+    return desk_model(tables, local_batch=32 // workers)
+
+
+def _verify_plan(model, workers: int, gpus_per_node: int):
+    """Table-wise, row-wise, column-wise and data-parallel shards at every W;
+    the "hier" table is row-wise inside node 1 when there are two nodes."""
+    assignments = []
+    for i, table in enumerate(model.tables):
+        kind = table.id.split("_")[0]
+        if kind == "tw":
+            scheme, shards = Scheme(SchemeKind.TABLE_WISE), (Shard(worker=i % workers),)
+        elif kind == "dp":
+            scheme, shards = Scheme(SchemeKind.DATA_PARALLEL), (Shard(worker=None),)
+        elif kind == "cw":
+            splits = even_bounds(table.dim, 3)
+            scheme = Scheme(SchemeKind.COLUMN_WISE, col_splits=tuple(splits))
+            shards = tuple(
+                Shard(worker=(i + j) % workers, cols=s) for j, s in enumerate(splits)
+            )
+        elif kind == "hier" and workers > gpus_per_node:
+            bounds = even_bounds(table.num_rows, gpus_per_node)
+            scheme = Scheme(
+                SchemeKind.ROW_WISE,
+                num_row_shards=len(bounds),
+                hierarchical=(SchemeKind.TABLE_WISE, SchemeKind.ROW_WISE),
+            )
+            shards = tuple(
+                Shard(worker=gpus_per_node + j, rows=b) for j, b in enumerate(bounds)
+            )
+        else:  # row-wise, three shards (two may share a worker)
+            bounds = even_bounds(table.num_rows, 3)
+            scheme = Scheme(SchemeKind.ROW_WISE, num_row_shards=3)
+            shards = tuple(
+                Shard(worker=(i + j) % workers, rows=b) for j, b in enumerate(bounds)
+            )
+        assignments.append(TableAssignment(table.id, scheme, shards))
+    return ShardingPlan(workers, gpus_per_node, tuple(assignments))
+
+
+def _array_sha(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+VERIFY_LAYOUTS = ((1, 1), (2, 2), (8, 4))  # (workers, gpus per node)
+
+# (workers, optimizer) -> (reference digest, sharded digest)
+VERIFY_GOLDEN = {
+    (1, "sgd"): (
+        "3a00019b36f995f0262ac1563d97f1942a61903995a8012367bbdf994ab176c4",
+        "30f79f2da62a706421cd5c8382c694b55ccef5bd901c070b08b35f592710ed7f",
+    ),
+    (1, "rowwise_adagrad"): (
+        "6d37ba8d245735f69c0afa1cf522f231e64c4cea69585c557557234a7a2aff37",
+        "b1a09a620c70ac40f156c0cf9f35a93d4b1d31847cacb17d9aa9606e3b3c944c",
+    ),
+    (1, "adagrad"): (
+        "4c27ebffa56b41173012eb76c5d4a2619ffda722020652e874510c891c1df7d1",
+        "92b1806f70cfe214f89a40540d4cba73110740e898a5052177570ef28093f94e",
+    ),
+    (2, "sgd"): (
+        "3a00019b36f995f0262ac1563d97f1942a61903995a8012367bbdf994ab176c4",
+        "30f79f2da62a706421cd5c8382c694b55ccef5bd901c070b08b35f592710ed7f",
+    ),
+    (2, "rowwise_adagrad"): (
+        "6d37ba8d245735f69c0afa1cf522f231e64c4cea69585c557557234a7a2aff37",
+        "b1a09a620c70ac40f156c0cf9f35a93d4b1d31847cacb17d9aa9606e3b3c944c",
+    ),
+    (2, "adagrad"): (
+        "4c27ebffa56b41173012eb76c5d4a2619ffda722020652e874510c891c1df7d1",
+        "92b1806f70cfe214f89a40540d4cba73110740e898a5052177570ef28093f94e",
+    ),
+    (8, "sgd"): (
+        "3a00019b36f995f0262ac1563d97f1942a61903995a8012367bbdf994ab176c4",
+        "98116d4f5e10099dbb763bcf542981e176eb1216bba7fb473f28c5e700f18abd",
+    ),
+    (8, "rowwise_adagrad"): (
+        "6d37ba8d245735f69c0afa1cf522f231e64c4cea69585c557557234a7a2aff37",
+        "f94a98406bef57ce9b8dcc08db3457f0d4fceddc5a8d55c5317e2b6a90f0ae46",
+    ),
+    (8, "adagrad"): (
+        "4c27ebffa56b41173012eb76c5d4a2619ffda722020652e874510c891c1df7d1",
+        "e898de09ed32149336d87363586eed3dcb813c119ca3baf7073257815f15b93f",
+    ),
+}
+
+
+def verify_digests(workers, gpus_per_node, optimizer):
+    """Run both steps on the fixed desk model and digest what they leave.
+
+    The reference digest covers the outputs and every table's post-step
+    values and moment; the sharded digest covers the outputs, the
+    reassemble_values matrices and every shard's and replica 0's moment.
+    Also checks that all W data-parallel replicas are bitwise equal, which
+    reassemble_values relies on when it reads replica 0 only.
+    """
+    model = _verify_model(workers)
+    plan = _verify_plan(model, workers, gpus_per_node)
+    batch = gen_synthetic_batch(_verify_model(1), 32, seed=20)
+    cfg = OptimizerConfig(OptimizerKind(optimizer), lr=0.05, eps=1e-8)
+
+    ref_out, ref_tables = train_step_reference(model, batch, cfg, seed=21)
+    sh_out, state = train_step_sharded(model, plan, batch, cfg, seed=21)
+    values = reassemble_values(model, plan, state)
+
+    for table_id, replicas in state.dp_replicas.items():
+        assert len(replicas) == workers
+        for replica in replicas[1:]:
+            assert np.array_equal(replica.values, replicas[0].values), table_id
+            if replica.moment is not None:
+                assert np.array_equal(replica.moment, replicas[0].moment), table_id
+
+    ref_arrays = [ref_out]
+    for table in ref_tables:
+        ref_arrays.append(table.values)
+        if table.moment is not None:
+            ref_arrays.append(table.moment)
+    moments = [state.shards[key].moment for key in sorted(state.shards)]
+    moments += [state.dp_replicas[key][0].moment for key in sorted(state.dp_replicas)]
+    sh_arrays = [sh_out, *values, *(m for m in moments if m is not None)]
+    return _array_sha(ref_arrays), _array_sha(sh_arrays)
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "rowwise_adagrad", "adagrad"])
+@pytest.mark.parametrize("workers,gpus_per_node", VERIFY_LAYOUTS)
+def test_golden_verify_step(workers, gpus_per_node, optimizer):
+    model = _verify_model(workers)
+    kinds = {
+        "hier" if a.scheme.hierarchical else a.scheme.kind.value
+        for a in _verify_plan(model, workers, gpus_per_node).assignments
+    }
+    assert kinds >= {"table_wise", "row_wise", "column_wise", "data_parallel"}
+    assert ("hier" in kinds) == (workers == 8)
+    got = verify_digests(workers, gpus_per_node, optimizer)
+    assert got == VERIFY_GOLDEN[(workers, optimizer)]
