@@ -1,14 +1,19 @@
 """Set-associative software cache simulator for embedding rows.
 
-Rows map to sets by id modulo num_sets; replacement is LRU or LFU with ties
-broken by recency then lowest line index. The default 32-way associativity
-mirrors the warp-sized layout the cache models.
+Rows map to sets by id modulo num_sets. Each set is a dict from resident row
+id to its access count, kept in recency order: a hit pops the row and
+re-inserts it, so the first key is always the least recently used row.
+Replacement is LRU (evict the first key) or LFU (evict the least frequent
+row, the least recent among equals). Recency is a strict order, so no two
+rows ever tie on it and no further tie rule is needed. The default 32-way
+associativity mirrors the warp-sized layout the cache models.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import index
 from typing import Iterable, Optional
 
 from .errors import EmptyTrace, InvalidValue
@@ -26,21 +31,24 @@ class CacheConfig:
     policy: ReplacementPolicy = ReplacementPolicy.LRU
 
     def __post_init__(self):
-        if self.num_sets < 1:
-            raise InvalidValue("num_sets", "must be >= 1")
-        if self.ways < 1:
-            raise InvalidValue("ways", "must be >= 1")
+        for name in ("num_sets", "ways"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidValue(name, f"must be an integer, got {value!r}")
+            if value < 1:
+                raise InvalidValue(name, "must be >= 1")
+        try:
+            policy = ReplacementPolicy(self.policy)
+        except (ValueError, TypeError):
+            choices = ", ".join(p.value for p in ReplacementPolicy)
+            raise InvalidValue(
+                "policy", f"must be one of {choices}, got {self.policy!r}"
+            ) from None
+        object.__setattr__(self, "policy", policy)
 
     @property
     def capacity_rows(self) -> int:
         return self.num_sets * self.ways
-
-
-@dataclass
-class _Line:
-    row_id: int
-    last_used: int
-    frequency: int
 
 
 @dataclass(frozen=True)
@@ -49,51 +57,66 @@ class AccessResult:
     evicted: Optional[int] = None
 
 
+_HIT = AccessResult(hit=True)
+
+
 class CacheState:
-    """Mutable simulator state; single-owner, not shared across threads."""
+    """Mutable simulator state; single-owner, not shared across threads.
+
+    `sets[s]` maps each row resident in set s to its access count, least
+    recently used row first.
+    """
 
     def __init__(self, config: CacheConfig):
         self.config = config
-        self.sets: list[list[_Line]] = [[] for _ in range(config.num_sets)]
+        self.sets: list[dict[int, int]] = [{} for _ in range(config.num_sets)]
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._clock = 0
 
     def resident(self, row_id: int) -> bool:
-        lines = self.sets[row_id % self.config.num_sets]
-        return any(line.row_id == row_id for line in lines)
+        row_id = _row_id(row_id)
+        return row_id in self.sets[row_id % self.config.num_sets]
+
+
+def _row_id(value) -> int:
+    try:
+        row_id = index(value)
+    except TypeError:
+        raise InvalidValue("row_id", f"must be an integer, got {value!r}") from None
+    if row_id < 0:
+        raise InvalidValue("row_id", "must be >= 0")
+    return row_id
+
+
+def _victim(lines: dict[int, int], lfu: bool) -> int:
+    """The row a full set evicts. Keys run least recent first, so LRU takes
+    the first key and LFU the first key holding the lowest count."""
+    if not lfu:
+        return next(iter(lines))
+    least = min(lines.values())
+    for row_id, count in lines.items():
+        if count == least:
+            return row_id
 
 
 def access(state: CacheState, row_id: int) -> AccessResult:
     """One row lookup: hit refreshes the line, miss inserts and may evict."""
-    if row_id < 0:
-        raise InvalidValue("row_id", "must be >= 0")
+    row_id = _row_id(row_id)
     cfg = state.config
     lines = state.sets[row_id % cfg.num_sets]
-    state._clock += 1
-    for line in lines:
-        if line.row_id == row_id:
-            line.last_used = state._clock
-            line.frequency += 1
-            state.hits += 1
-            return AccessResult(hit=True)
+    count = lines.pop(row_id, 0)
+    if count:
+        lines[row_id] = count + 1
+        state.hits += 1
+        return _HIT
     state.misses += 1
     evicted = None
     if len(lines) >= cfg.ways:
-        if cfg.policy is ReplacementPolicy.LRU:
-            victim_idx = min(
-                range(len(lines)), key=lambda i: (lines[i].last_used, i)
-            )
-        else:  # LFU: frequency, then recency, then lowest line index
-            victim_idx = min(
-                range(len(lines)),
-                key=lambda i: (lines[i].frequency, lines[i].last_used, i),
-            )
-        evicted = lines[victim_idx].row_id
-        del lines[victim_idx]
+        evicted = _victim(lines, cfg.policy is ReplacementPolicy.LFU)
+        del lines[evicted]
         state.evictions += 1
-    lines.append(_Line(row_id=row_id, last_used=state._clock, frequency=1))
+    lines[row_id] = 1
     return AccessResult(hit=False, evicted=evicted)
 
 
@@ -113,14 +136,31 @@ class TraceStats:
 
 
 def simulate_trace(config: CacheConfig, trace: Iterable[int]) -> TraceStats:
-    state = CacheState(config)
-    count = 0
-    for row_id in trace:
-        access(state, int(row_id))
-        count += 1
-    if count == 0:
+    """Replay a trace from an empty cache; the same result as folding
+    `access` over it, without a per-access result object."""
+    num_sets, ways = config.num_sets, config.ways
+    lfu = config.policy is ReplacementPolicy.LFU
+    sets: list[dict[int, int]] = [{} for _ in range(num_sets)]
+    accesses = misses = evictions = 0
+    for value in trace:
+        try:
+            row_id = index(value)
+        except TypeError:
+            row_id = -1
+        if row_id < 0:
+            _row_id(value)  # raises InvalidValue for the bad id
+        lines = sets[row_id % num_sets]
+        count = lines.pop(row_id, 0)
+        if not count:
+            misses += 1
+            if len(lines) >= ways:
+                del lines[_victim(lines, lfu)]
+                evictions += 1
+        lines[row_id] = count + 1
+        accesses += 1
+    if accesses == 0:
         raise EmptyTrace("hit rate is undefined on an empty trace")
-    return TraceStats(hits=state.hits, misses=state.misses, evictions=state.evictions)
+    return TraceStats(hits=accesses - misses, misses=misses, evictions=evictions)
 
 
 def effective_row_bandwidth(hit_rate: float, hbm_bw: float, backing_bw: float) -> float:

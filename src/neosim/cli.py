@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .cache import CacheConfig, ReplacementPolicy, simulate_trace
-from .comms import train_step_sharded, reassemble_values
+from .comms import reassemble_values, train_step_sharded, volume_forward_alltoall
 from .embedding import OptimizerConfig, OptimizerKind, train_step_reference
 from .errors import Infeasible, NeosimError
 from .model import (
@@ -145,36 +145,18 @@ def _plan_from_args(args, model: ModelSpec, cluster: ClusterSpec):
 def cmd_plan(args) -> int:
     model = _load_model(args.model)
     cluster = _load_cluster(args.cluster)
+    plan = _plan_from_args(args, model, cluster)
     policy = _policy_from_args(args)
-    weights = _weights_from_args(args)
-    if args.hierarchical:
-        plan = hierarchical_plan(model, cluster, weights, policy)
-    else:
-        plan = plan_4d(model, cluster, weights, policy, heuristic=args.heuristic)
     text = plan_to_json(plan, model, cluster, policy.flags)
     Path(args.out).write_text(text)
     report = memory_check(plan, model, cluster, policy.flags)
-    from .comms import volume_forward_alltoall
-    from .planner import SchemeKind, shard_cost
-
     vol = volume_forward_alltoall(plan, model, plan.num_workers)
-    global_batch = model.local_batch * plan.num_workers
-    load = [0.0] * plan.num_workers
-    for assignment in plan.assignments:
-        table = model.tables[model.table_index(assignment.table_id)]
-        per_shard = shard_cost(table, assignment.scheme, cluster, global_batch).load
-        for shard in assignment.shards:
-            if shard.worker is None:
-                for w in range(plan.num_workers):
-                    load[w] += per_shard
-            else:
-                load[shard.worker] += per_shard
     print(f"plan written to {args.out} ({len(plan.assignments)} tables, "
           f"{plan.num_workers} workers)")
-    print(f"{'worker':>6} {'load':>14} {'memory_gb':>10} {'tier':>9} {'a2a_send_mb':>12}")
+    print(f"{'worker':>6} {'memory_gb':>10} {'tier':>9} {'a2a_send_mb':>12}")
     for m in report.workers:
         print(
-            f"{m.worker:>6} {load[m.worker]:>14.3e} {m.total_bytes / 1e9:>10.2f} "
+            f"{m.worker:>6} {m.total_bytes / 1e9:>10.2f} "
             f"{m.tier:>9} {vol.per_worker_send_bytes[m.worker] / 1e6:>12.2f}"
         )
     return 0

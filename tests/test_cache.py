@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from neosim import (
     CacheConfig,
@@ -15,6 +16,75 @@ from neosim import (
 )
 from neosim.bundled import data_path
 from neosim.cache import make_scan_hot_trace
+
+
+class ListScanCache:
+    """Oracle: the list-scan replay the dict-per-set cache replaced.
+
+    Each set is a list of [row_id, last_used, frequency] lines scanned in
+    full on every access; victims are min over (last_used, i) under LRU and
+    over (frequency, last_used, i) under LFU.
+    """
+
+    def __init__(self, num_sets, ways, policy):
+        self.num_sets, self.ways, self.policy = num_sets, ways, policy
+        self.sets = [[] for _ in range(num_sets)]
+        self.clock = self.hits = self.misses = self.evictions = 0
+
+    def access(self, row_id):
+        """(hit, evicted row or None)"""
+        lines = self.sets[row_id % self.num_sets]
+        self.clock += 1
+        for line in lines:
+            if line[0] == row_id:
+                line[1] = self.clock
+                line[2] += 1
+                self.hits += 1
+                return True, None
+        self.misses += 1
+        evicted = None
+        if len(lines) >= self.ways:
+            if self.policy is ReplacementPolicy.LRU:
+                i = min(range(len(lines)), key=lambda i: (lines[i][1], i))
+            else:
+                i = min(range(len(lines)), key=lambda i: (lines[i][2], lines[i][1], i))
+            evicted = lines.pop(i)[0]
+            self.evictions += 1
+        lines.append([row_id, self.clock, 1])
+        return False, evicted
+
+
+def assert_matches_oracle(num_sets, ways, policy, trace):
+    config = CacheConfig(num_sets, ways, policy)
+    state = CacheState(config)
+    oracle = ListScanCache(num_sets, ways, policy)
+    for row in trace:
+        got = access(state, row)
+        assert (got.hit, got.evicted) == oracle.access(row)
+    expected = (oracle.hits, oracle.misses, oracle.evictions)
+    assert (state.hits, state.misses, state.evictions) == expected
+    stats = simulate_trace(config, trace)
+    assert (stats.hits, stats.misses, stats.evictions) == expected
+
+
+def oracle_traces(rng):
+    """Seeded traces over a row range a few times the cache capacity:
+    uniform, Zipf-skewed, and two shapes that give LFU frequency ties
+    (round-robin passes and repeated runs of equal length)."""
+    num_sets, ways = (int(v) for v in rng.integers(1, 9, size=2))
+    rows = int(rng.integers(1, 4 * num_sets * ways + 2))
+    length = int(rng.integers(1, 240))
+    shape = rng.integers(4)
+    if shape == 0:
+        trace = rng.integers(0, rows, size=length)
+    elif shape == 1:
+        trace = np.minimum(rng.zipf(1.3, size=length) - 1, rows - 1)
+    elif shape == 2:
+        trace = np.tile(rng.permutation(rows), length // rows + 1)[:length]
+    else:
+        runs = rng.integers(0, rows, size=length // 3 + 1)
+        trace = np.repeat(runs, 3)[:length]
+    return num_sets, ways, [int(v) for v in trace]
 
 
 class TestAccess:
@@ -68,6 +138,100 @@ class TestAccess:
         with pytest.raises(InvalidValue):
             access(state, -1)
 
+    def test_lfu_frequency_tie_evicts_least_recent(self):
+        state = CacheState(CacheConfig(num_sets=1, ways=3, policy=ReplacementPolicy.LFU))
+        for row in (0, 1, 2, 2, 1, 0):  # every row at frequency 2; 2 least recent
+            access(state, row)
+        assert access(state, 3).evicted == 2
+        # 3 is now the only row at frequency 1
+        assert access(state, 4).evicted == 3
+
+    def test_resident_after_miss_not_after_eviction(self):
+        state = CacheState(CacheConfig(num_sets=2, ways=1))
+        assert not state.resident(4)
+        access(state, 4)
+        assert state.resident(4)
+        assert not state.resident(6)
+        assert access(state, 6).evicted == 4
+        assert not state.resident(4) and state.resident(6)
+
+    def test_non_integral_row_rejected(self):
+        state = CacheState(CacheConfig(num_sets=2, ways=2))
+        for bad in (1.7, 2.0, "3", None):
+            with pytest.raises(InvalidValue):
+                access(state, bad)
+            with pytest.raises(InvalidValue):
+                state.resident(bad)
+        assert (state.hits, state.misses) == (0, 0)
+
+    def test_numpy_integer_rows_accepted(self):
+        state = CacheState(CacheConfig(num_sets=2, ways=2))
+        assert not access(state, np.int64(5)).hit
+        assert access(state, np.uint16(5)).hit
+        assert state.resident(5)
+        assert access(state, np.int32(7)).evicted is None
+        assert all(type(row) is int for lines in state.sets for row in lines)
+
+
+class TestCacheConfig:
+    def test_policy_string_coerced(self):
+        trace = make_scan_hot_trace()
+        for value in ("lru", "lfu"):
+            config = CacheConfig(4, 8, value)
+            assert config.policy is ReplacementPolicy(value)
+            assert config == CacheConfig(4, 8, ReplacementPolicy(value))
+        # the string "lru" once ran LFU and gave 1920 hits
+        assert simulate_trace(CacheConfig(4, 8, "lru"), trace).hits == 1280
+        assert simulate_trace(CacheConfig(4, 8, "lfu"), trace).hits == 1920
+
+    @pytest.mark.parametrize("policy", ["mru", "LRU", "", None, 1])
+    def test_unknown_policy_rejected(self, policy):
+        with pytest.raises(InvalidValue) as info:
+            CacheConfig(4, 8, policy)
+        assert info.value.path == "policy"
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("num_sets", True),
+            ("num_sets", 1.5),
+            ("num_sets", 4.0),
+            ("num_sets", "4"),
+            ("num_sets", 0),
+            ("ways", 2.0),
+            ("ways", False),
+            ("ways", None),
+            ("ways", -1),
+        ],
+    )
+    def test_bad_geometry_rejected(self, field, value):
+        kwargs = {"num_sets": 4, "ways": 8, field: value}
+        with pytest.raises(InvalidValue) as info:
+            CacheConfig(**kwargs)
+        assert info.value.path == field
+
+
+class TestOracle:
+    def test_matches_list_scan_replay(self):
+        # 320 seeded traces x both policies: every access() result and every
+        # simulate_trace count equal the list-scan replay's. Over half of the
+        # ~10k LFU evictions here break a frequency tie by recency.
+        rng = np.random.default_rng(31)
+        for _ in range(320):
+            num_sets, ways, trace = oracle_traces(rng)
+            for policy in ReplacementPolicy:
+                assert_matches_oracle(num_sets, ways, policy, trace)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        num_sets=st.integers(1, 8),
+        ways=st.integers(1, 8),
+        policy=st.sampled_from(list(ReplacementPolicy)),
+        trace=st.lists(st.integers(0, 60), min_size=1, max_size=120),
+    )
+    def test_property_matches_list_scan_replay(self, num_sets, ways, policy, trace):
+        assert_matches_oracle(num_sets, ways, policy, trace)
+
 
 class TestSimulateTrace:
     def test_repeated_id_hit_rate(self):
@@ -86,6 +250,35 @@ class TestSimulateTrace:
         with pytest.raises(EmptyTrace):
             simulate_trace(CacheConfig(num_sets=1, ways=1), [])
 
+    def test_negative_row_rejected(self):
+        with pytest.raises(InvalidValue):
+            simulate_trace(CacheConfig(num_sets=2, ways=2), [3, 1, -1, 4])
+
+    def test_non_integral_row_rejected(self):
+        for bad in (1.7, "3", None):
+            with pytest.raises(InvalidValue):
+                simulate_trace(CacheConfig(num_sets=2, ways=2), [3, bad])
+
+    def test_numpy_integer_trace_accepted(self):
+        trace = np.array([1, 2, 1, 9, 1], dtype=np.int64)
+        stats = simulate_trace(CacheConfig(num_sets=1, ways=2), trace)
+        assert (stats.hits, stats.misses, stats.evictions) == (2, 3, 1)
+
+    def test_equals_folding_access(self):
+        rng = np.random.default_rng(3)
+        for policy in ReplacementPolicy:
+            config = CacheConfig(num_sets=3, ways=4, policy=policy)
+            trace = [int(v) for v in rng.zipf(1.2, size=2000)]
+            state = CacheState(config)
+            for row in trace:
+                access(state, row)
+            stats = simulate_trace(config, trace)
+            assert (stats.hits, stats.misses, stats.evictions) == (
+                state.hits,
+                state.misses,
+                state.evictions,
+            )
+
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         trace = [int(v) for v in rng.integers(0, 64, size=300)]
@@ -103,7 +296,7 @@ class TestSimulateTrace:
         assert shipped == trace  # the bundled file is the generator's output
         lru = simulate_trace(CacheConfig(4, 8, ReplacementPolicy.LRU), trace)
         lfu = simulate_trace(CacheConfig(4, 8, ReplacementPolicy.LFU), trace)
-        assert lfu.hit_rate >= lru.hit_rate
+        assert lfu.hit_rate > lru.hit_rate
 
     def test_lru_stack_property(self):
         # more ways never lose LRU hits (inclusion), 100 seeded traces

@@ -78,6 +78,15 @@ class TestPlanCommand:
         nodes = {s.worker // plan.gpus_per_node for s in rw[0].shards}
         assert len(nodes) > 1
 
+    def test_stdout_table_has_one_row_per_worker(self, tmp_path, capsys, desk_model_file):
+        out = tmp_path / "plan.json"
+        args = ["plan", "--model", desk_model_file, "--cluster", CLUSTER]
+        assert main([*args, "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split() == ["worker", "memory_gb", "tier", "a2a_send_mb"]
+        workers = plan_from_json(out.read_text()).num_workers
+        assert [int(row.split()[0]) for row in lines[2:]] == list(range(workers))
+
     def test_empty_model_exit_zero(self, tmp_path):
         model = tmp_path / "empty.json"
         model.write_text(

@@ -7,7 +7,9 @@ volume pass per simulate, the O(shards + W) input-AlltoAll volume, heap
 greedy placement). The verify digests (train_step_reference and
 train_step_sharded on a fixed desk model, SGD / row-wise AdaGrad / AdaGrad
 at W = 1, 2 and 8) were captured at commit 34a43bf, before the np.add.at
-scatters of embedding.py were replaced. Any change that moves a digest
+scatters of embedding.py were replaced. The cache counts and the `neosim
+cache` report digests were captured at commit 0d16fd5, from the list-scan
+replay, before each set became a recency-ordered dict. Any change that moves a digest
 changes what neosim prints or computes; a pure performance change must
 leave every digest as it is.
 """
@@ -21,10 +23,12 @@ import pytest
 from conftest import desk_model
 
 from neosim import (
+    CacheConfig,
     IndexSkew,
     OptimizerConfig,
     OptimizerKind,
     Precision,
+    ReplacementPolicy,
     Scheme,
     SchemeKind,
     Shard,
@@ -33,6 +37,7 @@ from neosim import (
     TableAssignment,
     TableSpec,
     gen_synthetic_batch,
+    simulate_trace,
     train_step_reference,
     train_step_sharded,
 )
@@ -288,3 +293,57 @@ def test_golden_verify_step(workers, gpus_per_node, optimizer):
     assert ("hier" in kinds) == (workers == 8)
     got = verify_digests(workers, gpus_per_node, optimizer)
     assert got == VERIFY_GOLDEN[(workers, optimizer)]
+
+
+# ---------------------------------------------------------------------------
+# software cache replay
+
+SCAN_HOT = data_path("trace_scan_hot.txt")
+
+
+def _zipf_trace(seed: int, rows: int, alpha: float, length: int) -> list[int]:
+    rng = np.random.default_rng(seed)
+    probs = np.arange(1, rows + 1, dtype=np.float64) ** -alpha
+    probs /= probs.sum()
+    return rng.choice(rows, size=length, p=probs).tolist()
+
+
+# (trace, sets, ways, policy) -> (hits, misses, evictions)
+CACHE_GOLDEN = {
+    ("scan_hot", 4, 8, "lru"): (1280, 4496, 4464),
+    ("scan_hot", 4, 8, "lfu"): (1920, 3856, 3824),
+    ("zipf_hot", 64, 32, "lru"): (15972, 4028, 1980),
+    ("zipf_hot", 64, 32, "lfu"): (16052, 3948, 1900),
+    ("zipf_cold", 64, 32, "lru"): (907, 7093, 5045),
+    ("zipf_cold", 64, 32, "lfu"): (964, 7036, 4988),
+}
+
+CACHE_TRACES = {
+    "scan_hot": lambda: [int(v) for v in SCAN_HOT.read_text().split()],
+    "zipf_hot": lambda: _zipf_trace(20240, 8192, 1.05, 20_000),
+    "zipf_cold": lambda: _zipf_trace(20241, 1 << 20, 0.8, 8_000),
+}
+
+# policy -> SHA-256 of the `neosim cache` report body, scan-hot trace at 4 x 8
+CACHE_REPORT_GOLDEN = {
+    "lru": "cb3f0581d7d7bccd3c0c67fb68a8b646f35fd881dd7b823f45868f42819ee862",
+    "lfu": "0ec3b46c304d237b360a3571ce47d03ad46ca2628bf2ca303d7e3cc5a152e01f",
+}
+
+
+@pytest.mark.parametrize("trace,sets,ways,policy", list(CACHE_GOLDEN))
+def test_golden_cache_counts(trace, sets, ways, policy):
+    stats = simulate_trace(
+        CacheConfig(sets, ways, ReplacementPolicy(policy)), CACHE_TRACES[trace]()
+    )
+    assert (stats.hits, stats.misses, stats.evictions) == CACHE_GOLDEN[
+        (trace, sets, ways, policy)
+    ]
+
+
+@pytest.mark.parametrize("policy", list(CACHE_REPORT_GOLDEN))
+def test_golden_cache_report(tmp_path, capsys, policy):
+    args = ["cache", "--sets", "4", "--ways", "8", "--policy", policy]
+    assert main([*args, "--trace", str(SCAN_HOT), "--out", str(tmp_path)]) == 0
+    body = json.loads((tmp_path / "cache.json").read_text())["body"]
+    assert _sha(json.dumps(body, indent=2, sort_keys=True)) == CACHE_REPORT_GOLDEN[policy]
