@@ -10,9 +10,10 @@ heuristic.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
+from operator import add, itemgetter
 from typing import Optional, Sequence
 
 from .errors import (
@@ -352,9 +353,18 @@ def greedy_partition(items: Sequence[tuple], k: int) -> dict:
 def karmarkar_karp_partition(items: Sequence[tuple], k: int) -> dict:
     """k-way largest differencing method with full partition reconstruction.
 
-    Maintains a max-priority heap of k-tuples keyed by spread (max sum - min
-    sum, ties toward the smallest contained id); combining merges the largest
-    spread against the smallest sums. k=2 is the classic LDM.
+    Each heap entry is a k-tuple of bins: sums in descending order and each
+    bin's items, keyed by (-spread, smallest contained seq), where spread is
+    max sum - min sum and seq is an item's rank by id. A merge pops the two
+    largest spreads and pairs the largest sums of A with the smallest sums
+    of B: the k sums a[i] + b[k-1-i] are reordered by a stable descending
+    sort of their indices, so equal sums keep A's bin order. A bin's items
+    are a merge tree, never a copied list: one shared empty list (no items),
+    an item id, or a two-element list [left, right]. Lists are unhashable,
+    so no item id, None and tuples included, can be mistaken for a node.
+    The trees are flattened left-first at the end, which gives every item
+    the bin, and the result the insertion order, of concatenating A's items
+    before B's at each merge. k=2 is the classic LDM.
     """
     if k < 1:
         raise InvalidValue("k", "must be >= 1")
@@ -362,31 +372,35 @@ def karmarkar_karp_partition(items: Sequence[tuple], k: int) -> dict:
         return {}
     if k == 1:
         return {item_id: 0 for item_id, _ in items}
-    heap = []
-    for seq, (item_id, cost) in enumerate(sorted(items, key=lambda it: it[0])):
-        sums = [float(cost)] + [0.0] * (k - 1)
-        groups = [[item_id]] + [[] for _ in range(k - 1)]
-        heapq.heappush(heap, (-cost, seq, sums, groups))
-    counter = len(heap)
+    empty = []  # the tree of an empty bin
+    rest = [empty] * (k - 1)
+    heap = [
+        (-cost, seq, [float(cost)] + [0.0] * (k - 1), [item_id] + rest)
+        for seq, (item_id, cost) in enumerate(sorted(items, key=lambda it: it[0]))
+    ]
+    heapq.heapify(heap)
     while len(heap) > 1:
         _, seq_a, sums_a, groups_a = heapq.heappop(heap)
         _, seq_b, sums_b, groups_b = heapq.heappop(heap)
         # largest sums of A absorb the smallest sums of B
-        merged = [
-            (sums_a[i] + sums_b[k - 1 - i], groups_a[i] + groups_b[k - 1 - i])
-            for i in range(k)
+        merged = list(map(add, sums_a, reversed(sums_b)))
+        pick = itemgetter(*sorted(range(k), key=merged.__getitem__, reverse=True))
+        sums = list(pick(merged))
+        groups = [
+            b if a is empty else a if b is empty else [a, b]
+            for a, b in zip(pick(groups_a), pick(groups_b[::-1]))
         ]
-        merged.sort(key=lambda sg: -sg[0])
-        sums = [s for s, _ in merged]
-        groups = [g for _, g in merged]
         spread = sums[0] - sums[-1]
         heapq.heappush(heap, (-spread, min(seq_a, seq_b), sums, groups))
-        counter += 1
-    _, _, sums, groups = heap[0]
     assign = {}
-    for bin_idx, group in enumerate(groups):
-        for item_id in group:
-            assign[item_id] = bin_idx
+    for bin_idx, root in enumerate(heap[0][3]):
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if type(node) is not list:
+                assign[node] = bin_idx
+            elif node:
+                stack += node[1], node[0]
     return assign
 
 
@@ -780,60 +794,82 @@ def hierarchical_plan(
 
 
 def validate_plan(plan: ShardingPlan, model: ModelSpec) -> None:
-    """Coverage and placement invariants; raises InvalidScheme on breach."""
+    """Coverage and placement invariants; raises InvalidScheme on breach.
+
+    Every table is assigned once. Table-wise and data-parallel tables hold
+    one shard without bounds. Row-wise shards carry row bounds only, one per
+    row shard of the scheme, tiling [0, H). Column-wise shards carry column
+    bounds only, tiling [0, D) in exactly the scheme's column splits.
+    """
     seen = set()
     table_by_id = {t.id: t for t in model.tables}
     for assignment in plan.assignments:
-        table = table_by_id.get(assignment.table_id)
+        tid = assignment.table_id
+        table = table_by_id.get(tid)
         if table is None:
-            raise InvalidScheme(f"plan names unknown table {assignment.table_id}")
-        if assignment.table_id in seen:
-            raise InvalidScheme(f"table {assignment.table_id} assigned twice")
-        seen.add(assignment.table_id)
-        kind = assignment.scheme.kind
+            raise InvalidScheme(f"plan names unknown table {tid}")
+        if tid in seen:
+            raise InvalidScheme(f"table {tid} assigned twice")
+        seen.add(tid)
+        scheme = assignment.scheme
+        kind = scheme.kind
         shards = assignment.shards
-        for shard in shards:
-            if shard.worker is not None and not 0 <= shard.worker < plan.num_workers:
-                raise InvalidScheme(
-                    f"{assignment.table_id}: worker {shard.worker} out of range"
-                )
+        if kind is SchemeKind.TABLE_WISE or kind is SchemeKind.DATA_PARALLEL:
+            if len(shards) != 1:
+                raise InvalidScheme(f"{tid}: expected a single shard")
+            (shard,) = shards
             if (shard.worker is None) != (kind is SchemeKind.DATA_PARALLEL):
-                raise InvalidScheme(
-                    f"{assignment.table_id}: replicated shard only valid for DP"
-                )
+                raise InvalidScheme(f"{tid}: replicated shard only valid for DP")
+            if shard.worker is not None and not 0 <= shard.worker < plan.num_workers:
+                raise InvalidScheme(f"{tid}: worker {shard.worker} out of range")
+            if shard.rows is not None or shard.cols is not None:
+                raise InvalidScheme(f"{tid}: bounds on a {kind.value} shard")
+            continue
+        workers = [s.worker for s in shards]
+        if None in workers:
+            raise InvalidScheme(f"{tid}: replicated shard only valid for DP")
+        if workers and (min(workers) < 0 or max(workers) >= plan.num_workers):
+            bad = next(w for w in workers if not 0 <= w < plan.num_workers)
+            raise InvalidScheme(f"{tid}: worker {bad} out of range")
         if kind is SchemeKind.ROW_WISE:
-            bounds = sorted(s.rows for s in shards)
-            if any(s.rows is None for s in shards):
-                raise InvalidScheme(f"{assignment.table_id}: row shard missing bounds")
-            pos = 0
-            for a, b in bounds:
-                if a != pos or b <= a:
-                    raise InvalidScheme(
-                        f"{assignment.table_id}: row shards must tile [0, H)"
-                    )
-                pos = b
-            if pos != table.num_rows:
+            if any(s.cols is not None for s in shards):
+                raise InvalidScheme(f"{tid}: column bounds on a row-wise shard")
+            rows = [s.rows for s in shards]
+            if None in rows:
+                raise InvalidScheme(f"{tid}: row shard missing bounds")
+            if len(rows) != scheme.num_row_shards:
                 raise InvalidScheme(
-                    f"{assignment.table_id}: row shards must cover [0, {table.num_rows})"
+                    f"{tid}: {len(rows)} row shards, scheme has {scheme.num_row_shards}"
                 )
-        elif kind is SchemeKind.COLUMN_WISE:
-            bounds = sorted(s.cols for s in shards)
-            pos = 0
-            for a, b in bounds:
-                if a != pos or b <= a:
-                    raise InvalidScheme(
-                        f"{assignment.table_id}: column shards must tile [0, D)"
-                    )
-                pos = b
-            if pos != table.dim:
+            rows.sort()
+            _check_tiling(tid, "row", rows, table.num_rows)
+        else:
+            if any(s.rows is not None for s in shards):
+                raise InvalidScheme(f"{tid}: row bounds on a column-wise shard")
+            cols = [s.cols for s in shards]
+            if None in cols:
+                raise InvalidScheme(f"{tid}: column shard missing bounds")
+            cols.sort()
+            _check_tiling(tid, "column", cols, table.dim)
+            if cols != list(scheme.col_splits):
                 raise InvalidScheme(
-                    f"{assignment.table_id}: column shards must cover [0, {table.dim})"
+                    f"{tid}: column shards differ from the scheme's column splits"
                 )
-        elif len(shards) != 1:
-            raise InvalidScheme(f"{assignment.table_id}: expected a single shard")
     missing = set(table_by_id) - seen
     if missing:
         raise InvalidScheme(f"tables not assigned: {sorted(missing)}")
+
+
+def _check_tiling(tid: str, axis: str, bounds: list, extent: int) -> None:
+    """Sorted (start, end) bounds must tile [0, extent) without gaps."""
+    letter = "H" if axis == "row" else "D"
+    pos = 0
+    for a, b in bounds:
+        if a != pos or b <= a:
+            raise InvalidScheme(f"{tid}: {axis} shards must tile [0, {letter})")
+        pos = b
+    if pos != extent:
+        raise InvalidScheme(f"{tid}: {axis} shards must cover [0, {extent})")
 
 
 def plan_to_json(
@@ -842,52 +878,90 @@ def plan_to_json(
     cluster: Optional[ClusterSpec] = None,
     flags: CompressionFlags = CompressionFlags(),
 ) -> str:
-    doc = {
-        "spec_version": SPEC_VERSION,
-        "num_workers": plan.num_workers,
-        "gpus_per_node": plan.gpus_per_node,
-        "heuristic": plan.heuristic,
-        "tables": [
-            {
-                "table_id": a.table_id,
-                "scheme": _scheme_to_doc(a.scheme),
-                "shards": [
-                    {
-                        "worker": s.worker,
-                        **({"rows": list(s.rows)} if s.rows else {}),
-                        **({"cols": list(s.cols)} if s.cols else {}),
-                    }
-                    for s in a.shards
-                ],
-            }
-            for a in plan.assignments
-        ],
-    }
+    """The plan document, plus a per-worker memory summary (`workers`) when
+    both the model and the cluster are given.
+
+    The text equals json.dumps(doc, indent=2, sort_keys=True) of that
+    document byte for byte. The layout is fixed, so it is written directly:
+    json's indent path runs its pure-Python encoder, which on a plan of
+    thousands of shards takes longer than planning it. Keys are written in
+    sorted order. Each shard is one f-string, with `rows` and `cols` as
+    two-int lists and `"worker": null` for a data-parallel replica; each
+    distinct scheme's text is written once per call and reused; each
+    `workers` record is written field by field. Strings go through json's
+    own ASCII escaper, and an empty list is `[]`, as json writes it.
+    """
+    esc = encode_basestring_ascii
+    scheme_texts: dict[Scheme, str] = {}
+    tables = []
+    for a in plan.assignments:
+        scheme = scheme_texts.get(a.scheme)
+        if scheme is None:
+            scheme = scheme_texts[a.scheme] = _scheme_text(a.scheme)
+        shards = []
+        for s in a.shards:
+            text = "        {\n"
+            if s.cols:
+                c0, c1 = s.cols
+                text += f'          "cols": [\n{_I12}{c0},\n{_I12}{c1}\n          ],\n'
+            if s.rows:
+                r0, r1 = s.rows
+                text += f'          "rows": [\n{_I12}{r0},\n{_I12}{r1}\n          ],\n'
+            worker = "null" if s.worker is None else s.worker
+            shards.append(f'{text}          "worker": {worker}\n        }}')
+        tables.append(
+            f'    {{\n      "scheme": {scheme},\n'
+            f'      "shards": {_json_list(shards, "      ")},\n'
+            f'      "table_id": {esc(a.table_id)}\n    }}'
+        )
+    text = (
+        f'{{\n  "gpus_per_node": {plan.gpus_per_node},\n'
+        f'  "heuristic": {esc(plan.heuristic)},\n'
+        f'  "num_workers": {plan.num_workers},\n'
+        f'  "spec_version": {SPEC_VERSION},\n'
+        f'  "tables": {_json_list(tables, "  ")}'
+    )
     if model is not None and cluster is not None:
-        report = memory_check(plan, model, cluster, flags)
-        doc["workers"] = [
-            {
-                "worker": m.worker,
-                "table_bytes": m.table_bytes,
-                "optimizer_bytes": m.optimizer_bytes,
-                "dense_bytes": m.dense_bytes,
-                "total_bytes": m.total_bytes,
-                "tier": m.tier,
-            }
-            for m in report.workers
+        workers = [
+            f'    {{\n      "dense_bytes": {m.dense_bytes},\n'
+            f'      "optimizer_bytes": {m.optimizer_bytes},\n'
+            f'      "table_bytes": {m.table_bytes},\n'
+            f'      "tier": {esc(m.tier)},\n'
+            f'      "total_bytes": {m.total_bytes},\n'
+            f'      "worker": {m.worker}\n    }}'
+            for m in memory_check(plan, model, cluster, flags).workers
         ]
-    return json.dumps(doc, indent=2, sort_keys=True)
+        text += f',\n  "workers": {_json_list(workers, "  ")}'
+    return text + "\n}"
 
 
-def _scheme_to_doc(scheme: Scheme) -> dict:
-    doc: dict = {"kind": scheme.kind.value}
-    if scheme.kind is SchemeKind.ROW_WISE:
-        doc["num_row_shards"] = scheme.num_row_shards
+_I12 = " " * 12  # indent of a shard's bound values
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON list of already-indented item texts, closed at `indent`."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
+def _scheme_text(scheme: Scheme) -> str:
+    """A scheme object as it is indented under a table entry's "scheme" key."""
+    esc = encode_basestring_ascii
+    fields = []
     if scheme.kind is SchemeKind.COLUMN_WISE:
-        doc["col_splits"] = [list(p) for p in scheme.col_splits]
+        splits = [
+            f"          [\n{_I12}{a},\n{_I12}{b}\n          ]"
+            for a, b in scheme.col_splits
+        ]
+        fields.append(f'"col_splits": {_json_list(splits, " " * 8)}')
     if scheme.hierarchical:
-        doc["hierarchical"] = [kind.value for kind in scheme.hierarchical]
-    return doc
+        levels = [f"          {esc(kind.value)}" for kind in scheme.hierarchical]
+        fields.append(f'"hierarchical": {_json_list(levels, " " * 8)}')
+    fields.append(f'"kind": {esc(scheme.kind.value)}')
+    if scheme.kind is SchemeKind.ROW_WISE:
+        fields.append(f'"num_row_shards": {scheme.num_row_shards}')
+    return "{\n        " + ",\n        ".join(fields) + "\n      }"
 
 
 def plan_from_json(text: str) -> ShardingPlan:

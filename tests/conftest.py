@@ -1,6 +1,13 @@
 import numpy as np
 
-from neosim import ClusterSpec, ModelSpec, TableSpec
+from neosim import (
+    CandidatePolicy,
+    ClusterSpec,
+    CompressionFlags,
+    ModelSpec,
+    Precision,
+    TableSpec,
+)
 
 
 def desk_cluster(
@@ -61,3 +68,34 @@ def random_desk_model(rng: np.random.Generator, max_tables=8, max_batch=4):
         for i in range(num_tables)
     ]
     return desk_model(tables, local_batch=int(rng.integers(1, max_batch + 1)))
+
+
+def mixed_desk_case():
+    """(model, cluster, policy) on which plan_4d uses all four schemes.
+
+    Eight tables on 2 nodes x 4 GPUs with 2 MiB HBM: three tiny tables go
+    data-parallel, two outgrow a device, and fine grain offers column splits.
+    """
+    shapes = (
+        # (rows, dim, pooling)
+        (4, 4, 30.0),
+        (6, 2, 40.0),
+        (5000, 16, 8.0),
+        (20000, 32, 12.0),
+        (300, 4, 1.5),
+        (20000, 64, 20.0),
+        (3, 2, 50.0),
+        (1200, 8, 4.0),
+    )
+    tables = [
+        TableSpec(id=f"t{i}", num_rows=h, dim=d, avg_pooling=L)
+        for i, (h, d, L) in enumerate(shapes)
+    ]
+    model = desk_model(tables, local_batch=8, dense_param_bytes=4096)
+    cluster = desk_cluster(8, gpus_per_node=4, hbm=2**21, dram_per_node=2**22)
+    policy = CandidatePolicy(
+        dp_threshold_bytes=4096,
+        fine_grain=True,
+        flags=CompressionFlags(table_precision=Precision.FP16),
+    )
+    return model, cluster, policy

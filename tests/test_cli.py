@@ -462,3 +462,30 @@ class TestInputHardening:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_plan_shard_without_bounds_rejected(
+        self, tmp_path, capsys, desk_model_file, tiny_cluster_file, command
+    ):
+        tw = {"kind": "table_wise"}
+        plan_doc = {
+            "spec_version": 1,
+            "num_workers": 2,
+            "gpus_per_node": 2,
+            "tables": [
+                {
+                    "table_id": "t0",
+                    "scheme": {"kind": "row_wise", "num_row_shards": 2},
+                    "shards": [{"worker": 0, "rows": [0, 30]}, {"worker": 1}],
+                },
+                {"table_id": "t1", "scheme": tw, "shards": [{"worker": 0}]},
+                {"table_id": "t2", "scheme": tw, "shards": [{"worker": 1}]},
+            ],
+        }
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan_doc))
+        args = [command, "--model", desk_model_file, "--plan", str(plan_path)]
+        if command == "simulate":
+            args += ["--cluster", tiny_cluster_file]
+        assert main([*args, "--out", str(tmp_path)]) == 1
+        assert "t0: row shard missing bounds" in capsys.readouterr().err

@@ -4,7 +4,10 @@ body of the bundled models, and the verify path's training steps.
 The plan and simulate digests were captured at commit 812b26e, before the
 planner and the simulator were rewritten for speed (id->index maps, one
 volume pass per simulate, the O(shards + W) input-AlltoAll volume, heap
-greedy placement). The verify digests (train_step_reference and
+greedy placement). The KK digests of model_f (with and without fine grain)
+and model_i, and the desk plan that holds data-parallel shards, were
+captured at commit c80e978, before plan_to_json and the Karmarkar-Karp
+merge were rewritten. The verify digests (train_step_reference and
 train_step_sharded on a fixed desk model, SGD / row-wise AdaGrad / AdaGrad
 at W = 1, 2 and 8) were captured at commit 34a43bf, before the np.add.at
 scatters of embedding.py were replaced. The cache counts and the `neosim
@@ -20,10 +23,11 @@ import json
 import numpy as np
 import pytest
 
-from conftest import desk_model
+from conftest import desk_model, mixed_desk_case
 
 from neosim import (
     CacheConfig,
+    CostWeights,
     IndexSkew,
     OptimizerConfig,
     OptimizerKind,
@@ -37,6 +41,8 @@ from neosim import (
     TableAssignment,
     TableSpec,
     gen_synthetic_batch,
+    plan_4d,
+    plan_to_json,
     simulate_trace,
     train_step_reference,
     train_step_sharded,
@@ -80,6 +86,19 @@ GOLDEN = {
         "f55924286278ec201f0c51ac89bf6dd42f48b30350c0f3ec6ab8abb8ddc430fe",
         "fe6e600dd3827de810796e0736c800077d635b79c2e5a8d09f35a1ffb16988cc",
     ),
+    # KK placement; on model_f, plan_4d's memory repair runs KK five times
+    ("model_f", ("--heuristic", "kk")): (
+        "1be67986eeb63b4f1c10a115931d84e85146a2e673b75432b0790e61ca2fa680",
+        "36f141256c4edc9052dd6627f57a68215426ff2245efa4847a7f052bc1b025ba",
+    ),
+    ("model_f", ("--heuristic", "kk", "--fine-grain")): (
+        "2e1fa146bacd96ca3b0bc9cf21d2ea301de025d586c63e25cf975178c53c0708",
+        "fe6e600dd3827de810796e0736c800077d635b79c2e5a8d09f35a1ffb16988cc",
+    ),
+    ("model_i", ("--heuristic", "kk")): (
+        "b2d1ee2a720dfa99f2a9fef9399a26daef7d010802b7be27bb0c92959b80bc22",
+        "800ef9c86f52c4b2c68c98b2248b70b74dc79dbdf90fa4c9429f26007f7970bc",
+    ),
 }
 
 SIM_ONLY = ("--a2a-fwd-precision", "--a2a-bwd-precision")
@@ -118,10 +137,37 @@ def golden_digests(tmp_path, model, flags):
 @pytest.mark.parametrize(
     "model,flags",
     list(GOLDEN),
-    ids=["a-greedy", "a-kk", "a-hierarchical", "i-hierarchical", "f-fine_grain"],
+    ids=[
+        "a-greedy",
+        "a-kk",
+        "a-hierarchical",
+        "i-hierarchical",
+        "f-fine_grain",
+        "f-kk",
+        "f-kk-fine_grain",
+        "i-kk",
+    ],
 )
 def test_golden_plan_and_simulate(tmp_path, capsys, model, flags):
     assert golden_digests(tmp_path, model, flags) == GOLDEN[(model, flags)]
+
+
+# heuristic -> SHA-256 of plan_to_json (with the workers block) of the desk plan
+DESK_PLAN_GOLDEN = {
+    "greedy": "58c4851b86f26c1c70315781bce14042cf40d11fe21b8cd3abbd0252ba975bcf",
+    "kk": "fcfb07ef129a752647437a8ff8ca240c4fd52facf4190fd379fba8c9815146fc",
+}
+
+
+@pytest.mark.parametrize("heuristic", list(DESK_PLAN_GOLDEN))
+def test_golden_desk_plan_with_dp_shards(heuristic):
+    model, cluster, policy = mixed_desk_case()
+    plan = plan_4d(model, cluster, CostWeights(), policy, heuristic)
+    kinds = {a.scheme.kind for a in plan.assignments}
+    assert kinds == set(SchemeKind)
+    text = plan_to_json(plan, model, cluster, policy.flags)
+    assert '"worker": null' in text
+    assert _sha(text) == DESK_PLAN_GOLDEN[heuristic]
 
 
 # ---------------------------------------------------------------------------

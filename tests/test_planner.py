@@ -1,6 +1,7 @@
 """Sharding planner: cost model, heuristics, plan construction, memory math."""
 
 import dataclasses
+import heapq
 import itertools
 import json
 import math
@@ -8,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import desk_cluster, desk_model
+from conftest import desk_cluster, desk_model, mixed_desk_case
 
 from neosim import (
     CandidatePolicy,
@@ -47,6 +48,63 @@ from neosim.planner import (
 )
 
 ITEMS_87654 = [("a", 8.0), ("b", 7.0), ("c", 6.0), ("d", 5.0), ("e", 4.0)]
+
+
+def list_kk_partition(items, k):
+    """Karmarkar-Karp as it was before the merge tree: every merge copies each
+    bin's item list and re-sorts the merged bins by -sum. The oracle for
+    karmarkar_karp_partition's assignments and their insertion order."""
+    if not items:
+        return {}
+    if k == 1:
+        return {item_id: 0 for item_id, _ in items}
+    heap = []
+    for seq, (item_id, cost) in enumerate(sorted(items, key=lambda it: it[0])):
+        sums = [float(cost)] + [0.0] * (k - 1)
+        groups = [[item_id]] + [[] for _ in range(k - 1)]
+        heapq.heappush(heap, (-cost, seq, sums, groups))
+    while len(heap) > 1:
+        _, seq_a, sums_a, groups_a = heapq.heappop(heap)
+        _, seq_b, sums_b, groups_b = heapq.heappop(heap)
+        merged = [
+            (sums_a[i] + sums_b[k - 1 - i], groups_a[i] + groups_b[k - 1 - i])
+            for i in range(k)
+        ]
+        merged.sort(key=lambda sg: -sg[0])
+        sums = [s for s, _ in merged]
+        groups = [g for _, g in merged]
+        heapq.heappush(heap, (-(sums[0] - sums[-1]), min(seq_a, seq_b), sums, groups))
+    assign = {}
+    for bin_idx, group in enumerate(heap[0][3]):
+        for item_id in group:
+            assign[item_id] = bin_idx
+    return assign
+
+
+KK_COSTS = ("ties", "zeros", "ints", "lognormal")
+KK_IDS = ("int", "pair", "nested", "str", "duplicate")
+
+
+def kk_instance(rng, n, cost_kind, id_kind):
+    """n items: tie-heavy, all-zero, small-integer or log-normal costs; ids
+    that are ints, two-int tuples (shaped like a merge pair), nested tuples,
+    strings, or ints with repeats."""
+    order = rng.permutation(n)
+    ids = {
+        "int": lambda j: int(order[j]),
+        "pair": lambda j: (int(order[j]), int(order[j]) % 3),
+        "nested": lambda j: ((int(order[j]),), (None, j % 2)),
+        "str": lambda j: f"t{order[j]}#{j % 4}",
+        "duplicate": lambda j: int(order[j]) % 7,
+    }[id_kind]
+    palette = [0, 0.0, 0.5, 1, 1.0, 2, 3, float(rng.random())]
+    cost = {
+        "ties": lambda: palette[int(rng.integers(len(palette)))],
+        "zeros": lambda: 0.0,
+        "ints": lambda: int(rng.integers(0, 6)),
+        "lognormal": lambda: float(rng.lognormal(0.0, 1.5)),
+    }[cost_kind]
+    return [(ids(j), cost()) for j in range(n)]
 
 
 def bin_sums(items, assignment, k):
@@ -238,6 +296,32 @@ class TestKarmarkarKarp:
             optimum = brute_force_imbalance(costs, k)
             assert imbalance(items, karmarkar_karp_partition(items, k), k) >= optimum - 1e-9
             assert imbalance(items, greedy_partition(items, k), k) >= optimum - 1e-9
+
+    def test_matches_list_based_merge(self):
+        """320 seeded instances: every 20 in a row cover each cost kind x id
+        kind once at one k (1, 2, 3, 8, 128 or k > n); one in 20 has 500 to
+        1000 items. The assignments and their insertion order equal the
+        list-copying oracle's."""
+        rng = np.random.default_rng(5)
+        k_cases = (1, 2, 3, 8, 128, "over")
+        for trial in range(320):
+            cost_kind = KK_COSTS[trial % len(KK_COSTS)]
+            id_kind = KK_IDS[trial // len(KK_COSTS) % len(KK_IDS)]
+            k_case = k_cases[trial // 20 % len(k_cases)]
+            large = trial % 20 == 19 and k_case != "over"
+            n = int(rng.integers(500, 1001) if large else rng.integers(0, 60))
+            k = n + 1 + int(rng.integers(4)) if k_case == "over" else k_case
+            items = kk_instance(rng, n, cost_kind, id_kind)
+            got = karmarkar_karp_partition(items, k)
+            assert list(got.items()) == list(list_kk_partition(items, k).items())
+
+    def test_ids_are_never_taken_for_merge_nodes(self):
+        assert karmarkar_karp_partition([(None, 5.0)], 3) == {None: 0}
+        items = [((0, 1), 3.0), ((1, 0), 3.0), ((0,), 6.0), ((), 1.0), ((1, 0, 1), 2.0)]
+        for k in (2, 3, 8):
+            got = karmarkar_karp_partition(items, k)
+            assert list(got.items()) == list(list_kk_partition(items, k).items())
+            assert set(got) == {item_id for item_id, _ in items}
 
     def test_scale_invariance_of_assignments(self):
         rng = np.random.default_rng(2)
@@ -547,6 +631,104 @@ class TestPlanValidation:
             ),
         )
 
+    # (scheme, shards) of table "t" (100 rows x 8 columns) on 2 workers,
+    # each breaching one bound rule
+    RW2 = Scheme(SchemeKind.ROW_WISE, num_row_shards=2)
+    CW2 = Scheme(SchemeKind.COLUMN_WISE, col_splits=((0, 4), (4, 8)))
+    MALFORMED = {
+        "row_shard_missing_rows": (RW2, (Shard(0, rows=(0, 50)), Shard(1))),
+        "row_shards_all_missing_rows": (RW2, (Shard(0), Shard(1))),
+        "column_shard_missing_cols": (CW2, (Shard(0, cols=(0, 4)), Shard(1))),
+        "table_wise_with_rows": (
+            Scheme(SchemeKind.TABLE_WISE),
+            (Shard(0, rows=(0, 100)),),
+        ),
+        "table_wise_with_cols": (
+            Scheme(SchemeKind.TABLE_WISE),
+            (Shard(0, cols=(0, 8)),),
+        ),
+        "data_parallel_with_rows": (
+            Scheme(SchemeKind.DATA_PARALLEL),
+            (Shard(None, rows=(0, 50)),),
+        ),
+        "data_parallel_with_cols": (
+            Scheme(SchemeKind.DATA_PARALLEL),
+            (Shard(None, cols=(0, 8)),),
+        ),
+        "row_shard_with_cols": (
+            RW2,
+            (Shard(0, rows=(0, 50)), Shard(1, rows=(50, 100), cols=(0, 4))),
+        ),
+        "row_shard_count_not_scheme": (
+            Scheme(SchemeKind.ROW_WISE, num_row_shards=4),
+            (Shard(0, rows=(0, 50)), Shard(1, rows=(50, 100))),
+        ),
+        "column_shards_not_scheme_splits": (
+            CW2,
+            (Shard(0, cols=(0, 2)), Shard(1, cols=(2, 8))),
+        ),
+        "column_shards_fewer_than_splits": (
+            Scheme(SchemeKind.COLUMN_WISE, col_splits=((0, 2), (2, 4), (4, 8))),
+            (Shard(0, cols=(0, 4)), Shard(1, cols=(4, 8))),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_bounds_rejected(self, case):
+        model = desk_model([TableSpec(id="t", num_rows=100, dim=8, avg_pooling=1.0)])
+        scheme, shards = self.MALFORMED[case]
+        plan = ShardingPlan(2, 2, (TableAssignment("t", scheme, shards),))
+        with pytest.raises(InvalidScheme):
+            validate_plan(plan, model)
+
+    def test_planner_plans_pass(self):
+        cluster = load_bundled_cluster()
+        flags = CompressionFlags(table_precision=Precision.FP16, rowwise_optimizer=True)
+        for name in ("model_f", "model_i"):
+            model = load_bundled_model(name)
+            for fine_grain, heuristic in itertools.product(
+                (False, True), ("greedy", "kk")
+            ):
+                policy = CandidatePolicy(fine_grain=fine_grain, flags=flags)
+                validate_plan(
+                    plan_4d(model, cluster, CostWeights(), policy, heuristic), model
+                )
+        model = load_bundled_model("model_i")
+        policy = CandidatePolicy(flags=flags)
+        validate_plan(hierarchical_plan(model, cluster, CostWeights(), policy), model)
+        model, cluster, policy = mixed_desk_case()
+        kinds = set()
+        for heuristic in ("greedy", "kk"):
+            plan = plan_4d(model, cluster, CostWeights(), policy, heuristic)
+            validate_plan(plan, model)
+            kinds.update(a.scheme.kind for a in plan.assignments)
+        assert kinds == set(SchemeKind)
+        validate_plan(hierarchical_plan(model, cluster, CostWeights(), policy), model)
+        # random desk models on small devices, so that rows split
+        rng = np.random.default_rng(9)
+        for _ in range(60):
+            model, cluster, _, _ = random_writer_case(rng, odd_names=False)
+            cluster = dataclasses.replace(
+                cluster,
+                hbm_capacity_per_gpu=int(rng.integers(2**14, 2**18)),
+                dram_capacity_per_node=2**16,
+            )
+            policy = CandidatePolicy(
+                dp_threshold_bytes=int(rng.integers(0, 2**12)),
+                fine_grain=bool(rng.integers(2)),
+            )
+            planners = [
+                lambda: plan_4d(model, cluster, CostWeights(), policy, "greedy"),
+                lambda: plan_4d(model, cluster, CostWeights(), policy, "kk"),
+                lambda: hierarchical_plan(model, cluster, CostWeights(), policy),
+            ]
+            for make_plan in planners:
+                try:
+                    plan = make_plan()
+                except Infeasible:
+                    continue
+                validate_plan(plan, model)
+
     def test_json_round_trip(self):
         model = desk_model(
             [TableSpec(id=f"t{i}", num_rows=64, dim=8, avg_pooling=2.0) for i in range(3)]
@@ -556,6 +738,181 @@ class TestPlanValidation:
         loaded = plan_from_json(plan_to_json(plan, model, cluster))
         assert plan_to_json(loaded) == plan_to_json(plan)
         validate_plan(loaded, model)
+
+
+def dict_plan_to_json(plan, model=None, cluster=None, flags=CompressionFlags()):
+    """The plan document built as dicts and encoded by json.dumps(indent=2,
+    sort_keys=True), as plan_to_json did before it wrote the text directly:
+    the oracle for its bytes."""
+
+    def scheme_doc(scheme):
+        doc = {"kind": scheme.kind.value}
+        if scheme.kind is SchemeKind.ROW_WISE:
+            doc["num_row_shards"] = scheme.num_row_shards
+        if scheme.kind is SchemeKind.COLUMN_WISE:
+            doc["col_splits"] = [list(p) for p in scheme.col_splits]
+        if scheme.hierarchical:
+            doc["hierarchical"] = [kind.value for kind in scheme.hierarchical]
+        return doc
+
+    doc = {
+        "spec_version": 1,
+        "num_workers": plan.num_workers,
+        "gpus_per_node": plan.gpus_per_node,
+        "heuristic": plan.heuristic,
+        "tables": [
+            {
+                "table_id": a.table_id,
+                "scheme": scheme_doc(a.scheme),
+                "shards": [
+                    {
+                        "worker": s.worker,
+                        **({"rows": list(s.rows)} if s.rows else {}),
+                        **({"cols": list(s.cols)} if s.cols else {}),
+                    }
+                    for s in a.shards
+                ],
+            }
+            for a in plan.assignments
+        ],
+    }
+    if model is not None and cluster is not None:
+        doc["workers"] = [
+            {
+                "worker": m.worker,
+                "table_bytes": m.table_bytes,
+                "optimizer_bytes": m.optimizer_bytes,
+                "dense_bytes": m.dense_bytes,
+                "total_bytes": m.total_bytes,
+                "tier": m.tier,
+            }
+            for m in memory_check(plan, model, cluster, flags).workers
+        ]
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+# names that json must escape: quote, backslash, control characters,
+# non-ASCII (one outside the BMP), the line separator; and the empty name
+ODD_NAMES = (
+    'say "hi"',
+    "back\\slash\\",
+    "tab\tnew\nline\x00\x01\x1f\x7f",
+    "caf\u00e9",
+    "\u8868\u683c",
+    "emoji \U0001f600",
+    "line\u2028sep",
+    "",
+)
+HIER = (SchemeKind.TABLE_WISE, SchemeKind.ROW_WISE)
+
+
+def random_writer_case(rng, odd_names: bool):
+    """A random desk model, cluster and plan for the writer: table-wise,
+    data-parallel, row-wise, hierarchical row-wise and column-wise tables,
+    shards with both rows and cols, a column-wise table with no splits and
+    no shards, and a worker count that puts workers in every memory tier."""
+    gpus_per_node = int(rng.integers(1, 4))
+    workers = gpus_per_node * int(rng.integers(1, 4))
+    tables, assignments = [], []
+    for i in range(int(rng.integers(0, 12))):
+        name = ODD_NAMES[int(rng.integers(len(ODD_NAMES)))] if odd_names else "t"
+        table = TableSpec(
+            id=f"{name}{i}",
+            num_rows=int(rng.integers(1, 3000)),
+            dim=int(rng.integers(1, 17)),
+            avg_pooling=1.0,
+        )
+        tables.append(table)
+        H, D = table.num_rows, table.dim
+        kind = rng.choice(["tw", "dp", "rw", "hier", "cw", "empty"])
+        worker = lambda: int(rng.integers(workers))  # noqa: E731
+        both = bool(rng.integers(2))  # the other bound too
+        if kind == "tw":
+            scheme, shards = Scheme(SchemeKind.TABLE_WISE), (Shard(worker()),)
+        elif kind == "dp":
+            scheme, shards = Scheme(SchemeKind.DATA_PARALLEL), (Shard(None),)
+        elif kind in ("rw", "hier"):
+            bounds = even_bounds(H, int(rng.integers(1, min(H, 9) + 1)))
+            scheme = Scheme(
+                SchemeKind.ROW_WISE,
+                num_row_shards=len(bounds),
+                hierarchical=HIER if kind == "hier" else None,
+            )
+            shards = tuple(
+                Shard(worker(), rows=b, cols=(0, D) if both else None) for b in bounds
+            )
+        elif kind == "cw":
+            splits = tuple(even_bounds(D, int(rng.integers(1, D + 1))))
+            scheme = Scheme(SchemeKind.COLUMN_WISE, col_splits=splits)
+            shards = tuple(
+                Shard(worker(), rows=(0, H) if both else None, cols=c) for c in splits
+            )
+        else:
+            scheme, shards = Scheme(SchemeKind.COLUMN_WISE), ()
+        assignments.append(TableAssignment(table.id, scheme, shards))
+    heuristic = ODD_NAMES[int(rng.integers(len(ODD_NAMES)))] if odd_names else "kk"
+    plan = ShardingPlan(workers, gpus_per_node, tuple(assignments), heuristic)
+    model = desk_model(tables, dense_param_bytes=int(rng.integers(0, 2**14)))
+    cluster = desk_cluster(
+        workers,
+        gpus_per_node=gpus_per_node,
+        hbm=int(rng.integers(2**10, 2**17)),
+        dram_per_node=int(rng.integers(2**10, 2**17)),
+    )
+    flags = CompressionFlags(
+        table_precision=[None, Precision.FP16, Precision.FP32][int(rng.integers(3))],
+        rowwise_optimizer=bool(rng.integers(2)),
+    )
+    return model, cluster, plan, flags
+
+
+class TestPlanToJson:
+    """plan_to_json writes the bytes json.dumps(indent=2, sort_keys=True)
+    wrote, and plan_from_json reads them back."""
+
+    @pytest.mark.parametrize("odd_names", [False, True], ids=["plain", "escaped"])
+    def test_matches_dict_json_dumps(self, odd_names):
+        rng = np.random.default_rng(7 + odd_names)
+        tiers = set()
+        for _ in range(150):
+            model, cluster, plan, flags = random_writer_case(rng, odd_names)
+            assert plan_to_json(plan) == dict_plan_to_json(plan)
+            assert plan_to_json(plan, model) == dict_plan_to_json(plan)
+            text = plan_to_json(plan, model, cluster, flags)
+            assert text == dict_plan_to_json(plan, model, cluster, flags)
+            assert plan_from_json(text) == plan
+            tiers.update(w["tier"] for w in json.loads(text)["workers"])
+        assert tiers == {"hbm", "hbm+dram", "infeasible"}
+
+    def test_empty_plans(self):
+        model, cluster = desk_model(()), desk_cluster(2)
+        no_tables = ShardingPlan(2, 2, (), "")
+        for args in ((), (model, cluster)):
+            text = plan_to_json(no_tables, *args)
+            assert text == dict_plan_to_json(no_tables, *args)
+            assert '"tables": []' in text
+            assert plan_from_json(text) == no_tables
+        # plan_from_json refuses zero workers, but the writer still matches
+        no_workers = ShardingPlan(0, 1, ())
+        text = plan_to_json(no_workers, model, cluster)
+        assert text == dict_plan_to_json(no_workers, model, cluster)
+        assert '"workers": []' in text
+
+    def test_never_runs_the_pure_python_encoder(self, monkeypatch):
+        """json's indent path builds its encoder with _make_iterencode; the
+        writer must not, or a 1.2 MB plan costs several times its planning."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json's pure-Python encoder ran")
+
+        model, cluster = load_bundled_model("model_a"), load_bundled_cluster()
+        flags = CompressionFlags(table_precision=Precision.FP16, rowwise_optimizer=True)
+        plan = hierarchical_plan(
+            model, cluster, CostWeights(), CandidatePolicy(flags=flags)
+        )
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        text = plan_to_json(plan, model, cluster, flags)
+        assert plan_from_json(text) == plan
 
 
 class TestCostWeights:
