@@ -463,7 +463,13 @@ def _as_int(value, path):
 def _as_real(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidValue(path, "expected a number")
-    return float(value)
+    try:
+        real = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        real = math.inf
+    if not math.isfinite(real):
+        raise InvalidValue(path, "expected a finite number")
+    return real
 
 
 def _parse_skew(doc, path) -> IndexSkew:

@@ -10,10 +10,12 @@ heuristic.
 from __future__ import annotations
 
 import heapq
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
-from operator import add, itemgetter
+from operator import add, itemgetter, neg
 from typing import Optional, Sequence
 
 from .errors import (
@@ -327,13 +329,24 @@ def enumerate_candidates(
 # partitioning heuristics
 
 
+def _check_partition_input(items: Sequence[tuple], k: int) -> None:
+    """k must be an int (not a bool) >= 1 and every cost finite: NaN has no
+    order, so no assignment is defined for it."""
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise InvalidValue("k", "expected an integer")
+    if k < 1:
+        raise InvalidValue("k", "must be >= 1")
+    if not all(map(math.isfinite, map(itemgetter(1), items))):
+        i = next(i for i, (_, cost) in enumerate(items) if not math.isfinite(cost))
+        raise InvalidValue(f"items[{i}]", "expected a finite cost")
+
+
 def greedy_partition(items: Sequence[tuple], k: int) -> dict:
     """Largest-first greedy: seed k bins, then fill the lightest bin.
 
     Ties between bins break toward the lowest bin index.
     """
-    if k < 1:
-        raise InvalidValue("k", "must be >= 1")
+    _check_partition_input(items, k)
     order = sorted(items, key=lambda it: (-it[1], it[0]))
     sums = [0.0] * k
     assign = {}
@@ -353,45 +366,84 @@ def greedy_partition(items: Sequence[tuple], k: int) -> dict:
 def karmarkar_karp_partition(items: Sequence[tuple], k: int) -> dict:
     """k-way largest differencing method with full partition reconstruction.
 
-    Each heap entry is a k-tuple of bins: sums in descending order and each
-    bin's items, keyed by (-spread, smallest contained seq), where spread is
-    max sum - min sum and seq is an item's rank by id. A merge pops the two
-    largest spreads and pairs the largest sums of A with the smallest sums
-    of B: the k sums a[i] + b[k-1-i] are reordered by a stable descending
-    sort of their indices, so equal sums keep A's bin order. A bin's items
-    are a merge tree, never a copied list: one shared empty list (no items),
-    an item id, or a two-element list [left, right]. Lists are unhashable,
-    so no item id, None and tuples included, can be mistaken for a node.
-    The trees are flattened left-first at the end, which gives every item
-    the bin, and the result the insertion order, of concatenating A's items
-    before B's at each merge. k=2 is the classic LDM.
+    Each heap entry is a vector of k bins, sums in descending order, keyed
+    by (-spread, smallest contained seq), where spread is max sum - min sum
+    and seq is an item's rank by id. A merge pops the two largest spreads,
+    pairs slot i of A with slot k-1-i of B and sorts the k merged bins by a
+    stable descending sort on sum, so equal sums keep their slot order.
+
+    An entry holds only the prefix of its k (sum, tree) bins that ends at
+    its last occupied bin; every slot past it is (0.0, no items), and an
+    item starts as a one-bin prefix.
+    With prefix lengths pa + pb <= k no occupied bins meet, so the merged
+    vector is A's prefix, k-pa-pb empty slots, then B's prefix reversed.
+    Its stable sort is an insertion sort into A's prefix: each slot goes
+    after every bin of equal or larger sum (a binary search). The empty
+    slots are spelled out only if a bin sorts after them, which takes a
+    zero-sum or negative bin. That is O(pa + pb) element moves and pb
+    searches; the usual merge, of one item into a long prefix, is a single
+    insertion. Only when pa + pb > k are both padded to k and paired,
+    O(k). Trailing empty slots are then trimmed, so the spread's min sum is
+    0.0 unless the prefix has k bins.
+
+    A bin's items are a merge tree, never a copied list: one shared empty
+    list (no items), an item id, or a two-element list [left, right]. Lists
+    are unhashable, so no item id, None and tuples included, can be
+    mistaken for a node. The trees are flattened left-first at the end,
+    which gives every item the bin, and the result the insertion order, of
+    concatenating A's items before B's at each merge. k=2 is the classic
+    LDM. Raises InvalidValue for a k that is not an int >= 1 and for a
+    non-finite cost.
     """
-    if k < 1:
-        raise InvalidValue("k", "must be >= 1")
+    _check_partition_input(items, k)
     if not items:
         return {}
     if k == 1:
         return {item_id: 0 for item_id, _ in items}
     empty = []  # the tree of an empty bin
-    rest = [empty] * (k - 1)
     heap = [
-        (-cost, seq, [float(cost)] + [0.0] * (k - 1), [item_id] + rest)
+        (-cost, seq, [float(cost)], [item_id])
         for seq, (item_id, cost) in enumerate(sorted(items, key=lambda it: it[0]))
     ]
     heapq.heapify(heap)
     while len(heap) > 1:
-        _, seq_a, sums_a, groups_a = heapq.heappop(heap)
-        _, seq_b, sums_b, groups_b = heapq.heappop(heap)
-        # largest sums of A absorb the smallest sums of B
-        merged = list(map(add, sums_a, reversed(sums_b)))
-        pick = itemgetter(*sorted(range(k), key=merged.__getitem__, reverse=True))
-        sums = list(pick(merged))
-        groups = [
-            b if a is empty else a if b is empty else [a, b]
-            for a, b in zip(pick(groups_a), pick(groups_b[::-1]))
-        ]
-        spread = sums[0] - sums[-1]
-        heapq.heappush(heap, (-spread, min(seq_a, seq_b), sums, groups))
+        _, seq_a, sums_a, trees_a = heapq.heappop(heap)
+        _, seq_b, sums_b, trees_b = heapq.heappop(heap)
+        pa = len(sums_a)
+        pb = len(sums_b)
+        gap = k - pa - pb
+        if gap >= 0:
+            # no occupied bins meet: an insertion sort of A's prefix, the gap
+            # empty slots and B's prefix reversed, one binary search each
+            sums, trees = sums_a, trees_a
+            if sums_a[-1] < 0 or sums_b[-1] <= 0:
+                # a bin sorts after the empty slots: spell them out
+                i = bisect_right(sums, 0.0, key=neg)
+                sums[i:i] = [0.0] * gap
+                trees[i:i] = [empty] * gap
+            for s, t in zip(reversed(sums_b), reversed(trees_b)):
+                i = bisect_right(sums, -s, key=neg)
+                sums.insert(i, s)
+                trees.insert(i, t)
+        else:
+            # largest sums of A absorb the smallest sums of B
+            sums_a += [0.0] * (k - pa)
+            trees_a += [empty] * (k - pa)
+            sums_b += [0.0] * (k - pb)
+            trees_b += [empty] * (k - pb)
+            sums = list(map(add, sums_a, reversed(sums_b)))
+            trees = [
+                b if a is empty else a if b is empty else [a, b]
+                for a, b in zip(trees_a, reversed(trees_b))
+            ]
+            pick = itemgetter(*sorted(range(k), key=sums.__getitem__, reverse=True))
+            sums = list(pick(sums))
+            trees = list(pick(trees))
+        while trees[-1] is empty:
+            sums.pop()
+            trees.pop()
+        spread = sums[0] - sums[-1] if len(sums) == k else sums[0]
+        heapq.heappush(heap, (-spread, min(seq_a, seq_b), sums, trees))
     assign = {}
     for bin_idx, root in enumerate(heap[0][3]):
         stack = [root]

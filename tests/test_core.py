@@ -21,10 +21,12 @@ from neosim import (
     gen_synthetic_batch,
     lengths_to_offsets,
     offsets_to_lengths,
+    parse_cluster_spec,
     parse_model_spec,
+    serialize_cluster_spec,
     serialize_model_spec,
 )
-from neosim.bundled import load_bundled_model
+from neosim.bundled import load_bundled_cluster, load_bundled_model
 from neosim.model import dump_batch, load_batch
 
 
@@ -166,6 +168,83 @@ class TestParseModelSpec:
             parse_model_spec(json.dumps(doc))
         doc["dense_param_bytes"] = (4 * 4 + 4) * 4
         assert parse_model_spec(json.dumps(doc)).dense_param_bytes == 80
+
+
+    @pytest.mark.parametrize(
+        "path, literal",
+        [
+            ("mflops_per_sample", "NaN"),
+            ("interaction_flops_per_sample", "1e400"),
+            ("tables[0].avg_pooling", "Infinity"),
+            ("tables[0].index_skew.alpha", "NaN"),
+            ("table_generator.avg_pooling", "-Infinity"),
+            ("table_generator.avg_pooling", "1" + "0" * 400),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, path, literal):
+        # json reads NaN, Infinity and 1e400 as floats; a finite spec has none
+        doc = {
+            "spec_version": 1,
+            "local_batch": 4,
+            "mflops_per_sample": 1,
+            "interaction_flops_per_sample": 2.0,
+            "tables": [
+                {
+                    "id": "t",
+                    "num_rows": 5,
+                    "dim": 2,
+                    "avg_pooling": 1.0,
+                    "index_skew": {"kind": "zipf", "alpha": 1.1},
+                }
+            ],
+            "table_generator": {
+                "count": 2,
+                "dims": [4],
+                "num_rows": 8,
+                "avg_pooling": 2.0,
+            },
+        }
+        parse_model_spec(json.dumps(doc))
+        text = json.dumps(_set_path(doc, path, "@@"))
+        with pytest.raises(InvalidValue) as err:
+            parse_model_spec(text.replace('"@@"', literal))
+        assert err.value.path == path
+        assert err.value.reason == "expected a finite number"
+
+
+def _set_path(doc, path, value):
+    """doc with the dotted, indexed path (a.b[0].c) set to value."""
+    node = doc
+    keys = path.replace("[", ".").replace("]", "").split(".")
+    keys = [int(key) if key.isdigit() else key for key in keys]
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return doc
+
+
+class TestParseClusterSpec:
+    @pytest.mark.parametrize(
+        "path, literal",
+        [
+            ("fixed_latency_per_collective", "NaN"),
+            ("fixed_latency_per_collective", "Infinity"),
+            ("hbm_bw", "Infinity"),
+            ("scaleup_bw", "Infinity"),
+            ("scaleout_bw_per_gpu", "1e400"),
+            ("mlp_efficiency", "NaN"),
+            ("peak_flops.FP32", "NaN"),
+            ("alltoall_bw_points[0][1]", "Infinity"),
+            ("allreduce_bw_points[0][0]", "1" + "0" * 400),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, path, literal):
+        doc = json.loads(serialize_cluster_spec(load_bundled_cluster()))
+        text = json.dumps(_set_path(doc, path, "@@"))
+        with pytest.raises(InvalidValue) as err:
+            parse_cluster_spec(text.replace('"@@"', literal))
+        assert err.value.path == path
+        assert err.value.reason == "expected a finite number"
 
 
 class TestSyntheticBatch:

@@ -81,30 +81,59 @@ def list_kk_partition(items, k):
     return assign
 
 
-KK_COSTS = ("ties", "zeros", "ints", "lognormal")
-KK_IDS = ("int", "pair", "nested", "str", "duplicate")
+KK_COSTS = (
+    "ties",
+    "zeros",
+    "ints",
+    "lognormal",
+    "mixed_sign",
+    "few_zeros",
+    "equal",
+    "runs",
+)
+KK_IDS = ("int", "pair", "nested", "str", "duplicate", "shard")
 
 
 def kk_instance(rng, n, cost_kind, id_kind):
-    """n items: tie-heavy, all-zero, small-integer or log-normal costs; ids
-    that are ints, two-int tuples (shaped like a merge pair), nested tuples,
-    strings, or ints with repeats."""
+    """n items: tie-heavy, all-zero, small-integer, log-normal, mixed-sign
+    (ties and -0.0 included), mostly positive with a few zeros, all-equal
+    (model_f's shards), or runs of 1 to 16 equal costs (a table's shards)
+    costs; ids that are ints, two-int tuples (shaped like a merge pair),
+    nested tuples, strings, ints with repeats, or t#i shard names, one t
+    per run."""
     order = rng.permutation(n)
+    run_sizes = 2 ** rng.integers(0, 5, size=n)
+    run_of = np.repeat(np.arange(n), run_sizes)[:n]
+    shard_of = np.arange(n) - (np.cumsum(run_sizes) - run_sizes)[run_of]
     ids = {
         "int": lambda j: int(order[j]),
         "pair": lambda j: (int(order[j]), int(order[j]) % 3),
         "nested": lambda j: ((int(order[j]),), (None, j % 2)),
         "str": lambda j: f"t{order[j]}#{j % 4}",
         "duplicate": lambda j: int(order[j]) % 7,
+        "shard": lambda j: f"t{run_of[j]}#{shard_of[j]}",
     }[id_kind]
     palette = [0, 0.0, 0.5, 1, 1.0, 2, 3, float(rng.random())]
+    signed = [-3, -1, -0.5, -0.0, 0, 0.0, 0.5, 1, 2.0, float(rng.normal())]
+    equal = palette[int(rng.integers(2, len(palette)))]
+    run_costs = rng.lognormal(0.0, 1.5, size=n)
     cost = {
-        "ties": lambda: palette[int(rng.integers(len(palette)))],
-        "zeros": lambda: 0.0,
-        "ints": lambda: int(rng.integers(0, 6)),
-        "lognormal": lambda: float(rng.lognormal(0.0, 1.5)),
+        "ties": lambda j: palette[int(rng.integers(len(palette)))],
+        "zeros": lambda j: 0.0,
+        "ints": lambda j: int(rng.integers(0, 6)),
+        "lognormal": lambda j: float(rng.lognormal(0.0, 1.5)),
+        "mixed_sign": lambda j: (
+            signed[int(rng.integers(len(signed)))]
+            if rng.random() < 0.5
+            else float(rng.normal(0.0, 2.0))
+        ),
+        "few_zeros": lambda j: (
+            (0, 0.0)[j % 2] if rng.random() < 0.1 else float(rng.lognormal(0.0, 1.0))
+        ),
+        "equal": lambda j: equal,
+        "runs": lambda j: float(run_costs[run_of[j]]),
     }[cost_kind]
-    return [(ids(j), cost()) for j in range(n)]
+    return [(ids(j), cost(j)) for j in range(n)]
 
 
 def bin_sums(items, assignment, k):
@@ -255,6 +284,30 @@ class TestGreedyPartition:
             assert greedy_partition(items, k) == min_rule(items, k)
 
 
+@pytest.mark.parametrize("partition", [greedy_partition, karmarkar_karp_partition])
+class TestPartitionInputs:
+    @pytest.mark.parametrize(
+        "k, reason",
+        [(k, "expected an integer") for k in (2.0, True, False, "2", None)]
+        + [(k, "must be >= 1") for k in (0, -1)],
+    )
+    def test_k_must_be_a_positive_int(self, partition, k, reason):
+        with pytest.raises(InvalidValue) as err:
+            partition(ITEMS_87654, k)
+        assert (err.value.path, err.value.reason) == ("k", reason)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_costs_must_be_finite(self, partition, bad):
+        items = ITEMS_87654[:2] + [("x", bad)] + ITEMS_87654[2:]
+        with pytest.raises(InvalidValue) as err:
+            partition(items, 2)
+        assert (err.value.path, err.value.reason) == ("items[2]", "expected a finite cost")
+
+    def test_negative_costs_accepted(self, partition):
+        items = [("a", -2.0), ("b", 3), ("c", -0.5), ("d", 0.0), ("e", 1.5)]
+        assert set(partition(items, 2)) == {"a", "b", "c", "d", "e"}
+
+
 class TestKarmarkarKarp:
     def test_largest_differencing_example(self):
         assignment = karmarkar_karp_partition(ITEMS_87654, 2)
@@ -298,19 +351,32 @@ class TestKarmarkarKarp:
             assert imbalance(items, greedy_partition(items, k), k) >= optimum - 1e-9
 
     def test_matches_list_based_merge(self):
-        """320 seeded instances: every 20 in a row cover each cost kind x id
-        kind once at one k (1, 2, 3, 8, 128 or k > n); one in 20 has 500 to
-        1000 items. The assignments and their insertion order equal the
-        list-copying oracle's."""
+        """576 seeded instances: every 48 in a row cover each cost kind x id
+        kind once at one k (1, 2, 3, 8, 128 or k > n); two in 48 have 500 to
+        1000 items, except at k > n. Equal and run costs take k to 2k + 1
+        items, which merges prefixes of k and k + 1 bins, and at k = 128 150
+        to 260 items, the shape of model_f's memory-repair partitions. The
+        assignments and their insertion order equal the list-copying
+        oracle's."""
         rng = np.random.default_rng(5)
         k_cases = (1, 2, 3, 8, 128, "over")
-        for trial in range(320):
+        block = len(KK_COSTS) * len(KK_IDS)
+        for trial in range(2 * block * len(k_cases)):
             cost_kind = KK_COSTS[trial % len(KK_COSTS)]
             id_kind = KK_IDS[trial // len(KK_COSTS) % len(KK_IDS)]
-            k_case = k_cases[trial // 20 % len(k_cases)]
-            large = trial % 20 == 19 and k_case != "over"
-            n = int(rng.integers(500, 1001) if large else rng.integers(0, 60))
-            k = n + 1 + int(rng.integers(4)) if k_case == "over" else k_case
+            k_case = k_cases[trial // block % len(k_cases)]
+            if k_case == "over":
+                n = int(rng.integers(0, 60))
+                k = n + 1 + int(rng.integers(4))
+            else:
+                k = k_case
+                if trial % block in (19, 44):
+                    n = int(rng.integers(500, 1001))
+                elif cost_kind in ("equal", "runs"):
+                    low, high = (150, 260) if k == 128 else (k, 2 * k + 1)
+                    n = int(rng.integers(low, high + 1))
+                else:
+                    n = int(rng.integers(0, 60))
             items = kk_instance(rng, n, cost_kind, id_kind)
             got = karmarkar_karp_partition(items, k)
             assert list(got.items()) == list(list_kk_partition(items, k).items())
