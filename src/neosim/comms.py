@@ -4,7 +4,9 @@ simulated multi-worker training step.
 Collectives are executed in-process with deterministic scheduling: this
 module owns the data movement and per-worker volumes, latency belongs to the
 performance model. Pooled AlltoAll send volumes exclude a worker's own slice
-(self-traffic is free under per-link accounting).
+(self-traffic is free under per-link accounting). Row-wise reduction volumes
+also record the share of each worker's send that stays on the scale-up
+fabric, which the performance model charges there.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .embedding import (
 from .errors import IndexOutOfRange, InvalidValue, LayoutMismatch
 from .model import (
     CombinedBatch,
-    ClusterSpec,
     GlobalBatchLayout,
     LayoutTag,
     ModelSpec,
@@ -60,7 +61,9 @@ class CollectiveVolume:
 
     payload_elem_bytes records the element width the payload was computed at
     (None for raw-byte payloads); metadata_bytes is the lengths phase, which
-    quantization never scales.
+    quantization never scales. scaleup_bytes is the part of each worker's
+    send that stays on the scale-up fabric (hierarchical row-wise shards);
+    only row-wise reduction volumes carry it, and to_dict leaves it out.
     """
 
     kind: CollectiveKind
@@ -70,6 +73,7 @@ class CollectiveVolume:
     payload_elem_bytes: Optional[int] = None
     direction: Optional[str] = None  # "fwd" | "bwd" | None
     metadata_bytes: tuple[float, ...] = ()
+    scaleup_bytes: tuple[float, ...] = ()
 
     def __post_init__(self):
         if any(b < 0 for b in self.per_worker_send_bytes):
@@ -420,8 +424,10 @@ def volume_gradient_collectives(
             direction="bwd",
         )
     ]
+    # The gather mirrors the ReduceScatter; hierarchical row shards reduce
+    # inside one node, so their bytes also count in scaleup.
     rs = [0.0] * num_workers
-    gather = [0.0] * num_workers
+    scaleup = [0.0] * num_workers
     has_rw = False
     dp_bytes = 0.0
     for assignment in plan.assignments:
@@ -433,7 +439,9 @@ def volume_gradient_collectives(
             per_shard = (k - 1) / k * global_batch * table.dim * elem
             for shard in assignment.shards:
                 rs[shard.worker] += per_shard
-                gather[shard.worker] += per_shard
+            if assignment.scheme.hierarchical:
+                for shard in assignment.shards:
+                    scaleup[shard.worker] += per_shard
         elif kind is SchemeKind.DATA_PARALLEL:
             # parameter gradients synchronize at the table's storage width
             dp_bytes += (
@@ -442,26 +450,22 @@ def volume_gradient_collectives(
                 * table.elem_bytes
             )
     if has_rw:
-        out.append(
-            CollectiveVolume(
-                kind=CollectiveKind.REDUCE_SCATTER,
-                label="rw_reduce_scatter_fwd",
-                per_worker_send_bytes=tuple(rs),
-                message_count=1,
-                payload_elem_bytes=elem,
-                direction="fwd",
+        send, scaleup = tuple(rs), tuple(scaleup)
+        for collective, label, direction in (
+            (CollectiveKind.REDUCE_SCATTER, "rw_reduce_scatter_fwd", "fwd"),
+            (CollectiveKind.MANY_TO_MANY, "rw_gather_bwd", "bwd"),
+        ):
+            out.append(
+                CollectiveVolume(
+                    kind=collective,
+                    label=label,
+                    per_worker_send_bytes=send,
+                    message_count=1,
+                    payload_elem_bytes=elem,
+                    direction=direction,
+                    scaleup_bytes=scaleup,
+                )
             )
-        )
-        out.append(
-            CollectiveVolume(
-                kind=CollectiveKind.MANY_TO_MANY,
-                label="rw_gather_bwd",
-                per_worker_send_bytes=tuple(gather),
-                message_count=1,
-                payload_elem_bytes=elem,
-                direction="bwd",
-            )
-        )
     if dp_bytes > 0:
         out.append(
             CollectiveVolume(
@@ -546,65 +550,8 @@ def quantized_volume(
         payload_elem_bytes=PRECISION_BYTES[target],
         direction=volume.direction,
         metadata_bytes=volume.metadata_bytes,
+        scaleup_bytes=tuple(b * ratio for b in volume.scaleup_bytes),
     )
-
-
-# ---------------------------------------------------------------------------
-# inter-node volume accounting
-
-
-def inter_node_comm_bytes(
-    plan: ShardingPlan, model: ModelSpec, cluster: ClusterSpec
-) -> float:
-    """Bytes crossing node boundaries per iteration under point-to-point
-    accounting (forward + backward pooled traffic plus index distribution).
-
-    Flat row-wise shards send every partial pool directly to the sample's
-    origin; hierarchical row-wise reduces partials on the intra-node fabric
-    and sends one pooled row per remote origin. Ring AllReduce crosses one
-    link per node.
-    """
-    W = plan.num_workers
-    gpn = plan.gpus_per_node
-    B = model.local_batch
-    total = 0.0
-
-    def node(worker: int) -> int:
-        return worker // gpn
-
-    for assignment in plan.assignments:
-        table = model.tables[model.table_index(assignment.table_id)]
-        idx = table.index_bytes
-        kind = assignment.scheme.kind
-        if kind is SchemeKind.DATA_PARALLEL:
-            num_nodes = -(-W // gpn)
-            if num_nodes > 1:
-                total += (
-                    num_nodes * 2 * (W - 1) / W * table.num_params * table.elem_bytes
-                )
-            continue
-        hierarchical = assignment.scheme.hierarchical is not None
-        k = len(assignment.shards)
-        if kind is SchemeKind.ROW_WISE and hierarchical:
-            home = node(assignment.shards[0].worker)
-            for w in range(W):
-                if node(w) != home:
-                    total += B * table.avg_pooling * idx  # bucketized indices
-                    total += 2 * B * table.dim * ACTIVATION_BYTES  # pooled fwd + bwd
-            continue
-        for shard in assignment.shards:
-            width = shard_width(table, shard)
-            share = 1.0 / k if kind is SchemeKind.ROW_WISE else 1.0
-            pooled_width = table.dim if kind is SchemeKind.ROW_WISE else width
-            for w in range(W):
-                if node(w) == node(shard.worker):
-                    continue
-                total += B * table.avg_pooling * share * idx
-                total += 2 * B * pooled_width * ACTIVATION_BYTES
-    num_nodes = -(-W // gpn)
-    if num_nodes > 1:
-        total += num_nodes * 2 * (W - 1) / W * model.dense_param_bytes
-    return total
 
 
 # ---------------------------------------------------------------------------

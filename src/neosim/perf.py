@@ -201,6 +201,28 @@ def _collective_time(
     return t + fixed * messages
 
 
+def _pooled_exchange_time(
+    pooled: CollectiveVolume,
+    row_wise: Optional[CollectiveVolume],
+    remote_fraction: float,
+    cluster: ClusterSpec,
+) -> float:
+    """Pooled AlltoAll, then the row-wise partial-pool exchange that rides
+    with it: the flat share crosses scale-out at the remote fraction, the
+    scale-up share (hierarchical shards, reduced inside one node) stays on
+    the scale-up fabric. Each part is its own collective."""
+    points = cluster.alltoall_bw_points
+    bw = cluster.scaleup_bw
+    fixed = cluster.fixed_latency_per_collective
+    t = _collective_time(pooled.max_bytes, remote_fraction, points, bw, fixed, 1)
+    if row_wise is not None:
+        send, scaleup = row_wise.per_worker_send_bytes, row_wise.scaleup_bytes
+        flat = max(s - u for s, u in zip(send, scaleup))
+        t += _collective_time(flat, remote_fraction, points, bw, fixed, 1)
+        t += _collective_time(max(scaleup), 0.0, points, bw, fixed, 1)
+    return t
+
+
 def collective_volumes(
     plan: ShardingPlan,
     model: ModelSpec,
@@ -301,41 +323,16 @@ def component_latencies(
     if volumes is None:
         volumes = collective_volumes(plan, model, a2a_fwd_precision, a2a_bwd_precision)
     by_label = {v.label: v for v in volumes}
-    a2a_fwd = _collective_time(
-        by_label["pooled_a2a_fwd"].max_bytes, remote_frac,
-        cluster.alltoall_bw_points, cluster.scaleup_bw, fixed, 1,
+    a2a_fwd = _pooled_exchange_time(
+        by_label["pooled_a2a_fwd"], by_label.get("rw_reduce_scatter_fwd"),
+        remote_frac, cluster,
     )
-    a2a_bwd = _collective_time(
-        by_label["pooled_a2a_bwd"].max_bytes, remote_frac,
-        cluster.alltoall_bw_points, cluster.scaleup_bw, fixed, 1,
+    a2a_bwd = _pooled_exchange_time(
+        by_label["pooled_a2a_bwd"], by_label.get("rw_gather_bwd"),
+        remote_frac, cluster,
     )
     dp_vol = by_label.get("dp_table_allreduce")
     dp_allreduce_bytes = 0.0 if dp_vol is None else dp_vol.max_bytes
-    # Row-wise partial-pool exchanges ride with the pooled AlltoAll terms.
-    # Hierarchical row shards stay inside one node, so their reduction runs
-    # on the scale-up fabric; flat shards cross the scale-out network.
-    rw_elem = PRECISION_BYTES[a2a_fwd_precision]
-    rw_elem_bwd = PRECISION_BYTES[a2a_bwd_precision]
-    flat_rs = [0.0] * W
-    hier_rs = [0.0] * W
-    for assignment in plan.assignments:
-        if assignment.scheme.kind is not SchemeKind.ROW_WISE:
-            continue
-        table = model.tables[model.table_index(assignment.table_id)]
-        k = len(assignment.shards)
-        per_shard = (k - 1) / k * global_batch * table.dim
-        target = hier_rs if assignment.scheme.hierarchical else flat_rs
-        for shard in assignment.shards:
-            target[shard.worker] += per_shard
-    for bucket, frac in ((flat_rs, remote_frac), (hier_rs, 0.0)):
-        a2a_fwd += _collective_time(
-            max(bucket) * rw_elem, frac, cluster.alltoall_bw_points,
-            cluster.scaleup_bw, fixed, 1,
-        )
-        a2a_bwd += _collective_time(
-            max(bucket) * rw_elem_bwd, frac, cluster.alltoall_bw_points,
-            cluster.scaleup_bw, fixed, 1,
-        )
 
     ar_frac = 1.0 if W > cluster.gpus_per_node else 0.0
     dense_bot, dense_top = _dense_allreduce_split(model)

@@ -79,11 +79,10 @@ class Scheme:
 class ShardCost:
     comm_bytes: float
     load: float
-    memory_bytes: float
     fixed_latency: float
 
     def __post_init__(self):
-        for name in ("comm_bytes", "load", "memory_bytes", "fixed_latency"):
+        for name in ("comm_bytes", "load", "fixed_latency"):
             if getattr(self, name) < 0:
                 raise InvalidValue(name, "must be >= 0")
 
@@ -213,6 +212,18 @@ def table_storage_bytes(
     return value_bytes + state_bytes
 
 
+def shard_storage_bytes(
+    table: TableSpec, scheme: Scheme, flags: CompressionFlags
+) -> int:
+    """Storage bytes of the largest shard `scheme` places on one worker."""
+    rows, width = table.num_rows, table.dim
+    if scheme.kind is SchemeKind.ROW_WISE:
+        rows = -(-rows // scheme.num_row_shards)
+    elif scheme.kind is SchemeKind.COLUMN_WISE:
+        width = max(c1 - c0 for c0, c1 in scheme.col_splits)
+    return table_storage_bytes(rows, width, table, flags)
+
+
 def shard_cost(
     table: TableSpec, scheme: Scheme, cluster: ClusterSpec, global_batch: int
 ) -> ShardCost:
@@ -232,29 +243,25 @@ def shard_cost(
     if scheme.kind is SchemeKind.TABLE_WISE:
         load = global_batch * L * D
         comm = D * global_batch * act + global_batch * L * idx
-        mem = table_storage_bytes(H, D, table, CompressionFlags())
-        return ShardCost(comm, load, mem, 4 * fixed)
+        return ShardCost(comm, load, 4 * fixed)
     if scheme.kind is SchemeKind.COLUMN_WISE:
         width = scheme.col_splits[0][1] - scheme.col_splits[0][0]
         load = global_batch * L * width
         # index payload replicated to every column shard
         comm = width * global_batch * act + global_batch * L * idx
-        mem = table_storage_bytes(H, width, table, CompressionFlags())
-        return ShardCost(comm, load, mem, 4 * fixed)
+        return ShardCost(comm, load, 4 * fixed)
     if scheme.kind is SchemeKind.ROW_WISE:
         k = scheme.num_row_shards
         load = global_batch * (L / k) * D
         reduce_scatter = (k - 1) / k * global_batch * D * act
         comm = global_batch * (L / k) * idx + reduce_scatter
-        mem = table_storage_bytes(-(-H // k), D, table, CompressionFlags())
-        return ShardCost(comm, load, mem, 4 * fixed)
+        return ShardCost(comm, load, 4 * fixed)
     # DATA_PARALLEL: replica computes only its local batch share; gradients
     # synchronize with a ring AllReduce over the whole table.
     p = cluster.num_workers
     load = (global_batch / p) * L * D
     comm = 2 * (p - 1) / p * H * D * table.elem_bytes
-    mem = table_storage_bytes(H, D, table, CompressionFlags())
-    return ShardCost(comm, load, mem, 1 * fixed)
+    return ShardCost(comm, load, 1 * fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +303,9 @@ def enumerate_candidates(
     if not fits_device or policy.fine_grain:
         max_k = min(W, table.num_rows, policy.max_row_shards or W)
         for k in _powers_of_two_up_to(max_k):
-            rows = -(-table.num_rows // k)
-            if table_storage_bytes(rows, table.dim, table, policy.flags) <= device_budget:
-                rw_candidates.append(Scheme(SchemeKind.ROW_WISE, num_row_shards=k))
+            scheme = Scheme(SchemeKind.ROW_WISE, num_row_shards=k)
+            if shard_storage_bytes(table, scheme, policy.flags) <= device_budget:
+                rw_candidates.append(scheme)
     candidates.extend(rw_candidates)
     # Column splits serve the fine-grain load-balancing role; for oversized
     # tables they only step in when rows cannot split (they replicate input
@@ -307,14 +314,11 @@ def enumerate_candidates(
         for c in _powers_of_two_up_to(min(W, table.dim // policy.min_col_width)):
             if table.dim % c:
                 continue
-            width = table.dim // c
-            if table_storage_bytes(table.num_rows, width, table, policy.flags) <= device_budget:
-                candidates.append(
-                    Scheme(
-                        SchemeKind.COLUMN_WISE,
-                        col_splits=tuple(even_bounds(table.dim, c)),
-                    )
-                )
+            scheme = Scheme(
+                SchemeKind.COLUMN_WISE, col_splits=tuple(even_bounds(table.dim, c))
+            )
+            if shard_storage_bytes(table, scheme, policy.flags) <= device_budget:
+                candidates.append(scheme)
     threshold = policy.dp_threshold_bytes
     if threshold is None:
         threshold = cluster.hbm_capacity_per_gpu // 1000
@@ -329,6 +333,13 @@ def enumerate_candidates(
 # partitioning heuristics
 
 
+def _is_finite(cost) -> bool:
+    try:
+        return math.isfinite(cost)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _check_partition_input(items: Sequence[tuple], k: int) -> None:
     """k must be an int (not a bool) >= 1 and every cost finite: NaN has no
     order, so no assignment is defined for it."""
@@ -336,8 +347,12 @@ def _check_partition_input(items: Sequence[tuple], k: int) -> None:
         raise InvalidValue("k", "expected an integer")
     if k < 1:
         raise InvalidValue("k", "must be >= 1")
-    if not all(map(math.isfinite, map(itemgetter(1), items))):
-        i = next(i for i, (_, cost) in enumerate(items) if not math.isfinite(cost))
+    try:
+        finite = all(map(math.isfinite, map(itemgetter(1), items)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        i = next(i for i, (_, cost) in enumerate(items) if not _is_finite(cost))
         raise InvalidValue(f"items[{i}]", "expected a finite cost")
 
 
@@ -705,10 +720,9 @@ def plan_4d(
                 if nxt is not None:
                     table = model.tables[model.table_index(assignment.table_id)]
                     scheme, _ = ordered[assignment.table_id][choice[assignment.table_id]]
-                    rows = -(-table.num_rows // scheme.num_shards)
                     offenders.append(
                         (
-                            table_storage_bytes(rows, table.dim, table, policy.flags),
+                            shard_storage_bytes(table, scheme, policy.flags),
                             assignment.table_id,
                             nxt,
                         )
@@ -752,20 +766,7 @@ def _build_plan(
             dp_tables.append((table, scheme))
             continue
         if by_memory is not None:
-            rows = -(-table.num_rows // scheme.num_shards)
-            width = (
-                scheme.col_splits[0][1] - scheme.col_splits[0][0]
-                if scheme.kind is SchemeKind.COLUMN_WISE
-                else table.dim
-            )
-            per_shard = float(
-                table_storage_bytes(
-                    rows if scheme.kind is SchemeKind.ROW_WISE else table.num_rows,
-                    width,
-                    table,
-                    by_memory.flags,
-                )
-            )
+            per_shard = float(shard_storage_bytes(table, scheme, by_memory.flags))
         else:
             per_shard = scalar_objective(cost, weights, norms)
         for i in range(scheme.num_shards):

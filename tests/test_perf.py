@@ -205,6 +205,101 @@ class TestComponentLatencies:
         flat_comps = component_latencies(model, flat, cluster)
         assert hier_comps.a2a_fwd < flat_comps.a2a_fwd
 
+    def test_mixed_fabric_pooled_latency(self):
+        """Flat row-wise reductions cross scale-out at the remote fraction,
+        hierarchical ones stay on scale-up, each with its own fixed latency.
+
+        Row shard counts are powers of two, as the planner's are, so every
+        per-worker byte sum is exact and the latencies compare with ==.
+        """
+        from neosim.perf import _remote_fraction
+        from neosim.planner import (
+            Scheme,
+            SchemeKind,
+            Shard,
+            ShardingPlan,
+            TableAssignment,
+            even_bounds,
+        )
+
+        dims = {"hier0": 64, "hier1": 32, "flat2": 48, "flat8": 16, "tw": 40,
+                "cw": 24, "dp": 8}
+        tables = [
+            TableSpec(id=tid, num_rows=2048, dim=d, avg_pooling=4.0)
+            for tid, d in dims.items()
+        ]
+        model = desk_model(tables, local_batch=32)
+        cluster = desk_cluster(8, gpus_per_node=4)
+        hier = (SchemeKind.TABLE_WISE, SchemeKind.ROW_WISE)
+
+        def row_wise(tid, workers, levels=None):
+            scheme = Scheme(
+                SchemeKind.ROW_WISE, num_row_shards=len(workers), hierarchical=levels
+            )
+            bounds = even_bounds(2048, len(workers))
+            return TableAssignment(
+                tid, scheme, tuple(Shard(w, rows=b) for w, b in zip(workers, bounds))
+            )
+
+        plan = ShardingPlan(
+            8,
+            4,
+            (
+                row_wise("hier0", [0, 1, 2, 3], hier),
+                row_wise("hier1", [4, 5, 6, 7], hier),
+                row_wise("flat2", [3, 6]),
+                row_wise("flat8", list(range(8))),
+                TableAssignment("tw", Scheme(SchemeKind.TABLE_WISE), (Shard(5),)),
+                TableAssignment(
+                    "cw",
+                    Scheme(SchemeKind.COLUMN_WISE, col_splits=((0, 12), (12, 24))),
+                    (Shard(1, cols=(0, 12)), Shard(4, cols=(12, 24))),
+                ),
+                TableAssignment(
+                    "dp", Scheme(SchemeKind.DATA_PARALLEL), (Shard(None),)
+                ),
+            ),
+        )
+        comps = component_latencies(
+            model,
+            plan,
+            cluster,
+            a2a_fwd_precision=Precision.FP16,
+            a2a_bwd_precision=Precision.BF16,
+        )
+
+        W, B = 8, model.local_batch
+        global_batch = B * W
+        elem = 2  # FP16 forward, BF16 backward
+        pooled = [0.0] * W
+        pooled[5] += dims["tw"] * (global_batch - B) * elem
+        pooled[1] += 12 * (global_batch - B) * elem
+        pooled[4] += 12 * (global_batch - B) * elem
+        flat = [0.0] * W
+        scaleup = [0.0] * W
+        for a in plan.assignments:
+            if a.scheme.kind is not SchemeKind.ROW_WISE:
+                continue
+            k = len(a.shards)
+            bucket = scaleup if a.scheme.hierarchical else flat
+            for s in a.shards:
+                bucket[s.worker] += (k - 1) / k * global_batch * dims[a.table_id]
+        remote_frac = _remote_fraction(W, 4)
+        assert 0 < remote_frac < 1
+
+        def seconds(nbytes, frac):
+            remote = nbytes * frac
+            t = (nbytes - remote) / cluster.scaleup_bw
+            if remote > 0:
+                t += remote / achieved_bw(cluster.alltoall_bw_points, remote)
+            return t + cluster.fixed_latency_per_collective
+
+        expect = seconds(max(pooled), remote_frac)
+        expect += seconds(max(flat) * elem, remote_frac)
+        expect += seconds(max(scaleup) * elem, 0.0)
+        assert comps.a2a_fwd == expect
+        assert comps.a2a_bwd == expect
+
     def test_doubling_hbm_bw_halves_lookup(self):
         model, cluster, plan = self.balanced_setup()
         base = component_latencies(model, plan, cluster)

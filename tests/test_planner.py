@@ -39,12 +39,13 @@ from neosim import (
     validate_plan,
 )
 from neosim.bundled import load_bundled_cluster, load_bundled_model
-from neosim.comms import inter_node_comm_bytes
+from neosim.comms import volume_gradient_collectives
 from neosim.planner import (
     candidate_costs,
     cost_norms,
     even_bounds,
     plan_objective,
+    shard_storage_bytes,
 )
 
 ITEMS_87654 = [("a", 8.0), ("b", 7.0), ("c", 6.0), ("d", 5.0), ("e", 4.0)]
@@ -303,6 +304,12 @@ class TestPartitionInputs:
             partition(items, 2)
         assert (err.value.path, err.value.reason) == ("items[2]", "expected a finite cost")
 
+    def test_cost_beyond_float_range_rejected(self, partition):
+        with pytest.raises(InvalidValue) as err:
+            partition([("a", 10**400), ("b", 1.0)], 2)
+        assert (err.value.path, err.value.reason) == ("items[0]", "expected a finite cost")
+        assert set(partition([("a", 10**300), ("b", 1.0)], 2)) == {"a", "b"}
+
     def test_negative_costs_accepted(self, partition):
         items = [("a", -2.0), ("b", 3), ("c", -0.5), ("d", 0.0), ("e", 1.5)]
         assert set(partition(items, 2)) == {"a", "b", "c", "d", "e"}
@@ -558,9 +565,16 @@ class TestHierarchicalPlan:
                 for t in tables
             ),
         )
-        assert inter_node_comm_bytes(hier, model, cluster) <= inter_node_comm_bytes(
-            flat, model, cluster
-        )
+        # hierarchical reductions stay on the scale-up fabric, flat ones never
+        for plan, hierarchical in ((hier, True), (flat, False)):
+            rw = [
+                v for v in volume_gradient_collectives(plan, model, 8)
+                if v.label in ("rw_reduce_scatter_fwd", "rw_gather_bwd")
+            ]
+            assert len(rw) == 2
+            for v in rw:
+                expect = v.per_worker_send_bytes if hierarchical else (0.0,) * 8
+                assert v.scaleup_bytes == expect
 
     def test_single_node_degenerates_to_flat_plan(self):
         tables = [
@@ -621,6 +635,30 @@ class TestMemoryCheck:
         )
         # one moment scalar per (row, column shard): 2 x 100 x 4 bytes
         assert sum(m.optimizer_bytes for m in report.workers) == 800
+
+    @pytest.mark.parametrize("rowwise", [True, False])
+    def test_shard_storage_bytes_is_largest_charged_shard(self, rowwise):
+        table = TableSpec(id="t", num_rows=100, dim=8, avg_pooling=1.0)
+        model = desk_model([table])
+        flags = CompressionFlags(table_precision=Precision.FP16, rowwise_optimizer=rowwise)
+        cols = ((0, 3), (3, 8))
+        cases = [
+            (Scheme(SchemeKind.TABLE_WISE), [Shard(0)]),
+            (
+                Scheme(SchemeKind.ROW_WISE, num_row_shards=3),
+                [Shard(w, rows=b) for w, b in enumerate(even_bounds(100, 3))],
+            ),
+            (
+                Scheme(SchemeKind.COLUMN_WISE, col_splits=cols),
+                [Shard(w, cols=c) for w, c in enumerate(cols)],
+            ),
+            (Scheme(SchemeKind.DATA_PARALLEL), [Shard(None)]),
+        ]
+        for scheme, shards in cases:
+            plan = ShardingPlan(4, 4, (TableAssignment("t", scheme, tuple(shards)),))
+            report = memory_check(plan, model, desk_cluster(4), flags)
+            largest = max(m.table_bytes + m.optimizer_bytes for m in report.workers)
+            assert shard_storage_bytes(table, scheme, flags) == largest, scheme.kind
 
 
 class TestPlanValidation:
