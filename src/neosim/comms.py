@@ -38,10 +38,13 @@ from .model import (
     PRECISION_BYTES,
 )
 from .planner import (
+    CW,
+    DP,
+    RW,
+    TW,
     Shard,
     ShardingPlan,
     SchemeKind,
-    shard_width,
     validate_plan,
 )
 
@@ -377,18 +380,16 @@ def volume_forward_alltoall(
     elem = ACTIVATION_BYTES if elem_bytes is None else elem_bytes
     global_batch = model.local_batch * num_workers
     remote = global_batch - model.local_batch
-    send = [0.0] * num_workers
-    for assignment in plan.assignments:
-        table = model.tables[model.table_index(assignment.table_id)]
-        if assignment.scheme.kind not in (SchemeKind.TABLE_WISE, SchemeKind.COLUMN_WISE):
-            continue
-        for shard in assignment.shards:
-            width = shard_width(table, shard)
-            send[shard.worker] += width * remote * elem
+    cols = plan.shard_columns
+    width = cols.extents("cols", model.table_columns.dim[cols.tables(model)])
+    pooled = (cols.kind == TW) | (cols.kind == CW)
+    send = cols.per_worker(
+        np.where(pooled, width * float(remote) * elem, 0.0), num_workers
+    )
     return CollectiveVolume(
         kind=CollectiveKind.ALLTOALL,
         label="pooled_a2a_fwd",
-        per_worker_send_bytes=tuple(send),
+        per_worker_send_bytes=tuple(send.tolist()),
         message_count=1,
         payload_elem_bytes=elem,
         direction="fwd",
@@ -426,31 +427,27 @@ def volume_gradient_collectives(
     ]
     # The gather mirrors the ReduceScatter; hierarchical row shards reduce
     # inside one node, so their bytes also count in scaleup.
-    rs = [0.0] * num_workers
-    scaleup = [0.0] * num_workers
-    has_rw = False
+    cols = plan.shard_columns
+    t = cols.tables(model)
+    k = cols.num_shards
+    rw = cols.kind == RW
+    per_shard = (k - 1) / k * global_batch * model.table_columns.dim[t] * elem
+    rs = cols.per_worker(np.where(rw, per_shard, 0.0), num_workers)
+    scaleup = cols.per_worker(
+        np.where(rw & cols.hierarchical, per_shard, 0.0), num_workers
+    )
+    has_rw = bool(rw.any())
     dp_bytes = 0.0
-    for assignment in plan.assignments:
-        table = model.tables[model.table_index(assignment.table_id)]
-        kind = assignment.scheme.kind
-        if kind is SchemeKind.ROW_WISE:
-            has_rw = True
-            k = len(assignment.shards)
-            per_shard = (k - 1) / k * global_batch * table.dim * elem
-            for shard in assignment.shards:
-                rs[shard.worker] += per_shard
-            if assignment.scheme.hierarchical:
-                for shard in assignment.shards:
-                    scaleup[shard.worker] += per_shard
-        elif kind is SchemeKind.DATA_PARALLEL:
-            # parameter gradients synchronize at the table's storage width
-            dp_bytes += (
-                2 * (num_workers - 1) / num_workers
-                * table.num_params
-                * table.elem_bytes
-            )
+    for i in t[cols.kind == DP].tolist():
+        # parameter gradients synchronize at the table's storage width
+        table = model.tables[i]
+        dp_bytes += (
+            2 * (num_workers - 1) / num_workers
+            * table.num_params
+            * table.elem_bytes
+        )
     if has_rw:
-        send, scaleup = tuple(rs), tuple(scaleup)
+        send, scaleup = tuple(rs.tolist()), tuple(scaleup.tolist())
         for collective, label, direction in (
             (CollectiveKind.REDUCE_SCATTER, "rw_reduce_scatter_fwd", "fwd"),
             (CollectiveKind.MANY_TO_MANY, "rw_gather_bwd", "bwd"),
@@ -501,25 +498,16 @@ def volume_input_alltoall(
     payload of its own shards.
     """
     B = model.local_batch
-    owners = []
-    payloads = []
-    for assignment in plan.assignments:
-        kind = assignment.scheme.kind
-        if kind is SchemeKind.DATA_PARALLEL:
-            continue
-        table = model.tables[model.table_index(assignment.table_id)]
-        share = 1.0 / len(assignment.shards) if kind is SchemeKind.ROW_WISE else 1.0
-        payload = B * table.avg_pooling * share * table.index_bytes
-        for shard in assignment.shards:
-            owners.append(shard.worker)
-            payloads.append(payload)
-    owners = np.asarray(owners, dtype=np.int64)
-    owned = np.bincount(
-        owners, weights=np.asarray(payloads, dtype=np.float64), minlength=num_workers
-    )
+    cols = plan.shard_columns
+    tc = model.table_columns
+    t = cols.tables(model)
+    owned_by = cols.kind != DP
+    payload = B * tc.pooling[t] * cols.row_share() * tc.index_bytes[t]
+    owned = cols.per_worker(np.where(owned_by, payload, 0.0), num_workers)
     # a sum of non-negative terms never rounds below one of them, so send >= 0
     send = owned.sum() - owned
-    meta = B * LENGTH_BYTES * (len(owners) - np.bincount(owners, minlength=num_workers))
+    held = cols.per_worker(owned_by.astype(np.int64), num_workers)
+    meta = B * LENGTH_BYTES * (int(owned_by.sum()) - held)
     return CollectiveVolume(
         kind=CollectiveKind.ALLTOALL,
         label="input_a2a",

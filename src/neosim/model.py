@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .errors import (
 )
 
 SPEC_VERSION = 1
+
+INT64_MAX = 2**63 - 1
 
 
 class Precision(str, Enum):
@@ -76,6 +78,10 @@ class TableSpec:
             raise InvalidValue(f"tables[{self.id}].num_rows", "must be >= 1")
         if self.dim < 1:
             raise InvalidValue(f"tables[{self.id}].dim", "must be >= 1")
+        # row ids and extents are int64 in batches and in the plan arithmetic
+        for name in ("num_rows", "dim"):
+            if getattr(self, name) > INT64_MAX:
+                raise InvalidValue(f"tables[{self.id}].{name}", "must be < 2**63")
         if not self.avg_pooling > 0:
             raise InvalidValue(f"tables[{self.id}].avg_pooling", "must be > 0")
         if self.value_precision not in TABLE_PRECISIONS:
@@ -97,6 +103,33 @@ class TableSpec:
         return 4 if self.num_rows <= 2**31 else 8
 
 
+def frozen_array(values, dtype) -> np.ndarray:
+    """A read-only numpy array of `values`."""
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+class TableColumns(NamedTuple):
+    """Read-only per-table arrays, in `ModelSpec.tables` order."""
+
+    rows: np.ndarray  # int64
+    dim: np.ndarray  # int64
+    pooling: np.ndarray  # float64
+    elem_bytes: np.ndarray  # int64, at the stored value precision
+    index_bytes: np.ndarray  # int64
+
+    @classmethod
+    def of(cls, tables) -> "TableColumns":
+        return cls(
+            rows=frozen_array([t.num_rows for t in tables], np.int64),
+            dim=frozen_array([t.dim for t in tables], np.int64),
+            pooling=frozen_array([t.avg_pooling for t in tables], np.float64),
+            elem_bytes=frozen_array([t.elem_bytes for t in tables], np.int64),
+            index_bytes=frozen_array([t.index_bytes for t in tables], np.int64),
+        )
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """One recommendation model: embedding tables plus dense MLP/interaction
@@ -109,8 +142,10 @@ class ModelSpec:
     mflops_per_sample: float
     interaction_flops_per_sample: float
     dense_param_bytes: int
-    # table id -> position in `tables`; derived, so outside eq/hash/repr
+    # table id -> position in `tables`, and the per-table arrays; derived,
+    # so outside eq/hash/repr
     _table_pos: dict[str, int] = field(init=False, repr=False, compare=False)
+    table_columns: TableColumns = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.local_batch < 1:
@@ -123,6 +158,7 @@ class ModelSpec:
         if len(pos) != len(self.tables):
             raise InvalidValue("tables", "duplicate table ids")
         object.__setattr__(self, "_table_pos", pos)
+        object.__setattr__(self, "table_columns", TableColumns.of(self.tables))
         layers = self.bottom_mlp_layers + self.top_mlp_layers
         if layers:
             expected = mlp_param_bytes(layers)
@@ -164,8 +200,18 @@ class ModelSpec:
     def dense_input_dim(self) -> int:
         return self.bottom_mlp_layers[0][0] if self.bottom_mlp_layers else 0
 
+    def __reduce__(self):
+        # rebuild the derived fields, so unpickled arrays stay read-only
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
     def table_index(self, table_id: str) -> int:
         return self._table_pos[table_id]
+
+    def table_indices(self, table_ids) -> np.ndarray:
+        """Positions in `tables` of each id; unknown ids raise KeyError."""
+        return np.fromiter(
+            map(self._table_pos.__getitem__, table_ids), np.int64, len(table_ids)
+        )
 
 
 def mlp_param_bytes(layers: Iterable[tuple[int, int]]) -> int:

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .comms import (
     CollectiveVolume,
     LENGTH_BYTES,
@@ -28,16 +30,15 @@ from .comms import (
     volume_input_alltoall,
 )
 from .errors import Infeasible, InvalidValue
-from .model import ClusterSpec, ModelSpec, Precision, PRECISION_BYTES
+from .model import ClusterSpec, ModelSpec, Precision
 from .planner import (
+    DP,
     CandidatePolicy,
     CompressionFlags,
     CostWeights,
-    SchemeKind,
     ShardingPlan,
     memory_check,
     plan_4d,
-    shard_width,
 )
 
 
@@ -292,31 +293,19 @@ def component_latencies(
                     cache_hit_rate, cluster.hbm_bw, cluster.dram_to_gpu_bw
                 )
             )
-    lookup_bytes = [0.0] * W
-    for assignment in plan.assignments:
-        table = model.tables[model.table_index(assignment.table_id)]
-        prec = flags.table_precision or table.value_precision
-        elem = PRECISION_BYTES[prec]
-        kind = assignment.scheme.kind
-        if kind is SchemeKind.DATA_PARALLEL:
-            per_worker = B * table.avg_pooling * table.dim * elem
-            for w in range(W):
-                lookup_bytes[w] += per_worker
-            continue
-        k = len(assignment.shards)
-        for shard in assignment.shards:
-            share = 1.0 / k if kind is SchemeKind.ROW_WISE else 1.0
-            width = shard_width(table, shard)
-            lookup_bytes[shard.worker] += (
-                global_batch * table.avg_pooling * share * width * elem
-            )
-    emb_lookup = max(
-        (lookup_bytes[w] / worker_bw[w] for w in range(W)), default=0.0
-    )
+    cols = plan.shard_columns
+    tc = model.table_columns
+    t = cols.tables(model)
+    elem = cols.elem_bytes(model, flags, t)
+    pooling = tc.pooling[t]
+    width = cols.extents("cols", tc.dim[t])
+    placed = global_batch * pooling * cols.row_share() * width * elem
+    replica = B * pooling * tc.dim[t] * elem  # on every worker
+    lookup_bytes = cols.per_worker(np.where(cols.kind == DP, replica, placed), W)
+    worker_bw = np.array(worker_bw)
+    emb_lookup = float((lookup_bytes / worker_bw).max(initial=0.0))
     # update re-reads and writes back the touched rows
-    emb_update = max(
-        (2.0 * lookup_bytes[w] / worker_bw[w] for w in range(W)), default=0.0
-    )
+    emb_update = float((2.0 * lookup_bytes / worker_bw).max(initial=0.0))
 
     fixed = cluster.fixed_latency_per_collective
     remote_frac = _remote_fraction(W, cluster.gpus_per_node)

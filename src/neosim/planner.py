@@ -14,9 +14,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import add, itemgetter, neg
-from typing import Optional, Sequence
+from operator import add, is_, itemgetter, neg
+from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     Infeasible,
@@ -25,6 +28,7 @@ from .errors import (
     NoFeasibleScheme,
 )
 from .model import (
+    INT64_MAX,
     SPEC_VERSION,
     ClusterSpec,
     ModelSpec,
@@ -34,6 +38,7 @@ from .model import (
     _as_dict,
     _as_int,
     _check_version,
+    frozen_array,
     _load_json,
     _reject_unknown,
     _take,
@@ -137,20 +142,186 @@ class TableAssignment:
     shards: tuple[Shard, ...]
 
 
+FULL_EXTENT = -1  # end bound of a shard that spans the whole axis
+# ShardColumns.kind codes: each scheme kind's position in SchemeKind
+_KIND_CODE = {kind: code for code, kind in enumerate(SchemeKind)}
+TW, RW, CW, DP = (
+    _KIND_CODE[kind]
+    for kind in (
+        SchemeKind.TABLE_WISE,
+        SchemeKind.ROW_WISE,
+        SchemeKind.COLUMN_WISE,
+        SchemeKind.DATA_PARALLEL,
+    )
+)
+
+
+class ShardColumns(NamedTuple):
+    """A plan's shards as read-only numpy columns, in plan order.
+
+    Per shard: `assignment` (the position of its assignment), `kind` (its
+    scheme's code: TW, RW, CW or DP), `num_shards` (its assignment's
+    shard count), `hierarchical`, `worker` (-1 for a data-parallel replica)
+    and `rows`/`cols` as (start, end) pairs whose end is FULL_EXTENT when the
+    shard spans the axis. `dest`/`src` list every (worker, shard) charge in
+    plan order, a replica once per worker at its own plan position, so
+    per_worker sums any per-shard value in the order a loop over
+    `plan.assignments` and their shards adds it.
+    """
+
+    table_ids: tuple[str, ...]  # per assignment
+    assignment: np.ndarray
+    kind: np.ndarray
+    num_shards: np.ndarray
+    hierarchical: np.ndarray
+    worker: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    dest: np.ndarray
+    src: np.ndarray
+    # max - min over every row (column) bound, 0 if none: no shard's extent
+    # along that axis exceeds it, unless the shard spans the axis
+    row_span: int
+    col_span: int
+
+    @classmethod
+    def of(cls, plan: "ShardingPlan") -> "ShardColumns":
+        assignments = plan.assignments
+        counts = [len(a.shards) for a in assignments]
+        shards = [s for a in assignments for s in a.shards]
+        n = len(shards)
+        assignment = np.repeat(np.arange(len(assignments)), counts)
+
+        def per_shard(values, dtype):
+            return frozen_array(np.asarray(values, dtype=dtype)[assignment], dtype)
+
+        workers = [s.worker for s in shards]
+        replica = np.fromiter(map(is_, workers, repeat(None)), bool, n)
+        if replica.any():
+            workers = [-1 if w is None else w for w in workers]
+        worker = _int64_column(workers, n, "worker")
+        rows = _bounds_column([s.rows for s in shards], "rows")
+        cols = _bounds_column([s.cols for s in shards], "cols")
+        # every charge in plan order: a replica expands to workers 0..W-1
+        W = plan.num_workers
+        charges = np.where(replica, W, 1)
+        src = np.repeat(np.arange(n), charges)
+        dest = worker[src]
+        expanded = replica[src]
+        dest[expanded] = np.tile(np.arange(W), int(replica.sum()))
+        return cls(
+            table_ids=tuple(a.table_id for a in assignments),
+            assignment=frozen_array(assignment, np.int64),
+            kind=per_shard([_KIND_CODE[a.scheme.kind] for a in assignments], np.int8),
+            num_shards=per_shard(counts, np.int64),
+            hierarchical=per_shard(
+                [a.scheme.hierarchical is not None for a in assignments], bool
+            ),
+            worker=worker,
+            rows=rows,
+            cols=cols,
+            dest=frozen_array(dest, np.int64),
+            src=frozen_array(src, np.int64),
+            row_span=_span(rows),
+            col_span=_span(cols),
+        )
+
+    @property
+    def charges(self) -> int:
+        """(worker, shard) pairs charged: a replica counts once per worker."""
+        return len(self.dest)
+
+    def tables(self, model: ModelSpec) -> np.ndarray:
+        """Each shard's position in `model.tables`."""
+        return model.table_indices(self.table_ids)[self.assignment]
+
+    def extents(self, axis: str, full: np.ndarray) -> np.ndarray:
+        """Rows (axis "rows") or columns ("cols") of each shard; `full` holds
+        each shard's table extent, used where the shard spans the axis."""
+        bounds = getattr(self, axis)
+        return np.where(
+            bounds[:, 1] == FULL_EXTENT, full, bounds[:, 1] - bounds[:, 0]
+        )
+
+    def row_share(self) -> np.ndarray:
+        """Each shard's share of its table's lookups: 1/k for a row-wise
+        shard of k, else 1.0."""
+        return np.where(self.kind == RW, 1.0 / self.num_shards, 1.0)
+
+    def elem_bytes(self, model: ModelSpec, flags: CompressionFlags, tables):
+        """Value bytes per element of each shard: the forced table precision,
+        else its table's (`tables` is tables(model))."""
+        if flags.table_precision:
+            return PRECISION_BYTES[flags.table_precision]
+        return model.table_columns.elem_bytes[tables]
+
+    def per_worker(self, values: np.ndarray, num_workers: int) -> np.ndarray:
+        """Per-worker sums of a per-shard value, every replica on every worker.
+
+        Float sums add in plan order from 0.0: np.bincount adds its weights
+        in buffer order. Integer sums are exact in int64.
+        """
+        dest = self.dest
+        if len(dest) and (dest.min() < 0 or dest.max() >= num_workers):
+            raise InvalidScheme("a shard's worker is out of range")
+        charged = values[self.src]
+        if charged.dtype.kind == "f":
+            return np.bincount(dest, weights=charged, minlength=num_workers)
+        sums = np.zeros(num_workers, dtype=np.int64)
+        np.add.at(sums, dest, charged)
+        return sums
+
+
+def _span(bounds: np.ndarray) -> int:
+    """max - min over the explicit bounds of an (n, 2) bounds column."""
+    values = bounds[bounds[:, 1] != FULL_EXTENT].ravel()
+    return int(values.max()) - int(values.min()) if len(values) else 0
+
+
+def _int64_column(values, count: int, name: str) -> np.ndarray:
+    try:
+        column = np.fromiter(values, np.int64, count)
+    except OverflowError:
+        raise InvalidValue(f"shards.{name}", "must fit in int64") from None
+    column.flags.writeable = False
+    return column
+
+
+def _bounds_column(bounds: list, name: str) -> np.ndarray:
+    """(start, end) pairs as an (n, 2) array; None ends at FULL_EXTENT."""
+    n = len(bounds)
+    full = (0, FULL_EXTENT)
+    spans = bounds.count(None)
+    if spans == n:
+        return frozen_array(np.tile(full, (n, 1)), np.int64)
+    if spans:
+        bounds = [full if b is None else b for b in bounds]
+    return _int64_column(chain.from_iterable(bounds), 2 * n, name).reshape(n, 2)
+
+
 @dataclass(frozen=True)
 class ShardingPlan:
     num_workers: int
     gpus_per_node: int
     assignments: tuple[TableAssignment, ...]
     heuristic: str = "greedy"
-    # table id -> its first assignment; derived, so outside eq/hash/repr
+    # table id -> its first assignment, and the shard columns; derived, so
+    # outside eq/hash/repr
     _by_table: dict[str, TableAssignment] = field(
         init=False, repr=False, compare=False
     )
+    shard_columns: ShardColumns = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         by_table = {a.table_id: a for a in reversed(self.assignments)}
         object.__setattr__(self, "_by_table", by_table)
+        object.__setattr__(self, "shard_columns", ShardColumns.of(self))
+
+    def __reduce__(self):
+        # rebuild the derived fields, so unpickled arrays stay read-only
+        return type(self), (
+            self.num_workers, self.gpus_per_node, self.assignments, self.heuristic
+        )
 
     def assignment_for(self, table_id: str) -> TableAssignment:
         return self._by_table[table_id]
@@ -165,14 +336,6 @@ def even_bounds(extent: int, parts: int) -> list[tuple[int, int]]:
         bounds.append((start, end))
         start = end
     return bounds
-
-
-def shard_rows(table: TableSpec, shard: Shard) -> int:
-    return (shard.rows[1] - shard.rows[0]) if shard.rows else table.num_rows
-
-
-def shard_width(table: TableSpec, shard: Shard) -> int:
-    return (shard.cols[1] - shard.cols[0]) if shard.cols else table.dim
 
 
 def validate_scheme(table: TableSpec, scheme: Scheme) -> None:
@@ -571,6 +734,30 @@ class MemoryReport:
         return sum(w.total_bytes for w in self.workers)
 
 
+# widest per-element charge: a value at FP32 or an element-wise moment
+_MAX_ELEMENT_BYTES = max(*PRECISION_BYTES.values(), OPTIMIZER_STATE_BYTES)
+
+
+def _check_int64_bytes(plan: ShardingPlan, model: ModelSpec) -> None:
+    """Raise InvalidValue if a per-worker byte total could pass int64.
+
+    With Python ints: every charge holds at most the widest table's rows
+    (or the plan's row-bound span) times its widest dim (or column span)
+    elements, each of at most _MAX_ELEMENT_BYTES.
+    """
+    cols = plan.shard_columns
+    tc = model.table_columns
+    rows = max(int(tc.rows.max(initial=0)), cols.row_span)
+    width = max(int(tc.dim.max(initial=0)), cols.col_span)
+    bound = cols.charges * rows * width * _MAX_ELEMENT_BYTES
+    if bound > INT64_MAX:
+        raise InvalidValue(
+            "model",
+            f"a worker's table bytes may reach {bound}, beyond int64 "
+            f"({cols.charges} shard charges of up to {rows} x {width} elements)",
+        )
+
+
 def memory_check(
     plan: ShardingPlan,
     model: ModelSpec,
@@ -579,27 +766,19 @@ def memory_check(
 ) -> MemoryReport:
     """Per-worker bytes (values + optimizer state + dense replica) and the
     memory tier each placement lands in."""
-    table_by_id = {t.id: t for t in model.tables}
-    values = [0] * plan.num_workers
-    states = [0] * plan.num_workers
-    for assignment in plan.assignments:
-        table = table_by_id[assignment.table_id]
-        prec = flags.table_precision or table.value_precision
-        elem = PRECISION_BYTES[prec]
-        for shard in assignment.shards:
-            rows = shard_rows(table, shard)
-            width = shard_width(table, shard)
-            value_bytes = rows * width * elem
-            if flags.rowwise_optimizer:
-                state_bytes = rows * OPTIMIZER_STATE_BYTES
-            else:
-                state_bytes = rows * width * OPTIMIZER_STATE_BYTES
-            targets = (
-                range(plan.num_workers) if shard.worker is None else (shard.worker,)
-            )
-            for w in targets:
-                values[w] += value_bytes
-                states[w] += state_bytes
+    _check_int64_bytes(plan, model)
+    cols = plan.shard_columns
+    tc = model.table_columns
+    t = cols.tables(model)
+    rows = cols.extents("rows", tc.rows[t])
+    width = cols.extents("cols", tc.dim[t])
+    value_bytes = rows * width * cols.elem_bytes(model, flags, t)
+    if flags.rowwise_optimizer:
+        state_bytes = rows * OPTIMIZER_STATE_BYTES
+    else:
+        state_bytes = rows * width * OPTIMIZER_STATE_BYTES
+    values = cols.per_worker(value_bytes, plan.num_workers).tolist()
+    states = cols.per_worker(state_bytes, plan.num_workers).tolist()
     workers = []
     feasible = True
     hbm = cluster.hbm_capacity_per_gpu

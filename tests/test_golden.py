@@ -12,13 +12,18 @@ train_step_sharded on a fixed desk model, SGD / row-wise AdaGrad / AdaGrad
 at W = 1, 2 and 8) were captured at commit 34a43bf, before the np.add.at
 scatters of embedding.py were replaced. The cache counts and the `neosim
 cache` report digests were captured at commit 0d16fd5, from the list-scan
-replay, before each set became a recency-ordered dict. Any change that moves a digest
+replay, before each set became a recency-ordered dict. The shrunk
+small-cluster digests (model_a sweeps over 1, 2 and 4 nodes, and its
+hierarchical plan shrunk to 2 nodes) were captured at commit e11129a, before
+the per-worker sums moved onto per-plan shard columns. Any change that moves a digest
 changes what neosim prints or computes; a pure performance change must
 leave every digest as it is.
 """
 
+import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +32,8 @@ from conftest import desk_model, mixed_desk_case
 
 from neosim import (
     CacheConfig,
+    CandidatePolicy,
+    CompressionFlags,
     CostWeights,
     IndexSkew,
     OptimizerConfig,
@@ -41,8 +48,12 @@ from neosim import (
     TableAssignment,
     TableSpec,
     gen_synthetic_batch,
+    hierarchical_plan,
+    parse_cluster_spec,
+    parse_model_spec,
     plan_4d,
     plan_to_json,
+    simulate,
     simulate_trace,
     train_step_reference,
     train_step_sharded,
@@ -50,6 +61,7 @@ from neosim import (
 from neosim.bundled import data_path
 from neosim.cli import main
 from neosim.comms import reassemble_values
+from neosim.perf import shrink_to_fit
 from neosim.planner import even_bounds
 
 CLUSTER = str(data_path("cluster_16node.json"))
@@ -168,6 +180,74 @@ def test_golden_desk_plan_with_dp_shards(heuristic):
     text = plan_to_json(plan, model, cluster, policy.flags)
     assert '"worker": null' in text
     assert _sha(text) == DESK_PLAN_GOLDEN[heuristic]
+
+
+# ---------------------------------------------------------------------------
+# the shrunk small-cluster path: weak-scaling sweeps shrink model_a's rows to
+# fit 1, 2 and 4 nodes, which no 16-node case above reaches
+
+# heuristic flags -> SHA-256 of the `neosim sweep --nodes 1,2,4` report body
+SWEEP_GOLDEN = {
+    (): "f65e1bc6d576d0d2044413ce95597a9688b011d2b4c781fafd894af6174b2417",
+    ("--heuristic", "kk"): "7aff365895e81d00c2e48e150393c0acfef3d29298bc604d8e8f39fd298b04ba",
+}
+
+
+@pytest.mark.parametrize("flags", list(SWEEP_GOLDEN), ids=["greedy", "kk"])
+def test_golden_shrunk_sweep(tmp_path, capsys, flags):
+    model_path = str(data_path("model_a.json"))
+    args = ["sweep", "--model", model_path, "--cluster", CLUSTER, "--nodes", "1,2,4"]
+    assert main([*args, *flags, "--out", str(tmp_path)]) == 0
+    body = json.loads((tmp_path / "sweep.json").read_text())["body"]
+    assert len(body["entries"]) == 3 and all(e["qps"] for e in body["entries"])
+    assert _sha(json.dumps(body, indent=2, sort_keys=True)) == SWEEP_GOLDEN[flags]
+
+
+# (FP16 tables, element-wise state, AlltoAll fwd/bwd precision) ->
+# (plan_to_json digest, simulate digest) of the hierarchical plan of model_a
+# shrunk to 2 nodes
+SHRUNK_HIER_GOLDEN = {
+    (True, False, "FP16", "BF16"): (
+        "5802ae285561417da098d5d306feda0344dc62f5d7449d6900295062d203a752",
+        "7678c0e381e54167e41d322035b1d9dd8cec796ffd70434f7c7b2103eec66a38",
+    ),
+    (False, True, "FP32", "FP32"): (
+        "cdd1af839407286fd944a23cbcf511e5b9078f48768c4794a853c1de9cc8561a",
+        "a4131d49e4d536f768dcf92b20d5ad4801e9622a16877a11b7e485d179f18224",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SHRUNK_HIER_GOLDEN))
+def test_golden_shrunk_hierarchical_plan(case):
+    fp16, elementwise, fwd, bwd = case
+    model = parse_model_spec(data_path("model_a.json").read_text())
+    cluster = dataclasses.replace(
+        parse_cluster_spec(Path(CLUSTER).read_text()), num_nodes=2
+    )
+    flags = CompressionFlags(
+        table_precision=Precision.FP16 if fp16 else None,
+        rowwise_optimizer=not elementwise,
+    )
+    model = shrink_to_fit(model, cluster, flags)
+    plan = hierarchical_plan(model, cluster, CostWeights(), CandidatePolicy(flags=flags))
+    result = simulate(
+        model,
+        cluster,
+        plan,
+        a2a_fwd_precision=Precision(fwd),
+        a2a_bwd_precision=Precision(bwd),
+        flags=flags,
+    )
+    sim = {
+        "estimate": dataclasses.asdict(result.estimate),
+        "volumes": [dataclasses.asdict(v) for v in result.volumes],
+    }
+    got = (
+        _sha(plan_to_json(plan, model, cluster, flags)),
+        _sha(json.dumps(sim, sort_keys=True)),
+    )
+    assert got == SHRUNK_HIER_GOLDEN[case]
 
 
 # ---------------------------------------------------------------------------
