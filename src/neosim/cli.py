@@ -28,6 +28,8 @@ from .model import (
     ClusterSpec,
     ModelSpec,
     Precision,
+    _as_dict,
+    _as_real,
     gen_synthetic_batch,
     parse_cluster_spec,
     parse_model_spec,
@@ -399,10 +401,15 @@ def cmd_cache(args) -> int:
 
 
 def cmd_report(args) -> int:
-    doc = json.loads(Path(args.input).read_text())
-    body = doc.get("body", {})
+    doc = _as_dict(json.loads(Path(args.input).read_text()), args.input)
+    body = _as_dict(doc.get("body", {}), "body")
     if args.format == "csv" and "components_ms" in body:
-        print(_components_csv(body["components_ms"]), end="")
+        components = _as_dict(body["components_ms"], "body.components_ms")
+        for name, entry in components.items():
+            path = f"body.components_ms.{name}"
+            for key in ("serialized", "exposed"):
+                _as_real(_as_dict(entry, path).get(key), f"{path}.{key}")
+        print(_components_csv(components), end="")
     else:
         print(json.dumps(body, indent=2, sort_keys=True))
     return 0
@@ -412,13 +419,10 @@ def cmd_report(args) -> int:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser, cluster: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, help="model spec JSON")
-    if cluster:
-        p.add_argument("--cluster", required=True, help="cluster spec JSON")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--cluster", required=True, help="cluster spec JSON")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
 def _add_policy(p: argparse.ArgumentParser) -> None:
@@ -437,6 +441,8 @@ def _add_policy(p: argparse.ArgumentParser) -> None:
 
 
 def _add_sim(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--hit-rate", type=float, default=0.9,
                    help="software cache hit rate for DRAM-tier workers")
     p.add_argument("--compute-precision", default="tf32",
@@ -447,8 +453,15 @@ def _add_sim(p: argparse.ArgumentParser) -> None:
                    choices=["fp32", "tf32", "fp16", "bf16"])
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse exits 2 on a usage error, which here means infeasible
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="neosim",
         description="sharding planner and performance simulator for "
         "embedding-dominated recommendation models",

@@ -21,6 +21,7 @@ from .embedding import (
     EmbeddingTable,
     OptimizerConfig,
     OptimizerKind,
+    RowGradients,
     apply_optimizer,
     backward_sort_aggregate,
     build_tables,
@@ -276,23 +277,24 @@ def from_twb(laidout: LaidOutBatch) -> CombinedBatch:
 
 @dataclass
 class ShardInput:
-    """Post-redistribution input slice for one shard on one worker."""
+    """Post-redistribution input slice for one shard on one worker.
+
+    position is the shard's index in its assignment's shard list; for a
+    data-parallel table, whose single shard is replicated, it is the index
+    of the worker's replica.
+    """
 
     table_id: str
     shard: Shard
+    position: int
     lengths: np.ndarray
     indices: np.ndarray
-    sample_base: int = 0  # first covered global sample (non-zero only for DP)
 
 
 @dataclass
 class WorkerSlice:
     worker: int
     inputs: list[ShardInput] = field(default_factory=list)
-
-
-def _rw_boundaries(assignment) -> list[tuple[int, int]]:
-    return sorted(s.rows for s in assignment.shards)
 
 
 def alltoall_redistribute(
@@ -323,39 +325,38 @@ def alltoall_redistribute(
     for t, table in enumerate(model.tables):
         assignment = plan.assignment_for(table.id)
         kind = assignment.scheme.kind
+        shards = assignment.shards
         if kind is SchemeKind.DATA_PARALLEL:
-            shard = assignment.shards[0]
             for v in range(W):
                 lens, idx = block(v, t)
                 slices[v].inputs.append(
-                    ShardInput(table.id, shard, lens.copy(), idx.copy(), sample_base=v * B)
+                    ShardInput(table.id, shards[0], v, lens.copy(), idx.copy())
                 )
             continue
         if kind is SchemeKind.ROW_WISE:
-            boundaries = _rw_boundaries(assignment)
-            shard_by_rows = {s.rows: s for s in assignment.shards}
+            # bucketize routes by row order; the shard list may hold any order
+            order = sorted(range(len(shards)), key=lambda i: shards[i].rows)
+            bounds = [shards[i].rows for i in order]
+            received: list[list] = [[] for _ in shards]
             # phase 1+2 per source worker: bucketize locally, send to shard owners
-            received: dict[tuple, list] = {bounds: [] for bounds in boundaries}
             for w in range(W):
                 lens, idx = block(w, t)
-                parts = bucketize_rowwise(lens, idx, boundaries, table.id)
-                for bounds, part in zip(boundaries, parts):
-                    received[bounds].append(part)
-            for bounds in boundaries:
-                shard = shard_by_rows[bounds]
-                parts = received[bounds]
+                parts = bucketize_rowwise(lens, idx, bounds, table.id)
+                for i, part in zip(order, parts):
+                    received[i].append(part)
+            for i, (shard, parts) in enumerate(zip(shards, received)):
                 lens = np.concatenate([p[0] for p in parts])
                 idx = np.concatenate([p[1] for p in parts])
                 slices[shard.worker].inputs.append(
-                    ShardInput(table.id, shard, lens, idx)
+                    ShardInput(table.id, shard, i, lens, idx)
                 )
             continue
         # TABLE_WISE and COLUMN_WISE receive the raw global stream; column
         # shards each get a full replica of the indices.
-        for shard in assignment.shards:
-            lens = np.concatenate([block(w, t)[0] for w in range(W)])
-            idx = np.concatenate([block(w, t)[1] for w in range(W)])
-            slices[shard.worker].inputs.append(ShardInput(table.id, shard, lens, idx))
+        lens = lengths_mat[:, t].reshape(-1)
+        idx = np.concatenate([block(w, t)[1] for w in range(W)])
+        for i, shard in enumerate(shards):
+            slices[shard.worker].inputs.append(ShardInput(table.id, shard, i, lens, idx))
     return slices
 
 
@@ -570,6 +571,12 @@ def _slice_table(
     return EmbeddingTable(full.spec, values, moment, row_base=r0, col_base=c0)
 
 
+def _row_gradients(si: ShardInput, dim: int) -> RowGradients:
+    # the sum-of-outputs loss sends an upstream gradient of ones
+    upstream = np.ones((len(si.lengths), dim), dtype=np.float64)
+    return backward_sort_aggregate(si.lengths, si.indices, upstream)
+
+
 def train_step_sharded(
     model: ModelSpec,
     plan: ShardingPlan,
@@ -580,10 +587,13 @@ def train_step_sharded(
 ) -> tuple[np.ndarray, ShardedState]:
     """Execute one iteration across W logical workers, deterministically.
 
-    Redistribute -> local fused forward -> pooled assembly (AlltoAll for
-    TW/CW, ReduceScatter for RW, worker-local rows for DP) -> backward ->
-    gradient AllReduce then one identical update per DP replica -> fused
-    sparse update per shard. Outputs match train_step_reference's shape.
+    Redistribute, then run each table end to end: slice its shards (or W
+    data-parallel replicas), pool each over its received input, assemble the
+    pooled output (AlltoAll for TW/CW, ReduceScatter for RW, worker-local
+    rows for DP), backpropagate and apply the sparse update (after the
+    gradient AllReduce for DP). A table reads only its own shards, so this
+    equals running every forward first. Outputs match
+    train_step_reference's shape.
     """
     validate_plan(plan, model)
     batch.validate_against(model)
@@ -592,90 +602,43 @@ def train_step_sharded(
         raise LayoutMismatch("global batch must split evenly across workers")
     n = batch.num_samples
     full_tables = build_tables(model, cfg, seed, zero_init=zero_init)
+    slices = alltoall_redistribute(to_wtb(batch, W), plan, model)
+    inputs = {(si.table_id, si.position): si for ws in slices for si in ws.inputs}
     state = ShardedState(shards={}, dp_replicas={})
-    for assignment in plan.assignments:
-        t = model.table_index(assignment.table_id)
-        if assignment.scheme.kind is SchemeKind.DATA_PARALLEL:
-            shard = assignment.shards[0]
-            state.dp_replicas[assignment.table_id] = [
-                _slice_table(full_tables[t], shard, cfg) for _ in range(W)
-            ]
-        else:
-            for i, shard in enumerate(assignment.shards):
-                state.shards[(assignment.table_id, i)] = _slice_table(
-                    full_tables[t], shard, cfg
-                )
-    laidout = to_wtb(batch, W)
-    slices = alltoall_redistribute(laidout, plan, model)
-
-    # forward: every worker pools its local shards over its received slice
-    shard_inputs: dict[tuple[str, int], ShardInput] = {}
-    dp_inputs: dict[tuple[str, int], ShardInput] = {}
-    partials: dict[tuple[str, int], np.ndarray] = {}
-    dp_partials: dict[tuple[str, int], np.ndarray] = {}
-    shard_index = {
-        (a.table_id, s): i
-        for a in plan.assignments
-        for i, s in enumerate(a.shards)
-        if a.scheme.kind is not SchemeKind.DATA_PARALLEL
-    }
-    for worker_slice in slices:
-        for si in worker_slice.inputs:
-            if si.shard.worker is None:  # DP replica input, local batch only
-                key = (si.table_id, worker_slice.worker)
-                replica = state.dp_replicas[si.table_id][worker_slice.worker]
-                dp_inputs[key] = si
-                dp_partials[key] = forward_pooled(replica, si.lengths, si.indices)
-            else:
-                key = (si.table_id, shard_index[(si.table_id, si.shard)])
-                shard_inputs[key] = si
-                partials[key] = forward_pooled(
-                    state.shards[key], si.lengths, si.indices
-                )
-
-    # pooled assembly into the reference output shape
     outputs = []
-    for table in model.tables:
+    for table, full in zip(model.tables, full_tables):
         assignment = plan.assignment_for(table.id)
         kind = assignment.scheme.kind
         if kind is SchemeKind.DATA_PARALLEL:
-            full = np.vstack([dp_partials[(table.id, w)] for w in range(W)])
-        elif kind is SchemeKind.ROW_WISE:
-            full = np.zeros((n, table.dim), dtype=np.float64)
-            for i in range(len(assignment.shards)):  # reduce partial pools
-                full += partials[(table.id, i)]
-        elif kind is SchemeKind.COLUMN_WISE:
-            full = np.zeros((n, table.dim), dtype=np.float64)
-            for i, shard in enumerate(assignment.shards):
-                c0, c1 = shard.cols
-                full[:, c0:c1] = partials[(table.id, i)]
-        else:  # TABLE_WISE
-            full = partials[(table.id, 0)]
-        outputs.append(full)
-
-    # backward from the sum-of-outputs loss: upstream gradient of ones
-    for table in model.tables:
-        assignment = plan.assignment_for(table.id)
-        kind = assignment.scheme.kind
-        if kind is SchemeKind.DATA_PARALLEL:
-            parts = []
-            for w in range(W):
-                si = dp_inputs[(table.id, w)]
-                upstream = np.ones((len(si.lengths), table.dim), dtype=np.float64)
-                parts.append(backward_sort_aggregate(si.lengths, si.indices, upstream))
-            merged = merge_row_gradients(parts, table.dim)  # gradient AllReduce
-            for replica in state.dp_replicas[table.id]:
+            replicas = [_slice_table(full, assignment.shards[0], cfg) for _ in range(W)]
+            state.dp_replicas[table.id] = replicas
+            local = [inputs[(table.id, w)] for w in range(W)]
+            pooled = [
+                forward_pooled(r, si.lengths, si.indices) for r, si in zip(replicas, local)
+            ]
+            outputs.append(np.vstack(pooled))
+            # gradient AllReduce: parts merge in worker order
+            merged = merge_row_gradients(
+                [_row_gradients(si, table.dim) for si in local], table.dim
+            )
+            for replica in replicas:
                 apply_optimizer(replica, merged, cfg)
                 storage_roundtrip(replica)
             continue
+        out = np.zeros((n, table.dim), dtype=np.float64)
         for i, shard in enumerate(assignment.shards):
-            key = (table.id, i)
-            si = shard_inputs[key]
-            shard_table = state.shards[key]
-            upstream = np.ones((n, shard_table.dim), dtype=np.float64)
-            grads = backward_sort_aggregate(si.lengths, si.indices, upstream)
-            apply_optimizer(shard_table, grads, cfg)
-            storage_roundtrip(shard_table)
+            piece = _slice_table(full, shard, cfg)
+            state.shards[(table.id, i)] = piece
+            si = inputs[(table.id, i)]
+            pooled = forward_pooled(piece, si.lengths, si.indices)
+            if kind is SchemeKind.ROW_WISE:
+                out += pooled  # partial pools reduce in shard-list order
+            else:
+                c0, c1 = shard.cols or (0, table.dim)
+                out[:, c0:c1] = pooled
+            apply_optimizer(piece, _row_gradients(si, piece.dim), cfg)
+            storage_roundtrip(piece)
+        outputs.append(out)
 
     stacked = np.concatenate(outputs, axis=1) if outputs else np.zeros((n, 0))
     return stacked, state

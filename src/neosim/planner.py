@@ -118,8 +118,6 @@ class CandidatePolicy:
     dp_threshold_bytes: Optional[int] = None  # None -> HBM capacity / 1000
     fine_grain: bool = False
     flags: CompressionFlags = field(default_factory=CompressionFlags)
-    max_row_shards: Optional[int] = None  # None -> worker count
-    min_col_width: int = 4
 
 
 @dataclass(frozen=True)
@@ -430,6 +428,8 @@ def shard_cost(
 # ---------------------------------------------------------------------------
 # candidate enumeration
 
+MIN_COL_WIDTH = 4  # narrowest column shard offered
+
 
 def _powers_of_two_up_to(limit: int):
     k = 2
@@ -464,8 +464,7 @@ def enumerate_candidates(
         candidates.append(Scheme(SchemeKind.TABLE_WISE))
     rw_candidates: list[Scheme] = []
     if not fits_device or policy.fine_grain:
-        max_k = min(W, table.num_rows, policy.max_row_shards or W)
-        for k in _powers_of_two_up_to(max_k):
+        for k in _powers_of_two_up_to(min(W, table.num_rows)):
             scheme = Scheme(SchemeKind.ROW_WISE, num_row_shards=k)
             if shard_storage_bytes(table, scheme, policy.flags) <= device_budget:
                 rw_candidates.append(scheme)
@@ -474,7 +473,7 @@ def enumerate_candidates(
     # tables they only step in when rows cannot split (they replicate input
     # indices and per-row optimizer state, defeating capacity sharding).
     if policy.fine_grain or (not fits_device and not rw_candidates):
-        for c in _powers_of_two_up_to(min(W, table.dim // policy.min_col_width)):
+        for c in _powers_of_two_up_to(min(W, table.dim // MIN_COL_WIDTH)):
             if table.dim % c:
                 continue
             scheme = Scheme(
@@ -998,18 +997,14 @@ def hierarchical_plan(
     gpn = cluster.gpus_per_node
     assignments = []
     for table in model.tables:
-        node = node_of_table[table.id]
+        first = node_of_table[table.id] * gpn
         k = min(gpn, table.num_rows)
-        bounds = even_bounds(table.num_rows, k)
         scheme = Scheme(
             SchemeKind.ROW_WISE,
             num_row_shards=k,
             hierarchical=(SchemeKind.TABLE_WISE, SchemeKind.ROW_WISE),
         )
-        shards = tuple(
-            Shard(worker=node * gpn + i % gpn, rows=bounds[i]) for i in range(k)
-        )
-        assignments.append(TableAssignment(table.id, scheme, shards))
+        assignments.append(_materialize(table, scheme, range(first, first + k)))
     plan = ShardingPlan(W, gpn, tuple(assignments), "kk")
     report = memory_check(plan, model, cluster, policy.flags)
     if not report.feasible:

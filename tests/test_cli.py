@@ -382,6 +382,22 @@ class TestReportCommand:
         assert out.startswith("component,serialized_ms,exposed_ms")
 
 
+    @pytest.mark.parametrize(
+        "doc,fmt",
+        [
+            ([1, 2], "json"),
+            ({"body": 5}, "json"),
+            ({"body": {"components_ms": [1]}}, "csv"),
+            ({"body": {"components_ms": {"emb": 1}}}, "csv"),
+            ({"body": {"components_ms": {"emb": {"serialized": 1.0}}}}, "csv"),
+        ],
+    )
+    def test_malformed_report_is_input_error(self, tmp_path, capsys, doc, fmt):
+        stored = tmp_path / "stored.json"
+        stored.write_text(json.dumps(doc))
+        assert main(["report", "--input", str(stored), "--format", fmt]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid value at ")
+
 class TestManifest:
     def test_embedded_with_digests(self, tmp_path):
         assert (
@@ -409,6 +425,33 @@ class TestManifest:
 
 
 class TestInputHardening:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["plan", "--cluster", CLUSTER], "the following arguments are required: --model"),
+            (["simulate", "--hit-rate", "abc"], "argument --hit-rate: invalid float value: 'abc'"),
+            (["plan", "--seed", "3"], "unrecognized arguments: --seed 3"),
+            (["plan", "--format", "csv"], "unrecognized arguments: --format csv"),
+        ],
+    )
+    def test_usage_error_exit_one(self, tmp_path, capsys, argv, message):
+        # exit 2 is reserved for infeasible plans
+        if "--cluster" not in argv:
+            argv = [*argv, "--model", MODEL_A, "--cluster", CLUSTER]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: neosim ")
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exit_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--help"])
+        assert exc.value.code == 0
+        assert "--hit-rate" in capsys.readouterr().out
+
     def test_malformed_weights(self, tmp_path):
         code = main(
             [

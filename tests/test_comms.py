@@ -444,6 +444,62 @@ class TestTrainStepSharded:
                 else:
                     assert dev <= 1e-9
 
+    def test_shard_lists_out_of_bound_order(self):
+        # Row shards listed in reverse row order, two of them on worker 0;
+        # column shards listed out of column order; no shard list follows
+        # worker order. Inputs must follow each shard, not its rank in bounds.
+        model = desk_model(
+            [
+                TableSpec(id="rw", num_rows=30, dim=4, avg_pooling=3.0),
+                TableSpec(id="cw", num_rows=20, dim=6, avg_pooling=2.0),
+                TableSpec(id="tw", num_rows=12, dim=2, avg_pooling=1.5),
+                TableSpec(id="dp", num_rows=10, dim=2, avg_pooling=2.0),
+            ],
+            local_batch=4,
+        )
+        plan = ShardingPlan(
+            4,
+            4,
+            (
+                TableAssignment(
+                    "rw",
+                    Scheme(SchemeKind.ROW_WISE, num_row_shards=3),
+                    (
+                        Shard(worker=0, rows=(18, 30)),
+                        Shard(worker=3, rows=(7, 18)),
+                        Shard(worker=0, rows=(0, 7)),
+                    ),
+                ),
+                TableAssignment(
+                    "cw",
+                    Scheme(SchemeKind.COLUMN_WISE, col_splits=((0, 2), (2, 6))),
+                    (Shard(worker=2, cols=(2, 6)), Shard(worker=1, cols=(0, 2))),
+                ),
+                TableAssignment("tw", Scheme(SchemeKind.TABLE_WISE), (Shard(worker=1),)),
+                TableAssignment(
+                    "dp", Scheme(SchemeKind.DATA_PARALLEL), (Shard(worker=None),)
+                ),
+            ),
+        )
+        batch = gen_synthetic_batch(model, 16, seed=30)
+        slices = alltoall_redistribute(to_wtb(batch, 4), plan, model)
+        for ws in slices:
+            for si in ws.inputs:
+                if si.shard.worker is None:
+                    continue
+                assert plan.assignment_for(si.table_id).shards[si.position] == si.shard
+                assert si.shard.worker == ws.worker
+        for kind in OptimizerKind:
+            cfg = OptimizerConfig(kind, lr=0.1, eps=1e-8)
+            ref_out, ref_tables = train_step_reference(model, batch, cfg, seed=31)
+            sh_out, state = train_step_sharded(model, plan, batch, cfg, seed=31)
+            assert np.max(np.abs(ref_out - sh_out)) <= 1e-9
+            for ref, values in zip(ref_tables, reassemble_values(model, plan, state)):
+                if kind is OptimizerKind.SGD:
+                    assert np.array_equal(ref.values, values)  # bitwise
+                else:
+                    assert np.max(np.abs(ref.values - values)) <= 1e-9
+
     def test_dp_replicas_bitwise_identical(self):
         model = desk_model(
             [TableSpec(id="t", num_rows=16, dim=3, avg_pooling=2.0)], local_batch=2
