@@ -2,7 +2,8 @@
 
 Exit codes: 0 ok, 1 input error, 2 infeasible, 3 verification failure.
 Every emitted report embeds a run manifest; report bodies are byte-identical
-for identical inputs and seed (the timestamp lives only in the manifest).
+for identical inputs, and for verify the same seed (the timestamp lives only
+in the manifest).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from . import __version__
 from .cache import CacheConfig, ReplacementPolicy, simulate_trace
 from .comms import reassemble_values, train_step_sharded, volume_forward_alltoall
 from .embedding import OptimizerConfig, OptimizerKind, train_step_reference
-from .errors import Infeasible, NeosimError
+from .errors import Infeasible, InvalidValue, NeosimError
 from .model import (
     ClusterSpec,
     ModelSpec,
@@ -55,7 +57,7 @@ VERIFY_TOLERANCE = 1e-9
 class RunManifest:
     command: str
     inputs: dict[str, str]  # path -> sha256 digest
-    seed: int
+    seed: Optional[int]  # None for commands that draw no random numbers
     version: str
     timestamp: str
 
@@ -73,7 +75,9 @@ def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def make_manifest(command: str, paths: list[str], seed: int) -> RunManifest:
+def make_manifest(
+    command: str, paths: list[str], seed: Optional[int] = None
+) -> RunManifest:
     return RunManifest(
         command=command,
         inputs={p: _digest(p) for p in paths if p},
@@ -202,7 +206,7 @@ def cmd_simulate(args) -> int:
         "volumes": [v.to_dict() for v in result.volumes],
     }
     manifest = make_manifest(
-        "simulate", [args.model, args.cluster, getattr(args, "plan", None)], args.seed
+        "simulate", [args.model, args.cluster, getattr(args, "plan", None)]
     )
     text = render_report(manifest, body)
     written = _write(args.out, "simulate.json", text)
@@ -263,7 +267,7 @@ def cmd_sweep(args) -> int:
             }
         )
     body = {"node_counts": node_counts, "entries": rows}
-    manifest = make_manifest("sweep", [args.model, args.cluster], args.seed)
+    manifest = make_manifest("sweep", [args.model, args.cluster])
     written = _write(args.out, "sweep.json", render_report(manifest, body))
     if args.format == "csv":
         buf = io.StringIO()
@@ -390,7 +394,7 @@ def cmd_cache(args) -> int:
         "evictions": stats.evictions,
         "hit_rate": stats.hit_rate,
     }
-    manifest = make_manifest("cache", [args.trace], args.seed)
+    manifest = make_manifest("cache", [args.trace])
     written = _write(args.out, "cache.json", render_report(manifest, body))
     print(f"report written to {written}")
     print(
@@ -403,15 +407,19 @@ def cmd_cache(args) -> int:
 def cmd_report(args) -> int:
     doc = _as_dict(json.loads(Path(args.input).read_text()), args.input)
     body = _as_dict(doc.get("body", {}), "body")
-    if args.format == "csv" and "components_ms" in body:
-        components = _as_dict(body["components_ms"], "body.components_ms")
-        for name, entry in components.items():
-            path = f"body.components_ms.{name}"
-            for key in ("serialized", "exposed"):
-                _as_real(_as_dict(entry, path).get(key), f"{path}.{key}")
-        print(_components_csv(components), end="")
-    else:
+    if args.format == "json":
         print(json.dumps(body, indent=2, sort_keys=True))
+        return 0
+    if "components_ms" not in body:
+        raise InvalidValue(
+            "body.components_ms", "CSV needs a simulate report's components"
+        )
+    components = _as_dict(body["components_ms"], "body.components_ms")
+    for name, entry in components.items():
+        path = f"body.components_ms.{name}"
+        for key in ("serialized", "exposed"):
+            _as_real(_as_dict(entry, path).get(key), f"{path}.{key}")
+    print(_components_csv(components), end="")
     return 0
 
 
@@ -441,7 +449,6 @@ def _add_policy(p: argparse.ArgumentParser) -> None:
 
 
 def _add_sim(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--hit-rate", type=float, default=0.9,
                    help="software cache hit rate for DRAM-tier workers")
@@ -503,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ways", type=int, default=32)
     p.add_argument("--policy", choices=["lru", "lfu"], default="lru")
     p.add_argument("--trace", required=True, help="one decimal row id per line")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".")
 
     p = sub.add_parser("report", help="re-emit a stored report")

@@ -440,18 +440,18 @@ def shrink_to_fit(
     the performance character) unchanged. The straggler estimate balances
     per-table bytes greedily, with 10% headroom for placement differences.
     """
-    from .planner import greedy_partition, table_storage_bytes
+    from .planner import greedy_partition, table_bytes
 
     if not model.tables:
         return model
-    per_table = {
-        t.id: table_storage_bytes(t.num_rows, t.dim, t, flags) for t in model.tables
-    }
-    assign = greedy_partition(list(per_table.items()), cluster.num_workers)
-    bins = [0.0] * cluster.num_workers
-    for tid, b in per_table.items():
-        bins[assign[tid]] += b
-    heaviest = max(bins)
+    per_table = table_bytes(model.table_columns, flags)
+    ids = [t.id for t in model.tables]
+    assign = greedy_partition(list(zip(ids, per_table.tolist())), cluster.num_workers)
+    # per-bin sums in table order from 0.0
+    bins = np.bincount(
+        [assign[tid] for tid in ids], weights=per_table, minlength=cluster.num_workers
+    )
+    heaviest = float(bins.max())
     budget = 0.9 * cluster.hbm_capacity_per_gpu
     if heaviest <= budget:
         return model

@@ -34,6 +34,7 @@ from .model import (
     ModelSpec,
     Precision,
     PRECISION_BYTES,
+    TableColumns,
     TableSpec,
     _as_dict,
     _as_int,
@@ -143,6 +144,7 @@ class TableAssignment:
 FULL_EXTENT = -1  # end bound of a shard that spans the whole axis
 # ShardColumns.kind codes: each scheme kind's position in SchemeKind
 _KIND_CODE = {kind: code for code, kind in enumerate(SchemeKind)}
+_KINDS = tuple(SchemeKind)  # code -> kind
 TW, RW, CW, DP = (
     _KIND_CODE[kind]
     for kind in (
@@ -358,19 +360,58 @@ def validate_scheme(table: TableSpec, scheme: Scheme) -> None:
 
 # ---------------------------------------------------------------------------
 # shard cost model
+#
+# Every storage and cost number of the planner comes from the column
+# functions of this section and the next, over many tables or candidates in
+# one numpy pass. table_storage_bytes, shard_storage_bytes, shard_cost,
+# enumerate_candidates and candidate_costs are their one-row views.
+
+
+def _int64_product(factor, *factors):
+    """Exact elementwise product of non-negative int64 factors.
+
+    Raises InvalidValue at `model` where the product would pass int64,
+    rather than wrap.
+    """
+    product = factor
+    for f in factors:
+        if np.any(product > INT64_MAX // np.maximum(f, 1)):
+            raise InvalidValue("model", "a byte count passes int64")
+        product = product * f
+    return product
+
+
+def _storage_bytes(rows, width, elem_bytes, flags: CompressionFlags):
+    """Value bytes plus optimizer state of (rows x width) shards whose values
+    take `elem_bytes` each, elementwise and exact in int64."""
+    elems = _int64_product(rows, width)
+    value_bytes = _int64_product(elems, elem_bytes)
+    state_bytes = _int64_product(
+        rows if flags.rowwise_optimizer else elems, OPTIMIZER_STATE_BYTES
+    )
+    if np.any(value_bytes > INT64_MAX - state_bytes):
+        raise InvalidValue("model", "a byte count passes int64")
+    return value_bytes + state_bytes
+
+
+def _value_bytes(tc: TableColumns, flags: CompressionFlags) -> np.ndarray:
+    """Each table's bytes per value: the forced table precision, else its own."""
+    if flags.table_precision:
+        return np.full(len(tc.rows), PRECISION_BYTES[flags.table_precision])
+    return tc.elem_bytes
+
+
+def table_bytes(tc: TableColumns, flags: CompressionFlags) -> np.ndarray:
+    """Each table's whole storage: value bytes plus optimizer state."""
+    return _storage_bytes(tc.rows, tc.dim, _value_bytes(tc, flags), flags)
 
 
 def table_storage_bytes(
     rows: int, width: int, table: TableSpec, flags: CompressionFlags
 ) -> int:
     """Value bytes plus optimizer state for one (rows x width) shard."""
-    prec = flags.table_precision or table.value_precision
-    value_bytes = rows * width * PRECISION_BYTES[prec]
-    if flags.rowwise_optimizer:
-        state_bytes = rows * OPTIMIZER_STATE_BYTES
-    else:
-        state_bytes = rows * width * OPTIMIZER_STATE_BYTES
-    return value_bytes + state_bytes
+    elem_bytes = PRECISION_BYTES[flags.table_precision or table.value_precision]
+    return int(_storage_bytes(np.int64(rows), np.int64(width), elem_bytes, flags))
 
 
 def shard_storage_bytes(
@@ -385,44 +426,70 @@ def shard_storage_bytes(
     return table_storage_bytes(rows, width, table, flags)
 
 
-def shard_cost(
-    table: TableSpec, scheme: Scheme, cluster: ClusterSpec, global_batch: int
-) -> ShardCost:
-    """Per-shard cost of applying `scheme` to `table` (shards are symmetric).
+def _shard_costs(tc: TableColumns, table, kind, num_shards, width, cluster, global_batch):
+    """(comm_bytes, load, fixed_latency) columns of one shard per row: row i
+    applies scheme kind[i] (a TW/RW/CW/DP code) with num_shards[i] shards of
+    width[i] columns to table table[i] of `tc` (shards are symmetric).
 
     load is the embedding access size: (table fraction on the worker) x global
     batch x pooling x dim. comm_bytes charges pooled output plus index payload
     for TW/CW, bucketized indices plus ReduceScatter volume for RW, and the
     ring AllReduce volume 2(p-1)/p x table bytes for DP. Pooled activations
     count 4 bytes per element; parameter gradients count the storage width.
+    Each expression keeps its operands in the order of the scalar formula,
+    and integer terms are exact, so every value is the float that one
+    table's arithmetic in Python gives.
     """
-    validate_scheme(table, scheme)
-    H, D, L = table.num_rows, table.dim, table.avg_pooling
     act = 4
-    idx = table.index_bytes
-    fixed = cluster.fixed_latency_per_collective
-    if scheme.kind is SchemeKind.TABLE_WISE:
-        load = global_batch * L * D
-        comm = D * global_batch * act + global_batch * L * idx
-        return ShardCost(comm, load, 4 * fixed)
-    if scheme.kind is SchemeKind.COLUMN_WISE:
-        width = scheme.col_splits[0][1] - scheme.col_splits[0][0]
-        load = global_batch * L * width
-        # index payload replicated to every column shard
-        comm = width * global_batch * act + global_batch * L * idx
-        return ShardCost(comm, load, 4 * fixed)
-    if scheme.kind is SchemeKind.ROW_WISE:
-        k = scheme.num_row_shards
-        load = global_batch * (L / k) * D
-        reduce_scatter = (k - 1) / k * global_batch * D * act
-        comm = global_batch * (L / k) * idx + reduce_scatter
-        return ShardCost(comm, load, 4 * fixed)
+    gb = global_batch
+    L = tc.pooling[table]
+    D = tc.dim[table]
+    idx = tc.index_bytes[table]
+    comm = np.empty(len(table))
+    load = np.empty(len(table))
+    # TW and CW shards look up whole rows of their `width` columns; the
+    # index payload is replicated to every column shard
+    pooled = (kind == TW) | (kind == CW)
+    w = width[pooled]
+    batch_pooling = gb * L[pooled]
+    load[pooled] = batch_pooling * w
+    comm[pooled] = _int64_product(w, gb, act) + batch_pooling * idx[pooled]
+    rw = kind == RW
+    k = num_shards[rw]
+    batch_share = gb * (L[rw] / k)
+    load[rw] = batch_share * D[rw]
+    reduce_scatter = (k - 1) / k * gb * D[rw] * act
+    comm[rw] = batch_share * idx[rw] + reduce_scatter
     # DATA_PARALLEL: replica computes only its local batch share; gradients
     # synchronize with a ring AllReduce over the whole table.
+    dp = kind == DP
     p = cluster.num_workers
-    load = (global_batch / p) * L * D
-    comm = 2 * (p - 1) / p * H * D * table.elem_bytes
-    return ShardCost(comm, load, 1 * fixed)
+    load[dp] = (gb / p) * L[dp] * D[dp]
+    dp_table = table[dp]
+    comm[dp] = 2 * (p - 1) / p * tc.rows[dp_table] * D[dp] * tc.elem_bytes[dp_table]
+    fixed = cluster.fixed_latency_per_collective
+    return comm, load, np.where(dp, 1 * fixed, 4 * fixed)
+
+
+def shard_cost(
+    table: TableSpec, scheme: Scheme, cluster: ClusterSpec, global_batch: int
+) -> ShardCost:
+    """Per-shard cost of applying `scheme` to `table`: one row of the cost
+    columns (see _shard_costs). A column-wise shard costs its first slice."""
+    validate_scheme(table, scheme)
+    width = table.dim
+    if scheme.kind is SchemeKind.COLUMN_WISE:
+        width = scheme.col_splits[0][1] - scheme.col_splits[0][0]
+    costs = _shard_costs(
+        TableColumns.of((table,)),
+        np.zeros(1, np.int64),
+        np.array([_KIND_CODE[scheme.kind]], np.int8),
+        np.array([scheme.num_shards], np.int64),
+        np.array([width], np.int64),
+        cluster,
+        global_batch,
+    )
+    return ShardCost(*(column[0].item() for column in costs))
 
 
 # ---------------------------------------------------------------------------
@@ -431,64 +498,170 @@ def shard_cost(
 MIN_COL_WIDTH = 4  # narrowest column shard offered
 
 
-def _powers_of_two_up_to(limit: int):
-    k = 2
-    while k <= limit:
-        yield k
-        k *= 2
+def _floor_bytes(limit) -> int:
+    """floor(limit), clamped to [-1, INT64_MAX]: a byte count b >= 0 is
+    <= limit exactly when b <= _floor_bytes(limit), also for a float limit."""
+    if not limit >= 0:
+        return -1
+    if limit >= INT64_MAX:
+        return INT64_MAX
+    return math.floor(limit)
+
+
+def _cluster_bytes(cluster: ClusterSpec):
+    """All HBM plus all host DRAM of the cluster."""
+    return (
+        cluster.num_workers * cluster.hbm_capacity_per_gpu
+        + cluster.num_nodes * cluster.dram_capacity_per_node
+    )
+
+
+def _enumerate(tc: TableColumns, tables: Sequence[TableSpec], cluster, policy):
+    """Every table's feasible schemes as rows (see CandidateColumns):
+    (table, kind, num_shards, width, storage, start).
+
+    Data parallelism is offered only below the policy's size threshold;
+    row/column sharding only when the table cannot fit one device or the
+    policy asks for finer grain. Raises NoFeasibleScheme for the first table
+    in `tables` that needs more than the whole cluster or that no scheme
+    places, the former checked first.
+    """
+    flags = policy.flags
+    H, D = tc.rows, tc.dim
+    elem_bytes = _value_bytes(tc, flags)
+    full = _storage_bytes(H, D, elem_bytes, flags)
+    budget = _floor_bytes(cluster.hbm_capacity_per_gpu + cluster.dram_capacity_per_gpu)
+    fits = full <= budget
+    # row and column shard counts offered: the powers of two 2, 4, ... <= W
+    counts = 2 ** np.arange(1, cluster.num_workers.bit_length(), dtype=np.int64)
+    H2, D2, elem2 = H[:, None], D[:, None], elem_bytes[:, None]
+    rw_storage = _storage_bytes(-(-H2 // counts), D2, elem2, flags)
+    rw = (
+        (counts <= H2)
+        & (~fits | policy.fine_grain)[:, None]
+        & (rw_storage <= budget)
+    )
+    # Column splits serve the fine-grain load-balancing role; for oversized
+    # tables they only step in when rows cannot split (they replicate input
+    # indices and per-row optimizer state, defeating capacity sharding).
+    cw_storage = _storage_bytes(H2, D2 // counts, elem2, flags)
+    cw = (
+        (counts <= D2 // MIN_COL_WIDTH)
+        & (D2 % counts == 0)
+        & (policy.fine_grain | (~fits & ~rw.any(axis=1)))[:, None]
+        & (cw_storage <= budget)
+    )
+    threshold = policy.dp_threshold_bytes
+    if threshold is None:
+        threshold = cluster.hbm_capacity_per_gpu // 1000
+    dp = (_int64_product(H, D, tc.elem_bytes) <= _floor_bytes(threshold)) & fits
+    # one column per candidate slot, in enumeration order
+    offered = np.concatenate((fits[:, None], rw, cw, dp[:, None]), axis=1)
+    cluster_total = _cluster_bytes(cluster)
+    too_big = full > _floor_bytes(cluster_total)
+    unplaced = too_big | ~offered.any(axis=1)
+    if unplaced.any():
+        t = int(unplaced.argmax())
+        if too_big[t]:
+            raise NoFeasibleScheme(
+                f"table {tables[t].id} needs {int(full[t])} bytes, "
+                f"cluster has {cluster_total}"
+            )
+        raise NoFeasibleScheme(f"no scheme places table {tables[t].id} on this cluster")
+    table, slot = np.nonzero(offered)
+    n = len(counts)
+    kind = np.array([TW, *[RW] * n, *[CW] * n, DP], np.int8)[slot]
+    num_shards = np.concatenate(([1], counts, counts, [1]))[slot]
+    width = D[table] // np.where(kind == CW, num_shards, 1)
+    storage = np.concatenate(
+        (full[:, None], rw_storage, cw_storage, full[:, None]), axis=1
+    )[table, slot]
+    start = np.concatenate(([0], np.cumsum(offered.sum(axis=1))))
+    return table, kind, num_shards, width, storage, start
+
+
+class CandidateColumns(NamedTuple):
+    """Candidate schemes as numpy columns, one row per (table, candidate).
+
+    Rows run in model order, each table's in enumeration order: TW, RW by
+    ascending k, CW by ascending c, then DP; table t's rows are
+    start[t]:start[t + 1]. Per row: `table` (its position in model.tables),
+    `kind` (the TW/RW/CW/DP code), `num_shards`, `width` (columns per
+    shard), `storage` (bytes of the largest shard, values plus optimizer
+    state, exact in int64) and one shard's `comm_bytes`, `load` and
+    `fixed_latency`.
+    """
+
+    table: np.ndarray
+    kind: np.ndarray
+    num_shards: np.ndarray
+    width: np.ndarray
+    storage: np.ndarray
+    comm_bytes: np.ndarray
+    load: np.ndarray
+    fixed_latency: np.ndarray
+    start: np.ndarray
+
+    @classmethod
+    def of(
+        cls, model: ModelSpec, cluster: ClusterSpec, policy: CandidatePolicy
+    ) -> "CandidateColumns":
+        """Every feasible scheme of every table; raises NoFeasibleScheme for
+        the first table in model order that has none (see _enumerate)."""
+        tc = model.table_columns
+        table, kind, num_shards, width, storage, start = _enumerate(
+            tc, model.tables, cluster, policy
+        )
+        global_batch = model.local_batch * cluster.num_workers
+        costs = _shard_costs(tc, table, kind, num_shards, width, cluster, global_batch)
+        return cls(table, kind, num_shards, width, storage, *costs, start)
+
+    @classmethod
+    def table_wise(
+        cls, model: ModelSpec, cluster: ClusterSpec, flags: CompressionFlags
+    ) -> "CandidateColumns":
+        """One table-wise row per table, whether or not it fits a device:
+        the node-level candidates of hierarchical planning."""
+        tc = model.table_columns
+        T = len(tc.rows)
+        table = np.arange(T)
+        kind = np.full(T, TW, np.int8)
+        num_shards = np.ones(T, np.int64)
+        global_batch = model.local_batch * cluster.num_workers
+        costs = _shard_costs(tc, table, kind, num_shards, tc.dim, cluster, global_batch)
+        storage = table_bytes(tc, flags)
+        return cls(table, kind, num_shards, tc.dim, storage, *costs, np.arange(T + 1))
+
+
+def _schemes(kind: np.ndarray, num_shards: np.ndarray, dim: np.ndarray) -> list[Scheme]:
+    """The Scheme of each candidate row, given its table's `dim`; equal rows
+    share one object."""
+    made: dict[tuple, Scheme] = {}
+    schemes = []
+    for key in zip(kind.tolist(), num_shards.tolist(), dim.tolist()):
+        scheme = made.get(key)
+        if scheme is None:
+            k, n, d = key
+            if k == RW:
+                scheme = Scheme(SchemeKind.ROW_WISE, num_row_shards=n)
+            elif k == CW:
+                scheme = Scheme(SchemeKind.COLUMN_WISE, col_splits=tuple(even_bounds(d, n)))
+            else:
+                scheme = Scheme(_KINDS[k])
+            made[key] = scheme
+        schemes.append(scheme)
+    return schemes
 
 
 def enumerate_candidates(
     table: TableSpec, cluster: ClusterSpec, policy: CandidatePolicy
 ) -> list[Scheme]:
-    """Feasible schemes for one table, in deterministic order.
-
-    Data parallelism is offered only below the policy's size threshold;
-    row/column sharding only when the table cannot fit one device or the
-    policy asks for finer grain.
-    """
-    W = cluster.num_workers
-    device_budget = cluster.hbm_capacity_per_gpu + cluster.dram_capacity_per_gpu
-    full_bytes = table_storage_bytes(table.num_rows, table.dim, table, policy.flags)
-    cluster_total = (
-        W * cluster.hbm_capacity_per_gpu
-        + cluster.num_nodes * cluster.dram_capacity_per_node
+    """Feasible schemes for one table, in enumeration order: its rows of
+    CandidateColumns (see _enumerate)."""
+    _, kind, num_shards, *_ = _enumerate(
+        TableColumns.of((table,)), (table,), cluster, policy
     )
-    if full_bytes > cluster_total:
-        raise NoFeasibleScheme(
-            f"table {table.id} needs {full_bytes} bytes, cluster has {cluster_total}"
-        )
-    fits_device = full_bytes <= device_budget
-    candidates: list[Scheme] = []
-    if fits_device:
-        candidates.append(Scheme(SchemeKind.TABLE_WISE))
-    rw_candidates: list[Scheme] = []
-    if not fits_device or policy.fine_grain:
-        for k in _powers_of_two_up_to(min(W, table.num_rows)):
-            scheme = Scheme(SchemeKind.ROW_WISE, num_row_shards=k)
-            if shard_storage_bytes(table, scheme, policy.flags) <= device_budget:
-                rw_candidates.append(scheme)
-    candidates.extend(rw_candidates)
-    # Column splits serve the fine-grain load-balancing role; for oversized
-    # tables they only step in when rows cannot split (they replicate input
-    # indices and per-row optimizer state, defeating capacity sharding).
-    if policy.fine_grain or (not fits_device and not rw_candidates):
-        for c in _powers_of_two_up_to(min(W, table.dim // MIN_COL_WIDTH)):
-            if table.dim % c:
-                continue
-            scheme = Scheme(
-                SchemeKind.COLUMN_WISE, col_splits=tuple(even_bounds(table.dim, c))
-            )
-            if shard_storage_bytes(table, scheme, policy.flags) <= device_budget:
-                candidates.append(scheme)
-    threshold = policy.dp_threshold_bytes
-    if threshold is None:
-        threshold = cluster.hbm_capacity_per_gpu // 1000
-    if table.num_rows * table.dim * table.elem_bytes <= threshold and fits_device:
-        candidates.append(Scheme(SchemeKind.DATA_PARALLEL))
-    if not candidates:
-        raise NoFeasibleScheme(f"no scheme places table {table.id} on this cluster")
-    return candidates
+    return _schemes(kind, num_shards, np.full(len(kind), table.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -649,16 +822,21 @@ class CostNorms:
     latency: float
 
 
-def cost_norms(costs: Sequence[ShardCost]) -> CostNorms:
-    n = max(len(costs), 1)
-    return CostNorms(
-        comm=sum(c.comm_bytes for c in costs) / n,
-        load=sum(c.load for c in costs) / n,
-        latency=sum(c.fixed_latency for c in costs) / n,
-    )
+def cost_norms(costs) -> CostNorms:
+    """Per-term means over candidate costs: the rows of a CandidateColumns,
+    or a sequence of ShardCost. Each mean adds its terms in row order from 0."""
+    names = ("comm_bytes", "load", "fixed_latency")
+    if isinstance(costs, CandidateColumns):
+        terms = [getattr(costs, name).tolist() for name in names]
+    else:
+        terms = [[getattr(c, name) for c in costs] for name in names]
+    n = max(len(terms[0]), 1)
+    return CostNorms(*(sum(values) / n for values in terms))
 
 
-def scalar_objective(cost: ShardCost, weights: CostWeights, norms: CostNorms) -> float:
+def scalar_objective(cost, weights: CostWeights, norms: CostNorms):
+    """The normalized weighted cost of a ShardCost, or of every row of a
+    CandidateColumns as one array."""
     total = 0.0
     if norms.comm > 0:
         total += weights.w_comm * cost.comm_bytes / norms.comm
@@ -672,13 +850,20 @@ def scalar_objective(cost: ShardCost, weights: CostWeights, norms: CostNorms) ->
 def candidate_costs(
     model: ModelSpec, cluster: ClusterSpec, policy: CandidatePolicy
 ) -> dict[str, list[tuple[Scheme, ShardCost]]]:
-    global_batch = model.local_batch * cluster.num_workers
+    """Each table's candidates with one shard's cost: CandidateColumns.of as
+    objects, keyed by table id."""
+    cands = CandidateColumns.of(model, cluster, policy)
+    schemes = _schemes(cands.kind, cands.num_shards, model.table_columns.dim[cands.table])
+    costs = map(
+        ShardCost,
+        cands.comm_bytes.tolist(),
+        cands.load.tolist(),
+        cands.fixed_latency.tolist(),
+    )
+    rows = list(zip(schemes, costs))
+    start = cands.start.tolist()
     return {
-        t.id: [
-            (scheme, shard_cost(t, scheme, cluster, global_batch))
-            for scheme in enumerate_candidates(t, cluster, policy)
-        ]
-        for t in model.tables
+        t.id: rows[start[i] : start[i + 1]] for i, t in enumerate(model.tables)
     }
 
 
@@ -825,13 +1010,11 @@ def _materialize(table: TableSpec, scheme: Scheme, workers: Sequence[int]) -> Ta
     return TableAssignment(table.id, scheme, shards)
 
 
-def _next_finer(ordered: list, idx: int) -> Optional[int]:
-    """Index of the next candidate that splits into strictly more shards."""
-    current = ordered[idx][0].num_shards
-    for j in range(idx + 1, len(ordered)):
-        if ordered[j][0].num_shards > current:
-            return j
-    return None
+# each kind code's rank by kind name, plan_4d's tie-break between equal
+# aggregates
+_NAME_RANK = np.array(
+    [sorted(k.value for k in SchemeKind).index(k.value) for k in SchemeKind]
+)
 
 
 def plan_4d(
@@ -843,77 +1026,66 @@ def plan_4d(
 ) -> ShardingPlan:
     """Select a scheme per table and place all shards across workers.
 
-    Candidates are ranked by the normalized scalar objective; non-DP shards
-    are partitioned with the chosen heuristic. If the resulting placement
-    fails the memory check, the most memory-hungry offending table is moved
-    to its next finer candidate and placement is retried; a final attempt
-    balances shard bytes instead of the objective.
+    Each table's candidates are ranked by their aggregate: the normalized
+    scalar objective times the shards placed (W for a data-parallel
+    replica). Ties go by kind name, then shard count, then enumeration
+    order: one stable lexsort over every candidate row. Non-DP shards of
+    each table's first-ranked candidate are partitioned with the chosen
+    heuristic. If the resulting placement fails the memory check, the most
+    memory-hungry offending table (ties: the lowest id) is moved to its next
+    ranked candidate with strictly more shards and placement is retried; a
+    final attempt balances shard bytes instead of the objective.
     """
     if heuristic not in HEURISTICS:
         raise InvalidValue("heuristic", f"unknown heuristic {heuristic!r}")
     W = cluster.num_workers
     if not model.tables:
         return ShardingPlan(W, cluster.gpus_per_node, (), heuristic)
-    total_bytes = sum(
-        table_storage_bytes(t.num_rows, t.dim, t, policy.flags) for t in model.tables
-    )
-    cluster_total = (
-        W * cluster.hbm_capacity_per_gpu
-        + cluster.num_nodes * cluster.dram_capacity_per_node
-    )
+    total_bytes = sum(table_bytes(model.table_columns, policy.flags).tolist())
+    cluster_total = _cluster_bytes(cluster)
     if total_bytes > cluster_total:
         raise Infeasible(
             f"model needs {total_bytes} bytes, cluster has {cluster_total}"
         )
     try:
-        cands = candidate_costs(model, cluster, policy)
+        cands = CandidateColumns.of(model, cluster, policy)
     except NoFeasibleScheme as exc:
         raise Infeasible(str(exc)) from None
-    norms = cost_norms([c for lst in cands.values() for _, c in lst])
-
-    def aggregate(entry):
-        # DP replicas charge every worker, so they weigh W times in the
-        # pooled-AlltoAll vs whole-table-AllReduce trade-off
-        scheme, cost = entry
-        multiplier = W if scheme.kind is SchemeKind.DATA_PARALLEL else scheme.num_shards
-        return multiplier * scalar_objective(cost, weights, norms)
-
-    ordered = {
-        tid: sorted(lst, key=lambda e: (aggregate(e), e[0].kind.value, e[0].num_shards))
-        for tid, lst in cands.items()
-    }
-    choice = {tid: 0 for tid in ordered}
-    max_attempts = sum(len(lst) for lst in ordered.values()) + 1
-    plan = None
-    for _ in range(max_attempts):
-        plan = _build_plan(model, cluster, ordered, choice, weights, norms, heuristic)
+    objective = scalar_objective(cands, weights, cost_norms(cands))
+    # DP replicas charge every worker, so they weigh W times in the
+    # pooled-AlltoAll vs whole-table-AllReduce trade-off
+    aggregate = np.where(cands.kind == DP, W, cands.num_shards) * objective
+    ranked = np.lexsort(
+        (cands.num_shards, _NAME_RANK[cands.kind], aggregate, cands.table)
+    )
+    # per ranked position; table t's candidates hold positions start[t]:start[t+1]
+    shards = cands.num_shards[ranked].tolist()
+    storage = cands.storage[ranked].tolist()
+    start = cands.start.tolist()
+    choice = start[:-1]
+    for _ in range(len(ranked) + 1):
+        plan = _place(model, cluster, cands, ranked[choice], objective, heuristic)
         report = memory_check(plan, model, cluster, policy.flags)
         if report.feasible:
             return plan
-        overloaded = {m.worker for m in report.workers if m.tier == "infeasible"}
-        offenders = []
-        for assignment in plan.assignments:
-            if any(s.worker in overloaded for s in assignment.shards):
-                nxt = _next_finer(ordered[assignment.table_id], choice[assignment.table_id])
-                if nxt is not None:
-                    table = model.tables[model.table_index(assignment.table_id)]
-                    scheme, _ = ordered[assignment.table_id][choice[assignment.table_id]]
-                    offenders.append(
-                        (
-                            shard_storage_bytes(table, scheme, policy.flags),
-                            assignment.table_id,
-                            nxt,
-                        )
-                    )
-        if not offenders:
+        overloaded = [m.worker for m in report.workers if m.tier == "infeasible"]
+        cols = plan.shard_columns
+        offenders = set(cols.assignment[np.isin(cols.worker, overloaded)].tolist())
+        move = None  # (-storage, table id, table, next position) of the pick
+        for t in offenders:
+            j = choice[t]
+            finer = (i for i in range(j + 1, start[t + 1]) if shards[i] > shards[j])
+            nxt = next(finer, None)
+            if nxt is not None:
+                key = (-storage[j], model.tables[t].id, t, nxt)
+                move = key if move is None else min(move, key)
+        if move is None:
             break
-        offenders.sort(key=lambda o: (-o[0], o[1]))
-        _, tid, nxt = offenders[0]
-        choice[tid] = nxt
+        _, _, t, nxt = move
+        choice[t] = nxt
     # last resort: balance bytes rather than the objective
-    plan = _build_plan(
-        model, cluster, ordered, choice, weights, norms, heuristic, by_memory=policy
-    )
+    by_memory = cands.storage.astype(np.float64)
+    plan = _place(model, cluster, cands, ranked[choice], by_memory, heuristic)
     report = memory_check(plan, model, cluster, policy.flags)
     if report.feasible:
         return plan
@@ -924,47 +1096,40 @@ def plan_4d(
     )
 
 
-def _build_plan(
+def _place(
     model: ModelSpec,
     cluster: ClusterSpec,
-    ordered: dict,
-    choice: dict,
-    weights: CostWeights,
-    norms: CostNorms,
+    cands: CandidateColumns,
+    rows: np.ndarray,
+    item_costs: np.ndarray,
     heuristic: str,
-    by_memory: Optional[CandidatePolicy] = None,
 ) -> ShardingPlan:
-    W = cluster.num_workers
-    items = []
-    shard_refs = {}
-    dp_tables = []
-    for table in model.tables:
-        scheme, cost = ordered[table.id][choice[table.id]]
-        if scheme.kind is SchemeKind.DATA_PARALLEL:
-            dp_tables.append((table, scheme))
-            continue
-        if by_memory is not None:
-            per_shard = float(shard_storage_bytes(table, scheme, by_memory.flags))
-        else:
-            per_shard = scalar_objective(cost, weights, norms)
-        for i in range(scheme.num_shards):
-            uid = f"{table.id}#{i}"
-            items.append((uid, per_shard))
-            shard_refs[uid] = (table, scheme, i)
-    assign = HEURISTICS[heuristic](items, W)
-    workers_by_table: dict[str, list[int]] = {}
-    for uid, worker in assign.items():
-        table, scheme, i = shard_refs[uid]
-        workers_by_table.setdefault(table.id, [None] * scheme.num_shards)
-        workers_by_table[table.id][i] = worker
+    """The plan of one chosen candidate row per table (model order): each
+    non-DP shard i of table t is the partition item "<t's id>#<i>" costing
+    item_costs[row]; DP tables are replicated."""
+    tables = model.tables
+    kinds = cands.kind[rows].tolist()
+    counts = cands.num_shards[rows].tolist()
+    items = [
+        (f"{table.id}#{i}", cost)
+        for table, kind, n, cost in zip(tables, kinds, counts, item_costs[rows].tolist())
+        if kind != DP
+        for i in range(n)
+    ]
+    assign = HEURISTICS[heuristic](items, cluster.num_workers)
+    workers = [assign[uid] for uid, _ in items]
+    schemes = _schemes(cands.kind[rows], cands.num_shards[rows], model.table_columns.dim)
     assignments = []
-    for table in model.tables:
-        scheme, _ = ordered[table.id][choice[table.id]]
-        if scheme.kind is SchemeKind.DATA_PARALLEL:
+    pos = 0
+    for table, scheme, kind, n in zip(tables, schemes, kinds, counts):
+        if kind == DP:
             assignments.append(_materialize(table, scheme, []))
         else:
-            assignments.append(_materialize(table, scheme, workers_by_table[table.id]))
-    return ShardingPlan(W, cluster.gpus_per_node, tuple(assignments), heuristic)
+            assignments.append(_materialize(table, scheme, workers[pos : pos + n]))
+            pos += n
+    return ShardingPlan(
+        cluster.num_workers, cluster.gpus_per_node, tuple(assignments), heuristic
+    )
 
 
 def hierarchical_plan(
@@ -984,27 +1149,24 @@ def hierarchical_plan(
     W = cluster.num_workers
     if not model.tables:
         return ShardingPlan(W, cluster.gpus_per_node, (), "kk")
-    global_batch = model.local_batch * W
-    tw_costs = {
-        t.id: shard_cost(t, Scheme(SchemeKind.TABLE_WISE), cluster, global_batch)
-        for t in model.tables
-    }
-    norms = cost_norms(list(tw_costs.values()))
-    items = [
-        (t.id, scalar_objective(tw_costs[t.id], weights, norms)) for t in model.tables
-    ]
+    tw = CandidateColumns.table_wise(model, cluster, policy.flags)
+    objective = scalar_objective(tw, weights, cost_norms(tw))
+    items = list(zip([t.id for t in model.tables], objective.tolist()))
     node_of_table = karmarkar_karp_partition(items, cluster.num_nodes)
     gpn = cluster.gpus_per_node
-    assignments = []
-    for table in model.tables:
-        first = node_of_table[table.id] * gpn
-        k = min(gpn, table.num_rows)
-        scheme = Scheme(
+    schemes = {
+        k: Scheme(
             SchemeKind.ROW_WISE,
             num_row_shards=k,
             hierarchical=(SchemeKind.TABLE_WISE, SchemeKind.ROW_WISE),
         )
-        assignments.append(_materialize(table, scheme, range(first, first + k)))
+        for k in set(np.minimum(model.table_columns.rows, gpn).tolist())
+    }
+    assignments = []
+    for table in model.tables:
+        first = node_of_table[table.id] * gpn
+        k = min(gpn, table.num_rows)
+        assignments.append(_materialize(table, schemes[k], range(first, first + k)))
     plan = ShardingPlan(W, gpn, tuple(assignments), "kk")
     report = memory_check(plan, model, cluster, policy.flags)
     if not report.feasible:

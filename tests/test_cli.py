@@ -390,6 +390,8 @@ class TestReportCommand:
             ({"body": {"components_ms": [1]}}, "csv"),
             ({"body": {"components_ms": {"emb": 1}}}, "csv"),
             ({"body": {"components_ms": {"emb": {"serialized": 1.0}}}}, "csv"),
+            ({"body": {"passed": True}}, "csv"),
+            ({}, "csv"),
         ],
     )
     def test_malformed_report_is_input_error(self, tmp_path, capsys, doc, fmt):
@@ -418,7 +420,7 @@ class TestManifest:
         doc = json.loads((tmp_path / "simulate.json").read_text())
         manifest = doc["manifest"]
         assert manifest["command"] == "simulate"
-        assert manifest["seed"] == 0
+        assert manifest["seed"] is None
         assert len(manifest["inputs"]) == 2
         for digest in manifest["inputs"].values():
             assert len(digest) == 64
@@ -432,6 +434,7 @@ class TestInputHardening:
             (["simulate", "--hit-rate", "abc"], "argument --hit-rate: invalid float value: 'abc'"),
             (["plan", "--seed", "3"], "unrecognized arguments: --seed 3"),
             (["plan", "--format", "csv"], "unrecognized arguments: --format csv"),
+            (["simulate", "--seed", "3"], "unrecognized arguments: --seed 3"),
         ],
     )
     def test_usage_error_exit_one(self, tmp_path, capsys, argv, message):

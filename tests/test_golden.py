@@ -15,7 +15,12 @@ cache` report digests were captured at commit 0d16fd5, from the list-scan
 replay, before each set became a recency-ordered dict. The shrunk
 small-cluster digests (model_a sweeps over 1, 2 and 4 nodes, and its
 hierarchical plan shrunk to 2 nodes) were captured at commit e11129a, before
-the per-worker sums moved onto per-plan shard columns. Any change that moves a digest
+the per-worker sums moved onto per-plan shard columns. The load-only
+fine-grain plans of model_a (greedy and KK) and model_i, model_i's
+fine-grain KK plan, model_a's element-wise-state plan and model_f's
+element-wise-state infeasibility message were captured at commit a25a10b,
+before the planner scored every table's candidates as columns in one pass.
+Any change that moves a digest
 changes what neosim prints or computes; a pure performance change must
 leave every digest as it is.
 """
@@ -111,6 +116,29 @@ GOLDEN = {
         "b2d1ee2a720dfa99f2a9fef9399a26daef7d010802b7be27bb0c92959b80bc22",
         "800ef9c86f52c4b2c68c98b2248b70b74dc79dbdf90fa4c9429f26007f7970bc",
     ),
+    # load-only ranking: 125 row-wise and 875 column-wise tables, and
+    # table-wise and column-wise aggregates can tie
+    ("model_a", ("--weights", "0,1,0", "--fine-grain")): (
+        "759679a3dcd79b0a1e1d4ae44ea6ab7e5a6eeefcc14686e04dd38a6596b54e88",
+        "25c1160ad179ca1d2bc365cc53148a8a1b643241e5f21eb52a75b84af5435079",
+    ),
+    ("model_a", ("--weights", "0,1,0", "--fine-grain", "--heuristic", "kk")): (
+        "bfac04529bba932ff34c208d2757f7daa985d4254f3a35ddf61619415a77b937",
+        "31888a2e0dfa2c87e8d7877c421dc04795ca4dc57f5e531e2e2af7800625f7d6",
+    ),
+    # 100 column-wise tables
+    ("model_i", ("--weights", "0,1,0", "--fine-grain")): (
+        "8e30b85bb071ce3d41dcad8250b39abe53cc7a38c8ec9b809d85567ae59bf9ed",
+        "f0ace13f50e37213deda17d1523427a30d89c7ea96e86896f620ceaef8641035",
+    ),
+    ("model_i", ("--fine-grain", "--heuristic", "kk")): (
+        "b2d1ee2a720dfa99f2a9fef9399a26daef7d010802b7be27bb0c92959b80bc22",
+        "800ef9c86f52c4b2c68c98b2248b70b74dc79dbdf90fa4c9429f26007f7970bc",
+    ),
+    ("model_a", ("--elementwise-state",)): (
+        "b04f57230ca3ff9d276a36806de3761d544a8bf9400fdf0503679ff963a5bae4",
+        "2ea98020d415d2288816b165a20747327653c29ca5d3b68eb355eb3245812b45",
+    ),
 }
 
 SIM_ONLY = ("--a2a-fwd-precision", "--a2a-bwd-precision")
@@ -158,10 +186,25 @@ def golden_digests(tmp_path, model, flags):
         "f-kk",
         "f-kk-fine_grain",
         "i-kk",
+        "a-load_only-fine_grain",
+        "a-load_only-fine_grain-kk",
+        "i-load_only-fine_grain",
+        "i-kk-fine_grain",
+        "a-elementwise_state",
     ],
 )
 def test_golden_plan_and_simulate(tmp_path, capsys, model, flags):
     assert golden_digests(tmp_path, model, flags) == GOLDEN[(model, flags)]
+
+
+def test_golden_infeasible_message(tmp_path, capsys):
+    """model_f with element-wise optimizer state outgrows the cluster."""
+    model_path = str(data_path("model_f.json"))
+    args = ["plan", "--model", model_path, "--cluster", CLUSTER, "--elementwise-state"]
+    assert main([*args, "--out", str(tmp_path / "plan.json")]) == 2
+    assert capsys.readouterr().err == (
+        "infeasible: model needs 72000000000000 bytes, cluster has 29120000000000\n"
+    )
 
 
 # heuristic -> SHA-256 of plan_to_json (with the workers block) of the desk plan
