@@ -46,10 +46,6 @@ class CacheConfig:
             ) from None
         object.__setattr__(self, "policy", policy)
 
-    @property
-    def capacity_rows(self) -> int:
-        return self.num_sets * self.ways
-
 
 @dataclass(frozen=True)
 class AccessResult:

@@ -157,7 +157,7 @@ def cmd_plan(args) -> int:
     Path(args.out).write_text(text)
     report = memory_check(plan, model, cluster, policy.flags)
     vol = volume_forward_alltoall(plan, model, plan.num_workers)
-    print(f"plan written to {args.out} ({len(plan.assignments)} tables, "
+    print(f"plan written to {args.out} ({len(plan.shard_columns.table_ids)} tables, "
           f"{plan.num_workers} workers)")
     print(f"{'worker':>6} {'memory_gb':>10} {'tier':>9} {'a2a_send_mb':>12}")
     for m in report.workers:

@@ -185,10 +185,6 @@ class ModelSpec:
         return self.total_dim / self.num_tables if self.tables else 0.0
 
     @property
-    def total_pooling(self) -> float:
-        return sum(t.avg_pooling for t in self.tables)
-
-    @property
     def bottom_mlp_flops_per_sample(self) -> float:
         return sum(2.0 * i * o for i, o in self.bottom_mlp_layers)
 

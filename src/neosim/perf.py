@@ -30,7 +30,7 @@ from .comms import (
     volume_input_alltoall,
 )
 from .errors import Infeasible, InvalidValue
-from .model import ClusterSpec, ModelSpec, Precision
+from .model import ClusterSpec, ModelSpec, Precision, TableSpec
 from .planner import (
     DP,
     CandidatePolicy,
@@ -457,7 +457,15 @@ def shrink_to_fit(
         return model
     factor = budget / heaviest
     tables = tuple(
-        replace(t, num_rows=max(1, int(t.num_rows * factor))) for t in model.tables
+        TableSpec(
+            t.id,
+            max(1, int(t.num_rows * factor)),
+            t.dim,
+            t.avg_pooling,
+            t.value_precision,
+            t.index_skew,
+        )
+        for t in model.tables
     )
     return replace(model, tables=tables)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import add, is_, itemgetter, neg
+from operator import add, is_, is_not, itemgetter, neg
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -39,7 +39,6 @@ from .model import (
     _as_dict,
     _as_int,
     _check_version,
-    frozen_array,
     _load_json,
     _reject_unknown,
     _take,
@@ -72,13 +71,6 @@ class Scheme:
         if self.kind is SchemeKind.COLUMN_WISE:
             return len(self.col_splits)
         return 1
-
-    def describe(self) -> str:
-        if self.kind is SchemeKind.ROW_WISE:
-            return f"row_wise(k={self.num_row_shards})"
-        if self.kind is SchemeKind.COLUMN_WISE:
-            return f"column_wise(c={len(self.col_splits)})"
-        return self.kind.value
 
 
 @dataclass(frozen=True)
@@ -159,24 +151,30 @@ TW, RW, CW, DP = (
 class ShardColumns(NamedTuple):
     """A plan's shards as read-only numpy columns, in plan order.
 
-    Per shard: `assignment` (the position of its assignment), `kind` (its
-    scheme's code: TW, RW, CW or DP), `num_shards` (its assignment's
-    shard count), `hierarchical`, `worker` (-1 for a data-parallel replica)
-    and `rows`/`cols` as (start, end) pairs whose end is FULL_EXTENT when the
-    shard spans the axis. `dest`/`src` list every (worker, shard) charge in
+    Per assignment: `table_ids` and `schemes`. Per shard: `assignment` (the
+    position of its assignment), `kind` (its scheme's code: TW, RW, CW or
+    DP), `num_shards` (its assignment's shard count), `hierarchical`,
+    `worker` (-1 for a data-parallel replica), `replica` (the shard has no
+    worker), `rows`/`cols` as (start, end) pairs whose end is FULL_EXTENT
+    when the shard spans the axis, and `has_rows`/`has_cols` (the shard
+    carries that bound). `dest`/`src` list every (worker, shard) charge in
     plan order, a replica once per worker at its own plan position, so
     per_worker sums any per-shard value in the order a loop over
     `plan.assignments` and their shards adds it.
     """
 
-    table_ids: tuple[str, ...]  # per assignment
+    table_ids: tuple[str, ...]
+    schemes: tuple[Scheme, ...]
     assignment: np.ndarray
     kind: np.ndarray
     num_shards: np.ndarray
     hierarchical: np.ndarray
     worker: np.ndarray
+    replica: np.ndarray
     rows: np.ndarray
+    has_rows: np.ndarray
     cols: np.ndarray
+    has_cols: np.ndarray
     dest: np.ndarray
     src: np.ndarray
     # max - min over every row (column) bound, 0 if none: no shard's extent
@@ -186,50 +184,102 @@ class ShardColumns(NamedTuple):
 
     @classmethod
     def of(cls, plan: "ShardingPlan") -> "ShardColumns":
+        """The columns of a plan built from TableAssignments: one walk over
+        its shards."""
         assignments = plan.assignments
-        counts = [len(a.shards) for a in assignments]
         shards = [s for a in assignments for s in a.shards]
         n = len(shards)
-        assignment = np.repeat(np.arange(len(assignments)), counts)
-
-        def per_shard(values, dtype):
-            return frozen_array(np.asarray(values, dtype=dtype)[assignment], dtype)
-
         workers = [s.worker for s in shards]
-        replica = np.fromiter(map(is_, workers, repeat(None)), bool, n)
-        if replica.any():
-            workers = [-1 if w is None else w for w in workers]
-        worker = _int64_column(workers, n, "worker")
-        rows = _bounds_column([s.rows for s in shards], "rows")
-        cols = _bounds_column([s.cols for s in shards], "cols")
-        # every charge in plan order: a replica expands to workers 0..W-1
-        W = plan.num_workers
-        charges = np.where(replica, W, 1)
-        src = np.repeat(np.arange(n), charges)
-        dest = worker[src]
-        expanded = replica[src]
-        dest[expanded] = np.tile(np.arange(W), int(replica.sum()))
-        return cls(
-            table_ids=tuple(a.table_id for a in assignments),
-            assignment=frozen_array(assignment, np.int64),
-            kind=per_shard([_KIND_CODE[a.scheme.kind] for a in assignments], np.int8),
-            num_shards=per_shard(counts, np.int64),
-            hierarchical=per_shard(
-                [a.scheme.hierarchical is not None for a in assignments], bool
-            ),
-            worker=worker,
+        rows, has_rows = _bounds_column([s.rows for s in shards], "rows")
+        cols, has_cols = _bounds_column([s.cols for s in shards], "cols")
+        schemes = tuple(a.scheme for a in assignments)
+        return cls.build(
+            tuple(a.table_id for a in assignments),
+            schemes,
+            np.array([_KIND_CODE[s.kind] for s in schemes], np.int8),
+            np.array([s.hierarchical is not None for s in schemes], bool),
+            np.array([len(a.shards) for a in assignments], np.int64),
+            plan.num_workers,
+            worker=_int64_column((-1 if w is None else w for w in workers), n, "worker"),
+            replica=np.fromiter(map(is_, workers, repeat(None)), bool, n),
             rows=rows,
+            has_rows=has_rows,
             cols=cols,
-            dest=frozen_array(dest, np.int64),
-            src=frozen_array(src, np.int64),
-            row_span=_span(rows),
-            col_span=_span(cols),
+            has_cols=has_cols,
+        )
+
+    @classmethod
+    def build(
+        cls, table_ids, schemes, kind, hierarchical, num_shards, num_workers, **shards
+    ) -> "ShardColumns":
+        """Columns from each assignment's id, scheme, kind code, hierarchical
+        flag and shard count, and the per-shard columns `shards` (worker,
+        replica, rows, has_rows, cols, has_cols) in plan order."""
+        assignment = np.repeat(np.arange(len(table_ids)), num_shards)
+        # every charge in plan order: a replica expands to workers 0..W-1
+        W, replica = num_workers, shards["replica"]
+        src = np.repeat(np.arange(len(assignment)), np.where(replica, W, 1))
+        dest = shards["worker"][src]
+        dest[replica[src]] = np.tile(np.arange(W), int(replica.sum()))
+        arrays = dict(
+            shards,
+            assignment=assignment,
+            kind=kind[assignment],
+            num_shards=num_shards[assignment],
+            hierarchical=hierarchical[assignment],
+            dest=dest,
+            src=src,
+        )
+        for array in arrays.values():
+            array.flags.writeable = False
+        return cls(
+            table_ids,
+            schemes,
+            row_span=_span(arrays["rows"]),
+            col_span=_span(arrays["cols"]),
+            **arrays,
         )
 
     @property
     def charges(self) -> int:
         """(worker, shard) pairs charged: a replica counts once per worker."""
         return len(self.dest)
+
+    def ends(self) -> np.ndarray:
+        """Where each assignment's shards end: assignment i holds shards
+        ends[i - 1]:ends[i] (0:ends[0] for the first)."""
+        return np.cumsum(np.bincount(self.assignment, minlength=len(self.table_ids)))
+
+    def per_shard(self, make) -> list:
+        """make(worker, rows, cols) of each shard in plan order, None for a
+        replica's worker and for a bound the shard lacks; equal shards share
+        one result."""
+        layout = (self.replica + 2 * self.has_rows + 4 * self.has_cols).tolist()
+        made = {}
+        out = []
+        bounds = (*self.rows.T.tolist(), *self.cols.T.tolist())
+        for key in zip(layout, self.worker.tolist(), *bounds):
+            value = made.get(key)
+            if value is None:
+                code, w, r0, r1, c0, c1 = key
+                value = made[key] = make(
+                    None if code & 1 else w,
+                    (r0, r1) if code & 2 else None,
+                    (c0, c1) if code & 4 else None,
+                )
+            out.append(value)
+        return out
+
+    def table_assignments(self) -> tuple[TableAssignment, ...]:
+        """The assignments these columns hold; equal shards share one Shard."""
+        shards = self.per_shard(Shard)
+        ends = self.ends().tolist()
+        return tuple(
+            TableAssignment(table_id, scheme, tuple(shards[start:end]))
+            for table_id, scheme, start, end in zip(
+                self.table_ids, self.schemes, [0, *ends], ends
+            )
+        )
 
     def tables(self, model: ModelSpec) -> np.ndarray:
         """Each shard's position in `model.tables`."""
@@ -280,42 +330,68 @@ def _span(bounds: np.ndarray) -> int:
 
 def _int64_column(values, count: int, name: str) -> np.ndarray:
     try:
-        column = np.fromiter(values, np.int64, count)
+        return np.fromiter(values, np.int64, count)
     except OverflowError:
         raise InvalidValue(f"shards.{name}", "must fit in int64") from None
-    column.flags.writeable = False
-    return column
 
 
-def _bounds_column(bounds: list, name: str) -> np.ndarray:
-    """(start, end) pairs as an (n, 2) array; None ends at FULL_EXTENT."""
+def _bounds_column(bounds: list, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(start, end) pairs as an (n, 2) array, None as (0, FULL_EXTENT), and
+    whether each pair is given."""
     n = len(bounds)
-    full = (0, FULL_EXTENT)
-    spans = bounds.count(None)
-    if spans == n:
-        return frozen_array(np.tile(full, (n, 1)), np.int64)
-    if spans:
-        bounds = [full if b is None else b for b in bounds]
-    return _int64_column(chain.from_iterable(bounds), 2 * n, name).reshape(n, 2)
+    pairs = chain.from_iterable((0, FULL_EXTENT) if b is None else b for b in bounds)
+    given = np.fromiter(map(is_not, bounds, repeat(None)), bool, n)
+    return _int64_column(pairs, 2 * n, name).reshape(n, 2), given
 
 
 @dataclass(frozen=True)
 class ShardingPlan:
+    """Which scheme each table takes and where each of its shards goes.
+
+    A plan built from TableAssignments reads their shards into
+    `shard_columns` once. The planners build theirs from columns
+    (from_columns): `assignments` is then a view of the columns, built on
+    first access, so a plan that is only serialized, validated and simulated
+    builds no Shard. Equality, hash, repr, pickling and dataclasses.replace
+    read `assignments`, so they behave the same for both.
+    """
+
     num_workers: int
     gpus_per_node: int
     assignments: tuple[TableAssignment, ...]
     heuristic: str = "greedy"
-    # table id -> its first assignment, and the shard columns; derived, so
-    # outside eq/hash/repr
-    _by_table: dict[str, TableAssignment] = field(
-        init=False, repr=False, compare=False
-    )
+    # derived, so outside eq/hash/repr
     shard_columns: ShardColumns = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        by_table = {a.table_id: a for a in reversed(self.assignments)}
-        object.__setattr__(self, "_by_table", by_table)
         object.__setattr__(self, "shard_columns", ShardColumns.of(self))
+
+    @classmethod
+    def from_columns(
+        cls, num_workers: int, gpus_per_node: int, columns: ShardColumns, heuristic: str
+    ) -> "ShardingPlan":
+        """A plan holding `columns` (built for `num_workers`) alone."""
+        plan = object.__new__(cls)
+        object.__setattr__(plan, "num_workers", num_workers)
+        object.__setattr__(plan, "gpus_per_node", gpus_per_node)
+        object.__setattr__(plan, "heuristic", heuristic)
+        object.__setattr__(plan, "shard_columns", columns)
+        return plan
+
+    def __getattr__(self, name):
+        # reached only for what is not set yet: a column-built plan's
+        # assignments, and the table index of any plan
+        if name == "assignments":
+            value = self.shard_columns.table_assignments()
+        elif name == "_by_table":
+            # table id -> its first assignment
+            value = {a.table_id: a for a in reversed(self.assignments)}
+        else:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        object.__setattr__(self, name, value)
+        return value
 
     def __reduce__(self):
         # rebuild the derived fields, so unpickled arrays stay read-only
@@ -327,15 +403,17 @@ class ShardingPlan:
         return self._by_table[table_id]
 
 
+def _even_edges(i, extent, parts):
+    """Where range i of even_bounds(extent, parts) starts, and range i - 1
+    ends; elementwise over numpy arrays."""
+    return i * (extent // parts) + np.minimum(i, extent % parts)
+
+
 def even_bounds(extent: int, parts: int) -> list[tuple[int, int]]:
-    """Split [0, extent) into `parts` contiguous near-equal ranges."""
-    base, rem = divmod(extent, parts)
-    bounds, start = [], 0
-    for i in range(parts):
-        end = start + base + (1 if i < rem else 0)
-        bounds.append((start, end))
-        start = end
-    return bounds
+    """Split [0, extent) into `parts` contiguous near-equal ranges: the
+    first extent % parts ranges hold one more than the rest."""
+    edges = _even_edges(np.arange(parts + 1), extent, parts).tolist()
+    return list(zip(edges, edges[1:]))
 
 
 def validate_scheme(table: TableSpec, scheme: Scheme) -> None:
@@ -992,22 +1070,53 @@ def memory_check(
 # plan construction
 
 
-def _materialize(table: TableSpec, scheme: Scheme, workers: Sequence[int]) -> TableAssignment:
-    if scheme.kind is SchemeKind.DATA_PARALLEL:
-        return TableAssignment(table.id, scheme, (Shard(worker=None),))
-    if scheme.kind is SchemeKind.TABLE_WISE:
-        return TableAssignment(table.id, scheme, (Shard(worker=workers[0]),))
-    if scheme.kind is SchemeKind.ROW_WISE:
-        bounds = even_bounds(table.num_rows, scheme.num_row_shards)
-        shards = tuple(
-            Shard(worker=workers[i], rows=bounds[i]) for i in range(len(bounds))
-        )
-        return TableAssignment(table.id, scheme, shards)
-    shards = tuple(
-        Shard(worker=workers[i], cols=scheme.col_splits[i])
-        for i in range(len(scheme.col_splits))
+def _placed_columns(
+    model: ModelSpec,
+    schemes: Sequence[Scheme],
+    kind: np.ndarray,
+    hierarchical: np.ndarray,
+    num_shards: np.ndarray,
+    workers,
+    num_workers: int,
+) -> ShardColumns:
+    """The columns of one assignment per table of `model`, in model order:
+    table t takes schemes[t] (kind code kind[t]) with num_shards[t] shards,
+    and `workers` holds every non-DP shard's worker in plan order. Row-wise
+    shard i of k holds rows even_bounds(H, k)[i]; column-wise shard i of c
+    holds columns even_bounds(D, c)[i]."""
+    tc = model.table_columns
+    assignment = np.repeat(np.arange(len(kind)), num_shards)
+    k = kind[assignment]
+    n = num_shards[assignment]
+    i = np.arange(len(assignment)) - (np.cumsum(num_shards) - num_shards)[assignment]
+    replica = k == DP
+    worker = np.full(len(assignment), -1, np.int64)
+    worker[~replica] = workers
+    has_rows = k == RW
+    has_cols = k == CW
+    return ShardColumns.build(
+        tuple(t.id for t in model.tables),
+        tuple(schemes),
+        kind,
+        hierarchical,
+        num_shards,
+        num_workers,
+        worker=worker,
+        replica=replica,
+        rows=_even_bounds_column(tc.rows[assignment], n, i, has_rows),
+        has_rows=has_rows,
+        cols=_even_bounds_column(tc.dim[assignment], n, i, has_cols),
+        has_cols=has_cols,
     )
-    return TableAssignment(table.id, scheme, shards)
+
+
+def _even_bounds_column(extent, parts, i, bounded) -> np.ndarray:
+    """(start, end) of range i of even_bounds(extent, parts), elementwise,
+    where `bounded`; (0, FULL_EXTENT) elsewhere."""
+    bounds = np.stack(
+        (_even_edges(i, extent, parts), _even_edges(i + 1, extent, parts)), axis=1
+    )
+    return np.where(bounded[:, None], bounds, (0, FULL_EXTENT))
 
 
 # each kind code's rank by kind name, plan_4d's tie-break between equal
@@ -1107,29 +1216,28 @@ def _place(
     """The plan of one chosen candidate row per table (model order): each
     non-DP shard i of table t is the partition item "<t's id>#<i>" costing
     item_costs[row]; DP tables are replicated."""
-    tables = model.tables
-    kinds = cands.kind[rows].tolist()
-    counts = cands.num_shards[rows].tolist()
+    kind = cands.kind[rows]
+    num_shards = cands.num_shards[rows]
     items = [
         (f"{table.id}#{i}", cost)
-        for table, kind, n, cost in zip(tables, kinds, counts, item_costs[rows].tolist())
-        if kind != DP
+        for table, k, n, cost in zip(
+            model.tables, kind.tolist(), num_shards.tolist(), item_costs[rows].tolist()
+        )
+        if k != DP
         for i in range(n)
     ]
-    assign = HEURISTICS[heuristic](items, cluster.num_workers)
-    workers = [assign[uid] for uid, _ in items]
-    schemes = _schemes(cands.kind[rows], cands.num_shards[rows], model.table_columns.dim)
-    assignments = []
-    pos = 0
-    for table, scheme, kind, n in zip(tables, schemes, kinds, counts):
-        if kind == DP:
-            assignments.append(_materialize(table, scheme, []))
-        else:
-            assignments.append(_materialize(table, scheme, workers[pos : pos + n]))
-            pos += n
-    return ShardingPlan(
-        cluster.num_workers, cluster.gpus_per_node, tuple(assignments), heuristic
+    W = cluster.num_workers
+    assign = HEURISTICS[heuristic](items, W)
+    columns = _placed_columns(
+        model,
+        _schemes(kind, num_shards, model.table_columns.dim),
+        kind,
+        np.zeros(len(rows), bool),
+        num_shards,
+        [assign[uid] for uid, _ in items],
+        W,
     )
+    return ShardingPlan.from_columns(W, cluster.gpus_per_node, columns, heuristic)
 
 
 def hierarchical_plan(
@@ -1154,20 +1262,30 @@ def hierarchical_plan(
     items = list(zip([t.id for t in model.tables], objective.tolist()))
     node_of_table = karmarkar_karp_partition(items, cluster.num_nodes)
     gpn = cluster.gpus_per_node
+    # table t holds k = min(gpn, H) row shards, shard i on GPU i of its node
+    k = np.minimum(model.table_columns.rows, gpn)
+    counts = k.tolist()
     schemes = {
-        k: Scheme(
+        n: Scheme(
             SchemeKind.ROW_WISE,
-            num_row_shards=k,
+            num_row_shards=n,
             hierarchical=(SchemeKind.TABLE_WISE, SchemeKind.ROW_WISE),
         )
-        for k in set(np.minimum(model.table_columns.rows, gpn).tolist())
+        for n in set(counts)
     }
-    assignments = []
-    for table in model.tables:
-        first = node_of_table[table.id] * gpn
-        k = min(gpn, table.num_rows)
-        assignments.append(_materialize(table, schemes[k], range(first, first + k)))
-    plan = ShardingPlan(W, gpn, tuple(assignments), "kk")
+    # node * gpn + i is that GPU, i the shard's plan position less t's first
+    first = np.array([node_of_table[tid] * gpn for tid, _ in items]) - (np.cumsum(k) - k)
+    T = len(counts)
+    columns = _placed_columns(
+        model,
+        list(map(schemes.__getitem__, counts)),
+        np.full(T, RW, np.int8),
+        np.ones(T, bool),
+        k,
+        np.repeat(first, k) + np.arange(int(k.sum())),
+        W,
+    )
+    plan = ShardingPlan.from_columns(W, gpn, columns, "kk")
     report = memory_check(plan, model, cluster, policy.flags)
     if not report.feasible:
         worst = max(report.workers, key=lambda m: m.total_bytes)
@@ -1189,76 +1307,102 @@ def validate_plan(plan: ShardingPlan, model: ModelSpec) -> None:
     one shard without bounds. Row-wise shards carry row bounds only, one per
     row shard of the scheme, tiling [0, H). Column-wise shards carry column
     bounds only, tiling [0, D) in exactly the scheme's column splits.
+
+    Each rule is a pass over the shard columns. The error names the first
+    assignment in plan order that breaks a rule, and the first rule in the
+    order below that it breaks; tables left unassigned come last.
     """
-    seen = set()
-    table_by_id = {t.id: t for t in model.tables}
-    for assignment in plan.assignments:
-        tid = assignment.table_id
-        table = table_by_id.get(tid)
-        if table is None:
-            raise InvalidScheme(f"plan names unknown table {tid}")
-        if tid in seen:
-            raise InvalidScheme(f"table {tid} assigned twice")
-        seen.add(tid)
-        scheme = assignment.scheme
-        kind = scheme.kind
-        shards = assignment.shards
-        if kind is SchemeKind.TABLE_WISE or kind is SchemeKind.DATA_PARALLEL:
-            if len(shards) != 1:
-                raise InvalidScheme(f"{tid}: expected a single shard")
-            (shard,) = shards
-            if (shard.worker is None) != (kind is SchemeKind.DATA_PARALLEL):
-                raise InvalidScheme(f"{tid}: replicated shard only valid for DP")
-            if shard.worker is not None and not 0 <= shard.worker < plan.num_workers:
-                raise InvalidScheme(f"{tid}: worker {shard.worker} out of range")
-            if shard.rows is not None or shard.cols is not None:
-                raise InvalidScheme(f"{tid}: bounds on a {kind.value} shard")
-            continue
-        workers = [s.worker for s in shards]
-        if None in workers:
-            raise InvalidScheme(f"{tid}: replicated shard only valid for DP")
-        if workers and (min(workers) < 0 or max(workers) >= plan.num_workers):
-            bad = next(w for w in workers if not 0 <= w < plan.num_workers)
-            raise InvalidScheme(f"{tid}: worker {bad} out of range")
-        if kind is SchemeKind.ROW_WISE:
-            if any(s.cols is not None for s in shards):
-                raise InvalidScheme(f"{tid}: column bounds on a row-wise shard")
-            rows = [s.rows for s in shards]
-            if None in rows:
-                raise InvalidScheme(f"{tid}: row shard missing bounds")
-            if len(rows) != scheme.num_row_shards:
-                raise InvalidScheme(
-                    f"{tid}: {len(rows)} row shards, scheme has {scheme.num_row_shards}"
-                )
-            rows.sort()
-            _check_tiling(tid, "row", rows, table.num_rows)
-        else:
-            if any(s.rows is not None for s in shards):
-                raise InvalidScheme(f"{tid}: row bounds on a column-wise shard")
-            cols = [s.cols for s in shards]
-            if None in cols:
-                raise InvalidScheme(f"{tid}: column shard missing bounds")
-            cols.sort()
-            _check_tiling(tid, "column", cols, table.dim)
-            if cols != list(scheme.col_splits):
-                raise InvalidScheme(
-                    f"{tid}: column shards differ from the scheme's column splits"
-                )
-    missing = set(table_by_id) - seen
-    if missing:
+    cols = plan.shard_columns
+    ids, schemes, a = cols.table_ids, cols.schemes, cols.assignment
+    A = len(ids)
+    table = np.fromiter(map(model._table_pos.get, ids, repeat(-1)), np.int64, A)
+    first = {}
+    twice = np.fromiter((first.setdefault(t, i) != i for i, t in enumerate(ids)), bool, A)
+    counts = np.bincount(a, minlength=A)
+    kind = np.zeros(A, np.int8)
+    kind[a] = cols.kind
+    for i in np.flatnonzero(counts == 0).tolist():  # no shard holds its code
+        kind[i] = _KIND_CODE[schemes[i].kind]
+    single = (kind == TW) | (kind == DP)
+    split = ~single
+    row = kind == RW
+    ends = np.cumsum(counts)
+    starts = ends - counts
+
+    def any_shard(mask):  # per assignment: whether any of its shards meets `mask`
+        return np.bincount(a[mask], minlength=A) > 0
+
+    W = plan.num_workers
+    out_of_range = ~cols.replica & ((cols.worker < 0) | (cols.worker >= W))
+    # a split shard carries the bound of its own axis only: rows for RW
+    row_shard = cols.kind == RW
+    own = np.where(row_shard, cols.has_rows, cols.has_cols)
+    other = np.where(row_shard, cols.has_cols, cols.has_rows)
+    # sorted within each assignment, a bound starts where the previous one
+    # ended (the first at 0) and is not empty; `a` ascends, so assignment i
+    # keeps positions starts[i]:ends[i] in sorted order
+    bounds = np.where(row_shard[:, None], cols.rows, cols.cols)
+    lo, hi = bounds[np.lexsort((bounds[:, 1], bounds[:, 0], a))].T
+    prev = np.concatenate(([0], hi[:-1]))
+    prev[starts[counts > 0]] = 0
+    gap = (lo != prev) | (hi <= lo)
+    # where the last bound ends, 0 without bounds (index -1 picks the pad)
+    last = np.append(hi, 0)[np.where(counts > 0, ends - 1, -1)]
+    tc = model.table_columns
+    extent = np.where(row, np.append(tc.rows, 0)[table], np.append(tc.dim, 0)[table])
+    count_list = counts.tolist()
+    wrong_count = np.zeros(A, bool)
+    rw_rows = np.flatnonzero(row).tolist()
+    wrong_count[[i for i in rw_rows if schemes[i].num_row_shards != count_list[i]]] = True
+    differ = np.zeros(A, bool)
+    for i in np.flatnonzero(kind == CW).tolist():
+        sorted_cols = zip(*(x[starts[i] : ends[i]].tolist() for x in (lo, hi)))
+        differ[i] = list(sorted_cols) != list(schemes[i].col_splits)
+    # (the assignments that break a rule, the rule's message)
+    rules = (
+        (table < 0, "plan names unknown table {tid}"),
+        (twice, "table {tid} assigned twice"),
+        (single & (counts != 1), "{tid}: expected a single shard"),
+        (
+            any_shard(cols.replica != (cols.kind == DP)),
+            "{tid}: replicated shard only valid for DP",
+        ),
+        (any_shard(out_of_range), "{tid}: worker {worker} out of range"),
+        (
+            single & any_shard(cols.has_rows | cols.has_cols),
+            "{tid}: bounds on a {kind} shard",
+        ),
+        (split & any_shard(other), "{tid}: {other} bounds on a {axis}-wise shard"),
+        (split & any_shard(~own), "{tid}: {axis} shard missing bounds"),
+        (wrong_count, "{tid}: {count} row shards, scheme has {scheme.num_row_shards}"),
+        (split & any_shard(gap), "{tid}: {axis} shards must tile [0, {letter})"),
+        (split & (last != extent), "{tid}: {axis} shards must cover [0, {extent})"),
+        (differ, "{tid}: column shards differ from the scheme's column splits"),
+    )
+    broken = np.logical_or.reduce([breach for breach, _ in rules])
+    if broken.any():
+        i = int(broken.argmax())
+        shards = slice(starts[i], ends[i])
+        axes = ("row", "column", "H") if row[i] else ("column", "row", "D")
+        text = next(text for breach, text in rules if breach[i])
+        raise InvalidScheme(
+            text.format(
+                tid=ids[i],
+                worker=next(iter(cols.worker[shards][out_of_range[shards]].tolist()), 0),
+                kind=_KINDS[kind[i]].value,
+                axis=axes[0],
+                other=axes[1],
+                letter=axes[2],
+                count=count_list[i],
+                scheme=schemes[i],
+                extent=extent[i],
+            )
+        )
+    assigned = np.zeros(len(model.tables), bool)
+    assigned[table[table >= 0]] = True
+    if not assigned.all():
+        missing = [t.id for t, done in zip(model.tables, assigned.tolist()) if not done]
         raise InvalidScheme(f"tables not assigned: {sorted(missing)}")
-
-
-def _check_tiling(tid: str, axis: str, bounds: list, extent: int) -> None:
-    """Sorted (start, end) bounds must tile [0, extent) without gaps."""
-    letter = "H" if axis == "row" else "D"
-    pos = 0
-    for a, b in bounds:
-        if a != pos or b <= a:
-            raise InvalidScheme(f"{tid}: {axis} shards must tile [0, {letter})")
-        pos = b
-    if pos != extent:
-        raise InvalidScheme(f"{tid}: {axis} shards must cover [0, {extent})")
 
 
 def plan_to_json(
@@ -1274,34 +1418,29 @@ def plan_to_json(
     document byte for byte. The layout is fixed, so it is written directly:
     json's indent path runs its pure-Python encoder, which on a plan of
     thousands of shards takes longer than planning it. Keys are written in
-    sorted order. Each shard is one f-string, with `rows` and `cols` as
-    two-int lists and `"worker": null` for a data-parallel replica; each
-    distinct scheme's text is written once per call and reused; each
-    `workers` record is written field by field. Strings go through json's
-    own ASCII escaper, and an empty list is `[]`, as json writes it.
+    sorted order. Shards and schemes are written from the shard columns:
+    each distinct shard is one f-string, with `rows` and `cols` as two-int
+    lists and `"worker": null` for a data-parallel replica, written once per
+    call, as is each scheme object's text; each `workers` record is written
+    field by field. Strings go through json's own ASCII escaper, and an
+    empty list is `[]`, as json writes it.
     """
     esc = encode_basestring_ascii
-    scheme_texts: dict[Scheme, str] = {}
+    cols = plan.shard_columns
+    shards = cols.per_shard(_shard_text)
+    ends = cols.ends().tolist()
+    scheme_texts: dict[int, str] = {}  # by id: cols.schemes keeps them alive
     tables = []
-    for a in plan.assignments:
-        scheme = scheme_texts.get(a.scheme)
-        if scheme is None:
-            scheme = scheme_texts[a.scheme] = _scheme_text(a.scheme)
-        shards = []
-        for s in a.shards:
-            text = "        {\n"
-            if s.cols:
-                c0, c1 = s.cols
-                text += f'          "cols": [\n{_I12}{c0},\n{_I12}{c1}\n          ],\n'
-            if s.rows:
-                r0, r1 = s.rows
-                text += f'          "rows": [\n{_I12}{r0},\n{_I12}{r1}\n          ],\n'
-            worker = "null" if s.worker is None else s.worker
-            shards.append(f'{text}          "worker": {worker}\n        }}')
+    for table_id, scheme, start, end in zip(
+        cols.table_ids, cols.schemes, [0, *ends], ends
+    ):
+        text = scheme_texts.get(id(scheme))
+        if text is None:
+            text = scheme_texts[id(scheme)] = _scheme_text(scheme)
         tables.append(
-            f'    {{\n      "scheme": {scheme},\n'
-            f'      "shards": {_json_list(shards, "      ")},\n'
-            f'      "table_id": {esc(a.table_id)}\n    }}'
+            f'    {{\n      "scheme": {text},\n'
+            f'      "shards": {_json_list(shards[start:end], "      ")},\n'
+            f'      "table_id": {esc(table_id)}\n    }}'
         )
     text = (
         f'{{\n  "gpus_per_node": {plan.gpus_per_node},\n'
@@ -1325,6 +1464,19 @@ def plan_to_json(
 
 
 _I12 = " " * 12  # indent of a shard's bound values
+
+
+def _shard_text(worker, rows, cols) -> str:
+    """A shard object as it is indented in a table entry's "shards" list."""
+    text = "        {\n"
+    if cols:
+        c0, c1 = cols
+        text += f'          "cols": [\n{_I12}{c0},\n{_I12}{c1}\n          ],\n'
+    if rows:
+        r0, r1 = rows
+        text += f'          "rows": [\n{_I12}{r0},\n{_I12}{r1}\n          ],\n'
+    worker = "null" if worker is None else worker
+    return f'{text}          "worker": {worker}\n        }}'
 
 
 def _json_list(items: list[str], indent: str) -> str:

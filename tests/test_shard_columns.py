@@ -4,18 +4,21 @@ replaced, the columns' immutability, and the int64 bound on byte totals."""
 import dataclasses
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
 
-from conftest import desk_cluster, desk_model
+from conftest import desk_cluster, desk_model, mixed_desk_case
 
 from neosim import (
     CollectiveKind,
     CollectiveVolume,
     CompressionFlags,
+    CostWeights,
     InvalidScheme,
     InvalidValue,
+    ModelSpec,
     Precision,
     Scheme,
     SchemeKind,
@@ -24,7 +27,9 @@ from neosim import (
     TableAssignment,
     TableSpec,
     component_latencies,
+    hierarchical_plan,
     memory_check,
+    plan_4d,
     plan_from_json,
     plan_to_json,
     quantized_volume,
@@ -35,8 +40,9 @@ from neosim import (
 from neosim.cache import effective_row_bandwidth
 from neosim.comms import ACTIVATION_BYTES, LENGTH_BYTES, volume_input_alltoall
 from neosim.model import PRECISION_BYTES
-from neosim.perf import collective_volumes
+from neosim.perf import collective_volumes, simulate
 from neosim.planner import (
+    FULL_EXTENT,
     OPTIMIZER_STATE_BYTES,
     MemoryReport,
     WorkerMemory,
@@ -262,6 +268,85 @@ def input_loop(plan, model, num_workers):
     )
 
 
+def validate_plan_loop(plan: ShardingPlan, model: ModelSpec) -> None:
+    """Coverage and placement invariants; raises InvalidScheme on breach.
+
+    Every table is assigned once. Table-wise and data-parallel tables hold
+    one shard without bounds. Row-wise shards carry row bounds only, one per
+    row shard of the scheme, tiling [0, H). Column-wise shards carry column
+    bounds only, tiling [0, D) in exactly the scheme's column splits.
+    """
+    seen = set()
+    table_by_id = {t.id: t for t in model.tables}
+    for assignment in plan.assignments:
+        tid = assignment.table_id
+        table = table_by_id.get(tid)
+        if table is None:
+            raise InvalidScheme(f"plan names unknown table {tid}")
+        if tid in seen:
+            raise InvalidScheme(f"table {tid} assigned twice")
+        seen.add(tid)
+        scheme = assignment.scheme
+        kind = scheme.kind
+        shards = assignment.shards
+        if kind is SchemeKind.TABLE_WISE or kind is SchemeKind.DATA_PARALLEL:
+            if len(shards) != 1:
+                raise InvalidScheme(f"{tid}: expected a single shard")
+            (shard,) = shards
+            if (shard.worker is None) != (kind is SchemeKind.DATA_PARALLEL):
+                raise InvalidScheme(f"{tid}: replicated shard only valid for DP")
+            if shard.worker is not None and not 0 <= shard.worker < plan.num_workers:
+                raise InvalidScheme(f"{tid}: worker {shard.worker} out of range")
+            if shard.rows is not None or shard.cols is not None:
+                raise InvalidScheme(f"{tid}: bounds on a {kind.value} shard")
+            continue
+        workers = [s.worker for s in shards]
+        if None in workers:
+            raise InvalidScheme(f"{tid}: replicated shard only valid for DP")
+        if workers and (min(workers) < 0 or max(workers) >= plan.num_workers):
+            bad = next(w for w in workers if not 0 <= w < plan.num_workers)
+            raise InvalidScheme(f"{tid}: worker {bad} out of range")
+        if kind is SchemeKind.ROW_WISE:
+            if any(s.cols is not None for s in shards):
+                raise InvalidScheme(f"{tid}: column bounds on a row-wise shard")
+            rows = [s.rows for s in shards]
+            if None in rows:
+                raise InvalidScheme(f"{tid}: row shard missing bounds")
+            if len(rows) != scheme.num_row_shards:
+                raise InvalidScheme(
+                    f"{tid}: {len(rows)} row shards, scheme has {scheme.num_row_shards}"
+                )
+            rows.sort()
+            _check_tiling(tid, "row", rows, table.num_rows)
+        else:
+            if any(s.rows is not None for s in shards):
+                raise InvalidScheme(f"{tid}: row bounds on a column-wise shard")
+            cols = [s.cols for s in shards]
+            if None in cols:
+                raise InvalidScheme(f"{tid}: column shard missing bounds")
+            cols.sort()
+            _check_tiling(tid, "column", cols, table.dim)
+            if cols != list(scheme.col_splits):
+                raise InvalidScheme(
+                    f"{tid}: column shards differ from the scheme's column splits"
+                )
+    missing = set(table_by_id) - seen
+    if missing:
+        raise InvalidScheme(f"tables not assigned: {sorted(missing)}")
+
+
+def _check_tiling(tid: str, axis: str, bounds: list, extent: int) -> None:
+    """Sorted (start, end) bounds must tile [0, extent) without gaps."""
+    letter = "H" if axis == "row" else "D"
+    pos = 0
+    for a, b in bounds:
+        if a != pos or b <= a:
+            raise InvalidScheme(f"{tid}: {axis} shards must tile [0, {letter})")
+        pos = b
+    if pos != extent:
+        raise InvalidScheme(f"{tid}: {axis} shards must cover [0, {extent})")
+
+
 # ---------------------------------------------------------------------------
 # random mixed plans
 
@@ -429,6 +514,145 @@ def test_random_plans_cover_every_layout():
 
 
 # ---------------------------------------------------------------------------
+# validate_plan against the shard loop it replaced
+
+
+def _with_shard(assignment, j, **changes):
+    shards = list(assignment.shards)
+    shards[j] = dataclasses.replace(shards[j], **changes)
+    return dataclasses.replace(assignment, shards=tuple(shards))
+
+
+def _broken_assignments(a, table, W, rng):
+    """Copies of assignment `a` of `table`, each breaking one rule (or
+    several rules at once, in the order validate_plan checks them)."""
+    kind = a.scheme.kind
+    j = int(rng.integers(len(a.shards)))
+    bad_worker = int(rng.choice([W, W + 3, -1, -7]))
+    yield dataclasses.replace(a, table_id="nope")
+    if kind is not SchemeKind.DATA_PARALLEL:
+        yield _with_shard(a, j, worker=bad_worker)
+        yield _with_shard(a, j, worker=None)
+    if kind in (SchemeKind.TABLE_WISE, SchemeKind.DATA_PARALLEL):
+        yield dataclasses.replace(a, shards=a.shards * 2)
+        yield dataclasses.replace(a, shards=())
+        yield _with_shard(a, 0, rows=(0, table.num_rows))
+        yield _with_shard(a, 0, cols=(0, FULL_EXTENT))  # the span sentinel, given
+        if kind is SchemeKind.DATA_PARALLEL:
+            yield _with_shard(a, 0, worker=int(rng.choice([0, bad_worker])))
+        return
+    row = kind is SchemeKind.ROW_WISE
+    axis, extent = ("rows", table.num_rows) if row else ("cols", table.dim)
+    yield _with_shard(a, j, **{axis: None})
+    yield _with_shard(a, j, **{"cols" if row else "rows": (0, 1)})
+    yield dataclasses.replace(a, shards=a.shards[:j] + a.shards[j + 1 :])
+    yield dataclasses.replace(a, shards=a.shards + a.shards[j : j + 1])
+    lo, hi = getattr(a.shards[j], axis)
+    for bound in ((lo + 1, hi), (lo - 1, hi), (lo, hi + 1), (lo, hi - 1), (hi, lo)):
+        yield _with_shard(a, j, **{axis: bound})
+    yield _with_shard(a, j, **{axis: (lo, FULL_EXTENT)})
+    if row:
+        n = a.scheme.num_row_shards + int(rng.choice([-1, 1]))
+        scheme = dataclasses.replace(a.scheme, num_row_shards=n)
+        yield dataclasses.replace(a, scheme=scheme)
+    else:
+        # tile [0, D) differently from the shards, or cut one shard in two
+        splits = ((0, extent),) if len(a.shards) > 1 else ((0, 1), (1, extent))
+        scheme = dataclasses.replace(a.scheme, col_splits=splits)
+        yield dataclasses.replace(a, scheme=scheme)
+        if hi - lo > 1:
+            halves = (
+                dataclasses.replace(a.shards[j], cols=(lo, lo + 1)),
+                dataclasses.replace(a.shards[j], cols=(lo + 1, hi)),
+            )
+            shards = a.shards[:j] + halves + a.shards[j + 1 :]
+            yield dataclasses.replace(a, shards=shards)
+
+
+def broken_plans(plan, model, rng):
+    """Plans that break validate_plan's rules: every breach of one random
+    assignment, a copy or loss of an assignment, and two breaches at once."""
+    W = plan.num_workers
+    assignments = plan.assignments
+    tables = {t.id: t for t in model.tables}
+
+    def with_assignments(*parts):
+        return dataclasses.replace(plan, assignments=tuple(parts))
+
+    i = int(rng.integers(len(assignments)))
+    a = assignments[i]
+    before, after = assignments[:i], assignments[i + 1 :]
+    broken = list(_broken_assignments(a, tables[a.table_id], W, rng))
+    for b in broken:
+        yield with_assignments(*before, b, *after)
+    yield with_assignments(*before, *after)
+    k = int(rng.integers(len(assignments) + 1))
+    yield with_assignments(*assignments[:k], a, *assignments[k:])
+    if len(assignments) > 1:
+        # a breach in each of two assignments: the earlier one is reported
+        i2 = (i + 1 + int(rng.integers(len(assignments) - 1))) % len(assignments)
+        a2 = assignments[i2]
+        b2 = list(_broken_assignments(a2, tables[a2.table_id], W, rng))
+        two = list(assignments)
+        two[i] = broken[int(rng.integers(len(broken)))]
+        two[i2] = b2[int(rng.integers(len(b2)))]
+        yield with_assignments(*two)
+
+
+def _outcome(check, plan, model):
+    try:
+        check(plan, model)
+    except InvalidScheme as exc:
+        return str(exc)
+    return None
+
+
+VALIDATE_CASES = range(150)
+
+
+@pytest.mark.parametrize("seed", VALIDATE_CASES)
+def test_validate_plan_equals_the_shard_loop(seed):
+    model, plan, *_ = random_case(seed)
+    assert _outcome(validate_plan, plan, model) is None
+    rng = np.random.default_rng([20261018, seed, 1])
+    for broken in broken_plans(plan, model, rng):
+        expected = _outcome(validate_plan_loop, broken, model)
+        assert expected is not None
+        assert _outcome(validate_plan, broken, model) == expected
+
+
+def test_broken_plans_reach_every_rule():
+    messages = set()
+    for seed in VALIDATE_CASES:
+        model, plan, *_ = random_case(seed)
+        rng = np.random.default_rng([20261018, seed, 1])
+        for broken in broken_plans(plan, model, rng):
+            message = _outcome(validate_plan_loop, broken, model)
+            rule = re.sub(r"^t\d+: ", "", message)
+            messages.add(re.sub(r"-?\d+", "<n>", rule))
+    assert messages == {
+        "plan names unknown table nope",
+        "table t<n> assigned twice",
+        "tables not assigned: ['t<n>']",
+        "expected a single shard",
+        "replicated shard only valid for DP",
+        "worker <n> out of range",
+        "bounds on a table_wise shard",
+        "bounds on a data_parallel shard",
+        "column bounds on a row-wise shard",
+        "row bounds on a column-wise shard",
+        "row shard missing bounds",
+        "column shard missing bounds",
+        "<n> row shards, scheme has <n>",
+        "row shards must tile [<n>, H)",
+        "column shards must tile [<n>, D)",
+        "row shards must cover [<n>, <n>)",
+        "column shards must cover [<n>, <n>)",
+        "column shards differ from the scheme's column splits",
+    }
+
+
+# ---------------------------------------------------------------------------
 # the cached columns cannot go stale or leak
 
 
@@ -436,81 +660,133 @@ def _arrays(columns):
     return [v for v in columns if isinstance(v, np.ndarray)]
 
 
-def _plan():
-    model, plan, cluster, flags, _, _ = next(
-        case
-        for case in map(random_case, CASES)
-        if {a.scheme.kind for a in case[1].assignments} >= {
-            SchemeKind.DATA_PARALLEL,
-            SchemeKind.ROW_WISE,
-        }
-    )
-    return model, plan, cluster, flags
+PLAN_SOURCES = ("assignments", "greedy", "kk", "hierarchical")
+
+
+def _plan(source="assignments"):
+    """A plan with data-parallel and row-wise tables: a random plan built
+    from TableAssignments, or a plan that plan_4d (greedy or KK placement)
+    or hierarchical_plan builds from columns, with its model, cluster and
+    flags."""
+    if source == "assignments":
+        model, plan, cluster, flags, _, _ = next(
+            case
+            for case in map(random_case, CASES)
+            if {a.scheme.kind for a in case[1].assignments} >= {
+                SchemeKind.DATA_PARALLEL,
+                SchemeKind.ROW_WISE,
+            }
+        )
+        return model, plan, cluster, flags
+    model, cluster, policy = mixed_desk_case()
+    if source == "hierarchical":
+        plan = hierarchical_plan(model, cluster, CostWeights(), policy)
+    else:
+        plan = plan_4d(model, cluster, CostWeights(), policy, heuristic=source)
+    return model, plan, cluster, policy.flags
 
 
 def test_columns_are_read_only():
-    model, plan, _, _ = _plan()
-    arrays = _arrays(plan.shard_columns) + _arrays(model.table_columns)
-    assert len(arrays) == 14
-    for array in arrays:
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[...] = 0
+    for source in PLAN_SOURCES:
+        model, plan, _, _ = _plan(source)
+        arrays = _arrays(plan.shard_columns) + _arrays(model.table_columns)
+        assert len(arrays) == 17
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
 
 
 def test_columns_leave_eq_hash_repr_unchanged():
-    _, plan, _, _ = _plan()
-    again = ShardingPlan(
-        plan.num_workers, plan.gpus_per_node, plan.assignments, plan.heuristic
-    )
-    assert again == plan and hash(again) == hash(plan)
-    assert repr(plan) == (
-        f"ShardingPlan(num_workers={plan.num_workers!r}, "
-        f"gpus_per_node={plan.gpus_per_node!r}, "
-        f"assignments={plan.assignments!r}, heuristic={plan.heuristic!r})"
-    )
+    for source in PLAN_SOURCES:
+        _, plan, _, _ = _plan(source)
+        columns = plan.shard_columns
+        again = ShardingPlan(
+            plan.num_workers, plan.gpus_per_node, plan.assignments, plan.heuristic
+        )
+        assert plan.shard_columns is columns
+        assert again == plan and hash(again) == hash(plan)
+        assert repr(plan) == (
+            f"ShardingPlan(num_workers={plan.num_workers!r}, "
+            f"gpus_per_node={plan.gpus_per_node!r}, "
+            f"assignments={plan.assignments!r}, heuristic={plan.heuristic!r})"
+        )
+        # the assignments read back into the columns they came from
+        for name, value in columns._asdict().items():
+            rebuilt = getattr(again.shard_columns, name)
+            if isinstance(value, np.ndarray):
+                assert value.dtype == rebuilt.dtype, (source, name)
+                assert np.array_equal(value, rebuilt), (source, name)
+            else:
+                assert value == rebuilt, (source, name)
+
+
+def test_planners_build_no_shards_until_read():
+    model, cluster, policy = mixed_desk_case()
+    flags = policy.flags
+    plans = [
+        plan_4d(model, cluster, CostWeights(), policy, heuristic=heuristic)
+        for heuristic in ("greedy", "kk")
+    ]
+    plans.append(hierarchical_plan(model, cluster, CostWeights(), policy))
+    for plan in plans:
+        plan_to_json(plan, model, cluster, flags)
+        validate_plan(plan, model)
+        simulate(model, cluster, plan, flags=flags)
+        assert "assignments" not in vars(plan)
+        shards = [s for a in plan.assignments for s in a.shards]
+        assert "assignments" in vars(plan)
+        # equal shards are one object
+        assert len({id(s) for s in shards}) == len(set(shards)) < len(shards)
 
 
 def test_replace_builds_fresh_columns():
-    model, plan, cluster, flags = _plan()
-    moved = tuple(
-        dataclasses.replace(
-            a,
-            shards=tuple(
-                s if s.worker is None else dataclasses.replace(s, worker=0)
-                for s in a.shards
-            ),
+    for source in PLAN_SOURCES:
+        model, plan, cluster, flags = _plan(source)
+        moved = tuple(
+            dataclasses.replace(
+                a,
+                shards=tuple(
+                    s if s.worker is None else dataclasses.replace(s, worker=0)
+                    for s in a.shards
+                ),
+            )
+            for a in plan.assignments
         )
-        for a in plan.assignments
-    )
-    replaced = dataclasses.replace(plan, assignments=moved)
-    assert replaced.shard_columns is not plan.shard_columns
-    placed = replaced.shard_columns.worker[replaced.shard_columns.worker >= 0]
-    assert placed.tolist() == [0] * len(placed)
-    assert memory_check(replaced, model, cluster, flags) == memory_check_loop(
-        replaced, model, cluster, flags
-    )
-    shorter = dataclasses.replace(plan, assignments=plan.assignments[:1])
-    assert len(shorter.shard_columns.table_ids) == 1
+        replaced = dataclasses.replace(plan, assignments=moved)
+        assert replaced.shard_columns is not plan.shard_columns
+        placed = replaced.shard_columns.worker[replaced.shard_columns.worker >= 0]
+        assert placed.tolist() == [0] * len(placed)
+        assert memory_check(replaced, model, cluster, flags) == memory_check_loop(
+            replaced, model, cluster, flags
+        )
+        shorter = dataclasses.replace(plan, assignments=plan.assignments[:1])
+        assert len(shorter.shard_columns.table_ids) == 1
+        same = dataclasses.replace(plan)
+        assert same == plan and same.shard_columns is not plan.shard_columns
 
 
 def test_pickle_round_trip_gives_equal_sums():
-    model, plan, cluster, flags = _plan()
-    model2, plan2 = pickle.loads(pickle.dumps((model, plan)))
-    assert (model2, plan2) == (model, plan)
-    for array in _arrays(plan2.shard_columns) + _arrays(model2.table_columns):
-        assert not array.flags.writeable
-    W = plan.num_workers
-    assert memory_check(plan2, model2, cluster, flags) == memory_check(
-        plan, model, cluster, flags
-    )
-    assert collective_volumes(plan2, model2) == collective_volumes(plan, model)
-    assert component_latencies(model2, plan2, cluster, flags=flags) == (
-        component_latencies(model, plan, cluster, flags=flags)
-    )
-    assert volume_input_alltoall(plan2, model2, W) == volume_input_alltoall(
-        plan, model, W
-    )
+    for source in PLAN_SOURCES:
+        model, plan, cluster, flags = _plan(source)
+        model2, plan2 = pickle.loads(pickle.dumps((model, plan)))
+        assert (model2, plan2) == (model, plan)
+        for array in _arrays(plan2.shard_columns) + _arrays(model2.table_columns):
+            assert not array.flags.writeable
+        W = plan.num_workers
+        assert memory_check(plan2, model2, cluster, flags) == memory_check(
+            plan, model, cluster, flags
+        )
+        assert collective_volumes(plan2, model2) == collective_volumes(plan, model)
+        assert component_latencies(model2, plan2, cluster, flags=flags) == (
+            component_latencies(model, plan, cluster, flags=flags)
+        )
+        assert volume_input_alltoall(plan2, model2, W) == volume_input_alltoall(
+            plan, model, W
+        )
+        assert plan_to_json(plan2, model2, cluster, flags) == plan_to_json(
+            plan, model, cluster, flags
+        )
 
 
 # ---------------------------------------------------------------------------
