@@ -15,25 +15,18 @@ from .errors import (
     MissingKey,
     NeosimError,
     NoFeasibleScheme,
-    NonMonotonicOffsets,
 )
 from .model import (
     ClusterSpec,
     CombinedBatch,
-    GlobalBatchLayout,
     IndexSkew,
-    LayoutTag,
     ModelSpec,
     Precision,
     SkewKind,
     TableSpec,
     gen_synthetic_batch,
-    lengths_to_offsets,
-    offsets_to_lengths,
     parse_cluster_spec,
     parse_model_spec,
-    serialize_cluster_spec,
-    serialize_model_spec,
 )
 from .planner import (
     CandidatePolicy,
@@ -46,7 +39,6 @@ from .planner import (
     ShardCost,
     ShardingPlan,
     TableAssignment,
-    enumerate_candidates,
     greedy_partition,
     hierarchical_plan,
     karmarkar_karp_partition,
@@ -77,9 +69,7 @@ from .comms import (
     WorkerSlice,
     alltoall_redistribute,
     bucketize_rowwise,
-    permute_WTB_to_TWB,
     quantized_volume,
-    replicate_columnwise,
     train_step_sharded,
     volume_forward_alltoall,
     volume_gradient_collectives,

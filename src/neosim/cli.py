@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .cache import CacheConfig, ReplacementPolicy, simulate_trace
 from .comms import reassemble_values, train_step_sharded, volume_forward_alltoall
-from .embedding import OptimizerConfig, OptimizerKind, train_step_reference
+from .embedding import OptimizerConfig, OptimizerKind, dump_table, train_step_reference
 from .errors import Infeasible, InvalidValue, NeosimError
 from .model import (
     ClusterSpec,
@@ -322,8 +322,6 @@ def cmd_verify(args) -> int:
     passed = worst <= VERIFY_TOLERANCE
     bitwise = W == 1 and out_dev == 0.0 and all(v == 0.0 for v in per_table.values())
     if args.dump_tables:
-        from .embedding import dump_table
-
         dump_dir = Path(args.out) / "tables"
         dump_dir.mkdir(parents=True, exist_ok=True)
         for table in ref_tables:

@@ -30,14 +30,7 @@ from .embedding import (
     storage_roundtrip,
 )
 from .errors import IndexOutOfRange, InvalidValue, LayoutMismatch
-from .model import (
-    CombinedBatch,
-    GlobalBatchLayout,
-    LayoutTag,
-    ModelSpec,
-    Precision,
-    PRECISION_BYTES,
-)
+from .model import CombinedBatch, ModelSpec, Precision, PRECISION_BYTES
 from .planner import (
     CW,
     DP,
@@ -108,7 +101,7 @@ class CollectiveVolume:
 
 
 # ---------------------------------------------------------------------------
-# bucketize / replicate / permute
+# bucketize and wire layout
 
 
 def bucketize_rowwise(
@@ -148,51 +141,22 @@ def bucketize_rowwise(
     return out
 
 
-def unbucketize_rowwise(
-    parts: Sequence[tuple[np.ndarray, np.ndarray]],
-    boundaries: Sequence[tuple[int, int]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of bucketize up to per-sample index order (multiset identity)."""
-    num_samples = len(parts[0][0])
-    lengths = np.zeros(num_samples, dtype=np.int64)
-    per_sample_chunks: list[list[np.ndarray]] = [[] for _ in range(num_samples)]
-    for (part_lengths, part_indices), (start, _) in zip(parts, boundaries):
-        lengths += part_lengths
-        offsets = np.concatenate(([0], np.cumsum(part_lengths)))
-        for s in range(num_samples):
-            per_sample_chunks[s].append(part_indices[offsets[s] : offsets[s + 1]] + start)
-    chunks = [c for group in per_sample_chunks for c in group]
-    indices = (
-        np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    )
-    return lengths, indices
-
-
-def replicate_columnwise(
-    lengths: np.ndarray, indices: np.ndarray, num_col_shards: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Byte-identical input copies, one per column shard."""
-    if num_col_shards < 1:
-        raise InvalidValue("num_col_shards", "must be >= 1")
-    lengths = np.asarray(lengths, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)
-    return [(lengths.copy(), indices.copy()) for _ in range(num_col_shards)]
-
-
 @dataclass(frozen=True)
 class LaidOutBatch:
-    """A flattened global batch whose blocks follow the layout tag order.
+    """A flattened global batch in (W, T, B) wire order: block (w, t) holds
+    worker w's local-batch lengths and index chunk for table t."""
 
-    In WTB order block (w, t) holds worker w's local-batch lengths and index
-    chunk for table t; TWB is the table-major order the kernels consume.
-    """
-
-    layout: GlobalBatchLayout
+    workers: int
+    tables: int
+    local_batch: int
     lengths: np.ndarray
     indices: np.ndarray
 
     def __post_init__(self):
-        expected = self.layout.workers * self.layout.tables * self.layout.local_batch
+        for name in ("workers", "tables", "local_batch"):
+            if getattr(self, name) < 0:
+                raise InvalidValue(name, "must be >= 0")
+        expected = self.workers * self.tables * self.local_batch
         if len(self.lengths) != expected:
             raise LayoutMismatch(
                 f"expected {expected} length entries, got {len(self.lengths)}"
@@ -210,7 +174,6 @@ def to_wtb(batch: CombinedBatch, workers: int) -> LaidOutBatch:
         raise LayoutMismatch("workers must divide the global sample count")
     T = batch.num_tables
     B = batch.num_samples // workers
-    layout = GlobalBatchLayout(workers, T, B, LayoutTag.WTB)
     lengths_chunks = []
     index_chunks = []
     for w in range(workers):
@@ -220,55 +183,12 @@ def to_wtb(batch: CombinedBatch, workers: int) -> LaidOutBatch:
             lengths_chunks.append(lens_t[w * B : (w + 1) * B])
             index_chunks.append(idx_t[offsets[w * B] : offsets[(w + 1) * B]])
     return LaidOutBatch(
-        layout,
+        workers,
+        T,
+        B,
         np.concatenate(lengths_chunks) if lengths_chunks else np.empty(0, np.int64),
         np.concatenate(index_chunks) if index_chunks else np.empty(0, np.int64),
     )
-
-
-def _permute_blocks(laidout: LaidOutBatch, new_tag: LayoutTag) -> LaidOutBatch:
-    layout = laidout.layout
-    W, T, B = layout.workers, layout.tables, layout.local_batch
-    if layout.tag is LayoutTag.WTB:
-        outer, inner = W, T
-    else:
-        outer, inner = T, W
-    lengths_mat = laidout.lengths.reshape(outer, inner, B)
-    block_counts = lengths_mat.sum(axis=2)
-    offsets = np.concatenate(([0], np.cumsum(block_counts.reshape(-1))))
-    lengths_chunks = []
-    index_chunks = []
-    for i in range(inner):
-        for o in range(outer):
-            blk = o * inner + i
-            lengths_chunks.append(lengths_mat[o, i])
-            index_chunks.append(laidout.indices[offsets[blk] : offsets[blk + 1]])
-    return LaidOutBatch(
-        GlobalBatchLayout(W, T, B, new_tag),
-        np.concatenate(lengths_chunks) if lengths_chunks else np.empty(0, np.int64),
-        np.concatenate(index_chunks) if index_chunks else np.empty(0, np.int64),
-    )
-
-
-def permute_WTB_to_TWB(laidout: LaidOutBatch) -> LaidOutBatch:
-    """Block permutation from worker-major to table-major order."""
-    if laidout.layout.tag is not LayoutTag.WTB:
-        raise LayoutMismatch("expected WTB layout")
-    return _permute_blocks(laidout, LayoutTag.TWB)
-
-
-def permute_TWB_to_WTB(laidout: LaidOutBatch) -> LaidOutBatch:
-    if laidout.layout.tag is not LayoutTag.TWB:
-        raise LayoutMismatch("expected TWB layout")
-    return _permute_blocks(laidout, LayoutTag.WTB)
-
-
-def from_twb(laidout: LaidOutBatch) -> CombinedBatch:
-    if laidout.layout.tag is not LayoutTag.TWB:
-        raise LayoutMismatch("expected TWB layout")
-    layout = laidout.layout
-    lengths = laidout.lengths.reshape(layout.tables, layout.workers * layout.local_batch)
-    return CombinedBatch(lengths, laidout.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +227,9 @@ def alltoall_redistribute(
     shards receive bucketized shard-local indices, column shards identical
     replicas, data-parallel tables keep their local slice.
     """
-    layout = laidout.layout
-    if layout.tag is not LayoutTag.WTB:
-        raise LayoutMismatch("redistribution consumes the WTB wire order")
-    if layout.workers != plan.num_workers or layout.tables != model.num_tables:
+    if laidout.workers != plan.num_workers or laidout.tables != model.num_tables:
         raise LayoutMismatch("batch layout does not match plan/model")
-    W, T, B = layout.workers, layout.tables, layout.local_batch
+    W, T, B = laidout.workers, laidout.tables, laidout.local_batch
     lengths_mat = laidout.lengths.reshape(W, T, B)
     block_counts = lengths_mat.sum(axis=2)
     offsets = np.concatenate(([0], np.cumsum(block_counts.reshape(-1))))

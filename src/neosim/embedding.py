@@ -23,7 +23,7 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidValue, LayoutMismatch, MalformedDocument
+from .errors import IndexOutOfRange, InvalidValue, LayoutMismatch
 from .model import CombinedBatch, ModelSpec, Precision, TableSpec
 
 
@@ -393,19 +393,3 @@ def dump_table(table: EmbeddingTable, fh: IO[bytes]) -> None:
     if table.moment is not None:
         fh.write(np.ascontiguousarray(table.moment, dtype=np.float64).tobytes())
 
-
-def load_table(spec: TableSpec, fh: IO[bytes]) -> EmbeddingTable:
-    magic = fh.read(4)
-    if magic != _MAGIC:
-        raise MalformedDocument("bad table checkpoint magic")
-    rows, dim, prec_code, moment_code = struct.unpack("<QQBB", fh.read(18))
-    values = np.frombuffer(fh.read(rows * dim * 8), dtype=np.float64).reshape(rows, dim)
-    if moment_code == 0:
-        moment = None
-    elif moment_code == 1:
-        moment = np.frombuffer(fh.read(rows * 8), dtype=np.float64)
-    else:
-        moment = np.frombuffer(fh.read(rows * dim * 8), dtype=np.float64).reshape(
-            rows, dim
-        )
-    return EmbeddingTable(spec, values.copy(), None if moment is None else moment.copy())

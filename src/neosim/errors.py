@@ -22,10 +22,6 @@ class InvalidValue(NeosimError):
         super().__init__(f"invalid value at {path}: {reason}")
 
 
-class NonMonotonicOffsets(NeosimError):
-    """Offsets list is not nondecreasing or does not start at 0."""
-
-
 class InvalidScheme(NeosimError):
     """Sharding scheme is not valid for the table it is applied to."""
 

@@ -11,16 +11,11 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import IO, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    InvalidValue,
-    MalformedDocument,
-    MissingKey,
-    NonMonotonicOffsets,
-)
+from .errors import IndexOutOfRange, InvalidValue, MalformedDocument, MissingKey
 
 SPEC_VERSION = 1
 
@@ -301,24 +296,6 @@ def _check_bw_points(name, points, link_peak):
             )
 
 
-class LayoutTag(str, Enum):
-    WTB = "WTB"  # worker-major blocks, the wire order after input AlltoAll
-    TWB = "TWB"  # table-major blocks, the order embedding kernels consume
-
-
-@dataclass(frozen=True)
-class GlobalBatchLayout:
-    workers: int
-    tables: int
-    local_batch: int
-    tag: LayoutTag
-
-    def __post_init__(self):
-        for name in ("workers", "tables", "local_batch"):
-            if getattr(self, name) < 0:
-                raise InvalidValue(name, "must be >= 0")
-
-
 class CombinedBatch:
     """Lengths-format sparse batch for all tables of one model.
 
@@ -364,8 +341,6 @@ class CombinedBatch:
             _, idx = self.table_slice(t)
             if len(idx) and (idx.min() < 0 or idx.max() >= table.num_rows):
                 bad = idx[(idx < 0) | (idx >= table.num_rows)][0]
-                from .errors import IndexOutOfRange
-
                 raise IndexOutOfRange(table.id, int(bad))
 
     def __eq__(self, other) -> bool:
@@ -377,25 +352,6 @@ class CombinedBatch:
 
     def __repr__(self) -> str:
         return f"CombinedBatch(tables={self.num_tables}, samples={self.num_samples})"
-
-
-# ---------------------------------------------------------------------------
-# lengths <-> offsets
-
-
-def lengths_to_offsets(lengths) -> np.ndarray:
-    """Prefix sums: result[0] = 0, result[i+1] = result[i] + lengths[i]."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    out = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=out[1:])
-    return out
-
-
-def offsets_to_lengths(offsets) -> np.ndarray:
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if len(offsets) == 0 or offsets[0] != 0 or np.any(np.diff(offsets) < 0):
-        raise NonMonotonicOffsets("offsets must start at 0 and be nondecreasing")
-    return np.diff(offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -440,37 +396,6 @@ def gen_synthetic_batch(model: ModelSpec, num_samples: int, seed: int) -> Combin
         np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
     )
     return CombinedBatch(lengths, indices)
-
-
-# ---------------------------------------------------------------------------
-# batch dump format: header `W T B`, lengths rows, one index per line
-
-
-def dump_batch(batch: CombinedBatch, fh: IO[str], workers: int = 1) -> None:
-    if workers < 1 or batch.num_samples % workers:
-        raise InvalidValue("workers", "must divide the sample count")
-    fh.write(f"{workers} {batch.num_tables} {batch.num_samples // workers}\n")
-    for t in range(batch.num_tables):
-        fh.write(" ".join(str(int(v)) for v in batch.lengths[t]) + "\n")
-    for v in batch.indices:
-        fh.write(f"{int(v)}\n")
-
-
-def load_batch(fh: IO[str]) -> tuple[CombinedBatch, int]:
-    """Returns (batch, workers)."""
-    try:
-        w, t, b = (int(v) for v in fh.readline().split())
-        lengths = np.array(
-            [[int(v) for v in fh.readline().split()] for _ in range(t)],
-            dtype=np.int64,
-        ).reshape(t, w * b)
-        total = int(lengths.sum())
-        indices = np.fromiter(
-            (int(fh.readline()) for _ in range(total)), dtype=np.int64, count=total
-        )
-    except (ValueError, TypeError) as exc:
-        raise MalformedDocument(f"bad batch dump: {exc}") from None
-    return CombinedBatch(lengths, indices), w
 
 
 # ---------------------------------------------------------------------------
@@ -681,35 +606,6 @@ def parse_model_spec(text: str) -> ModelSpec:
     )
 
 
-def serialize_model_spec(model: ModelSpec) -> str:
-    """Inverse of parse_model_spec on the ModelSpec value domain."""
-    doc = {
-        "spec_version": SPEC_VERSION,
-        "local_batch": model.local_batch,
-        "mflops_per_sample": model.mflops_per_sample,
-        "interaction_flops_per_sample": model.interaction_flops_per_sample,
-        "dense_param_bytes": model.dense_param_bytes,
-        "bottom_mlp_layers": [list(p) for p in model.bottom_mlp_layers],
-        "top_mlp_layers": [list(p) for p in model.top_mlp_layers],
-        "tables": [
-            {
-                "id": t.id,
-                "num_rows": t.num_rows,
-                "dim": t.dim,
-                "avg_pooling": t.avg_pooling,
-                "value_precision": t.value_precision.value,
-                "index_skew": (
-                    {"kind": "uniform"}
-                    if t.index_skew.kind is SkewKind.UNIFORM
-                    else {"kind": "zipf", "alpha": t.index_skew.alpha}
-                ),
-            }
-            for t in model.tables
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
 def parse_cluster_spec(text: str) -> ClusterSpec:
     doc = _load_json(text)
     _check_version(doc)
@@ -766,22 +662,3 @@ def _parse_points(doc, path):
         )
     return tuple(points)
 
-
-def serialize_cluster_spec(cluster: ClusterSpec) -> str:
-    doc = {
-        "spec_version": SPEC_VERSION,
-        "num_nodes": cluster.num_nodes,
-        "gpus_per_node": cluster.gpus_per_node,
-        "hbm_capacity_per_gpu": cluster.hbm_capacity_per_gpu,
-        "hbm_bw": cluster.hbm_bw,
-        "dram_capacity_per_node": cluster.dram_capacity_per_node,
-        "dram_to_gpu_bw": cluster.dram_to_gpu_bw,
-        "scaleup_bw": cluster.scaleup_bw,
-        "scaleout_bw_per_gpu": cluster.scaleout_bw_per_gpu,
-        "peak_flops": dict(cluster.peak_flops),
-        "mlp_efficiency": cluster.mlp_efficiency,
-        "alltoall_bw_points": [list(p) for p in cluster.alltoall_bw_points],
-        "allreduce_bw_points": [list(p) for p in cluster.allreduce_bw_points],
-        "fixed_latency_per_collective": cluster.fixed_latency_per_collective,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .cache import effective_row_bandwidth
 from .comms import (
     CollectiveVolume,
     LENGTH_BYTES,
@@ -30,15 +31,17 @@ from .comms import (
     volume_input_alltoall,
 )
 from .errors import Infeasible, InvalidValue
-from .model import ClusterSpec, ModelSpec, Precision, TableSpec
+from .model import ClusterSpec, ModelSpec, Precision, TableSpec, mlp_param_bytes
 from .planner import (
     DP,
     CandidatePolicy,
     CompressionFlags,
     CostWeights,
     ShardingPlan,
+    greedy_partition,
     memory_check,
     plan_4d,
+    table_bytes,
 )
 
 
@@ -262,8 +265,6 @@ def component_latencies(
     max over workers. `volumes` is collective_volumes' result at the same
     AlltoAll precisions; it is computed here when not given.
     """
-    from .cache import effective_row_bandwidth
-
     if plan.num_workers != cluster.num_workers:
         raise InvalidValue("plan", "plan and cluster disagree on worker count")
     if not 0 <= cache_hit_rate <= 1:
@@ -370,8 +371,6 @@ def component_latencies(
 
 def _dense_allreduce_split(model: ModelSpec) -> tuple[float, float]:
     """Split dense_param_bytes into (bottom, top) by layer share."""
-    from .model import mlp_param_bytes
-
     bot = mlp_param_bytes(model.bottom_mlp_layers)
     top = mlp_param_bytes(model.top_mlp_layers)
     if bot + top == 0:
@@ -440,8 +439,6 @@ def shrink_to_fit(
     the performance character) unchanged. The straggler estimate balances
     per-table bytes greedily, with 10% headroom for placement differences.
     """
-    from .planner import greedy_partition, table_bytes
-
     if not model.tables:
         return model
     per_table = table_bytes(model.table_columns, flags)

@@ -133,7 +133,7 @@ class TableAssignment:
     shards: tuple[Shard, ...]
 
 
-FULL_EXTENT = -1  # end bound of a shard that spans the whole axis
+FULL_EXTENT = -1  # end of the (0, FULL_EXTENT) filler where a shard has no bound
 # ShardColumns.kind codes: each scheme kind's position in SchemeKind
 _KIND_CODE = {kind: code for code, kind in enumerate(SchemeKind)}
 _KINDS = tuple(SchemeKind)  # code -> kind
@@ -155,8 +155,8 @@ class ShardColumns(NamedTuple):
     position of its assignment), `kind` (its scheme's code: TW, RW, CW or
     DP), `num_shards` (its assignment's shard count), `hierarchical`,
     `worker` (-1 for a data-parallel replica), `replica` (the shard has no
-    worker), `rows`/`cols` as (start, end) pairs whose end is FULL_EXTENT
-    when the shard spans the axis, and `has_rows`/`has_cols` (the shard
+    worker), `rows`/`cols` as (start, end) pairs, (0, FULL_EXTENT) where
+    the shard carries no bound, and `has_rows`/`has_cols` (the shard
     carries that bound). `dest`/`src` list every (worker, shard) charge in
     plan order, a replica once per worker at its own plan position, so
     per_worker sums any per-shard value in the order a loop over
@@ -177,10 +177,6 @@ class ShardColumns(NamedTuple):
     has_cols: np.ndarray
     dest: np.ndarray
     src: np.ndarray
-    # max - min over every row (column) bound, 0 if none: no shard's extent
-    # along that axis exceeds it, unless the shard spans the axis
-    row_span: int
-    col_span: int
 
     @classmethod
     def of(cls, plan: "ShardingPlan") -> "ShardColumns":
@@ -232,13 +228,7 @@ class ShardColumns(NamedTuple):
         )
         for array in arrays.values():
             array.flags.writeable = False
-        return cls(
-            table_ids,
-            schemes,
-            row_span=_span(arrays["rows"]),
-            col_span=_span(arrays["cols"]),
-            **arrays,
-        )
+        return cls(table_ids, schemes, **arrays)
 
     @property
     def charges(self) -> int:
@@ -287,11 +277,15 @@ class ShardColumns(NamedTuple):
 
     def extents(self, axis: str, full: np.ndarray) -> np.ndarray:
         """Rows (axis "rows") or columns ("cols") of each shard; `full` holds
-        each shard's table extent, used where the shard spans the axis."""
+        each shard's table extent, used where the shard has no bound on that
+        axis. A bound must be non-empty and lie in [0, full): an unvalidated
+        plan's other bounds raise InvalidScheme rather than be charged."""
         bounds = getattr(self, axis)
-        return np.where(
-            bounds[:, 1] == FULL_EXTENT, full, bounds[:, 1] - bounds[:, 0]
-        )
+        given = getattr(self, f"has_{axis}")
+        start, end = bounds[:, 0], bounds[:, 1]
+        if np.any(given & ((start < 0) | (end <= start) | (end > full))):
+            raise InvalidScheme(f"a shard's {axis} bound is empty or outside its table")
+        return np.where(given, end - start, full)
 
     def row_share(self) -> np.ndarray:
         """Each shard's share of its table's lookups: 1/k for a row-wise
@@ -320,12 +314,6 @@ class ShardColumns(NamedTuple):
         sums = np.zeros(num_workers, dtype=np.int64)
         np.add.at(sums, dest, charged)
         return sums
-
-
-def _span(bounds: np.ndarray) -> int:
-    """max - min over the explicit bounds of an (n, 2) bounds column."""
-    values = bounds[bounds[:, 1] != FULL_EXTENT].ravel()
-    return int(values.max()) - int(values.min()) if len(values) else 0
 
 
 def _int64_column(values, count: int, name: str) -> np.ndarray:
@@ -441,8 +429,7 @@ def validate_scheme(table: TableSpec, scheme: Scheme) -> None:
 #
 # Every storage and cost number of the planner comes from the column
 # functions of this section and the next, over many tables or candidates in
-# one numpy pass. table_storage_bytes, shard_storage_bytes, shard_cost,
-# enumerate_candidates and candidate_costs are their one-row views.
+# one numpy pass. shard_cost and candidate_costs are their one-row views.
 
 
 def _int64_product(factor, *factors):
@@ -482,26 +469,6 @@ def _value_bytes(tc: TableColumns, flags: CompressionFlags) -> np.ndarray:
 def table_bytes(tc: TableColumns, flags: CompressionFlags) -> np.ndarray:
     """Each table's whole storage: value bytes plus optimizer state."""
     return _storage_bytes(tc.rows, tc.dim, _value_bytes(tc, flags), flags)
-
-
-def table_storage_bytes(
-    rows: int, width: int, table: TableSpec, flags: CompressionFlags
-) -> int:
-    """Value bytes plus optimizer state for one (rows x width) shard."""
-    elem_bytes = PRECISION_BYTES[flags.table_precision or table.value_precision]
-    return int(_storage_bytes(np.int64(rows), np.int64(width), elem_bytes, flags))
-
-
-def shard_storage_bytes(
-    table: TableSpec, scheme: Scheme, flags: CompressionFlags
-) -> int:
-    """Storage bytes of the largest shard `scheme` places on one worker."""
-    rows, width = table.num_rows, table.dim
-    if scheme.kind is SchemeKind.ROW_WISE:
-        rows = -(-rows // scheme.num_row_shards)
-    elif scheme.kind is SchemeKind.COLUMN_WISE:
-        width = max(c1 - c0 for c0, c1 in scheme.col_splits)
-    return table_storage_bytes(rows, width, table, flags)
 
 
 def _shard_costs(tc: TableColumns, table, kind, num_shards, width, cluster, global_batch):
@@ -731,17 +698,6 @@ def _schemes(kind: np.ndarray, num_shards: np.ndarray, dim: np.ndarray) -> list[
     return schemes
 
 
-def enumerate_candidates(
-    table: TableSpec, cluster: ClusterSpec, policy: CandidatePolicy
-) -> list[Scheme]:
-    """Feasible schemes for one table, in enumeration order: its rows of
-    CandidateColumns (see _enumerate)."""
-    _, kind, num_shards, *_ = _enumerate(
-        TableColumns.of((table,)), (table,), cluster, policy
-    )
-    return _schemes(kind, num_shards, np.full(len(kind), table.dim))
-
-
 # ---------------------------------------------------------------------------
 # partitioning heuristics
 
@@ -900,14 +856,10 @@ class CostNorms:
     latency: float
 
 
-def cost_norms(costs) -> CostNorms:
-    """Per-term means over candidate costs: the rows of a CandidateColumns,
-    or a sequence of ShardCost. Each mean adds its terms in row order from 0."""
-    names = ("comm_bytes", "load", "fixed_latency")
-    if isinstance(costs, CandidateColumns):
-        terms = [getattr(costs, name).tolist() for name in names]
-    else:
-        terms = [[getattr(c, name) for c in costs] for name in names]
+def cost_norms(costs: CandidateColumns) -> CostNorms:
+    """Per-term means over the rows of a CandidateColumns. Each mean adds its
+    terms in row order from 0."""
+    terms = [costs.comm_bytes.tolist(), costs.load.tolist(), costs.fixed_latency.tolist()]
     n = max(len(terms[0]), 1)
     return CostNorms(*(sum(values) / n for values in terms))
 
@@ -945,30 +897,6 @@ def candidate_costs(
     }
 
 
-def plan_objective(
-    plan: ShardingPlan,
-    model: ModelSpec,
-    cluster: ClusterSpec,
-    weights: CostWeights,
-    norms: CostNorms,
-) -> float:
-    """Max over workers of the weighted per-worker cost; DP shards charge
-    every worker identically."""
-    global_batch = model.local_batch * plan.num_workers
-    totals = [0.0] * plan.num_workers
-    for assignment in plan.assignments:
-        table = model.tables[model.table_index(assignment.table_id)]
-        cost = shard_cost(table, assignment.scheme, cluster, global_batch)
-        obj = scalar_objective(cost, weights, norms)
-        for shard in assignment.shards:
-            if shard.worker is None:
-                for w in range(plan.num_workers):
-                    totals[w] += obj
-            else:
-                totals[shard.worker] += obj
-    return max(totals) if totals else 0.0
-
-
 # ---------------------------------------------------------------------------
 # memory accounting
 
@@ -1004,13 +932,13 @@ def _check_int64_bytes(plan: ShardingPlan, model: ModelSpec) -> None:
     """Raise InvalidValue if a per-worker byte total could pass int64.
 
     With Python ints: every charge holds at most the widest table's rows
-    (or the plan's row-bound span) times its widest dim (or column span)
-    elements, each of at most _MAX_ELEMENT_BYTES.
+    times its widest dim elements (ShardColumns.extents refuses a bound
+    past its table), each of at most _MAX_ELEMENT_BYTES.
     """
     cols = plan.shard_columns
     tc = model.table_columns
-    rows = max(int(tc.rows.max(initial=0)), cols.row_span)
-    width = max(int(tc.dim.max(initial=0)), cols.col_span)
+    rows = int(tc.rows.max(initial=0))
+    width = int(tc.dim.max(initial=0))
     bound = cols.charges * rows * width * _MAX_ELEMENT_BYTES
     if bound > INT64_MAX:
         raise InvalidValue(

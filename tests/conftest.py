@@ -1,13 +1,19 @@
+import struct
+from typing import IO
+
 import numpy as np
 
 from neosim import (
     CandidatePolicy,
     ClusterSpec,
     CompressionFlags,
+    EmbeddingTable,
+    MalformedDocument,
     ModelSpec,
     Precision,
     TableSpec,
 )
+from neosim.embedding import _MAGIC
 
 
 def desk_cluster(
@@ -99,3 +105,21 @@ def mixed_desk_case():
         flags=CompressionFlags(table_precision=Precision.FP16),
     )
     return model, cluster, policy
+
+
+# reads what `verify --dump-tables` writes (embedding.dump_table)
+def load_table(spec: TableSpec, fh: IO[bytes]) -> EmbeddingTable:
+    magic = fh.read(4)
+    if magic != _MAGIC:
+        raise MalformedDocument("bad table checkpoint magic")
+    rows, dim, prec_code, moment_code = struct.unpack("<QQBB", fh.read(18))
+    values = np.frombuffer(fh.read(rows * dim * 8), dtype=np.float64).reshape(rows, dim)
+    if moment_code == 0:
+        moment = None
+    elif moment_code == 1:
+        moment = np.frombuffer(fh.read(rows * 8), dtype=np.float64)
+    else:
+        moment = np.frombuffer(fh.read(rows * dim * 8), dtype=np.float64).reshape(
+            rows, dim
+        )
+    return EmbeddingTable(spec, values.copy(), None if moment is None else moment.copy())

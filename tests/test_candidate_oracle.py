@@ -522,14 +522,17 @@ SEEDS = range(48)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_candidates_match_oracle(seed):
     model, cluster, policy, _ = random_case(seed)
-    for table in model.tables:
-        assert outcome(planner.enumerate_candidates, table, cluster, policy) == outcome(
-            enumerate_candidates, table, cluster, policy
-        )
     got = outcome(planner.candidate_costs, model, cluster, policy)
     want = outcome(candidate_costs, model, cluster, policy)
     assert candidate_text(got) == candidate_text(want)
     assert got == want
+    if isinstance(want, dict):
+        storage = CandidateColumns.of(model, cluster, policy).storage.tolist()
+        assert storage == [
+            shard_storage_bytes(table, scheme, policy.flags)
+            for table in model.tables
+            for scheme, _ in want[table.id]
+        ]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -565,8 +568,8 @@ def test_hierarchical_plan_matches_oracle(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_one_row_views_match_oracle(seed):
-    """shard_cost, shard_storage_bytes and table_storage_bytes on any valid
-    scheme: every row-shard count, uneven column slices, hierarchical."""
+    """shard_cost on any valid scheme: every row-shard count, uneven column
+    slices, hierarchical."""
     model, cluster, policy, _ = random_case(seed, max_tables=40)
     rng = np.random.default_rng([seed, 11])
     global_batch = model.local_batch * cluster.num_workers
@@ -589,13 +592,6 @@ def test_one_row_views_match_oracle(seed):
             got = planner.shard_cost(table, scheme, cluster, global_batch)
             want = shard_cost(table, scheme, cluster, global_batch)
             assert got == want and cost_text(got) == cost_text(want)
-            assert planner.shard_storage_bytes(
-                table, scheme, policy.flags
-            ) == shard_storage_bytes(table, scheme, policy.flags)
-        rows, width = int(rng.integers(1, table.num_rows + 1)), int(rng.integers(1, table.dim + 1))
-        assert planner.table_storage_bytes(
-            rows, width, table, policy.flags
-        ) == table_storage_bytes(rows, width, table, policy.flags)
 
 
 def test_ties_follow_kind_name_then_shard_count():

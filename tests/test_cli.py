@@ -222,7 +222,7 @@ class TestVerifyCommand:
         )
         assert code == 0
         from neosim import parse_model_spec
-        from neosim.embedding import load_table
+        from conftest import load_table
         from pathlib import Path
 
         model = parse_model_spec(Path(desk_model_file).read_text())

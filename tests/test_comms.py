@@ -1,6 +1,7 @@
 """Input redistribution, collective volumes and sharded-vs-reference execution."""
 
 import dataclasses
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from conftest import desk_cluster, desk_model, random_desk_model
 from neosim import (
     CandidatePolicy,
     CollectiveKind,
+    CombinedBatch,
     CostWeights,
+    InvalidValue,
     LayoutMismatch,
-    LayoutTag,
+    LayoutMismatch,
     OptimizerConfig,
     OptimizerKind,
     Precision,
@@ -26,10 +29,8 @@ from neosim import (
     bucketize_rowwise,
     gen_synthetic_batch,
     hierarchical_plan,
-    permute_WTB_to_TWB,
     plan_4d,
     quantized_volume,
-    replicate_columnwise,
     train_step_reference,
     train_step_sharded,
     volume_forward_alltoall,
@@ -39,15 +40,11 @@ from neosim.bundled import load_bundled_cluster, load_bundled_model
 from neosim.comms import (
     LENGTH_BYTES,
     LaidOutBatch,
-    from_twb,
-    permute_TWB_to_WTB,
     reassemble_values,
     to_wtb,
-    unbucketize_rowwise,
     volume_input_alltoall,
 )
 from neosim.embedding import apply_rowwise_adagrad, RowGradients
-from neosim.model import GlobalBatchLayout
 from neosim.planner import CompressionFlags, even_bounds
 
 
@@ -63,6 +60,26 @@ def tw_plan(model, workers, gpus_per_node=None):
             for i, t in enumerate(model.tables)
         ),
     )
+
+
+def unbucketize_rowwise(
+    parts: Sequence[tuple[np.ndarray, np.ndarray]],
+    boundaries: Sequence[tuple[int, int]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of bucketize up to per-sample index order (multiset identity)."""
+    num_samples = len(parts[0][0])
+    lengths = np.zeros(num_samples, dtype=np.int64)
+    per_sample_chunks: list[list[np.ndarray]] = [[] for _ in range(num_samples)]
+    for (part_lengths, part_indices), (start, _) in zip(parts, boundaries):
+        lengths += part_lengths
+        offsets = np.concatenate(([0], np.cumsum(part_lengths)))
+        for s in range(num_samples):
+            per_sample_chunks[s].append(part_indices[offsets[s] : offsets[s + 1]] + start)
+    chunks = [c for group in per_sample_chunks for c in group]
+    indices = (
+        np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    )
+    return lengths, indices
 
 
 class TestBucketize:
@@ -101,57 +118,103 @@ class TestBucketize:
             bucketize_rowwise([1], [10], [(0, 5), (5, 10)])
 
 
+def column_wise_inputs(splits, seed=5):
+    """Every column shard's redistributed input for table "c", whose
+    column shards go to workers 0, 1, 0, ..., and c's global batch slice."""
+    model = desk_model(
+        [
+            TableSpec(id="t0", num_rows=8, dim=4, avg_pooling=2.0),
+            TableSpec(id="c", num_rows=8, dim=splits[-1][1], avg_pooling=3.0),
+        ],
+        local_batch=3,
+    )
+    plan = ShardingPlan(
+        2,
+        2,
+        (
+            TableAssignment("t0", Scheme(SchemeKind.TABLE_WISE), (Shard(worker=0),)),
+            TableAssignment(
+                "c",
+                Scheme(SchemeKind.COLUMN_WISE, col_splits=splits),
+                tuple(Shard(worker=i % 2, cols=s) for i, s in enumerate(splits)),
+            ),
+        ),
+    )
+    batch = gen_synthetic_batch(model, 6, seed=seed)
+    slices = alltoall_redistribute(to_wtb(batch, 2), plan, model)
+    received = [
+        (w, si) for w, ws in enumerate(slices) for si in ws.inputs if si.table_id == "c"
+    ]
+    assert sorted(si.position for _, si in received) == list(range(len(splits)))
+    assert all(si.shard.worker == w for w, si in received)
+    return [si for _, si in received], batch.table_slice(1)
+
+
 class TestReplicate:
+    """Column shards each receive a full copy of their table's global batch."""
+
     def test_payload_doubles(self):
-        parts = replicate_columnwise([2, 1], [5, 6, 7], 2)
-        assert len(parts) == 2
-        total = sum(len(idx) for _, idx in parts)
-        assert total == 2 * 3
+        received, (_, idx) = column_wise_inputs(((0, 2), (2, 4)))
+        assert len(received) == 2
+        assert sum(len(si.indices) for si in received) == 2 * len(idx)
 
     def test_single_copy_identity(self):
-        parts = replicate_columnwise([1], [3], 1)
-        assert parts[0][1].tolist() == [3]
+        received, (lens, idx) = column_wise_inputs(((0, 4),))
+        assert np.array_equal(received[0].lengths, lens)
+        assert np.array_equal(received[0].indices, idx)
 
     def test_copies_equal(self):
-        parts = replicate_columnwise([2], [1, 2], 3)
-        for lens, idx in parts[1:]:
-            assert np.array_equal(lens, parts[0][0])
-            assert np.array_equal(idx, parts[0][1])
+        received, (lens, idx) = column_wise_inputs(((0, 2), (2, 4), (4, 6)))
+        for si in received:
+            assert np.array_equal(si.lengths, lens)
+            assert np.array_equal(si.indices, idx)
 
 
 class TestPermute:
+    """to_wtb lays the table-major batch out worker-major; redistribution
+    permutes it back."""
+
     def test_block_permutation_w2_t2_b1(self):
-        # blocks [a, b, c, d] in (w, t) order become [a, c, b, d]
-        layout = GlobalBatchLayout(2, 2, 1, LayoutTag.WTB)
-        lengths = np.array([1, 1, 1, 1])
-        indices = np.array([10, 20, 30, 40])  # a=10 b=20 c=30 d=40
-        out = permute_WTB_to_TWB(LaidOutBatch(layout, lengths, indices))
-        assert out.layout.tag is LayoutTag.TWB
+        # table-major blocks [a, b, c, d] = (t, w) order become [a, c, b, d]
+        batch = CombinedBatch(np.ones((2, 2), np.int64), np.array([10, 20, 30, 40]))
+        out = to_wtb(batch, 2)
+        assert (out.workers, out.tables, out.local_batch) == (2, 2, 1)
         assert out.indices.tolist() == [10, 30, 20, 40]
 
     def test_degenerate_dimensions_identity(self):
+        rng = np.random.default_rng(0)
         for W, T in ((1, 3), (3, 1)):
-            layout = GlobalBatchLayout(W, T, 2, LayoutTag.WTB)
-            lengths = np.arange(W * T * 2) % 3
-            indices = np.arange(int(lengths.sum()))
-            out = permute_WTB_to_TWB(LaidOutBatch(layout, lengths, indices))
-            assert out.indices.tolist() == indices.tolist()
+            lengths = rng.integers(0, 4, size=(T, W * 2))
+            batch = CombinedBatch(lengths, np.arange(int(lengths.sum())))
+            out = to_wtb(batch, W)
+            assert out.indices.tolist() == batch.indices.tolist()
 
     def test_inverse_round_trip(self):
+        # each table's owner receives its global slice: the batch back
         rng = np.random.default_rng(1)
         for _ in range(10):
-            W, T, B = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
-            lengths = rng.integers(0, 4, size=W * T * B)
-            indices = rng.integers(0, 100, size=int(lengths.sum()))
-            laid = LaidOutBatch(GlobalBatchLayout(W, T, B, LayoutTag.WTB), lengths, indices)
-            back = permute_TWB_to_WTB(permute_WTB_to_TWB(laid))
-            assert np.array_equal(back.lengths, laid.lengths)
-            assert np.array_equal(back.indices, laid.indices)
+            model = random_desk_model(rng)
+            W = int(rng.integers(1, 4))
+            batch = gen_synthetic_batch(model, W * model.local_batch, seed=int(rng.integers(100)))
+            slices = alltoall_redistribute(to_wtb(batch, W), tw_plan(model, W), model)
+            inputs = {si.table_id: si for ws in slices for si in ws.inputs}
+            back = [inputs[t.id] for t in model.tables]
+            assert CombinedBatch(
+                np.stack([si.lengths for si in back]),
+                np.concatenate([si.indices for si in back]),
+            ) == batch
 
-    def test_wrong_tag_rejected(self):
-        layout = GlobalBatchLayout(2, 2, 1, LayoutTag.TWB)
+    def test_layout_checked(self):
         with pytest.raises(LayoutMismatch):
-            permute_WTB_to_TWB(LaidOutBatch(layout, np.zeros(4, np.int64), np.zeros(0, np.int64)))
+            LaidOutBatch(2, 2, 1, np.ones(3, np.int64), np.zeros(3, np.int64))
+        with pytest.raises(LayoutMismatch):
+            LaidOutBatch(2, 2, 1, np.ones(4, np.int64), np.zeros(3, np.int64))
+        with pytest.raises(InvalidValue):
+            LaidOutBatch(-1, 2, 1, np.ones(0, np.int64), np.zeros(0, np.int64))
+        model = desk_model([TableSpec(id="t", num_rows=8, dim=2, avg_pooling=1.0)])
+        batch = gen_synthetic_batch(model, 2 * model.local_batch, seed=0)
+        with pytest.raises(LayoutMismatch):
+            alltoall_redistribute(to_wtb(batch, 1), tw_plan(model, 2), model)
 
 
 class TestRedistribute:
@@ -188,7 +251,18 @@ class TestRedistribute:
             W = int(rng.choice([1, 2, 4]))
             batch = gen_synthetic_batch(model, W * model.local_batch, seed=int(rng.integers(100)))
             laid = to_wtb(batch, W)
-            assert from_twb(permute_WTB_to_TWB(laid)) == batch
+            T, B = batch.num_tables, model.local_batch
+            assert (laid.workers, laid.tables, laid.local_batch) == (W, T, B)
+            lengths = laid.lengths.reshape(W, T, B)
+            ends = np.cumsum(lengths.sum(axis=2).ravel())
+            for w in range(W):
+                for t in range(T):
+                    lens, idx = batch.table_slice(t)
+                    starts = np.concatenate(([0], np.cumsum(lens)))
+                    end = ends[w * T + t]
+                    block = laid.indices[end - lengths[w, t].sum() : end]
+                    assert np.array_equal(lengths[w, t], lens[w * B : (w + 1) * B])
+                    assert np.array_equal(block, idx[starts[w * B] : starts[(w + 1) * B]])
 
 
 class TestVolumes:

@@ -1,12 +1,10 @@
-"""Core domain types, spec parsing and batch format."""
+"""Core domain types, spec parsing and synthetic batches."""
 
 import dataclasses
-import io
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from neosim import (
     CombinedBatch,
@@ -15,19 +13,14 @@ from neosim import (
     MissingKey,
     MalformedDocument,
     ModelSpec,
-    NonMonotonicOffsets,
+    Precision,
     SkewKind,
     TableSpec,
     gen_synthetic_batch,
-    lengths_to_offsets,
-    offsets_to_lengths,
     parse_cluster_spec,
     parse_model_spec,
-    serialize_cluster_spec,
-    serialize_model_spec,
 )
-from neosim.bundled import load_bundled_cluster, load_bundled_model
-from neosim.model import dump_batch, load_batch
+from neosim.bundled import data_path, load_bundled_model
 
 
 def small_model(tables=None, local_batch=4):
@@ -44,32 +37,6 @@ def small_model(tables=None, local_batch=4):
         interaction_flops_per_sample=0.0,
         dense_param_bytes=0,
     )
-
-
-class TestLengthsOffsets:
-    def test_prefix_sum(self):
-        assert lengths_to_offsets([2, 0, 3]).tolist() == [0, 2, 2, 5]
-
-    def test_empty(self):
-        assert lengths_to_offsets([]).tolist() == [0]
-
-    def test_difference(self):
-        assert offsets_to_lengths([0, 2, 2, 5]).tolist() == [2, 0, 3]
-
-    def test_single_zero(self):
-        assert offsets_to_lengths([0]).tolist() == []
-
-    def test_non_monotonic_rejected(self):
-        with pytest.raises(NonMonotonicOffsets):
-            offsets_to_lengths([0, 3, 1])
-
-    def test_must_start_at_zero(self):
-        with pytest.raises(NonMonotonicOffsets):
-            offsets_to_lengths([1, 2])
-
-    @given(st.lists(st.integers(min_value=0, max_value=50), max_size=40))
-    def test_round_trip(self, lengths):
-        assert offsets_to_lengths(lengths_to_offsets(lengths)).tolist() == lengths
 
 
 class TestTableSpec:
@@ -108,10 +75,53 @@ class TestParseModelSpec:
             parse_model_spec(json.dumps(doc))
         assert "dim" in err.value.path
 
-    def test_round_trip_identity(self):
-        model = load_bundled_model("model_a")
-        again = parse_model_spec(serialize_model_spec(model))
-        assert again == model
+    def test_literal_document_sets_every_field(self):
+        doc = {
+            "spec_version": 1,
+            "local_batch": 8,
+            "mflops_per_sample": 1.5,
+            "interaction_flops_per_sample": 2.5,
+            "dense_param_bytes": 148,
+            "bottom_mlp_layers": [[2, 4]],
+            "top_mlp_layers": [[4, 4], [4, 1]],
+            "tables": [
+                {
+                    "id": "z",
+                    "num_rows": 7,
+                    "dim": 3,
+                    "avg_pooling": 2.5,
+                    "value_precision": "FP16",
+                    "index_skew": {"kind": "zipf", "alpha": 1.25},
+                },
+                {
+                    "id": "u",
+                    "num_rows": 5,
+                    "dim": 2,
+                    "avg_pooling": 1.0,
+                    "value_precision": "FP32",
+                    "index_skew": {"kind": "uniform"},
+                },
+            ],
+        }
+        assert parse_model_spec(json.dumps(doc)) == ModelSpec(
+            tables=(
+                TableSpec(
+                    id="z",
+                    num_rows=7,
+                    dim=3,
+                    avg_pooling=2.5,
+                    value_precision=Precision.FP16,
+                    index_skew=IndexSkew(SkewKind.ZIPF, 1.25),
+                ),
+                TableSpec(id="u", num_rows=5, dim=2, avg_pooling=1.0),
+            ),
+            bottom_mlp_layers=((2, 4),),
+            top_mlp_layers=((4, 4), (4, 1)),
+            local_batch=8,
+            mflops_per_sample=1.5,
+            interaction_flops_per_sample=2.5,
+            dense_param_bytes=148,
+        )
 
     def test_table_index_is_position_and_unknown_id_raises(self):
         model = load_bundled_model("model_a")
@@ -239,7 +249,7 @@ class TestParseClusterSpec:
         ],
     )
     def test_non_finite_numbers_rejected(self, path, literal):
-        doc = json.loads(serialize_cluster_spec(load_bundled_cluster()))
+        doc = json.loads(data_path("cluster_16node.json").read_text())
         text = json.dumps(_set_path(doc, path, "@@"))
         with pytest.raises(InvalidValue) as err:
             parse_cluster_spec(text.replace('"@@"', literal))
@@ -305,26 +315,3 @@ class TestCombinedBatch:
         batch = gen_synthetic_batch(model, 16, seed=3)
         clone = CombinedBatch(batch.lengths.copy(), batch.indices.copy())
         assert clone.indices.tobytes() == batch.indices.tobytes()
-        # round-tripping the dump format is byte-identical too
-        a, b = io.StringIO(), io.StringIO()
-        dump_batch(batch, a, workers=4)
-        loaded, _ = load_batch(io.StringIO(a.getvalue()))
-        dump_batch(loaded, b, workers=4)
-        assert a.getvalue() == b.getvalue()
-
-    def test_dump_load_round_trip(self):
-        model = small_model()
-        batch = gen_synthetic_batch(model, 16, seed=4)
-        buf = io.StringIO()
-        dump_batch(batch, buf, workers=4)
-        buf.seek(0)
-        loaded, workers = load_batch(buf)
-        assert workers == 4
-        assert loaded == batch
-
-    def test_dump_header(self):
-        model = small_model()
-        batch = gen_synthetic_batch(model, 6, seed=0)
-        buf = io.StringIO()
-        dump_batch(batch, buf, workers=2)
-        assert buf.getvalue().splitlines()[0] == "2 2 3"

@@ -13,12 +13,14 @@ from conftest import desk_cluster, desk_model, mixed_desk_case
 
 from neosim import (
     CandidatePolicy,
+    ClusterSpec,
     CompressionFlags,
     CostWeights,
     Infeasible,
     InvalidScheme,
     InvalidValue,
     MissingKey,
+    ModelSpec,
     NoFeasibleScheme,
     Precision,
     Scheme,
@@ -27,7 +29,6 @@ from neosim import (
     TableAssignment,
     TableSpec,
     ShardingPlan,
-    enumerate_candidates,
     greedy_partition,
     hierarchical_plan,
     karmarkar_karp_partition,
@@ -41,14 +42,44 @@ from neosim import (
 from neosim.bundled import load_bundled_cluster, load_bundled_model
 from neosim.comms import volume_gradient_collectives
 from neosim.planner import (
+    CW,
+    DP,
+    RW,
+    TW,
+    CandidateColumns,
+    CostNorms,
     candidate_costs,
     cost_norms,
     even_bounds,
-    plan_objective,
-    shard_storage_bytes,
+    scalar_objective,
 )
 
 ITEMS_87654 = [("a", 8.0), ("b", 7.0), ("c", 6.0), ("d", 5.0), ("e", 4.0)]
+
+
+# the planner's weighted per-worker objective, the exhaustive search's yardstick
+def plan_objective(
+    plan: ShardingPlan,
+    model: ModelSpec,
+    cluster: ClusterSpec,
+    weights: CostWeights,
+    norms: CostNorms,
+) -> float:
+    """Max over workers of the weighted per-worker cost; DP shards charge
+    every worker identically."""
+    global_batch = model.local_batch * plan.num_workers
+    totals = [0.0] * plan.num_workers
+    for assignment in plan.assignments:
+        table = model.tables[model.table_index(assignment.table_id)]
+        cost = shard_cost(table, assignment.scheme, cluster, global_batch)
+        obj = scalar_objective(cost, weights, norms)
+        for shard in assignment.shards:
+            if shard.worker is None:
+                for w in range(plan.num_workers):
+                    totals[w] += obj
+            else:
+                totals[shard.worker] += obj
+    return max(totals) if totals else 0.0
 
 
 def list_kk_partition(items, k):
@@ -223,12 +254,17 @@ class TestShardCost:
 
 
 class TestEnumerateCandidates:
+    @staticmethod
+    def kinds(table, cluster):
+        """The kind codes CandidateColumns offers a one-table model."""
+        cands = CandidateColumns.of(desk_model([table]), cluster, CandidatePolicy())
+        return set(cands.kind.tolist())
+
     def test_tiny_table_offers_data_parallel(self):
         table = TableSpec(id="t", num_rows=100, dim=4, avg_pooling=2.0)
-        schemes = enumerate_candidates(table, desk_cluster(4), CandidatePolicy())
-        kinds = {s.kind for s in schemes}
-        assert SchemeKind.DATA_PARALLEL in kinds
-        assert SchemeKind.TABLE_WISE in kinds
+        kinds = self.kinds(table, desk_cluster(4))
+        assert DP in kinds
+        assert TW in kinds
 
     def test_oversized_table_drops_table_wise_keeps_row_wise(self):
         cluster = desk_cluster(4, hbm=2**30, dram_per_node=2**30)
@@ -236,16 +272,15 @@ class TestEnumerateCandidates:
             64 * 8
         )
         table = TableSpec(id="big", num_rows=int(rows), dim=64, avg_pooling=2.0)
-        schemes = enumerate_candidates(table, cluster, CandidatePolicy())
-        kinds = {s.kind for s in schemes}
-        assert SchemeKind.TABLE_WISE not in kinds
-        assert SchemeKind.ROW_WISE in kinds
+        kinds = self.kinds(table, cluster)
+        assert TW not in kinds
+        assert RW in kinds
 
     def test_table_exceeding_cluster_is_infeasible(self):
         cluster = desk_cluster(2, hbm=2**20, dram_per_node=2**20)
         table = TableSpec(id="huge", num_rows=10**9, dim=64, avg_pooling=2.0)
         with pytest.raises(NoFeasibleScheme):
-            enumerate_candidates(table, cluster, CandidatePolicy())
+            self.kinds(table, cluster)
 
 
 class TestGreedyPartition:
@@ -499,7 +534,7 @@ class TestPlan4d:
             policy = CandidatePolicy(dp_threshold_bytes=64 * 2**10)
             plan = plan_4d(model, cluster, weights, policy, heuristic="kk")
             cands = candidate_costs(model, cluster, policy)
-            norms = cost_norms([c for lst in cands.values() for _, c in lst])
+            norms = cost_norms(CandidateColumns.of(model, cluster, policy))
             achieved = plan_objective(plan, model, cluster, weights, norms)
 
             # exhaustive optimum over (scheme, placement) per table
@@ -507,8 +542,6 @@ class TestPlan4d:
             for table in tables:
                 options = []
                 for scheme, cost in cands[table.id]:
-                    from neosim.planner import scalar_objective
-
                     obj = scalar_objective(cost, weights, norms)
                     if scheme.kind is SchemeKind.DATA_PARALLEL:
                         options.append((obj, obj))
@@ -638,27 +671,30 @@ class TestMemoryCheck:
 
     @pytest.mark.parametrize("rowwise", [True, False])
     def test_shard_storage_bytes_is_largest_charged_shard(self, rowwise):
+        """Each candidate's storage is the bytes of the largest shard that
+        memory_check charges a worker when the candidate is placed."""
         table = TableSpec(id="t", num_rows=100, dim=8, avg_pooling=1.0)
         model = desk_model([table])
         flags = CompressionFlags(table_precision=Precision.FP16, rowwise_optimizer=rowwise)
-        cols = ((0, 3), (3, 8))
-        cases = [
-            (Scheme(SchemeKind.TABLE_WISE), [Shard(0)]),
-            (
-                Scheme(SchemeKind.ROW_WISE, num_row_shards=3),
-                [Shard(w, rows=b) for w, b in enumerate(even_bounds(100, 3))],
-            ),
-            (
-                Scheme(SchemeKind.COLUMN_WISE, col_splits=cols),
-                [Shard(w, cols=c) for w, c in enumerate(cols)],
-            ),
-            (Scheme(SchemeKind.DATA_PARALLEL), [Shard(None)]),
-        ]
-        for scheme, shards in cases:
-            plan = ShardingPlan(4, 4, (TableAssignment("t", scheme, tuple(shards)),))
-            report = memory_check(plan, model, desk_cluster(4), flags)
+        cluster = desk_cluster(8)
+        policy = CandidatePolicy(fine_grain=True, flags=flags)
+        cands = CandidateColumns.of(model, cluster, policy)
+        assert set(cands.kind.tolist()) == {TW, RW, CW, DP}
+        for scheme, storage in zip(
+            (s for s, _ in candidate_costs(model, cluster, policy)["t"]),
+            cands.storage.tolist(),
+        ):
+            if scheme.kind is SchemeKind.ROW_WISE:
+                bounds = even_bounds(100, scheme.num_shards)
+                shards = [Shard(w, rows=b) for w, b in enumerate(bounds)]
+            elif scheme.kind is SchemeKind.COLUMN_WISE:
+                shards = [Shard(w, cols=c) for w, c in enumerate(scheme.col_splits)]
+            else:
+                shards = [Shard(None if scheme.kind is SchemeKind.DATA_PARALLEL else 0)]
+            plan = ShardingPlan(8, 8, (TableAssignment("t", scheme, tuple(shards)),))
+            report = memory_check(plan, model, cluster, flags)
             largest = max(m.table_bytes + m.optimizer_bytes for m in report.workers)
-            assert shard_storage_bytes(table, scheme, flags) == largest, scheme.kind
+            assert storage == largest, scheme
 
 
 class TestPlanValidation:

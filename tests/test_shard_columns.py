@@ -852,3 +852,39 @@ def test_worker_out_of_range_raises(worker):
         memory_check(plan, model, desk_cluster(2), CompressionFlags())
     with pytest.raises(InvalidScheme):
         volume_forward_alltoall(plan, model, 2)
+
+
+@pytest.mark.parametrize("end", ["full_extent", "past_the_table", "empty"])
+@pytest.mark.parametrize("axis", ["rows", "cols"])
+def test_explicit_bound_outside_the_table_raises(axis, end):
+    """An unvalidated plan whose second shard of a 100 x 4 FP32 table ends at
+    an explicit FULL_EXTENT, 20 past the table or at its own start is
+    refused, not charged the whole table or rows it does not have."""
+    model = desk_model([TableSpec(id="t", num_rows=100, dim=4, avg_pooling=1.0)])
+    cluster = desk_cluster(2)
+    extent = 100 if axis == "rows" else 4
+    mid = extent // 2
+    end = {"full_extent": FULL_EXTENT, "past_the_table": extent + 20, "empty": mid}[end]
+    kind = SchemeKind.ROW_WISE if axis == "rows" else SchemeKind.COLUMN_WISE
+    scheme = Scheme(kind, num_row_shards=2) if axis == "rows" else Scheme(
+        kind, col_splits=((0, mid), (mid, extent))
+    )
+
+    def plan(last):
+        shards = (Shard(0, **{axis: (0, mid)}), Shard(1, **{axis: (mid, last)}))
+        return ShardingPlan(2, 2, (TableAssignment("t", scheme, shards),))
+
+    good = plan(extent)
+    flags = CompressionFlags()
+    report = memory_check(good, model, cluster, flags)
+    assert report == memory_check_loop(good, model, cluster, flags)
+    assert [m.table_bytes for m in report.workers] == [800, 800]
+    bad = plan(end)
+    with pytest.raises(InvalidScheme):
+        memory_check(bad, model, cluster, flags)
+    with pytest.raises(InvalidScheme):
+        component_latencies(model, bad, cluster, flags=flags)
+    if axis == "cols":
+        assert volume_forward_alltoall(good, model, 2) == forward_loop(good, model, 2)
+        with pytest.raises(InvalidScheme):
+            volume_forward_alltoall(bad, model, 2)
