@@ -11,6 +11,7 @@ associativity mirrors the warp-sized layout the cache models.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from operator import index
@@ -132,31 +133,89 @@ class TraceStats:
 
 
 def simulate_trace(config: CacheConfig, trace: Iterable[int]) -> TraceStats:
-    """Replay a trace from an empty cache; the same result as folding
-    `access` over it, without a per-access result object."""
+    """Replay a trace from an empty cache; the same counts as folding
+    `access` over it.
+
+    A set that never receives more distinct rows than it has ways only ever
+    takes compulsory misses, under either policy. When no set overflows, the
+    counts follow from the distinct rows alone and nothing is replayed.
+    """
     num_sets, ways = config.num_sets, config.ways
-    lfu = config.policy is ReplacementPolicy.LFU
-    sets: list[dict[int, int]] = [{} for _ in range(num_sets)]
-    accesses = misses = evictions = 0
-    for value in trace:
-        try:
-            row_id = index(value)
-        except TypeError:
-            row_id = -1
-        if row_id < 0:
-            _row_id(value)  # raises InvalidValue for the bad id
+    ids, distinct = _row_ids(trace)
+    misses = len(distinct)
+    if misses <= num_sets * ways and (
+        max(Counter(map(num_sets.__rmod__, distinct)).values()) <= ways  # rows per set
+    ):
+        return TraceStats(hits=len(ids) - misses, misses=misses, evictions=0)
+    replay = _replay_lfu if config.policy is ReplacementPolicy.LFU else _replay_lru
+    misses, evictions = replay(ids, num_sets, ways)
+    return TraceStats(hits=len(ids) - misses, misses=misses, evictions=evictions)
+
+
+def _row_ids(trace: Iterable[int]) -> tuple[list[int], set[int]]:
+    """(every row id of the trace in order, the distinct ones), each id
+    mapped through `operator.index` once. Raises `InvalidValue` for the
+    first bad id in trace order and `EmptyTrace` on an empty trace."""
+    if not isinstance(trace, list):
+        trace = list(trace)  # a one-shot iterator is read once
+    try:
+        ids = list(map(index, trace))
+    except TypeError:
+        ids = None  # a non-integer id: the scan below finds the first bad one
+    distinct = set(ids or ())
+    if ids is None or (distinct and min(distinct) < 0):
+        for value in trace:
+            _row_id(value)  # raises InvalidValue at the first bad id in order
+    if not ids:
+        raise EmptyTrace("hit rate is undefined on an empty trace")
+    return ids, distinct
+
+
+def _replay_lru(ids: list[int], num_sets: int, ways: int) -> tuple[int, int]:
+    """(misses, evictions) of an LRU replay. Each miss adds a resident row
+    unless it evicts one, so evictions are the misses less the rows resident
+    at the end."""
+    sets: list[dict[int, bool]] = [{} for _ in range(num_sets)]
+    misses = 0
+    for row_id in ids:
         lines = sets[row_id % num_sets]
-        count = lines.pop(row_id, 0)
-        if not count:
+        if not lines.pop(row_id, False):
             misses += 1
             if len(lines) >= ways:
-                del lines[_victim(lines, lfu)]
-                evictions += 1
+                del lines[next(iter(lines))]
+        lines[row_id] = True
+    return misses, misses - sum(map(len, sets))
+
+
+def _replay_lfu(ids: list[int], num_sets: int, ways: int) -> tuple[int, int]:
+    """(misses, evictions) of an LFU replay. Besides each set's counts,
+    `ones[s]` holds set s's resident rows whose count is 1, least recent
+    first. Such a row has not been hit since it came in, so the first of
+    them is the least recent of the least frequent rows: the row `_victim`
+    picks, found without a scan. Only a set whose every row has been hit
+    falls back to `_victim`."""
+    sets: list[dict[int, int]] = [{} for _ in range(num_sets)]
+    ones: list[dict[int, None]] = [{} for _ in range(num_sets)]
+    misses = 0
+    for row_id in ids:
+        s = row_id % num_sets
+        lines = sets[s]
+        count = lines.pop(row_id, 0)
+        if count == 1:
+            del ones[s][row_id]
+        elif not count:
+            misses += 1
+            fresh = ones[s]
+            if len(lines) >= ways:
+                if fresh:
+                    victim = next(iter(fresh))
+                    del fresh[victim]
+                else:
+                    victim = _victim(lines, True)
+                del lines[victim]
+            fresh[row_id] = None
         lines[row_id] = count + 1
-        accesses += 1
-    if accesses == 0:
-        raise EmptyTrace("hit rate is undefined on an empty trace")
-    return TraceStats(hits=accesses - misses, misses=misses, evictions=evictions)
+    return misses, misses - sum(map(len, sets))
 
 
 def effective_row_bandwidth(hit_rate: float, hbm_bw: float, backing_bw: float) -> float:

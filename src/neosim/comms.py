@@ -174,14 +174,18 @@ def to_wtb(batch: CombinedBatch, workers: int) -> LaidOutBatch:
         raise LayoutMismatch("workers must divide the global sample count")
     T = batch.num_tables
     B = batch.num_samples // workers
+    # (lengths, indices, index offset of each worker's first sample) per table
+    tables = []
+    for t in range(T):
+        lens_t, idx_t = batch.table_slice(t)
+        offsets = np.concatenate(([0], np.cumsum(lens_t)))
+        tables.append((lens_t, idx_t, offsets[np.arange(workers + 1) * B].tolist()))
     lengths_chunks = []
     index_chunks = []
     for w in range(workers):
-        for t in range(T):
-            lens_t, idx_t = batch.table_slice(t)
-            offsets = np.concatenate(([0], np.cumsum(lens_t)))
+        for lens_t, idx_t, starts in tables:
             lengths_chunks.append(lens_t[w * B : (w + 1) * B])
-            index_chunks.append(idx_t[offsets[w * B] : offsets[(w + 1) * B]])
+            index_chunks.append(idx_t[starts[w] : starts[w + 1]])
     return LaidOutBatch(
         workers,
         T,

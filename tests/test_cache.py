@@ -1,5 +1,7 @@
 """Set-associative cache simulator and tiered-bandwidth blending."""
 
+from operator import index
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,6 +67,18 @@ def assert_matches_oracle(num_sets, ways, policy, trace):
     assert (state.hits, state.misses, state.evictions) == expected
     stats = simulate_trace(config, trace)
     assert (stats.hits, stats.misses, stats.evictions) == expected
+    return stats
+
+
+@st.composite
+def straddling_traces(draw):
+    """(num_sets, ways, trace) over row ids 0..num_sets*ways: every set but
+    set 0 has at most `ways` rows to receive and set 0 has `ways + 1`, so a
+    trace overflows only when it reaches all of set 0's rows."""
+    num_sets, ways = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    top = num_sets * ways
+    trace = draw(st.lists(st.integers(0, top), min_size=1, max_size=4 * (top + 1)))
+    return num_sets, ways, trace
 
 
 def oracle_traces(rng):
@@ -231,6 +245,91 @@ class TestOracle:
     )
     def test_property_matches_list_scan_replay(self, num_sets, ways, policy, trace):
         assert_matches_oracle(num_sets, ways, policy, trace)
+
+
+class TestReplayShortcuts:
+    """simulate_trace skips the replay when no set can evict and finds LFU
+    victims among the count-1 rows; each case is checked against the
+    list-scan oracle and against folding `access`."""
+
+    @pytest.mark.parametrize("policy", list(ReplacementPolicy))
+    def test_every_set_exactly_full(self, policy):
+        rng = np.random.default_rng(4)
+        trace = [int(v) for v in rng.permutation(np.tile(np.arange(12), 5))]
+        stats = assert_matches_oracle(4, 3, policy, trace)
+        assert (stats.hits, stats.misses, stats.evictions) == (48, 12, 0)
+
+    @pytest.mark.parametrize("policy", list(ReplacementPolicy))
+    def test_one_set_one_row_over(self, policy):
+        # rows 0..12 at 4 x 3: set 0 receives 0, 4, 8 and 12, the rest 3 each
+        trace = list(range(13)) * 3
+        stats = assert_matches_oracle(4, 3, policy, trace)
+        assert stats.evictions > 0
+
+    @pytest.mark.parametrize("policy", list(ReplacementPolicy))
+    def test_one_row_past_capacity(self, policy):
+        # 13 distinct rows spread at random cannot fit 12 lines
+        rng = np.random.default_rng(5)
+        rows = rng.choice(1 << 30, size=13, replace=False)
+        trace = [int(v) for v in rng.permutation(np.tile(rows, 4))]
+        stats = assert_matches_oracle(4, 3, policy, trace)
+        assert stats.misses > 13 and stats.evictions > 0
+
+    def test_lfu_count_one_row_evicted_before_older_row(self):
+        # [a, a, b, c] at 2 ways: b is the count-1 row, evicted though a is older
+        a, b, c = 0, 1, 2
+        state = CacheState(CacheConfig(1, 2, ReplacementPolicy.LFU))
+        assert [access(state, row).evicted for row in (a, a, b, c)][-1] == b
+        stats = assert_matches_oracle(1, 2, ReplacementPolicy.LFU, [a, a, b, c, a])
+        assert (stats.hits, stats.misses, stats.evictions) == (2, 3, 1)
+
+    def test_lfu_without_count_one_row_scans(self):
+        # [a, a, b, b, c]: no count-1 row, so the least recent of count 2 goes
+        a, b, c = 0, 1, 2
+        state = CacheState(CacheConfig(1, 2, ReplacementPolicy.LFU))
+        assert [access(state, row).evicted for row in (a, a, b, b, c)][-1] == a
+        stats = assert_matches_oracle(1, 2, ReplacementPolicy.LFU, [a, a, b, b, c, b])
+        assert (stats.hits, stats.misses, stats.evictions) == (3, 3, 1)
+
+    @pytest.mark.parametrize("policy", list(ReplacementPolicy))
+    def test_generator_trace(self, policy):
+        trace = [5, 1, 9, 5, 13, 1, 17, 5]
+        config = CacheConfig(2, 2, policy)
+        expected = assert_matches_oracle(2, 2, policy, trace)
+        assert simulate_trace(config, (row for row in trace)) == expected
+        assert simulate_trace(config, iter(trace)) == expected
+
+    @pytest.mark.parametrize(
+        "trace,message",
+        [
+            ([-1, 1.7], "invalid value at row_id: must be >= 0"),
+            ([1.7, -1], "invalid value at row_id: must be an integer, got 1.7"),
+            ([4, 2, -3], "invalid value at row_id: must be >= 0"),
+            ((v for v in [4, None, -1]), "invalid value at row_id: must be an integer, got None"),
+        ],
+    )
+    def test_first_bad_id_in_trace_order(self, trace, message):
+        with pytest.raises(InvalidValue) as info:
+            simulate_trace(CacheConfig(2, 2), trace)
+        assert str(info.value) == message
+
+    def test_empty_generator_rejected(self):
+        with pytest.raises(EmptyTrace):
+            simulate_trace(CacheConfig(2, 2), iter(()))
+
+    @pytest.mark.parametrize("policy", list(ReplacementPolicy))
+    def test_ids_past_int64_accepted(self, policy):
+        big = 2**63
+        trace = [big, big + 2, big + 4, big, big + 1, np.uint64(big), True]
+        expected = assert_matches_oracle(2, 2, policy, [index(v) for v in trace])
+        assert simulate_trace(CacheConfig(2, 2, policy), trace) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=straddling_traces())
+    def test_property_around_capacity(self, case):
+        num_sets, ways, trace = case
+        for policy in ReplacementPolicy:
+            assert_matches_oracle(num_sets, ways, policy, trace)
 
 
 class TestSimulateTrace:

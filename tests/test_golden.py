@@ -485,12 +485,16 @@ CACHE_GOLDEN = {
     ("zipf_hot", 64, 32, "lfu"): (16052, 3948, 1900),
     ("zipf_cold", 64, 32, "lru"): (907, 7093, 5045),
     ("zipf_cold", 64, 32, "lfu"): (964, 7036, 4988),
+    # no set receives more than 32 distinct rows: compulsory misses only
+    ("zipf_fit", 64, 32, "lru"): (15034, 966, 0),
+    ("zipf_fit", 64, 32, "lfu"): (15034, 966, 0),
 }
 
 CACHE_TRACES = {
     "scan_hot": lambda: [int(v) for v in SCAN_HOT.read_text().split()],
     "zipf_hot": lambda: _zipf_trace(20240, 8192, 1.05, 20_000),
     "zipf_cold": lambda: _zipf_trace(20241, 1 << 20, 0.8, 8_000),
+    "zipf_fit": lambda: _zipf_trace(20242, 1024, 1.05, 16_000),
 }
 
 # policy -> SHA-256 of the `neosim cache` report body, scan-hot trace at 4 x 8
