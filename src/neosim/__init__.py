@@ -69,7 +69,6 @@ from .comms import (
     WorkerSlice,
     alltoall_redistribute,
     bucketize_rowwise,
-    quantized_volume,
     train_step_sharded,
     volume_forward_alltoall,
     volume_gradient_collectives,

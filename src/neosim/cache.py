@@ -71,10 +71,6 @@ class CacheState:
         self.misses = 0
         self.evictions = 0
 
-    def resident(self, row_id: int) -> bool:
-        row_id = _row_id(row_id)
-        return row_id in self.sets[row_id % self.config.num_sets]
-
 
 def _row_id(value) -> int:
     try:

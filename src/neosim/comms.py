@@ -2,18 +2,25 @@
 simulated multi-worker training step.
 
 Collectives are executed in-process with deterministic scheduling: this
-module owns the data movement and per-worker volumes, latency belongs to the
-performance model. Pooled AlltoAll send volumes exclude a worker's own slice
-(self-traffic is free under per-link accounting). Row-wise reduction volumes
-also record the share of each worker's send that stays on the scale-up
-fabric, which the performance model charges there.
+module owns the data movement and the bytes each worker sends, latency
+belongs to the performance model. collective_volumes composes one
+iteration's volumes, each built once at the width it travels at: pooled
+embeddings, their gradients and row-wise partial pools at their direction's
+AlltoAll precision. The lengths phase and the index payloads have no such
+width, and DP gradients travel at the table's storage width. Pooled AlltoAll
+send volumes exclude a worker's own slice (self-traffic is free under
+per-link accounting). Row-wise reduction volumes also record the share of
+each worker's send that stays on the scale-up fabric, which the performance
+model charges there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from functools import reduce
+from operator import add
+from typing import Sequence
 
 import numpy as np
 
@@ -54,21 +61,19 @@ class CollectiveKind(str, Enum):
 
 @dataclass(frozen=True)
 class CollectiveVolume:
-    """Per-worker send bytes for one logical collective.
+    """Per-worker send bytes for one logical collective, at the width its
+    payload travels at.
 
-    payload_elem_bytes records the element width the payload was computed at
-    (None for raw-byte payloads); metadata_bytes is the lengths phase, which
-    quantization never scales. scaleup_bytes is the part of each worker's
-    send that stays on the scale-up fabric (hierarchical row-wise shards);
-    only row-wise reduction volumes carry it, and to_dict leaves it out.
+    metadata_bytes is the lengths phase of the input AlltoAll. scaleup_bytes
+    is the part of each worker's send that stays on the scale-up fabric
+    (hierarchical row-wise shards); only row-wise reduction volumes carry
+    it, and to_dict leaves it out.
     """
 
     kind: CollectiveKind
     label: str
     per_worker_send_bytes: tuple[float, ...]
     message_count: int
-    payload_elem_bytes: Optional[int] = None
-    direction: Optional[str] = None  # "fwd" | "bwd" | None
     metadata_bytes: tuple[float, ...] = ()
     scaleup_bytes: tuple[float, ...] = ()
 
@@ -81,10 +86,6 @@ class CollectiveVolume:
                 raise InvalidValue(
                     "per_worker_send_bytes", "AllReduce volume must match across workers"
                 )
-
-    @property
-    def total_bytes(self) -> float:
-        return sum(self.per_worker_send_bytes)
 
     @property
     def max_bytes(self) -> float:
@@ -285,106 +286,93 @@ def alltoall_redistribute(
 # collective volume models
 
 
-# Pooled embeddings travel as activations: 4-byte elements unless the caller
-# overrides or quantized_volume rescales. Table storage precision only
-# affects parameter traffic (DP gradient AllReduce) and memory reads.
+# Pooled embeddings and their gradients travel as activations, at the
+# AlltoAll width of their direction (4 bytes unless quantized). Table storage
+# precision only affects parameter traffic (DP gradient AllReduce) and memory
+# reads.
 ACTIVATION_BYTES = PRECISION_BYTES[Precision.FP32]
+
+
+def _pooled_elements(
+    plan: ShardingPlan, model: ModelSpec, num_workers: int
+) -> np.ndarray:
+    """Per-worker elements of the pooled AlltoAll, in either direction: each
+    worker sends its local TW/CW shard rows destined to other workers,
+    D_shard x (global - local)."""
+    global_batch = model.local_batch * num_workers
+    remote = global_batch - model.local_batch
+    cols = plan.shard_columns
+    width = cols.extents("cols", model.table_columns.dim[cols.tables(model)])
+    pooled = (cols.kind == TW) | (cols.kind == CW)
+    return cols.per_worker(np.where(pooled, width * float(remote), 0.0), num_workers)
+
+
+def _pooled_alltoall(label: str, send: np.ndarray) -> CollectiveVolume:
+    return CollectiveVolume(
+        kind=CollectiveKind.ALLTOALL,
+        label=label,
+        per_worker_send_bytes=tuple(send.tolist()),
+        message_count=1,
+    )
 
 
 def volume_forward_alltoall(
     plan: ShardingPlan,
     model: ModelSpec,
     num_workers: int,
-    elem_bytes: Optional[int] = None,
+    elem_bytes: int = ACTIVATION_BYTES,
 ) -> CollectiveVolume:
-    """Pooled-output exchange: each worker sends its local TW/CW shard rows
-    destined to other workers, D_shard x (global - local) x elem bytes."""
-    elem = ACTIVATION_BYTES if elem_bytes is None else elem_bytes
-    global_batch = model.local_batch * num_workers
-    remote = global_batch - model.local_batch
-    cols = plan.shard_columns
-    width = cols.extents("cols", model.table_columns.dim[cols.tables(model)])
-    pooled = (cols.kind == TW) | (cols.kind == CW)
-    send = cols.per_worker(
-        np.where(pooled, width * float(remote) * elem, 0.0), num_workers
-    )
-    return CollectiveVolume(
-        kind=CollectiveKind.ALLTOALL,
-        label="pooled_a2a_fwd",
-        per_worker_send_bytes=tuple(send.tolist()),
-        message_count=1,
-        payload_elem_bytes=elem,
-        direction="fwd",
-    )
+    """Pooled-output exchange: the pooled AlltoAll elements at elem_bytes
+    each."""
+    elements = _pooled_elements(plan, model, num_workers)
+    return _pooled_alltoall("pooled_a2a_fwd", elements * elem_bytes)
 
 
 def volume_gradient_collectives(
     plan: ShardingPlan,
     model: ModelSpec,
     num_workers: int,
-    elem_bytes: Optional[int] = None,
-    forward: Optional[CollectiveVolume] = None,
+    fwd_elem_bytes: int = ACTIVATION_BYTES,
+    bwd_elem_bytes: int = ACTIVATION_BYTES,
 ) -> list[CollectiveVolume]:
-    """Backward-path collectives plus the row-wise forward ReduceScatter.
+    """Row-wise partial-pool exchanges, then the gradient AllReduces.
 
-    The backward pooled AlltoAll mirrors the forward volume, which callers
-    that already hold it (computed at the same elem_bytes) pass as
-    `forward`; DP tables and dense parameters synchronize with ring
-    AllReduce at 2(W-1)/W x bytes.
+    The row-wise forward ReduceScatter travels at fwd_elem_bytes and the
+    backward gather that mirrors it at bwd_elem_bytes; hierarchical row
+    shards reduce inside one node, so their bytes also count in
+    scaleup_bytes. DP tables and dense parameters synchronize with ring
+    AllReduce at 2(W-1)/W x bytes, DP tables at their storage width.
     """
     global_batch = model.local_batch * num_workers
-    elem = ACTIVATION_BYTES if elem_bytes is None else elem_bytes
-    fwd = forward
-    if fwd is None:
-        fwd = volume_forward_alltoall(plan, model, num_workers, elem_bytes)
-    out = [
-        CollectiveVolume(
-            kind=CollectiveKind.ALLTOALL,
-            label="pooled_a2a_bwd",
-            per_worker_send_bytes=fwd.per_worker_send_bytes,
-            message_count=1,
-            payload_elem_bytes=fwd.payload_elem_bytes,
-            direction="bwd",
-        )
-    ]
-    # The gather mirrors the ReduceScatter; hierarchical row shards reduce
-    # inside one node, so their bytes also count in scaleup.
     cols = plan.shard_columns
+    tc = model.table_columns
     t = cols.tables(model)
     k = cols.num_shards
     rw = cols.kind == RW
-    per_shard = (k - 1) / k * global_batch * model.table_columns.dim[t] * elem
-    rs = cols.per_worker(np.where(rw, per_shard, 0.0), num_workers)
+    per_shard = (k - 1) / k * global_batch * tc.dim[t]
+    elements = cols.per_worker(np.where(rw, per_shard, 0.0), num_workers)
     scaleup = cols.per_worker(
         np.where(rw & cols.hierarchical, per_shard, 0.0), num_workers
     )
-    has_rw = bool(rw.any())
-    dp_bytes = 0.0
-    for i in t[cols.kind == DP].tolist():
-        # parameter gradients synchronize at the table's storage width
-        table = model.tables[i]
-        dp_bytes += (
-            2 * (num_workers - 1) / num_workers
-            * table.num_params
-            * table.elem_bytes
-        )
-    if has_rw:
-        send, scaleup = tuple(rs.tolist()), tuple(scaleup.tolist())
-        for collective, label, direction in (
-            (CollectiveKind.REDUCE_SCATTER, "rw_reduce_scatter_fwd", "fwd"),
-            (CollectiveKind.MANY_TO_MANY, "rw_gather_bwd", "bwd"),
+    out = []
+    if rw.any():
+        for collective, label, elem in (
+            (CollectiveKind.REDUCE_SCATTER, "rw_reduce_scatter_fwd", fwd_elem_bytes),
+            (CollectiveKind.MANY_TO_MANY, "rw_gather_bwd", bwd_elem_bytes),
         ):
             out.append(
                 CollectiveVolume(
                     kind=collective,
                     label=label,
-                    per_worker_send_bytes=send,
+                    per_worker_send_bytes=tuple((elements * elem).tolist()),
                     message_count=1,
-                    payload_elem_bytes=elem,
-                    direction=direction,
-                    scaleup_bytes=scaleup,
+                    scaleup_bytes=tuple((scaleup * elem).tolist()),
                 )
             )
+    dp = t[cols.kind == DP]
+    scale = 2 * (num_workers - 1) / num_workers
+    dp_terms = scale * (tc.rows[dp] * tc.dim[dp]) * tc.elem_bytes[dp]
+    dp_bytes = reduce(add, dp_terms.tolist(), 0.0)  # in plan order
     if dp_bytes > 0:
         out.append(
             CollectiveVolume(
@@ -392,17 +380,15 @@ def volume_gradient_collectives(
                 label="dp_table_allreduce",
                 per_worker_send_bytes=tuple([dp_bytes] * num_workers),
                 message_count=1,
-                direction="bwd",
             )
         )
-    dense = 2 * (num_workers - 1) / num_workers * model.dense_param_bytes
+    dense = scale * model.dense_param_bytes
     out.append(
         CollectiveVolume(
             kind=CollectiveKind.ALLREDUCE,
             label="dense_allreduce",
             per_worker_send_bytes=tuple([dense] * num_workers),
             message_count=1,
-            direction="bwd",
         )
     )
     return out
@@ -435,33 +421,31 @@ def volume_input_alltoall(
         label="input_a2a",
         per_worker_send_bytes=tuple(send.tolist()),
         message_count=2,  # lengths phase + indices phase
-        payload_elem_bytes=None,  # integer ids, not quantizable
-        direction=None,
         metadata_bytes=tuple(meta.astype(np.float64).tolist()),
     )
 
 
-def quantized_volume(
-    volume: CollectiveVolume,
-    fwd_precision: Precision,
-    bwd_precision: Precision,
-) -> CollectiveVolume:
-    """Scale payload bytes by target/stored element width; metadata and
-    direction-less payloads are untouched."""
-    if volume.payload_elem_bytes is None or volume.direction is None:
-        return volume
-    target = fwd_precision if volume.direction == "fwd" else bwd_precision
-    ratio = PRECISION_BYTES[target] / volume.payload_elem_bytes
-    return CollectiveVolume(
-        kind=volume.kind,
-        label=volume.label,
-        per_worker_send_bytes=tuple(b * ratio for b in volume.per_worker_send_bytes),
-        message_count=volume.message_count,
-        payload_elem_bytes=PRECISION_BYTES[target],
-        direction=volume.direction,
-        metadata_bytes=volume.metadata_bytes,
-        scaleup_bytes=tuple(b * ratio for b in volume.scaleup_bytes),
-    )
+def collective_volumes(
+    plan: ShardingPlan,
+    model: ModelSpec,
+    a2a_fwd_precision: Precision = Precision.FP32,
+    a2a_bwd_precision: Precision = Precision.FP32,
+) -> list[CollectiveVolume]:
+    """Every collective of one iteration, each built once at its wire width:
+    the pooled AlltoAll forward and backward, the gradient-path collectives,
+    then the input AlltoAll. Pooled and row-wise volumes travel at their
+    direction's AlltoAll precision; the input, DP and dense volumes do not
+    depend on it."""
+    W = plan.num_workers
+    fwd = PRECISION_BYTES[a2a_fwd_precision]
+    bwd = PRECISION_BYTES[a2a_bwd_precision]
+    elements = _pooled_elements(plan, model, W)
+    return [
+        _pooled_alltoall("pooled_a2a_fwd", elements * fwd),
+        _pooled_alltoall("pooled_a2a_bwd", elements * bwd),
+        *volume_gradient_collectives(plan, model, W, fwd, bwd),
+        volume_input_alltoall(plan, model, W),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +488,6 @@ def train_step_sharded(
     batch: CombinedBatch,
     cfg: OptimizerConfig,
     seed: int = 0,
-    zero_init: bool = False,
 ) -> tuple[np.ndarray, ShardedState]:
     """Execute one iteration across W logical workers, deterministically.
 
@@ -522,7 +505,7 @@ def train_step_sharded(
     if batch.num_samples % W:
         raise LayoutMismatch("global batch must split evenly across workers")
     n = batch.num_samples
-    full_tables = build_tables(model, cfg, seed, zero_init=zero_init)
+    full_tables = build_tables(model, cfg, seed)
     slices = alltoall_redistribute(to_wtb(batch, W), plan, model)
     inputs = {(si.table_id, si.position): si for ws in slices for si in ws.inputs}
     state = ShardedState(shards={}, dp_replicas={})

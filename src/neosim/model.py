@@ -195,9 +195,6 @@ class ModelSpec:
         # rebuild the derived fields, so unpickled arrays stay read-only
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
-    def table_index(self, table_id: str) -> int:
-        return self._table_pos[table_id]
-
     def table_indices(self, table_ids) -> np.ndarray:
         """Positions in `tables` of each id; unknown ids raise KeyError."""
         return np.fromiter(

@@ -22,14 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cache import effective_row_bandwidth
-from .comms import (
-    CollectiveVolume,
-    LENGTH_BYTES,
-    quantized_volume,
-    volume_forward_alltoall,
-    volume_gradient_collectives,
-    volume_input_alltoall,
-)
+from .comms import CollectiveVolume, LENGTH_BYTES, collective_volumes
 from .errors import Infeasible, InvalidValue
 from .model import ClusterSpec, ModelSpec, Precision, TableSpec, mlp_param_bytes
 from .planner import (
@@ -227,24 +220,6 @@ def _pooled_exchange_time(
     return t
 
 
-def collective_volumes(
-    plan: ShardingPlan,
-    model: ModelSpec,
-    a2a_fwd_precision: Precision = Precision.FP32,
-    a2a_bwd_precision: Precision = Precision.FP32,
-) -> list[CollectiveVolume]:
-    """Every collective of one iteration, pooled exchanges quantized to the
-    AlltoAll precisions: forward AlltoAll, the gradient-path collectives,
-    then the input AlltoAll."""
-    W = plan.num_workers
-    fwd = volume_forward_alltoall(plan, model, W)
-    volumes = [fwd, *volume_gradient_collectives(plan, model, W, forward=fwd)]
-    volumes.append(volume_input_alltoall(plan, model, W))
-    return [
-        quantized_volume(v, a2a_fwd_precision, a2a_bwd_precision) for v in volumes
-    ]
-
-
 def component_latencies(
     model: ModelSpec,
     plan: ShardingPlan,
@@ -262,8 +237,8 @@ def component_latencies(
     divide shard bytes touched by the effective row bandwidth of the worker's
     memory tier; collective terms divide the straggler's volume by the
     achieved bandwidth for its message size. Model-parallel terms take the
-    max over workers. `volumes` is collective_volumes' result at the same
-    AlltoAll precisions; it is computed here when not given.
+    max over workers. `volumes` is comms.collective_volumes' result at the
+    same AlltoAll precisions; it is computed here when not given.
     """
     if plan.num_workers != cluster.num_workers:
         raise InvalidValue("plan", "plan and cluster disagree on worker count")

@@ -294,7 +294,7 @@ def plan_4d(
             if any(s.worker in overloaded for s in assignment.shards):
                 nxt = _next_finer(ordered[assignment.table_id], choice[assignment.table_id])
                 if nxt is not None:
-                    table = model.tables[model.table_index(assignment.table_id)]
+                    table = model.tables[model.table_indices([assignment.table_id])[0]]
                     scheme, _ = ordered[assignment.table_id][choice[assignment.table_id]]
                     offenders.append(
                         (

@@ -30,7 +30,6 @@ from neosim import (
     gen_synthetic_batch,
     hierarchical_plan,
     plan_4d,
-    quantized_volume,
     train_step_reference,
     train_step_sharded,
     volume_forward_alltoall,
@@ -40,6 +39,7 @@ from neosim.bundled import load_bundled_cluster, load_bundled_model
 from neosim.comms import (
     LENGTH_BYTES,
     LaidOutBatch,
+    collective_volumes,
     reassemble_values,
     to_wtb,
     volume_input_alltoall,
@@ -298,14 +298,6 @@ class TestVolumes:
         vol = volume_forward_alltoall(tw_plan(model, 1), model, 1)
         assert vol.max_bytes == 0
 
-    def test_fp16_exactly_half_of_fp32(self):
-        model, plan = self.two_table_plan_and_model()
-        fp32 = volume_forward_alltoall(plan, model, 2)
-        fp16 = quantized_volume(fp32, Precision.FP16, Precision.BF16)
-        assert [b * 0.5 for b in fp32.per_worker_send_bytes] == list(
-            fp16.per_worker_send_bytes
-        )
-
     def test_dense_allreduce_volume(self):
         # 1e6 dense bytes, W=2: 2(p-1)/p x bytes = 1e6 per worker
         model = desk_model(
@@ -326,29 +318,10 @@ class TestVolumes:
 
     def test_backward_alltoall_mirrors_forward(self):
         model, plan = self.two_table_plan_and_model()
-        fwd = volume_forward_alltoall(plan, model, 2)
-        bwd = [
-            v
-            for v in volume_gradient_collectives(plan, model, 2)
-            if v.label == "pooled_a2a_bwd"
-        ][0]
+        fwd, bwd = collective_volumes(plan, model)[:2]
+        assert (fwd.label, bwd.label) == ("pooled_a2a_fwd", "pooled_a2a_bwd")
+        assert fwd == volume_forward_alltoall(plan, model, 2)
         assert fwd.per_worker_send_bytes == bwd.per_worker_send_bytes
-
-    def test_quantized_volume_scaling(self):
-        model, plan = self.two_table_plan_and_model()
-        base = volume_forward_alltoall(plan, model, 2)
-        assert base.payload_elem_bytes == 4
-        scaled = quantized_volume(base, Precision.FP16, Precision.BF16)
-        assert scaled.total_bytes == base.total_bytes / 2
-        bf16 = quantized_volume(base, Precision.BF16, Precision.BF16)
-        assert bf16.total_bytes == scaled.total_bytes  # BF16 == FP16 width
-        tf32 = quantized_volume(base, Precision.TF32, Precision.TF32)
-        assert tf32.total_bytes == base.total_bytes  # TF32 stored as 4 bytes
-        # index payload and the lengths phase never quantize
-        input_vol = volume_input_alltoall(plan, model, 2)
-        untouched = quantized_volume(input_vol, Precision.FP16, Precision.FP16)
-        assert untouched.per_worker_send_bytes == input_vol.per_worker_send_bytes
-        assert untouched.metadata_bytes == input_vol.metadata_bytes
 
 
 def make_mixed_plan(model, W, gpn):

@@ -125,11 +125,10 @@ class TestParseModelSpec:
 
     def test_table_index_is_position_and_unknown_id_raises(self):
         model = load_bundled_model("model_a")
-        assert [model.table_index(t.id) for t in model.tables] == list(
-            range(model.num_tables)
-        )
+        ids = [t.id for t in model.tables]
+        assert model.table_indices(ids).tolist() == list(range(model.num_tables))
         with pytest.raises(KeyError):
-            model.table_index("nope")
+            model.table_indices(["nope"])[0]
 
     def test_rebuilt_model_equal_hash_repr(self):
         model = small_model()
@@ -141,9 +140,9 @@ class TestParseModelSpec:
         renamed = dataclasses.replace(
             model, tables=(dataclasses.replace(model.tables[0], id="x"),) + model.tables[1:]
         )
-        assert renamed.table_index("x") == 0
+        assert renamed.table_indices(["x"])[0] == 0
         with pytest.raises(KeyError):
-            renamed.table_index("t0")
+            renamed.table_indices(["t0"])[0]
 
     def test_unknown_key_rejected_with_path(self):
         doc = {

@@ -252,11 +252,11 @@ def test_golden_shrunk_sweep(tmp_path, capsys, flags):
 SHRUNK_HIER_GOLDEN = {
     (True, False, "FP16", "BF16"): (
         "5802ae285561417da098d5d306feda0344dc62f5d7449d6900295062d203a752",
-        "7678c0e381e54167e41d322035b1d9dd8cec796ffd70434f7c7b2103eec66a38",
+        "0a64ae5e987bcd6ed6205868a69ff97ca9641ab40ce865bd6f922cc7cf608564",
     ),
     (False, True, "FP32", "FP32"): (
         "cdd1af839407286fd944a23cbcf511e5b9078f48768c4794a853c1de9cc8561a",
-        "a4131d49e4d536f768dcf92b20d5ad4801e9622a16877a11b7e485d179f18224",
+        "48cc1f9ed1bbc6f25e56eee5b23b419245f839a2b9ee10ec47fecaf887ef67ad",
     ),
 }
 

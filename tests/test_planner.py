@@ -70,7 +70,7 @@ def plan_objective(
     global_batch = model.local_batch * plan.num_workers
     totals = [0.0] * plan.num_workers
     for assignment in plan.assignments:
-        table = model.tables[model.table_index(assignment.table_id)]
+        table = model.tables[model.table_indices([assignment.table_id])[0]]
         cost = shard_cost(table, assignment.scheme, cluster, global_batch)
         obj = scalar_objective(cost, weights, norms)
         for shard in assignment.shards:

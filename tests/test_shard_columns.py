@@ -32,15 +32,19 @@ from neosim import (
     plan_4d,
     plan_from_json,
     plan_to_json,
-    quantized_volume,
     validate_plan,
     volume_forward_alltoall,
     volume_gradient_collectives,
 )
 from neosim.cache import effective_row_bandwidth
-from neosim.comms import ACTIVATION_BYTES, LENGTH_BYTES, volume_input_alltoall
+from neosim.comms import (
+    ACTIVATION_BYTES,
+    LENGTH_BYTES,
+    collective_volumes,
+    volume_input_alltoall,
+)
 from neosim.model import PRECISION_BYTES
-from neosim.perf import collective_volumes, simulate
+from neosim.perf import simulate
 from neosim.planner import (
     FULL_EXTENT,
     OPTIMIZER_STATE_BYTES,
@@ -119,7 +123,7 @@ def emb_terms_loop(model, plan, cluster, cache_hit_rate, flags):
             )
     lookup_bytes = [0.0] * W
     for assignment in plan.assignments:
-        table = model.tables[model.table_index(assignment.table_id)]
+        table = model.tables[model.table_indices([assignment.table_id])[0]]
         prec = flags.table_precision or table.value_precision
         elem = PRECISION_BYTES[prec]
         kind = assignment.scheme.kind
@@ -142,50 +146,54 @@ def emb_terms_loop(model, plan, cluster, cache_hit_rate, flags):
     return emb_lookup, emb_update
 
 
-def forward_loop(plan, model, num_workers, elem_bytes=None):
-    elem = ACTIVATION_BYTES if elem_bytes is None else elem_bytes
+def forward_loop(
+    plan, model, num_workers, elem_bytes=ACTIVATION_BYTES, label="pooled_a2a_fwd"
+):
     global_batch = model.local_batch * num_workers
     remote = global_batch - model.local_batch
     send = [0.0] * num_workers
     for assignment in plan.assignments:
-        table = model.tables[model.table_index(assignment.table_id)]
+        table = model.tables[model.table_indices([assignment.table_id])[0]]
         if assignment.scheme.kind not in (SchemeKind.TABLE_WISE, SchemeKind.COLUMN_WISE):
             continue
         for shard in assignment.shards:
             width = shard_width(table, shard)
-            send[shard.worker] += width * remote * elem
+            send[shard.worker] += width * remote * elem_bytes
     return CollectiveVolume(
         kind=CollectiveKind.ALLTOALL,
-        label="pooled_a2a_fwd",
+        label=label,
         per_worker_send_bytes=tuple(send),
         message_count=1,
-        payload_elem_bytes=elem,
-        direction="fwd",
     )
 
 
-def gradient_loop(plan, model, num_workers, elem_bytes=None):
+def gradient_loop(
+    plan,
+    model,
+    num_workers,
+    fwd_elem_bytes=ACTIVATION_BYTES,
+    bwd_elem_bytes=ACTIVATION_BYTES,
+):
     global_batch = model.local_batch * num_workers
-    elem = ACTIVATION_BYTES if elem_bytes is None else elem_bytes
-    fwd = forward_loop(plan, model, num_workers, elem_bytes)
-    out = [
-        CollectiveVolume(
-            kind=CollectiveKind.ALLTOALL,
-            label="pooled_a2a_bwd",
-            per_worker_send_bytes=fwd.per_worker_send_bytes,
-            message_count=1,
-            payload_elem_bytes=fwd.payload_elem_bytes,
-            direction="bwd",
-        )
-    ]
-    rs = [0.0] * num_workers
-    scaleup = [0.0] * num_workers
-    has_rw = False
+    out = []
     dp_bytes = 0.0
     for assignment in plan.assignments:
-        table = model.tables[model.table_index(assignment.table_id)]
-        kind = assignment.scheme.kind
-        if kind is SchemeKind.ROW_WISE:
+        table = model.tables[model.table_indices([assignment.table_id])[0]]
+        if assignment.scheme.kind is SchemeKind.DATA_PARALLEL:
+            dp_bytes += (
+                2 * (num_workers - 1) / num_workers * table.num_params * table.elem_bytes
+            )
+    for collective, label, elem in (
+        (CollectiveKind.REDUCE_SCATTER, "rw_reduce_scatter_fwd", fwd_elem_bytes),
+        (CollectiveKind.MANY_TO_MANY, "rw_gather_bwd", bwd_elem_bytes),
+    ):
+        rs = [0.0] * num_workers
+        scaleup = [0.0] * num_workers
+        has_rw = False
+        for assignment in plan.assignments:
+            table = model.tables[model.table_indices([assignment.table_id])[0]]
+            if assignment.scheme.kind is not SchemeKind.ROW_WISE:
+                continue
             has_rw = True
             k = len(assignment.shards)
             per_shard = (k - 1) / k * global_batch * table.dim * elem
@@ -194,23 +202,13 @@ def gradient_loop(plan, model, num_workers, elem_bytes=None):
             if assignment.scheme.hierarchical:
                 for shard in assignment.shards:
                     scaleup[shard.worker] += per_shard
-        elif kind is SchemeKind.DATA_PARALLEL:
-            dp_bytes += (
-                2 * (num_workers - 1) / num_workers * table.num_params * table.elem_bytes
-            )
-    if has_rw:
-        for collective, label, direction in (
-            (CollectiveKind.REDUCE_SCATTER, "rw_reduce_scatter_fwd", "fwd"),
-            (CollectiveKind.MANY_TO_MANY, "rw_gather_bwd", "bwd"),
-        ):
+        if has_rw:
             out.append(
                 CollectiveVolume(
                     kind=collective,
                     label=label,
                     per_worker_send_bytes=tuple(rs),
                     message_count=1,
-                    payload_elem_bytes=elem,
-                    direction=direction,
                     scaleup_bytes=tuple(scaleup),
                 )
             )
@@ -221,7 +219,6 @@ def gradient_loop(plan, model, num_workers, elem_bytes=None):
                 label="dp_table_allreduce",
                 per_worker_send_bytes=tuple([dp_bytes] * num_workers),
                 message_count=1,
-                direction="bwd",
             )
         )
     dense = 2 * (num_workers - 1) / num_workers * model.dense_param_bytes
@@ -231,7 +228,6 @@ def gradient_loop(plan, model, num_workers, elem_bytes=None):
             label="dense_allreduce",
             per_worker_send_bytes=tuple([dense] * num_workers),
             message_count=1,
-            direction="bwd",
         )
     )
     return out
@@ -245,7 +241,7 @@ def input_loop(plan, model, num_workers):
         kind = assignment.scheme.kind
         if kind is SchemeKind.DATA_PARALLEL:
             continue
-        table = model.tables[model.table_index(assignment.table_id)]
+        table = model.tables[model.table_indices([assignment.table_id])[0]]
         share = 1.0 / len(assignment.shards) if kind is SchemeKind.ROW_WISE else 1.0
         payload = B * table.avg_pooling * share * table.index_bytes
         for shard in assignment.shards:
@@ -262,8 +258,6 @@ def input_loop(plan, model, num_workers):
         label="input_a2a",
         per_worker_send_bytes=tuple(send.tolist()),
         message_count=2,
-        payload_elem_bytes=None,
-        direction=None,
         metadata_bytes=tuple(meta.astype(np.float64).tolist()),
     )
 
@@ -447,18 +441,20 @@ def test_sums_equal_the_shard_loops(seed):
     assert memory_check(plan, model, cluster, flags) == memory_check_loop(
         plan, model, cluster, flags
     )
-    for elem in (None, 2):
+    for elem in (ACTIVATION_BYTES, 2):
         assert volume_forward_alltoall(plan, model, W, elem) == forward_loop(
             plan, model, W, elem
         )
-        assert volume_gradient_collectives(plan, model, W, elem) == gradient_loop(
-            plan, model, W, elem
+        assert volume_gradient_collectives(plan, model, W, elem, elem) == gradient_loop(
+            plan, model, W, elem, elem
         )
     assert volume_input_alltoall(plan, model, W) == input_loop(plan, model, W)
-    fwd = forward_loop(plan, model, W)
+    fwd, bwd = PRECISION_BYTES[fwd_prec], PRECISION_BYTES[bwd_prec]
     loop_volumes = [
-        quantized_volume(v, fwd_prec, bwd_prec)
-        for v in (fwd, *gradient_loop(plan, model, W), input_loop(plan, model, W))
+        forward_loop(plan, model, W, fwd),
+        forward_loop(plan, model, W, bwd, label="pooled_a2a_bwd"),
+        *gradient_loop(plan, model, W, fwd, bwd),
+        input_loop(plan, model, W),
     ]
     assert collective_volumes(plan, model, fwd_prec, bwd_prec) == loop_volumes
     kwargs = dict(
@@ -474,6 +470,41 @@ def test_sums_equal_the_shard_loops(seed):
         emb_update=emb_update,
     )
     assert component_latencies(model, plan, cluster, **kwargs) == expected
+
+
+# the AlltoAll direction whose precision each activation volume travels at
+WIRE_DIRECTION = {
+    "pooled_a2a_fwd": 0,
+    "rw_reduce_scatter_fwd": 0,
+    "pooled_a2a_bwd": 1,
+    "rw_gather_bwd": 1,
+}
+
+
+@pytest.mark.parametrize("seed", CASES)
+def test_activation_volumes_scale_with_wire_width(seed):
+    """Against FP32, every pooled and row-wise volume, scaleup_bytes included,
+    is exactly half at FP16 and BF16 and equal at TF32, in its own direction
+    only; the input, DP and dense volumes, metadata_bytes included, never
+    move."""
+    model, plan, *_ = random_case(seed)
+    base = collective_volumes(plan, model)
+    fp32 = Precision.FP32
+    for prec, ratio in ((Precision.FP16, 0.5), (Precision.BF16, 0.5), (Precision.TF32, 1.0)):
+        for precisions in ((prec, prec), (prec, fp32), (fp32, prec)):
+            got = collective_volumes(plan, model, *precisions)
+            assert [v.label for v in got] == [v.label for v in base]
+            for v, b in zip(got, base):
+                direction = WIRE_DIRECTION.get(v.label)
+                if direction is None:
+                    assert v == b
+                    continue
+                r = ratio if precisions[direction] is prec else 1.0
+                assert v == dataclasses.replace(
+                    b,
+                    per_worker_send_bytes=tuple(x * r for x in b.per_worker_send_bytes),
+                    scaleup_bytes=tuple(x * r for x in b.scaleup_bytes),
+                )
 
 
 def test_random_plans_cover_every_layout():
