@@ -13,10 +13,6 @@ from pathlib import Path
 
 from .model import ClusterSpec, ModelSpec, parse_cluster_spec, parse_model_spec
 
-BUNDLED_MODELS = ("model_a", "model_f", "model_i")
-BUNDLED_CLUSTERS = ("cluster_16node",)
-
-
 def data_path(name: str) -> Path:
     path = resources.files("neosim").joinpath("data").joinpath(name)
     return Path(str(path))

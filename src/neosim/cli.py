@@ -38,6 +38,7 @@ from .model import (
 )
 from .perf import scaling_sweep, simulate
 from .planner import (
+    TIERS,
     CandidatePolicy,
     CompressionFlags,
     CostWeights,
@@ -156,15 +157,12 @@ def cmd_plan(args) -> int:
     text = plan_to_json(plan, model, cluster, policy.flags)
     Path(args.out).write_text(text)
     report = memory_check(plan, model, cluster, policy.flags)
-    vol = volume_forward_alltoall(plan, model, plan.num_workers)
+    sent = volume_forward_alltoall(plan, model, plan.num_workers).per_worker_send_bytes
     print(f"plan written to {args.out} ({len(plan.shard_columns.table_ids)} tables, "
           f"{plan.num_workers} workers)")
     print(f"{'worker':>6} {'memory_gb':>10} {'tier':>9} {'a2a_send_mb':>12}")
-    for m in report.workers:
-        print(
-            f"{m.worker:>6} {m.total_bytes / 1e9:>10.2f} "
-            f"{m.tier:>9} {vol.per_worker_send_bytes[m.worker] / 1e6:>12.2f}"
-        )
+    for w, (total, tier) in enumerate(zip(report.totals.tolist(), report.tier.tolist())):
+        print(f"{w:>6} {total / 1e9:>10.2f} {TIERS[tier]:>9} {sent[w] / 1e6:>12.2f}")
     return 0
 
 

@@ -27,6 +27,8 @@ from .errors import Infeasible, InvalidValue
 from .model import ClusterSpec, ModelSpec, Precision, TableSpec, mlp_param_bytes
 from .planner import (
     DP,
+    HBM,
+    INFEASIBLE,
     CandidatePolicy,
     CompressionFlags,
     CostWeights,
@@ -82,16 +84,6 @@ class ComponentLatencies:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-COMM_COMPONENTS = (
-    "a2a_fwd",
-    "a2a_bwd",
-    "allreduce_top",
-    "allreduce_bot",
-    "input_a2a",
-    "h2d",
-)
-
-
 @dataclass(frozen=True)
 class PerfEstimate:
     components: ComponentLatencies
@@ -104,6 +96,24 @@ class PerfEstimate:
     global_batch: int
 
 
+def _critical_path(
+    botmlp_fwd, emb_lookup, a2a_fwd, interaction_fwd, topmlp_fwd, topmlp_bwd,
+    interaction_bwd, a2a_bwd, emb_update, botmlp_bwd, allreduce_top,
+    allreduce_bot, input_a2a, h2d,
+) -> tuple[float, float, float]:
+    """(t_fwd, t_bwd, t_total) of component seconds, named as the fields of
+    ComponentLatencies."""
+    t_fwd = max(botmlp_fwd, emb_lookup + a2a_fwd) + interaction_fwd + topmlp_fwd
+    t_bwd = max(
+        topmlp_bwd + interaction_bwd + max(a2a_bwd + emb_update, botmlp_bwd),
+        allreduce_top + allreduce_bot,
+    )
+    core = t_fwd + t_bwd
+    exposed_input = max(0.0, input_a2a - topmlp_fwd)
+    exposed_h2d = max(0.0, h2d - core)
+    return t_fwd, t_bwd, core + exposed_input + exposed_h2d
+
+
 def iteration_latency(c: ComponentLatencies, global_batch: int) -> PerfEstimate:
     """Compose component latencies into the per-iteration estimate.
 
@@ -111,15 +121,8 @@ def iteration_latency(c: ComponentLatencies, global_batch: int) -> PerfEstimate:
     input AlltoAll beyond the top-MLP forward window and the H2D copy beyond
     one full iteration surface as additional exposed time.
     """
-    t_fwd = max(c.botmlp_fwd, c.emb_lookup + c.a2a_fwd) + c.interaction_fwd + c.topmlp_fwd
-    t_bwd = max(
-        c.topmlp_bwd + c.interaction_bwd + max(c.a2a_bwd + c.emb_update, c.botmlp_bwd),
-        c.allreduce_top + c.allreduce_bot,
-    )
-    core = t_fwd + t_bwd
-    exposed_input = max(0.0, c.input_a2a - c.topmlp_fwd)
-    exposed_h2d = max(0.0, c.h2d - core)
-    t_total = core + exposed_input + exposed_h2d
+    times = c.as_dict()
+    t_fwd, t_bwd, t_total = _critical_path(**times)
     compute_only = (
         max(c.botmlp_fwd, c.emb_lookup)
         + c.interaction_fwd
@@ -128,7 +131,6 @@ def iteration_latency(c: ComponentLatencies, global_batch: int) -> PerfEstimate:
         + c.interaction_bwd
         + max(c.emb_update, c.botmlp_bwd)
     )
-    serialized = sum(c.as_dict().values())
     qps = global_batch / t_total if t_total > 0 else math.inf
     return PerfEstimate(
         components=c,
@@ -136,23 +138,24 @@ def iteration_latency(c: ComponentLatencies, global_batch: int) -> PerfEstimate:
         t_bwd=t_bwd,
         t_total=t_total,
         qps=qps,
-        serialized_total=serialized,
+        serialized_total=sum(times.values()),
         exposed_comm=t_total - compute_only,
         global_batch=global_batch,
     )
 
 
-def exposed_breakdown(
-    c: ComponentLatencies, global_batch: int
-) -> dict[str, dict[str, float]]:
+def exposed_breakdown(c: ComponentLatencies) -> dict[str, dict[str, float]]:
     """Serialized vs exposed seconds per component; exposure is the marginal
     increase of t_total over running with that component zeroed."""
-    base = iteration_latency(c, global_batch).t_total
-    out = {}
-    for name, serialized in c.as_dict().items():
-        without = iteration_latency(replace(c, **{name: 0.0}), global_batch).t_total
-        out[name] = {"serialized": serialized, "exposed": base - without}
-    return out
+    times = c.as_dict()
+    base = _critical_path(**times)[2]
+    return {
+        name: {
+            "serialized": serialized,
+            "exposed": base - _critical_path(**{**times, name: 0.0})[2],
+        }
+        for name, serialized in times.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -256,19 +259,16 @@ def component_latencies(
     interaction_fwd = inter_flops * B / rate
 
     # memory tier per worker decides the effective embedding bandwidth
-    report = memory_check(plan, model, cluster, flags)
-    worker_bw = []
-    for m in report.workers:
-        if m.tier == "infeasible":
-            raise Infeasible(f"worker {m.worker} exceeds its memory budget")
-        if m.tier == "hbm":
-            worker_bw.append(cluster.hbm_bw)
-        else:
-            worker_bw.append(
-                effective_row_bandwidth(
-                    cache_hit_rate, cluster.hbm_bw, cluster.dram_to_gpu_bw
-                )
-            )
+    tier = memory_check(plan, model, cluster, flags).tier
+    infeasible = tier == INFEASIBLE
+    if infeasible.any():
+        raise Infeasible(f"worker {infeasible.argmax()} exceeds its memory budget")
+    in_hbm = tier == HBM
+    worker_bw = np.full(W, cluster.hbm_bw, np.float64)
+    if not in_hbm.all():
+        worker_bw[~in_hbm] = effective_row_bandwidth(
+            cache_hit_rate, cluster.hbm_bw, cluster.dram_to_gpu_bw
+        )
     cols = plan.shard_columns
     tc = model.table_columns
     t = cols.tables(model)
@@ -278,7 +278,6 @@ def component_latencies(
     placed = global_batch * pooling * cols.row_share() * width * elem
     replica = B * pooling * tc.dim[t] * elem  # on every worker
     lookup_bytes = cols.per_worker(np.where(cols.kind == DP, replica, placed), W)
-    worker_bw = np.array(worker_bw)
     emb_lookup = float((lookup_bytes / worker_bw).max(initial=0.0))
     # update re-reads and writes back the touched rows
     emb_update = float((2.0 * lookup_bytes / worker_bw).max(initial=0.0))
@@ -400,7 +399,7 @@ def simulate(
     return SimulationResult(
         estimate=estimate,
         volumes=tuple(volumes),
-        breakdown=exposed_breakdown(comps, global_batch),
+        breakdown=exposed_breakdown(comps),
     )
 
 

@@ -14,7 +14,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add, is_, is_not, itemgetter, neg
 from typing import NamedTuple, Optional, Sequence
@@ -900,6 +900,9 @@ def candidate_costs(
 # ---------------------------------------------------------------------------
 # memory accounting
 
+TIERS = ("hbm", "hbm+dram", "infeasible")  # a worker's tier code indexes this
+HBM, HBM_DRAM, INFEASIBLE = range(len(TIERS))
+
 
 @dataclass(frozen=True)
 class WorkerMemory:
@@ -907,21 +910,75 @@ class WorkerMemory:
     table_bytes: int
     optimizer_bytes: int
     dense_bytes: int
-    tier: str  # "hbm" | "hbm+dram" | "infeasible"
+    tier: str  # one of TIERS
 
     @property
     def total_bytes(self) -> int:
         return self.table_bytes + self.optimizer_bytes + self.dense_bytes
 
 
+# a MemoryReport's int64 columns over workers: WorkerMemory's byte fields,
+# `totals` for its total_bytes and `tier` for its tier's code
+_REPORT_COLUMNS = ("table_bytes", "optimizer_bytes", "dense_bytes", "totals", "tier")
+
+
 @dataclass(frozen=True)
 class MemoryReport:
+    """Per-worker bytes and the memory tier each worker lands in.
+
+    memory_check builds it from columns (from_columns; see _REPORT_COLUMNS):
+    `workers` is then a view of them, one WorkerMemory per worker, built on
+    first access. A report built from WorkerMemory records derives its
+    columns from them on first access. Equality, hash, repr and pickling
+    read `workers`, so they behave the same for both.
+    """
+
     workers: tuple[WorkerMemory, ...]
     feasible: bool
+    # derived, so outside eq/hash/repr
+    table_bytes: np.ndarray = field(init=False, repr=False, compare=False)
+    optimizer_bytes: np.ndarray = field(init=False, repr=False, compare=False)
+    dense_bytes: np.ndarray = field(init=False, repr=False, compare=False)
+    totals: np.ndarray = field(init=False, repr=False, compare=False)
+    tier: np.ndarray = field(init=False, repr=False, compare=False)
+
+    @classmethod
+    def from_columns(cls, feasible: bool, *columns: np.ndarray) -> "MemoryReport":
+        """A report holding `columns`, in _REPORT_COLUMNS order, alone."""
+        report = object.__new__(cls)
+        object.__setattr__(report, "feasible", feasible)
+        report._set_columns(columns)
+        return report
+
+    def _set_columns(self, columns) -> None:
+        for name, array in zip(_REPORT_COLUMNS, columns):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    def __getattr__(self, name):
+        # reached only for what is not set yet: a column-built report's
+        # workers, and the columns of one built from WorkerMemory records
+        if name == "workers":
+            *sizes, _, tier = (getattr(self, c).tolist() for c in _REPORT_COLUMNS)
+            value = tuple(map(WorkerMemory, count(), *sizes, map(TIERS.__getitem__, tier)))
+            object.__setattr__(self, name, value)
+            return value
+        if name not in _REPORT_COLUMNS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows = [
+            (m.table_bytes, m.optimizer_bytes, m.dense_bytes, m.total_bytes,
+             TIERS.index(m.tier))
+            for m in self.workers
+        ]
+        self._set_columns(np.array(rows, np.int64).reshape(-1, 5).T)
+        return getattr(self, name)
+
+    def __reduce__(self):
+        return type(self), (self.workers, self.feasible)
 
     @property
     def total_bytes(self) -> int:
-        return sum(w.total_bytes for w in self.workers)
+        return sum(self.totals.tolist())
 
 
 # widest per-element charge: a value at FP32 or an element-wise moment
@@ -955,7 +1012,12 @@ def memory_check(
     flags: CompressionFlags,
 ) -> MemoryReport:
     """Per-worker bytes (values + optimizer state + dense replica) and the
-    memory tier each placement lands in."""
+    memory tier each placement lands in, as columns (see MemoryReport).
+
+    Tiers compare each exact int64 total against the capacities floored to
+    integers (_floor_bytes), so they match an exact comparison with a float
+    capacity; a total that would pass int64 raises InvalidValue at `model`.
+    """
     _check_int64_bytes(plan, model)
     cols = plan.shard_columns
     tc = model.table_columns
@@ -967,31 +1029,24 @@ def memory_check(
         state_bytes = rows * OPTIMIZER_STATE_BYTES
     else:
         state_bytes = rows * width * OPTIMIZER_STATE_BYTES
-    values = cols.per_worker(value_bytes, plan.num_workers).tolist()
-    states = cols.per_worker(state_bytes, plan.num_workers).tolist()
-    workers = []
-    feasible = True
+    W = plan.num_workers
+    values = cols.per_worker(value_bytes, W)
+    states = cols.per_worker(state_bytes, W)
+    dense = model.dense_param_bytes
+    if np.any(values > INT64_MAX - states):
+        raise InvalidValue("model", "a worker's table bytes pass int64")
+    placed = values + states
+    if np.any(placed > INT64_MAX - dense):
+        raise InvalidValue("model", "a worker's bytes with the dense replica pass int64")
+    totals = placed + dense
     hbm = cluster.hbm_capacity_per_gpu
-    budget = hbm + cluster.dram_capacity_per_gpu
-    for w in range(plan.num_workers):
-        total = values[w] + states[w] + model.dense_param_bytes
-        if total <= hbm:
-            tier = "hbm"
-        elif total <= budget:
-            tier = "hbm+dram"
-        else:
-            tier = "infeasible"
-            feasible = False
-        workers.append(
-            WorkerMemory(
-                worker=w,
-                table_bytes=values[w],
-                optimizer_bytes=states[w],
-                dense_bytes=model.dense_param_bytes,
-                tier=tier,
-            )
-        )
-    return MemoryReport(workers=tuple(workers), feasible=feasible)
+    budget = _floor_bytes(hbm + cluster.dram_capacity_per_gpu)
+    tier = np.where(
+        totals > _floor_bytes(hbm), np.where(totals > budget, INFEASIBLE, HBM_DRAM), HBM
+    )
+    return MemoryReport.from_columns(
+        not np.any(tier == INFEASIBLE), values, states, np.full(W, dense), totals, tier
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1105,9 +1160,10 @@ def plan_4d(
         report = memory_check(plan, model, cluster, policy.flags)
         if report.feasible:
             return plan
-        overloaded = [m.worker for m in report.workers if m.tier == "infeasible"]
         cols = plan.shard_columns
-        offenders = set(cols.assignment[np.isin(cols.worker, overloaded)].tolist())
+        # a replica's worker -1 reads the last worker's flag; ~replica drops it
+        overloaded = (report.tier == INFEASIBLE)[cols.worker] & ~cols.replica
+        offenders = set(cols.assignment[overloaded].tolist())
         move = None  # (-storage, table id, table, next position) of the pick
         for t in offenders:
             j = choice[t]
@@ -1126,10 +1182,10 @@ def plan_4d(
     report = memory_check(plan, model, cluster, policy.flags)
     if report.feasible:
         return plan
-    worst = max(report.workers, key=lambda m: m.total_bytes)
+    worst = int(report.totals.argmax())  # the first of the largest
     raise Infeasible(
-        f"no feasible placement found; worker {worst.worker} needs "
-        f"{worst.total_bytes} bytes"
+        f"no feasible placement found; worker {worst} needs "
+        f"{report.totals[worst]} bytes"
     )
 
 
@@ -1216,10 +1272,10 @@ def hierarchical_plan(
     plan = ShardingPlan.from_columns(W, gpn, columns, "kk")
     report = memory_check(plan, model, cluster, policy.flags)
     if not report.feasible:
-        worst = max(report.workers, key=lambda m: m.total_bytes)
+        worst = int(report.totals.argmax())  # the first of the largest
         raise Infeasible(
-            f"hierarchical placement overflows worker {worst.worker} "
-            f"({worst.total_bytes} bytes)"
+            f"hierarchical placement overflows worker {worst} "
+            f"({report.totals[worst]} bytes)"
         )
     return plan
 
@@ -1350,8 +1406,8 @@ def plan_to_json(
     each distinct shard is one f-string, with `rows` and `cols` as two-int
     lists and `"worker": null` for a data-parallel replica, written once per
     call, as is each scheme object's text; each `workers` record is written
-    field by field. Strings go through json's own ASCII escaper, and an
-    empty list is `[]`, as json writes it.
+    field by field from the memory report's columns. Strings go through
+    json's own ASCII escaper, and an empty list is `[]`, as json writes it.
     """
     esc = encode_basestring_ascii
     cols = plan.shard_columns
@@ -1378,14 +1434,18 @@ def plan_to_json(
         f'  "tables": {_json_list(tables, "  ")}'
     )
     if model is not None and cluster is not None:
+        report = memory_check(plan, model, cluster, flags)
+        tiers = [esc(tier) for tier in TIERS]
         workers = [
-            f'    {{\n      "dense_bytes": {m.dense_bytes},\n'
-            f'      "optimizer_bytes": {m.optimizer_bytes},\n'
-            f'      "table_bytes": {m.table_bytes},\n'
-            f'      "tier": {esc(m.tier)},\n'
-            f'      "total_bytes": {m.total_bytes},\n'
-            f'      "worker": {m.worker}\n    }}'
-            for m in memory_check(plan, model, cluster, flags).workers
+            f'    {{\n      "dense_bytes": {dense},\n'
+            f'      "optimizer_bytes": {state},\n'
+            f'      "table_bytes": {value},\n'
+            f'      "tier": {tiers[tier]},\n'
+            f'      "total_bytes": {total},\n'
+            f'      "worker": {w}\n    }}'
+            for w, value, state, dense, total, tier in zip(
+                count(), *(getattr(report, c).tolist() for c in _REPORT_COLUMNS)
+            )
         ]
         text += f',\n  "workers": {_json_list(workers, "  ")}'
     return text + "\n}"

@@ -24,7 +24,7 @@ from neosim import (
     simulate,
 )
 from neosim.bundled import load_bundled_cluster, load_bundled_model
-from neosim.perf import shrink_to_fit
+from neosim.perf import exposed_breakdown, shrink_to_fit
 
 MIB = 2**20
 
@@ -421,7 +421,94 @@ class TestScalingSweep:
         )
 
 
+def iteration_times_oracle(c: ComponentLatencies) -> tuple[float, float, float]:
+    """(t_fwd, t_bwd, t_total) as iteration_latency composed them from the
+    fields before they shared one function with exposed_breakdown."""
+    t_fwd = max(c.botmlp_fwd, c.emb_lookup + c.a2a_fwd) + c.interaction_fwd + c.topmlp_fwd
+    t_bwd = max(
+        c.topmlp_bwd + c.interaction_bwd + max(c.a2a_bwd + c.emb_update, c.botmlp_bwd),
+        c.allreduce_top + c.allreduce_bot,
+    )
+    core = t_fwd + t_bwd
+    exposed_input = max(0.0, c.input_a2a - c.topmlp_fwd)
+    exposed_h2d = max(0.0, c.h2d - core)
+    return t_fwd, t_bwd, core + exposed_input + exposed_h2d
+
+
+def exposed_breakdown_oracle(c: ComponentLatencies) -> dict:
+    """The breakdown with each component zeroed by dataclasses.replace, one
+    whole ComponentLatencies per component."""
+    base = iteration_times_oracle(c)[2]
+    out = {}
+    for name, serialized in c.as_dict().items():
+        without = iteration_times_oracle(dataclasses.replace(c, **{name: 0.0}))[2]
+        out[name] = {"serialized": serialized, "exposed": base - without}
+    return out
+
+
+def component_vectors(count: int):
+    """Seeded component latencies: zeros, ties inside each max, input_a2a
+    below, at and above topmlp_fwd, h2d above the core time. Half are
+    multiples of 2**-10 s, whose sums are exact, so forced ties hold."""
+    names = [f.name for f in dataclasses.fields(ComponentLatencies)]
+    for seed in range(count):
+        rng = np.random.default_rng([seed, 5])
+        if seed % 2:
+            v = dict(zip(names, (rng.integers(0, 6, 14) * 2.0**-10).tolist()))
+        else:
+            v = dict(zip(names, rng.uniform(0, 5e-3, 14).tolist()))
+        for name in names:
+            if rng.random() < 0.2:
+                v[name] = 0.0
+        if rng.random() < 0.5:
+            v["botmlp_fwd"] = v["emb_lookup"] + v["a2a_fwd"]
+        if rng.random() < 0.5:
+            v["botmlp_bwd"] = v["a2a_bwd"] + v["emb_update"]
+        if rng.random() < 0.5:
+            compute = v["topmlp_bwd"] + v["interaction_bwd"] + max(
+                v["a2a_bwd"] + v["emb_update"], v["botmlp_bwd"]
+            )
+            v["allreduce_top"] = min(v["allreduce_top"], compute)
+            v["allreduce_bot"] = compute - v["allreduce_top"]
+        v["input_a2a"] = v["topmlp_fwd"] + float(rng.choice([-1, 0, 1])) * 2.0**-11
+        v["input_a2a"] = max(v["input_a2a"], 0.0)
+        if rng.random() < 0.3:
+            v["h2d"] = 2.0 * sum(v.values())
+        yield ComponentLatencies(**v)
+
+
+def float_bits(value):
+    return value.hex() if isinstance(value, float) else {
+        k: float_bits(x) for k, x in value.items()
+    }
+
+
 class TestExposedBreakdown:
+    def test_equals_replace_per_component_bit_for_bit(self):
+        vectors = list(component_vectors(400))
+        for c in vectors:
+            assert float_bits(exposed_breakdown(c)) == float_bits(exposed_breakdown_oracle(c))
+            est = iteration_latency(c, 64)
+            times = (est.t_fwd, est.t_bwd, est.t_total)
+            assert list(map(float_bits, times)) == list(
+                map(float_bits, iteration_times_oracle(c))
+            )
+        # the vectors reach every case named above
+        assert any(c.botmlp_fwd == c.emb_lookup + c.a2a_fwd > 0 for c in vectors)
+        assert any(c.botmlp_bwd == c.a2a_bwd + c.emb_update > 0 for c in vectors)
+        assert any(
+            c.allreduce_top + c.allreduce_bot
+            == c.topmlp_bwd + c.interaction_bwd + max(c.a2a_bwd + c.emb_update, c.botmlp_bwd)
+            > 0
+            for c in vectors
+        )
+        for relation in (float.__lt__, float.__eq__, float.__gt__):
+            assert any(relation(c.input_a2a, c.topmlp_fwd) for c in vectors)
+        assert any(
+            c.h2d > sum(iteration_times_oracle(c)[:2]) for c in vectors
+        )
+        assert any(0.0 in c.as_dict().values() for c in vectors)
+
     def test_h2d_fully_hidden_in_bundled_runs(self):
         model = load_bundled_model("model_a")
         cluster = load_bundled_cluster()

@@ -3,6 +3,7 @@ replaced, the columns' immutability, and the int64 bound on byte totals."""
 
 import dataclasses
 import json
+import math
 import pickle
 import re
 
@@ -12,10 +13,12 @@ import pytest
 from conftest import desk_cluster, desk_model, mixed_desk_case
 
 from neosim import (
+    CandidatePolicy,
     CollectiveKind,
     CollectiveVolume,
     CompressionFlags,
     CostWeights,
+    Infeasible,
     InvalidScheme,
     InvalidValue,
     ModelSpec,
@@ -36,6 +39,7 @@ from neosim import (
     volume_forward_alltoall,
     volume_gradient_collectives,
 )
+from neosim.bundled import load_bundled_cluster, load_bundled_model
 from neosim.cache import effective_row_bandwidth
 from neosim.comms import (
     ACTIVATION_BYTES,
@@ -104,6 +108,27 @@ def memory_check_loop(plan, model, cluster, flags):
             WorkerMemory(w, values[w], states[w], model.dense_param_bytes, tier)
         )
     return MemoryReport(workers=tuple(workers), feasible=feasible)
+
+
+REPORT_COLUMNS = ("table_bytes", "optimizer_bytes", "dense_bytes", "totals", "tier")
+
+
+def assert_report_matches(report, loop):
+    """A report memory_check built from columns equals the records oracle's
+    report, also after a pickle round trip, and its read-only int64 columns
+    equal the columns derived from the oracle's records."""
+    assert "workers" not in vars(report)
+    again = pickle.loads(pickle.dumps(report))
+    assert report == loop == again
+    assert hash(report) == hash(loop) == hash(again)
+    assert repr(report) == repr(loop)
+    for name in REPORT_COLUMNS:
+        column = getattr(report, name)
+        assert column.dtype == np.int64 and not column.flags.writeable, name
+        for other in (loop, again):
+            assert getattr(other, name).dtype == np.int64, name
+            assert np.array_equal(getattr(other, name), column), name
+    assert report.total_bytes == sum(m.total_bytes for m in loop.workers)
 
 
 def emb_terms_loop(model, plan, cluster, cache_hit_rate, flags):
@@ -438,8 +463,9 @@ CASES = range(300)
 def test_sums_equal_the_shard_loops(seed):
     model, plan, cluster, flags, (fwd_prec, bwd_prec), hit = random_case(seed)
     W = plan.num_workers
-    assert memory_check(plan, model, cluster, flags) == memory_check_loop(
-        plan, model, cluster, flags
+    assert_report_matches(
+        memory_check(plan, model, cluster, flags),
+        memory_check_loop(plan, model, cluster, flags),
     )
     for elem in (ACTIVATION_BYTES, 2):
         assert volume_forward_alltoall(plan, model, W, elem) == forward_loop(
@@ -919,3 +945,172 @@ def test_explicit_bound_outside_the_table_raises(axis, end):
         assert volume_forward_alltoall(good, model, 2) == forward_loop(good, model, 2)
         with pytest.raises(InvalidScheme):
             volume_forward_alltoall(bad, model, 2)
+
+
+# ---------------------------------------------------------------------------
+# the memory report is its columns
+
+
+def test_evaluation_builds_no_worker_records(monkeypatch):
+    """Planning, serializing and simulating read the memory report's
+    columns: no WorkerMemory is built, in plan_4d's memory-repair retries
+    and on its infeasible path neither."""
+    built = []
+    init = WorkerMemory.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(WorkerMemory, "__init__", counting_init)
+    checks = []
+
+    def counting_check(*args):
+        checks.append(args)
+        return memory_check(*args)
+
+    monkeypatch.setattr("neosim.planner.memory_check", counting_check)
+    model, cluster, policy = mixed_desk_case()
+    cases = [
+        (model, cluster, policy, plan_4d(model, cluster, CostWeights(), policy, h))
+        for h in ("greedy", "kk")
+    ]
+    cases.append(
+        (model, cluster, policy, hierarchical_plan(model, cluster, CostWeights(), policy))
+    )
+    # model_f overflows HBM+DRAM at first and needs memory repair
+    model_f, cluster_f = load_bundled_model("model_f"), load_bundled_cluster()
+    policy_f = CandidatePolicy(flags=CompressionFlags(rowwise_optimizer=True))
+    checks.clear()
+    cases.append(
+        (model_f, cluster_f, policy_f, plan_4d(model_f, cluster_f, CostWeights(), policy_f))
+    )
+    assert len(checks) > 1
+    for model, cluster, policy, plan in cases:
+        plan_to_json(plan, model, cluster, policy.flags)
+        simulate(model, cluster, plan, flags=policy.flags)
+    with pytest.raises(Infeasible):
+        plan_4d(*_last_resort_case(), CostWeights(), CandidatePolicy())
+    assert built == []
+    report = memory_check(plan, model, cluster, policy.flags)
+    assert len(report.workers) == plan.num_workers and len(built) == plan.num_workers
+
+
+def _last_resort_case():
+    """(model, cluster) of five single-row tables that only table-wise
+    schemes place, on four 56-byte devices that cannot hold them: plan_4d's
+    last resort leaves workers 1 and 2 with the largest total, 64 bytes."""
+    shapes = ((1, 7), (1, 3), (1, 5), (1, 3), (2, 5))
+    model = desk_model(
+        [TableSpec(id=f"t{i}", num_rows=h, dim=d, avg_pooling=1.0)
+         for i, (h, d) in enumerate(shapes)]
+    )
+    return model, desk_cluster(4, hbm=56, dram_per_node=1)
+
+
+def _capacities(cluster, hbm, dram_per_gpu):
+    return dataclasses.replace(
+        cluster,
+        hbm_capacity_per_gpu=hbm,
+        dram_capacity_per_node=dram_per_gpu * cluster.gpus_per_node,
+    )
+
+
+@pytest.mark.parametrize(
+    "total,hbm,dram_per_gpu,tier",
+    [
+        (56, 56.0, 1.0, "hbm"),  # at HBM
+        (57, 56.0, 1.0, "hbm+dram"),  # at HBM + DRAM
+        (58, 56.0, 1.0, "infeasible"),
+        (57, 56.5, 0.5, "hbm+dram"),
+        (57, 56.5, 0.25, "infeasible"),
+        # float(2**53 + 1) == 2**53: an int-to-float comparison says "hbm"
+        (2**53 + 1, 2.0**53, 2.0**53, "hbm+dram"),
+        (2**53, 2.0**53, 1.0, "hbm"),
+        # the float sum 2**53 + 1.0 rounds to 2**53, below the total
+        (2**53 + 1, 2.0**53, 1.0, "infeasible"),
+        (2**63 - 1, float(2**63), 1.0, "hbm"),
+        (2**63 - 1, 2.0**62, 2.0**62, "hbm+dram"),  # 2.0**63 clamps to 2**63 - 1
+        (2**63 - 1, 2.0**62, 2.0**61, "infeasible"),
+        (2**63 - 1, math.inf, 1.0, "hbm"),
+    ],
+)
+def test_tiers_are_exact(total, hbm, dram_per_gpu, tier):
+    """Totals at and around float capacities land in the tier an exact
+    integer comparison gives, as in the records oracle; the dense replica
+    makes up the total past a 56-byte table."""
+    table = TableSpec(id="huge", num_rows=1, dim=7, avg_pooling=1.0)
+    model = desk_model([table], dense_param_bytes=total - 56)
+    plan = plan_from_json(_one_table_plan_json())
+    cluster = _capacities(desk_cluster(2), hbm, dram_per_gpu)
+    flags = CompressionFlags()
+    report = memory_check(plan, model, cluster, flags)
+    assert_report_matches(report, memory_check_loop(plan, model, cluster, flags))
+    assert report.totals.tolist()[0] == total
+    assert report.workers[0].tier == tier
+    assert report.feasible == (tier != "infeasible")
+
+
+@pytest.mark.parametrize(
+    "rows,dense",
+    [
+        (1, 2**63 - 8),  # the dense replica pushes 12 or 16 table bytes past int64
+        (1, 2**64),
+        (2**60 - 1, 0),  # table and optimizer bytes fit int64 apart, not summed
+    ],
+)
+def test_totals_past_int64_raise(rows, dense):
+    """A worker total past int64 raises InvalidValue at `model`, in the
+    report and in every caller; 2**63 - 1 itself stays exact."""
+    model = desk_model(
+        [TableSpec(id="huge", num_rows=rows, dim=2, avg_pooling=1.0)],
+        dense_param_bytes=dense,
+    )
+    plan = plan_from_json(_one_table_plan_json())
+    cluster = desk_cluster(2)
+    for rowwise in (False, True):
+        flags = CompressionFlags(rowwise_optimizer=rowwise)
+        for call in (
+            lambda: memory_check(plan, model, cluster, flags),
+            lambda: plan_to_json(plan, model, cluster, flags),
+            lambda: component_latencies(model, plan, cluster, flags=flags),
+        ):
+            with pytest.raises(InvalidValue) as exc:
+                call()
+            assert exc.value.path == "model"
+    exact = dataclasses.replace(model, dense_param_bytes=2**63 - 1 - 16)
+    if rows == 1:
+        flags = CompressionFlags()
+        report = memory_check(plan, exact, cluster, flags)
+        assert report.totals.tolist() == [2**63 - 1, 2**63 - 1 - 16]
+        assert_report_matches(report, memory_check_loop(plan, exact, cluster, flags))
+
+
+def test_infeasible_messages_name_the_first_worker():
+    """Ties go to the first worker: plan_4d and hierarchical_plan name the
+    first worker with the largest total, component_latencies the first
+    infeasible worker."""
+    model, cluster = _last_resort_case()
+    with pytest.raises(Infeasible, match="^infeasible: no feasible placement found; "
+                       "worker 1 needs 64 bytes$"):
+        plan_4d(model, cluster, CostWeights(), CandidatePolicy())
+    # 40, 40, 48, 48 bytes on two nodes of two 40-byte devices
+    model = desk_model(
+        [TableSpec(id="a", num_rows=2, dim=5, avg_pooling=1.0),
+         TableSpec(id="b", num_rows=4, dim=3, avg_pooling=1.0)]
+    )
+    cluster = desk_cluster(4, 2, hbm=40, dram_per_node=2)
+    with pytest.raises(Infeasible, match=r"^infeasible: hierarchical placement "
+                       r"overflows worker 2 \(48 bytes\)$"):
+        hierarchical_plan(model, cluster, CostWeights(), CandidatePolicy())
+    # workers 1 and 3 hold 64 and 80 bytes, over 56 + 0.25
+    model, cluster = _last_resort_case()
+    tw = Scheme(SchemeKind.TABLE_WISE)
+    placed = ((0, 0), (1, 1), (2, 1), (3, 2), (4, 3))  # (table, worker)
+    plan = ShardingPlan(
+        4, 4, tuple(TableAssignment(f"t{t}", tw, (Shard(w),)) for t, w in placed)
+    )
+    report = memory_check(plan, model, cluster, CompressionFlags())
+    assert report.tier.tolist() == [0, 2, 0, 2]
+    with pytest.raises(Infeasible, match="^infeasible: worker 1 exceeds its memory budget$"):
+        component_latencies(model, plan, cluster, flags=CompressionFlags())
