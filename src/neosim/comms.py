@@ -43,9 +43,7 @@ from .planner import (
     DP,
     RW,
     TW,
-    Shard,
     ShardingPlan,
-    SchemeKind,
     validate_plan,
 )
 
@@ -206,11 +204,10 @@ class ShardInput:
 
     position is the shard's index in its assignment's shard list; for a
     data-parallel table, whose single shard is replicated, it is the index
-    of the worker's replica.
+    of the worker's replica. The receiving worker is its WorkerSlice's.
     """
 
     table_id: str
-    shard: Shard
     position: int
     lengths: np.ndarray
     indices: np.ndarray
@@ -220,6 +217,35 @@ class ShardInput:
 class WorkerSlice:
     worker: int
     inputs: list[ShardInput] = field(default_factory=list)
+
+
+def _table_shards(plan: ShardingPlan, model: ModelSpec) -> list[tuple]:
+    """Per model table, in model order, from the plan's shard columns: the
+    kind code of its assignment and, per shard in plan order, its worker and
+    its (start, end) row and column bounds, a bound the shard lacks resolved
+    to the table's extent. An assignment without shards places nothing, so
+    its kind reads TW. A table the plan does not assign raises KeyError."""
+    cols = plan.shard_columns
+    first: dict[str, int] = {}  # table id -> its first assignment
+    for i, table_id in enumerate(cols.table_ids):
+        first.setdefault(table_id, i)
+    ends = cols.ends().tolist()
+    kind, worker = cols.kind.tolist(), cols.worker.tolist()
+    rows, has_rows = cols.rows.tolist(), cols.has_rows.tolist()
+    width, has_cols = cols.cols.tolist(), cols.has_cols.tolist()
+    out = []
+    for table in model.tables:
+        i = first[table.id]
+        span = range(ends[i - 1] if i else 0, ends[i])
+        out.append(
+            (
+                kind[span.start] if span else TW,
+                [worker[s] for s in span],
+                [tuple(rows[s]) if has_rows[s] else (0, table.num_rows) for s in span],
+                [tuple(width[s]) if has_cols[s] else (0, table.dim) for s in span],
+            )
+        )
+    return out
 
 
 def alltoall_redistribute(
@@ -244,41 +270,35 @@ def alltoall_redistribute(
         return lengths_mat[w, t], laidout.indices[offsets[blk] : offsets[blk + 1]]
 
     slices = [WorkerSlice(worker=v) for v in range(W)]
-    for t, table in enumerate(model.tables):
-        assignment = plan.assignment_for(table.id)
-        kind = assignment.scheme.kind
-        shards = assignment.shards
-        if kind is SchemeKind.DATA_PARALLEL:
+    tables = zip(model.tables, _table_shards(plan, model))
+    for t, (table, (kind, workers, rows, _)) in enumerate(tables):
+        if kind == DP:
             for v in range(W):
                 lens, idx = block(v, t)
-                slices[v].inputs.append(
-                    ShardInput(table.id, shards[0], v, lens.copy(), idx.copy())
-                )
+                slices[v].inputs.append(ShardInput(table.id, v, lens.copy(), idx.copy()))
             continue
-        if kind is SchemeKind.ROW_WISE:
+        if kind == RW:
             # bucketize routes by row order; the shard list may hold any order
-            order = sorted(range(len(shards)), key=lambda i: shards[i].rows)
-            bounds = [shards[i].rows for i in order]
-            received: list[list] = [[] for _ in shards]
+            order = sorted(range(len(rows)), key=rows.__getitem__)
+            bounds = [rows[i] for i in order]
+            received: list[list] = [[] for _ in rows]
             # phase 1+2 per source worker: bucketize locally, send to shard owners
             for w in range(W):
                 lens, idx = block(w, t)
                 parts = bucketize_rowwise(lens, idx, bounds, table.id)
                 for i, part in zip(order, parts):
                     received[i].append(part)
-            for i, (shard, parts) in enumerate(zip(shards, received)):
+            for i, (w, parts) in enumerate(zip(workers, received)):
                 lens = np.concatenate([p[0] for p in parts])
                 idx = np.concatenate([p[1] for p in parts])
-                slices[shard.worker].inputs.append(
-                    ShardInput(table.id, shard, i, lens, idx)
-                )
+                slices[w].inputs.append(ShardInput(table.id, i, lens, idx))
             continue
         # TABLE_WISE and COLUMN_WISE receive the raw global stream; column
         # shards each get a full replica of the indices.
         lens = lengths_mat[:, t].reshape(-1)
         idx = np.concatenate([block(w, t)[1] for w in range(W)])
-        for i, shard in enumerate(shards):
-            slices[shard.worker].inputs.append(ShardInput(table.id, shard, i, lens, idx))
+        for i, w in enumerate(workers):
+            slices[w].inputs.append(ShardInput(table.id, i, lens, idx))
     return slices
 
 
@@ -461,10 +481,12 @@ class ShardedState:
 
 
 def _slice_table(
-    full: EmbeddingTable, shard: Shard, cfg: OptimizerConfig
+    full: EmbeddingTable,
+    rows: tuple[int, int],
+    cols: tuple[int, int],
+    cfg: OptimizerConfig,
 ) -> EmbeddingTable:
-    r0, r1 = shard.rows if shard.rows else (0, full.num_rows)
-    c0, c1 = shard.cols if shard.cols else (0, full.dim)
+    (r0, r1), (c0, c1) = rows, cols
     values = full.values[r0:r1, c0:c1].copy()
     if cfg.kind is OptimizerKind.SGD:
         moment = None
@@ -510,11 +532,10 @@ def train_step_sharded(
     inputs = {(si.table_id, si.position): si for ws in slices for si in ws.inputs}
     state = ShardedState(shards={}, dp_replicas={})
     outputs = []
-    for table, full in zip(model.tables, full_tables):
-        assignment = plan.assignment_for(table.id)
-        kind = assignment.scheme.kind
-        if kind is SchemeKind.DATA_PARALLEL:
-            replicas = [_slice_table(full, assignment.shards[0], cfg) for _ in range(W)]
+    tables = zip(model.tables, full_tables, _table_shards(plan, model))
+    for table, full, (kind, _, rows, cols) in tables:
+        if kind == DP:
+            replicas = [_slice_table(full, rows[0], cols[0], cfg) for _ in range(W)]
             state.dp_replicas[table.id] = replicas
             local = [inputs[(table.id, w)] for w in range(W)]
             pooled = [
@@ -530,16 +551,15 @@ def train_step_sharded(
                 storage_roundtrip(replica)
             continue
         out = np.zeros((n, table.dim), dtype=np.float64)
-        for i, shard in enumerate(assignment.shards):
-            piece = _slice_table(full, shard, cfg)
+        for i, (r, c) in enumerate(zip(rows, cols)):
+            piece = _slice_table(full, r, c, cfg)
             state.shards[(table.id, i)] = piece
             si = inputs[(table.id, i)]
             pooled = forward_pooled(piece, si.lengths, si.indices)
-            if kind is SchemeKind.ROW_WISE:
+            if kind == RW:
                 out += pooled  # partial pools reduce in shard-list order
             else:
-                c0, c1 = shard.cols or (0, table.dim)
-                out[:, c0:c1] = pooled
+                out[:, c[0] : c[1]] = pooled
             apply_optimizer(piece, _row_gradients(si, piece.dim), cfg)
             storage_roundtrip(piece)
         outputs.append(out)
@@ -554,16 +574,12 @@ def reassemble_values(
     """Stitch post-step shard values back into full (H, D) matrices; DP
     tables come from replica 0 (replicas are identical by construction)."""
     out = []
-    for table in model.tables:
-        assignment = plan.assignment_for(table.id)
-        if assignment.scheme.kind is SchemeKind.DATA_PARALLEL:
+    for table, (kind, _, rows, cols) in zip(model.tables, _table_shards(plan, model)):
+        if kind == DP:
             out.append(state.dp_replicas[table.id][0].values.copy())
             continue
         full = np.zeros((table.num_rows, table.dim), dtype=np.float64)
-        for i, shard in enumerate(assignment.shards):
-            st = state.shards[(table.id, i)]
-            r0, r1 = shard.rows if shard.rows else (0, table.num_rows)
-            c0, c1 = shard.cols if shard.cols else (0, table.dim)
-            full[r0:r1, c0:c1] = st.values
+        for i, ((r0, r1), (c0, c1)) in enumerate(zip(rows, cols)):
+            full[r0:r1, c0:c1] = state.shards[(table.id, i)].values
         out.append(full)
     return out

@@ -172,14 +172,6 @@ class ModelSpec:
         return sum(t.num_params for t in self.tables)
 
     @property
-    def total_dim(self) -> int:
-        return sum(t.dim for t in self.tables)
-
-    @property
-    def avg_dim(self) -> float:
-        return self.total_dim / self.num_tables if self.tables else 0.0
-
-    @property
     def bottom_mlp_flops_per_sample(self) -> float:
         return sum(2.0 * i * o for i, o in self.bottom_mlp_layers)
 
@@ -207,10 +199,10 @@ def mlp_param_bytes(layers: Iterable[tuple[int, int]]) -> int:
     return sum((i * o + o) * 4 for i, o in layers)
 
 
-def default_interaction_flops(num_tables: int, avg_dim: float) -> float:
-    """Pairwise dot products over (T + 1) feature vectors of the average dim."""
+def default_interaction_flops(num_tables: int, mean_dim: float) -> float:
+    """Pairwise dot products over (T + 1) feature vectors of the mean dim."""
     pairs = (num_tables + 1) * num_tables / 2
-    return pairs * avg_dim * 2.0
+    return pairs * mean_dim * 2.0
 
 
 @dataclass(frozen=True)
@@ -581,8 +573,8 @@ def parse_model_spec(text: str) -> ModelSpec:
     _reject_unknown(doc, "")
 
     if interaction is None:
-        avg_dim = sum(t.dim for t in tables) / len(tables) if tables else 0.0
-        interaction = default_interaction_flops(len(tables), avg_dim)
+        mean_dim = sum(t.dim for t in tables) / len(tables) if tables else 0.0
+        interaction = default_interaction_flops(len(tables), mean_dim)
     else:
         interaction = _as_real(interaction, "interaction_flops_per_sample")
     layers = bottom + top

@@ -339,9 +339,10 @@ class ShardingPlan:
     A plan built from TableAssignments reads their shards into
     `shard_columns` once. The planners build theirs from columns
     (from_columns): `assignments` is then a view of the columns, built on
-    first access, so a plan that is only serialized, validated and simulated
-    builds no Shard. Equality, hash, repr, pickling and dataclasses.replace
-    read `assignments`, so they behave the same for both.
+    first access. The program reads only the columns, so planning,
+    serializing, validating, simulating and verifying build no Shard.
+    Equality, hash, repr, pickling and dataclasses.replace read
+    `assignments`, so they behave the same for both.
     """
 
     num_workers: int
@@ -367,17 +368,12 @@ class ShardingPlan:
         return plan
 
     def __getattr__(self, name):
-        # reached only for what is not set yet: a column-built plan's
-        # assignments, and the table index of any plan
-        if name == "assignments":
-            value = self.shard_columns.table_assignments()
-        elif name == "_by_table":
-            # table id -> its first assignment
-            value = {a.table_id: a for a in reversed(self.assignments)}
-        else:
+        # reached only for what is not set yet: a column-built plan's assignments
+        if name != "assignments":
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             )
+        value = self.shard_columns.table_assignments()
         object.__setattr__(self, name, value)
         return value
 
@@ -386,9 +382,6 @@ class ShardingPlan:
         return type(self), (
             self.num_workers, self.gpus_per_node, self.assignments, self.heuristic
         )
-
-    def assignment_for(self, table_id: str) -> TableAssignment:
-        return self._by_table[table_id]
 
 
 def _even_edges(i, extent, parts):
@@ -904,81 +897,21 @@ TIERS = ("hbm", "hbm+dram", "infeasible")  # a worker's tier code indexes this
 HBM, HBM_DRAM, INFEASIBLE = range(len(TIERS))
 
 
-@dataclass(frozen=True)
-class WorkerMemory:
-    worker: int
-    table_bytes: int
-    optimizer_bytes: int
-    dense_bytes: int
-    tier: str  # one of TIERS
-
-    @property
-    def total_bytes(self) -> int:
-        return self.table_bytes + self.optimizer_bytes + self.dense_bytes
-
-
-# a MemoryReport's int64 columns over workers: WorkerMemory's byte fields,
-# `totals` for its total_bytes and `tier` for its tier's code
-_REPORT_COLUMNS = ("table_bytes", "optimizer_bytes", "dense_bytes", "totals", "tier")
-
-
-@dataclass(frozen=True)
-class MemoryReport:
+class MemoryReport(NamedTuple):
     """Per-worker bytes and the memory tier each worker lands in.
 
-    memory_check builds it from columns (from_columns; see _REPORT_COLUMNS):
-    `workers` is then a view of them, one WorkerMemory per worker, built on
-    first access. A report built from WorkerMemory records derives its
-    columns from them on first access. Equality, hash, repr and pickling
-    read `workers`, so they behave the same for both.
+    Each column is a read-only int64 array over workers: `table_bytes` (the
+    values), `optimizer_bytes` (the optimizer state), `dense_bytes` (the
+    dense replica), `totals` (their sum) and `tier` (an index into TIERS).
+    `feasible` holds when no worker is INFEASIBLE.
     """
 
-    workers: tuple[WorkerMemory, ...]
     feasible: bool
-    # derived, so outside eq/hash/repr
-    table_bytes: np.ndarray = field(init=False, repr=False, compare=False)
-    optimizer_bytes: np.ndarray = field(init=False, repr=False, compare=False)
-    dense_bytes: np.ndarray = field(init=False, repr=False, compare=False)
-    totals: np.ndarray = field(init=False, repr=False, compare=False)
-    tier: np.ndarray = field(init=False, repr=False, compare=False)
-
-    @classmethod
-    def from_columns(cls, feasible: bool, *columns: np.ndarray) -> "MemoryReport":
-        """A report holding `columns`, in _REPORT_COLUMNS order, alone."""
-        report = object.__new__(cls)
-        object.__setattr__(report, "feasible", feasible)
-        report._set_columns(columns)
-        return report
-
-    def _set_columns(self, columns) -> None:
-        for name, array in zip(_REPORT_COLUMNS, columns):
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
-
-    def __getattr__(self, name):
-        # reached only for what is not set yet: a column-built report's
-        # workers, and the columns of one built from WorkerMemory records
-        if name == "workers":
-            *sizes, _, tier = (getattr(self, c).tolist() for c in _REPORT_COLUMNS)
-            value = tuple(map(WorkerMemory, count(), *sizes, map(TIERS.__getitem__, tier)))
-            object.__setattr__(self, name, value)
-            return value
-        if name not in _REPORT_COLUMNS:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        rows = [
-            (m.table_bytes, m.optimizer_bytes, m.dense_bytes, m.total_bytes,
-             TIERS.index(m.tier))
-            for m in self.workers
-        ]
-        self._set_columns(np.array(rows, np.int64).reshape(-1, 5).T)
-        return getattr(self, name)
-
-    def __reduce__(self):
-        return type(self), (self.workers, self.feasible)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.totals.tolist())
+    table_bytes: np.ndarray
+    optimizer_bytes: np.ndarray
+    dense_bytes: np.ndarray
+    totals: np.ndarray
+    tier: np.ndarray
 
 
 # widest per-element charge: a value at FP32 or an element-wise moment
@@ -1044,9 +977,10 @@ def memory_check(
     tier = np.where(
         totals > _floor_bytes(hbm), np.where(totals > budget, INFEASIBLE, HBM_DRAM), HBM
     )
-    return MemoryReport.from_columns(
-        not np.any(tier == INFEASIBLE), values, states, np.full(W, dense), totals, tier
-    )
+    columns = (values, states, np.full(W, dense), totals, tier)
+    for column in columns:
+        column.flags.writeable = False
+    return MemoryReport(not np.any(tier == INFEASIBLE), *columns)
 
 
 # ---------------------------------------------------------------------------
@@ -1444,7 +1378,7 @@ def plan_to_json(
             f'      "total_bytes": {total},\n'
             f'      "worker": {w}\n    }}'
             for w, value, state, dense, total, tier in zip(
-                count(), *(getattr(report, c).tolist() for c in _REPORT_COLUMNS)
+                count(), *(column.tolist() for column in report[1:])  # after feasible
             )
         ]
         text += f',\n  "workers": {_json_list(workers, "  ")}'

@@ -2,8 +2,11 @@
 method or property of a public class, must have a caller in the program: a
 use in a src/neosim module (outside its own definition and __init__.py) or
 in perfbench/workloads.py. A name that only tests call is surface to delete,
-or an oracle to move into the tests. A method counts as called when the
-program reads an attribute of its name, on any receiver."""
+or an oracle to move into the tests. A top-level function or class counts
+as called when the program reads its name, plainly or as an attribute; a
+method or property only when the program reads an attribute of its name
+(`x.name`), on any receiver, so a local variable of the same name does not
+hide it."""
 
 import ast
 from pathlib import Path
@@ -22,15 +25,15 @@ ALLOWED = {
 }
 
 
-def used_names(tree) -> set[str]:
-    """Names a syntax tree reads, as plain names or attributes."""
-    names = set()
+def used_names(tree) -> tuple[set[str], set[str]]:
+    """(plain names, attribute names) a syntax tree reads."""
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+            attributes.add(node.attr)
+    return names, attributes
 
 
 def public_definitions(node) -> dict[str, str]:
@@ -47,35 +50,42 @@ def public_definitions(node) -> dict[str, str]:
 
 
 def census() -> tuple[dict[str, tuple[str, str]], set[str]]:
-    """(public qualified name -> (its module, its called name), names used
-    by the program)."""
+    """(public qualified name -> (its module, its called name), qualified
+    names the program calls)."""
     defined = {}
-    used = used_names(ast.parse(WORKLOADS.read_text()))
+    names, attributes = used_names(ast.parse(WORKLOADS.read_text()))
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             own = getattr(node, "name", None)
             for qualified, name in public_definitions(node).items():
                 defined[qualified] = (path.stem, name)
             if path.name != "__init__.py":
-                used |= used_names(node) - {own}
-    return defined, used
+                node_names, node_attributes = used_names(node)
+                names |= node_names - {own}
+                attributes |= node_attributes - {own}
+    called = {
+        qualified
+        for qualified, (_, name) in defined.items()
+        if name in attributes or ("." not in qualified and name in names)
+    }
+    return defined, called
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    defined, used = census()
+    defined, called = census()
     uncalled = sorted(
         f"{module}.{qualified}"
-        for qualified, (module, name) in defined.items()
-        if name not in used and qualified not in ALLOWED
+        for qualified, (module, _) in defined.items()
+        if qualified not in called and qualified not in ALLOWED
     )
     assert not uncalled, "only tests call: " + ", ".join(uncalled)
 
 
 def test_allowlist_names_only_uncalled_definitions():
-    defined, used = census()
+    defined, called = census()
     stale = sorted(
         qualified
         for qualified in ALLOWED
-        if qualified not in defined or defined[qualified][1] in used
+        if qualified not in defined or qualified in called
     )
     assert not stale, "drop from ALLOWED: " + ", ".join(stale)

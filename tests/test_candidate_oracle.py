@@ -24,6 +24,7 @@ from neosim.errors import Infeasible, InvalidValue, NoFeasibleScheme
 from neosim.model import ClusterSpec, ModelSpec, Precision, PRECISION_BYTES, TableSpec
 from neosim.planner import (
     HEURISTICS,
+    INFEASIBLE,
     MIN_COL_WIDTH,
     OPTIMIZER_STATE_BYTES,
     CandidateColumns,
@@ -288,7 +289,8 @@ def plan_4d(
         report = memory_check(plan, model, cluster, policy.flags)
         if report.feasible:
             return plan
-        overloaded = {m.worker for m in report.workers if m.tier == "infeasible"}
+        tiers = report.tier.tolist()
+        overloaded = {w for w, tier in enumerate(tiers) if tier == INFEASIBLE}
         offenders = []
         for assignment in plan.assignments:
             if any(s.worker in overloaded for s in assignment.shards):
@@ -315,10 +317,10 @@ def plan_4d(
     report = memory_check(plan, model, cluster, policy.flags)
     if report.feasible:
         return plan
-    worst = max(report.workers, key=lambda m: m.total_bytes)
+    totals = report.totals.tolist()
+    worst = totals.index(max(totals))  # the first of the largest
     raise Infeasible(
-        f"no feasible placement found; worker {worst.worker} needs "
-        f"{worst.total_bytes} bytes"
+        f"no feasible placement found; worker {worst} needs {totals[worst]} bytes"
     )
 
 
@@ -406,10 +408,10 @@ def hierarchical_plan(
     plan = ShardingPlan(W, gpn, tuple(assignments), "kk")
     report = memory_check(plan, model, cluster, policy.flags)
     if not report.feasible:
-        worst = max(report.workers, key=lambda m: m.total_bytes)
+        totals = report.totals.tolist()
+        worst = totals.index(max(totals))  # the first of the largest
         raise Infeasible(
-            f"hierarchical placement overflows worker {worst.worker} "
-            f"({worst.total_bytes} bytes)"
+            f"hierarchical placement overflows worker {worst} ({totals[worst]} bytes)"
         )
     return plan
 

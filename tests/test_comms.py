@@ -6,7 +6,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from conftest import desk_cluster, desk_model, random_desk_model
+from conftest import desk_cluster, desk_model, mixed_desk_case, random_desk_model
 
 from neosim import (
     CandidatePolicy,
@@ -146,7 +146,8 @@ def column_wise_inputs(splits, seed=5):
         (w, si) for w, ws in enumerate(slices) for si in ws.inputs if si.table_id == "c"
     ]
     assert sorted(si.position for _, si in received) == list(range(len(splits)))
-    assert all(si.shard.worker == w for w, si in received)
+    shards = plan.assignments[1].shards
+    assert all(shards[si.position].worker == w for w, si in received)
     return [si for _, si in received], batch.table_slice(1)
 
 
@@ -234,6 +235,10 @@ class TestRedistribute:
         lens, idx = batch.table_slice(0)
         assert np.array_equal(worker0[0].lengths, lens)
         assert np.array_equal(worker0[0].indices, idx)
+        # a model table the plan does not assign is named, not skipped
+        fewer = dataclasses.replace(plan, assignments=plan.assignments[:1])
+        with pytest.raises(KeyError, match="t1"):
+            alltoall_redistribute(to_wtb(batch, 2), fewer, model)
 
     def test_bytes_conserved(self):
         model = random_desk_model(np.random.default_rng(3))
@@ -530,12 +535,27 @@ class TestTrainStepSharded:
         )
         batch = gen_synthetic_batch(model, 16, seed=30)
         slices = alltoall_redistribute(to_wtb(batch, 4), plan, model)
+        by_table = {a.table_id: a for a in plan.assignments}
         for ws in slices:
             for si in ws.inputs:
-                if si.shard.worker is None:
-                    continue
-                assert plan.assignment_for(si.table_id).shards[si.position] == si.shard
-                assert si.shard.worker == ws.worker
+                a = by_table[si.table_id]
+                if a.scheme.kind is SchemeKind.DATA_PARALLEL:
+                    assert si.position == ws.worker  # the worker's own replica
+                else:
+                    assert a.shards[si.position].worker == ws.worker
+        # the input at position i holds shard i's rows, shard-local, in
+        # global sample order, and nothing else
+        lens, idx = batch.table_slice(0)
+        sample = np.repeat(np.arange(len(lens)), lens)
+        rw = [si for ws in slices for si in ws.inputs if si.table_id == "rw"]
+        assert sorted(si.position for si in rw) == [0, 1, 2]
+        for si in rw:
+            r0, r1 = by_table["rw"].shards[si.position].rows
+            inside = (idx >= r0) & (idx < r1)
+            assert np.array_equal(si.indices, idx[inside] - r0)
+            assert np.array_equal(
+                si.lengths, np.bincount(sample[inside], minlength=len(lens))
+            )
         for kind in OptimizerKind:
             cfg = OptimizerConfig(kind, lr=0.1, eps=1e-8)
             ref_out, ref_tables = train_step_reference(model, batch, cfg, seed=31)
@@ -546,6 +566,47 @@ class TestTrainStepSharded:
                     assert np.array_equal(ref.values, values)  # bitwise
                 else:
                     assert np.max(np.abs(ref.values - values)) <= 1e-9
+
+    @pytest.mark.parametrize("heuristic", ["greedy", "kk", "hierarchical"])
+    def test_column_plans_verify_without_shards(self, heuristic):
+        """The verify step reads a planner's shard columns and builds no
+        Shard: outputs, every state piece and the reassembled tables equal,
+        bit for bit, those of the same plan built from TableAssignments."""
+        model, cluster, policy = mixed_desk_case()
+        batch = gen_synthetic_batch(model, 8 * model.local_batch, seed=40)
+
+        def pieces(state):
+            for key in sorted(state.shards):
+                yield key, state.shards[key]
+            for table_id in sorted(state.dp_replicas):
+                for w, replica in enumerate(state.dp_replicas[table_id]):
+                    yield (table_id, "replica", w), replica
+
+        for kind in OptimizerKind:
+            if heuristic == "hierarchical":
+                plan = hierarchical_plan(model, cluster, CostWeights(), policy)
+            else:
+                plan = plan_4d(model, cluster, CostWeights(), policy, heuristic)
+            cfg = OptimizerConfig(kind, lr=0.1, eps=1e-8)
+            out, state = train_step_sharded(model, plan, batch, cfg, seed=41)
+            values = reassemble_values(model, plan, state)
+            assert "assignments" not in vars(plan)
+            twin = ShardingPlan(
+                plan.num_workers, plan.gpus_per_node, plan.assignments, plan.heuristic
+            )
+            twin_out, twin_state = train_step_sharded(model, twin, batch, cfg, seed=41)
+            assert np.array_equal(out, twin_out)
+            got, want = list(pieces(state)), list(pieces(twin_state))
+            assert [key for key, _ in got] == [key for key, _ in want]
+            for (key, a), (_, b) in zip(got, want):
+                assert np.array_equal(a.values, b.values), key
+                if kind is OptimizerKind.SGD:
+                    assert a.moment is None and b.moment is None, key
+                else:
+                    assert np.array_equal(a.moment, b.moment), key
+                assert (a.row_base, a.col_base) == (b.row_base, b.col_base), key
+            for a, b in zip(values, reassemble_values(model, twin, twin_state)):
+                assert np.array_equal(a, b)
 
     def test_dp_replicas_bitwise_identical(self):
         model = desk_model(
@@ -610,16 +671,18 @@ class TestTrainStepSharded:
         plan = make_mixed_plan(model, 2, 2)
         batch = gen_synthetic_batch(model, 8, seed=13)
         slices = alltoall_redistribute(to_wtb(batch, 2), plan, model)
+        by_table = {a.table_id: a for a in plan.assignments}
         for t, table in enumerate(model.tables):
-            assignment = plan.assignment_for(table.id)
+            assignment = by_table[table.id]
             _, original = batch.table_slice(t)
             received = []
             for ws in slices:
                 for si in ws.inputs:
                     if si.table_id != table.id:
                         continue
-                    shard = si.shard
-                    base = shard.rows[0] if shard.rows else 0
+                    base = 0
+                    if assignment.scheme.kind is SchemeKind.ROW_WISE:
+                        base = assignment.shards[si.position].rows[0]
                     received.append(si.indices + base)
             got = np.sort(np.concatenate(received)) if received else np.array([])
             if assignment.scheme.kind is SchemeKind.COLUMN_WISE:

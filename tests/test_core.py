@@ -58,9 +58,9 @@ class TestTableSpec:
 
 
 class TestParseModelSpec:
-    def test_bundled_model_f_avg_dim(self):
+    def test_bundled_model_f_sizes(self):
         model = load_bundled_model("model_f")
-        assert model.avg_dim == 256
+        assert {t.dim for t in model.tables} == {256}
         assert model.local_batch == 512
         assert model.total_table_params == 12 * 10**12
 

@@ -39,7 +39,6 @@ from neosim import (
     volume_forward_alltoall,
     volume_gradient_collectives,
 )
-from neosim.bundled import load_bundled_cluster, load_bundled_model
 from neosim.cache import effective_row_bandwidth
 from neosim.comms import (
     ACTIVATION_BYTES,
@@ -52,8 +51,8 @@ from neosim.perf import simulate
 from neosim.planner import (
     FULL_EXTENT,
     OPTIMIZER_STATE_BYTES,
+    TIERS,
     MemoryReport,
-    WorkerMemory,
     even_bounds,
 )
 
@@ -91,44 +90,28 @@ def memory_check_loop(plan, model, cluster, flags):
             for w in targets:
                 values[w] += value_bytes
                 states[w] += state_bytes
-    workers = []
-    feasible = True
+    dense = [model.dense_param_bytes] * plan.num_workers
+    totals = [v + s + d for v, s, d in zip(values, states, dense)]
     hbm = cluster.hbm_capacity_per_gpu
     budget = hbm + cluster.dram_capacity_per_gpu
-    for w in range(plan.num_workers):
-        total = values[w] + states[w] + model.dense_param_bytes
-        if total <= hbm:
-            tier = "hbm"
-        elif total <= budget:
-            tier = "hbm+dram"
-        else:
-            tier = "infeasible"
-            feasible = False
-        workers.append(
-            WorkerMemory(w, values[w], states[w], model.dense_param_bytes, tier)
-        )
-    return MemoryReport(workers=tuple(workers), feasible=feasible)
-
-
-REPORT_COLUMNS = ("table_bytes", "optimizer_bytes", "dense_bytes", "totals", "tier")
+    tiers = [
+        "hbm" if total <= hbm else "hbm+dram" if total <= budget else "infeasible"
+        for total in totals
+    ]
+    columns = (values, states, dense, totals, list(map(TIERS.index, tiers)))
+    return MemoryReport(
+        "infeasible" not in tiers, *(np.array(c, np.int64) for c in columns)
+    )
 
 
 def assert_report_matches(report, loop):
-    """A report memory_check built from columns equals the records oracle's
-    report, also after a pickle round trip, and its read-only int64 columns
-    equal the columns derived from the oracle's records."""
-    assert "workers" not in vars(report)
-    again = pickle.loads(pickle.dumps(report))
-    assert report == loop == again
-    assert hash(report) == hash(loop) == hash(again)
-    assert repr(report) == repr(loop)
-    for name in REPORT_COLUMNS:
+    """memory_check's report holds the oracle's feasibility and, per
+    column, read-only int64 values equal to the oracle's."""
+    assert type(report.feasible) is bool and report.feasible == loop.feasible
+    for name in MemoryReport._fields[1:]:
         column = getattr(report, name)
         assert column.dtype == np.int64 and not column.flags.writeable, name
-        for other in (loop, again):
-            assert getattr(other, name).dtype == np.int64, name
-            assert np.array_equal(getattr(other, name), column), name
-    assert report.total_bytes == sum(m.total_bytes for m in loop.workers)
+        assert np.array_equal(column, getattr(loop, name)), name
 
 
 def emb_terms_loop(model, plan, cluster, cache_hit_rate, flags):
@@ -137,8 +120,8 @@ def emb_terms_loop(model, plan, cluster, cache_hit_rate, flags):
     B = model.local_batch
     global_batch = B * W
     worker_bw = []
-    for m in memory_check_loop(plan, model, cluster, flags).workers:
-        if m.tier == "hbm":
+    for tier in memory_check_loop(plan, model, cluster, flags).tier.tolist():
+        if TIERS[tier] == "hbm":
             worker_bw.append(cluster.hbm_bw)
         else:
             worker_bw.append(
@@ -445,9 +428,7 @@ def random_case(seed):
         table_precision=Precision.FP16 if rng.integers(2) else None,
         rowwise_optimizer=bool(rng.integers(2)),
     )
-    heaviest = max(w.total_bytes for w in memory_check_loop(
-        plan, model, desk_cluster(W, gpn), flags
-    ).workers)
+    heaviest = max(memory_check_loop(plan, model, desk_cluster(W, gpn), flags).totals)
     cluster = desk_cluster(
         W, gpn, hbm=int(rng.integers(1, heaviest + 2)), dram_per_node=2**50
     )
@@ -538,7 +519,7 @@ def test_random_plans_cover_every_layout():
     for seed in CASES:
         model, plan, cluster, flags, _, _ = random_case(seed)
         report = memory_check_loop(plan, model, cluster, flags)
-        seen |= {m.tier for m in report.workers}
+        seen |= {TIERS[tier] for tier in report.tier.tolist()}
         seen.add(("nodes", plan.num_workers // plan.gpus_per_node))
         for a in plan.assignments:
             kind = a.scheme.kind
@@ -814,8 +795,9 @@ def test_replace_builds_fresh_columns():
         assert replaced.shard_columns is not plan.shard_columns
         placed = replaced.shard_columns.worker[replaced.shard_columns.worker >= 0]
         assert placed.tolist() == [0] * len(placed)
-        assert memory_check(replaced, model, cluster, flags) == memory_check_loop(
-            replaced, model, cluster, flags
+        assert_report_matches(
+            memory_check(replaced, model, cluster, flags),
+            memory_check_loop(replaced, model, cluster, flags),
         )
         shorter = dataclasses.replace(plan, assignments=plan.assignments[:1])
         assert len(shorter.shard_columns.table_ids) == 1
@@ -831,8 +813,9 @@ def test_pickle_round_trip_gives_equal_sums():
         for array in _arrays(plan2.shard_columns) + _arrays(model2.table_columns):
             assert not array.flags.writeable
         W = plan.num_workers
-        assert memory_check(plan2, model2, cluster, flags) == memory_check(
-            plan, model, cluster, flags
+        assert_report_matches(
+            memory_check(plan2, model2, cluster, flags),
+            memory_check(plan, model, cluster, flags),
         )
         assert collective_volumes(plan2, model2) == collective_volumes(plan, model)
         assert component_latencies(model2, plan2, cluster, flags=flags) == (
@@ -887,8 +870,8 @@ def test_large_table_below_the_bound_stays_exact():
     for rowwise in (False, True):
         flags = CompressionFlags(rowwise_optimizer=rowwise)
         report = memory_check(plan, model, cluster, flags)
-        assert report == memory_check_loop(plan, model, cluster, flags)
-        assert report.workers[0].table_bytes == (2**40 + 3) * 64 * 4
+        assert_report_matches(report, memory_check_loop(plan, model, cluster, flags))
+        assert report.table_bytes.tolist()[0] == (2**40 + 3) * 64 * 4
 
 
 def test_bounds_beyond_int64_rejected():
@@ -934,8 +917,8 @@ def test_explicit_bound_outside_the_table_raises(axis, end):
     good = plan(extent)
     flags = CompressionFlags()
     report = memory_check(good, model, cluster, flags)
-    assert report == memory_check_loop(good, model, cluster, flags)
-    assert [m.table_bytes for m in report.workers] == [800, 800]
+    assert_report_matches(report, memory_check_loop(good, model, cluster, flags))
+    assert report.table_bytes.tolist() == [800, 800]
     bad = plan(end)
     with pytest.raises(InvalidScheme):
         memory_check(bad, model, cluster, flags)
@@ -948,52 +931,7 @@ def test_explicit_bound_outside_the_table_raises(axis, end):
 
 
 # ---------------------------------------------------------------------------
-# the memory report is its columns
-
-
-def test_evaluation_builds_no_worker_records(monkeypatch):
-    """Planning, serializing and simulating read the memory report's
-    columns: no WorkerMemory is built, in plan_4d's memory-repair retries
-    and on its infeasible path neither."""
-    built = []
-    init = WorkerMemory.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(WorkerMemory, "__init__", counting_init)
-    checks = []
-
-    def counting_check(*args):
-        checks.append(args)
-        return memory_check(*args)
-
-    monkeypatch.setattr("neosim.planner.memory_check", counting_check)
-    model, cluster, policy = mixed_desk_case()
-    cases = [
-        (model, cluster, policy, plan_4d(model, cluster, CostWeights(), policy, h))
-        for h in ("greedy", "kk")
-    ]
-    cases.append(
-        (model, cluster, policy, hierarchical_plan(model, cluster, CostWeights(), policy))
-    )
-    # model_f overflows HBM+DRAM at first and needs memory repair
-    model_f, cluster_f = load_bundled_model("model_f"), load_bundled_cluster()
-    policy_f = CandidatePolicy(flags=CompressionFlags(rowwise_optimizer=True))
-    checks.clear()
-    cases.append(
-        (model_f, cluster_f, policy_f, plan_4d(model_f, cluster_f, CostWeights(), policy_f))
-    )
-    assert len(checks) > 1
-    for model, cluster, policy, plan in cases:
-        plan_to_json(plan, model, cluster, policy.flags)
-        simulate(model, cluster, plan, flags=policy.flags)
-    with pytest.raises(Infeasible):
-        plan_4d(*_last_resort_case(), CostWeights(), CandidatePolicy())
-    assert built == []
-    report = memory_check(plan, model, cluster, policy.flags)
-    assert len(report.workers) == plan.num_workers and len(built) == plan.num_workers
+# the memory report's tiers and bounds
 
 
 def _last_resort_case():
@@ -1047,7 +985,7 @@ def test_tiers_are_exact(total, hbm, dram_per_gpu, tier):
     report = memory_check(plan, model, cluster, flags)
     assert_report_matches(report, memory_check_loop(plan, model, cluster, flags))
     assert report.totals.tolist()[0] == total
-    assert report.workers[0].tier == tier
+    assert TIERS[report.tier.tolist()[0]] == tier
     assert report.feasible == (tier != "infeasible")
 
 
