@@ -37,7 +37,7 @@ from .embedding import (
     storage_roundtrip,
 )
 from .errors import IndexOutOfRange, InvalidValue, LayoutMismatch
-from .model import CombinedBatch, ModelSpec, Precision, PRECISION_BYTES
+from .model import CombinedBatch, ModelSpec, Precision, PRECISION_BYTES, frozen_array
 from .planner import (
     CW,
     DP,
@@ -57,45 +57,46 @@ class CollectiveKind(str, Enum):
     MANY_TO_MANY = "many_to_many"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollectiveVolume:
     """Per-worker send bytes for one logical collective, at the width its
-    payload travels at.
+    payload travels at, as read-only float64 arrays.
 
     metadata_bytes is the lengths phase of the input AlltoAll. scaleup_bytes
     is the part of each worker's send that stays on the scale-up fabric
     (hierarchical row-wise shards); only row-wise reduction volumes carry
-    it, and to_dict leaves it out.
+    it, and to_dict leaves it out. A field a volume lacks is empty.
     """
 
     kind: CollectiveKind
     label: str
-    per_worker_send_bytes: tuple[float, ...]
+    per_worker_send_bytes: np.ndarray
     message_count: int
-    metadata_bytes: tuple[float, ...] = ()
-    scaleup_bytes: tuple[float, ...] = ()
+    metadata_bytes: np.ndarray = ()
+    scaleup_bytes: np.ndarray = ()
 
     def __post_init__(self):
-        if any(b < 0 for b in self.per_worker_send_bytes):
+        for name in ("per_worker_send_bytes", "metadata_bytes", "scaleup_bytes"):
+            object.__setattr__(self, name, frozen_array(getattr(self, name), np.float64))
+        send = self.per_worker_send_bytes
+        if (send < 0).any():
             raise InvalidValue("per_worker_send_bytes", "must be >= 0")
-        if self.kind is CollectiveKind.ALLREDUCE and self.per_worker_send_bytes:
-            first = self.per_worker_send_bytes[0]
-            if any(b != first for b in self.per_worker_send_bytes):
-                raise InvalidValue(
-                    "per_worker_send_bytes", "AllReduce volume must match across workers"
-                )
+        if self.kind is CollectiveKind.ALLREDUCE and (send != send[:1]).any():
+            raise InvalidValue(
+                "per_worker_send_bytes", "AllReduce volume must match across workers"
+            )
 
     @property
     def max_bytes(self) -> float:
-        return max(self.per_worker_send_bytes, default=0.0)
+        return float(self.per_worker_send_bytes.max(initial=0.0))
 
     def to_dict(self) -> dict:
         return {
             "kind": self.kind.value,
             "label": self.label,
-            "per_worker_send_bytes": list(self.per_worker_send_bytes),
+            "per_worker_send_bytes": self.per_worker_send_bytes.tolist(),
             "message_count": self.message_count,
-            "metadata_bytes": list(self.metadata_bytes),
+            "metadata_bytes": self.metadata_bytes.tolist(),
         }
 
 
@@ -328,24 +329,21 @@ def _pooled_elements(
 
 
 def _pooled_alltoall(label: str, send: np.ndarray) -> CollectiveVolume:
-    return CollectiveVolume(
-        kind=CollectiveKind.ALLTOALL,
-        label=label,
-        per_worker_send_bytes=tuple(send.tolist()),
-        message_count=1,
-    )
+    return CollectiveVolume(CollectiveKind.ALLTOALL, label, send, message_count=1)
+
+
+def _allreduce(label: str, nbytes: float, num_workers: int) -> CollectiveVolume:
+    send = np.full(num_workers, nbytes)  # equal on every worker
+    return CollectiveVolume(CollectiveKind.ALLREDUCE, label, send, message_count=1)
 
 
 def volume_forward_alltoall(
-    plan: ShardingPlan,
-    model: ModelSpec,
-    num_workers: int,
-    elem_bytes: int = ACTIVATION_BYTES,
+    plan: ShardingPlan, model: ModelSpec, num_workers: int
 ) -> CollectiveVolume:
-    """Pooled-output exchange: the pooled AlltoAll elements at elem_bytes
-    each."""
+    """Pooled-output exchange: the pooled AlltoAll elements at FP32
+    activation width."""
     elements = _pooled_elements(plan, model, num_workers)
-    return _pooled_alltoall("pooled_a2a_fwd", elements * elem_bytes)
+    return _pooled_alltoall("pooled_a2a_fwd", elements * ACTIVATION_BYTES)
 
 
 def volume_gradient_collectives(
@@ -376,41 +374,19 @@ def volume_gradient_collectives(
     )
     out = []
     if rw.any():
-        for collective, label, elem in (
+        for kind, label, elem in (
             (CollectiveKind.REDUCE_SCATTER, "rw_reduce_scatter_fwd", fwd_elem_bytes),
             (CollectiveKind.MANY_TO_MANY, "rw_gather_bwd", bwd_elem_bytes),
         ):
-            out.append(
-                CollectiveVolume(
-                    kind=collective,
-                    label=label,
-                    per_worker_send_bytes=tuple((elements * elem).tolist()),
-                    message_count=1,
-                    scaleup_bytes=tuple((scaleup * elem).tolist()),
-                )
-            )
+            send, on_node = elements * elem, scaleup * elem
+            out.append(CollectiveVolume(kind, label, send, 1, scaleup_bytes=on_node))
     dp = t[cols.kind == DP]
     scale = 2 * (num_workers - 1) / num_workers
     dp_terms = scale * (tc.rows[dp] * tc.dim[dp]) * tc.elem_bytes[dp]
     dp_bytes = reduce(add, dp_terms.tolist(), 0.0)  # in plan order
     if dp_bytes > 0:
-        out.append(
-            CollectiveVolume(
-                kind=CollectiveKind.ALLREDUCE,
-                label="dp_table_allreduce",
-                per_worker_send_bytes=tuple([dp_bytes] * num_workers),
-                message_count=1,
-            )
-        )
-    dense = scale * model.dense_param_bytes
-    out.append(
-        CollectiveVolume(
-            kind=CollectiveKind.ALLREDUCE,
-            label="dense_allreduce",
-            per_worker_send_bytes=tuple([dense] * num_workers),
-            message_count=1,
-        )
-    )
+        out.append(_allreduce("dp_table_allreduce", dp_bytes, num_workers))
+    out.append(_allreduce("dense_allreduce", scale * model.dense_param_bytes, num_workers))
     return out
 
 
@@ -436,12 +412,8 @@ def volume_input_alltoall(
     send = owned.sum() - owned
     held = cols.per_worker(owned_by.astype(np.int64), num_workers)
     meta = B * LENGTH_BYTES * (int(owned_by.sum()) - held)
-    return CollectiveVolume(
-        kind=CollectiveKind.ALLTOALL,
-        label="input_a2a",
-        per_worker_send_bytes=tuple(send.tolist()),
-        message_count=2,  # lengths phase + indices phase
-        metadata_bytes=tuple(meta.astype(np.float64).tolist()),
+    return CollectiveVolume(  # two messages: the lengths phase, then the indices
+        CollectiveKind.ALLTOALL, "input_a2a", send, 2, metadata_bytes=meta
     )
 
 

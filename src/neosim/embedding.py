@@ -117,18 +117,14 @@ def build_tables(
     model: ModelSpec,
     cfg: OptimizerConfig,
     seed: int = 0,
-    zero_init: bool = False,
 ) -> list[EmbeddingTable]:
     """Deterministic per-(seed, table) initialization of full tables."""
     tables = []
     for t, spec in enumerate(model.tables):
-        if zero_init:
-            values = np.zeros((spec.num_rows, spec.dim), dtype=np.float64)
-        else:
-            rng = np.random.default_rng([seed, t])
-            values = rng.standard_normal((spec.num_rows, spec.dim))
-            if spec.value_precision is Precision.FP16:
-                values, _ = quantize_fp16_roundtrip(values)
+        rng = np.random.default_rng([seed, t])
+        values = rng.standard_normal((spec.num_rows, spec.dim))
+        if spec.value_precision is Precision.FP16:
+            values, _ = quantize_fp16_roundtrip(values)
         tables.append(
             EmbeddingTable(spec, values, _moment_for(spec.num_rows, spec.dim, cfg))
         )
@@ -348,12 +344,11 @@ def train_step_reference(
     batch: CombinedBatch,
     cfg: OptimizerConfig,
     seed: int = 0,
-    zero_init: bool = False,
 ) -> tuple[np.ndarray, list[EmbeddingTable]]:
     """Desk-scale oracle: fused forward, backward from the sum-of-outputs
     loss (upstream gradient of all ones), fused optimizer update."""
     batch.validate_against(model)
-    tables = build_tables(model, cfg, seed, zero_init=zero_init)
+    tables = build_tables(model, cfg, seed)
     outputs = fused_forward(tables, batch)
     for t, table in enumerate(tables):
         lengths, indices = batch.table_slice(t)

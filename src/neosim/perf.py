@@ -217,9 +217,9 @@ def _pooled_exchange_time(
     t = _collective_time(pooled.max_bytes, remote_fraction, points, bw, fixed, 1)
     if row_wise is not None:
         send, scaleup = row_wise.per_worker_send_bytes, row_wise.scaleup_bytes
-        flat = max(s - u for s, u in zip(send, scaleup))
+        flat = float((send - scaleup).max())
         t += _collective_time(flat, remote_fraction, points, bw, fixed, 1)
-        t += _collective_time(max(scaleup), 0.0, points, bw, fixed, 1)
+        t += _collective_time(float(scaleup.max()), 0.0, points, bw, fixed, 1)
     return t
 
 
@@ -228,23 +228,35 @@ def component_latencies(
     plan: ShardingPlan,
     cluster: ClusterSpec,
     cache_hit_rate: float = 1.0,
-    compute_precision: Precision = Precision.TF32,
     a2a_fwd_precision: Precision = Precision.FP32,
     a2a_bwd_precision: Precision = Precision.FP32,
     flags: CompressionFlags = CompressionFlags(rowwise_optimizer=True),
-    volumes: Optional[Sequence[CollectiveVolume]] = None,
 ) -> ComponentLatencies:
-    """Calibrated per-component latencies for one training iteration.
+    """Calibrated per-component latencies for one training iteration, at
+    TF32 compute (simulate takes the compute precision).
 
     MLP terms divide layer FLOPs by peak x mlp_efficiency; embedding terms
     divide shard bytes touched by the effective row bandwidth of the worker's
-    memory tier; collective terms divide the straggler's volume by the
+    memory tier; collective terms divide the straggler's volume, from
+    comms.collective_volumes at the given AlltoAll precisions, by the
     achieved bandwidth for its message size. Model-parallel terms take the
-    max over workers. `volumes` is comms.collective_volumes' result at the
-    same AlltoAll precisions; it is computed here when not given.
+    max over workers.
     """
+    volumes = collective_volumes(plan, model, a2a_fwd_precision, a2a_bwd_precision)
+    return _component_latencies(
+        model, plan, cluster, cache_hit_rate, Precision.TF32, flags, volumes
+    )
+
+
+def _component_latencies(
+    model, plan, cluster, cache_hit_rate, compute_precision, flags, volumes
+) -> ComponentLatencies:
+    """component_latencies at `compute_precision`, over the volumes that
+    comms.collective_volumes built."""
     if plan.num_workers != cluster.num_workers:
         raise InvalidValue("plan", "plan and cluster disagree on worker count")
+    if plan.gpus_per_node != cluster.gpus_per_node:
+        raise InvalidValue("plan", "plan and cluster disagree on GPUs per node")
     if not 0 <= cache_hit_rate <= 1:
         raise InvalidValue("cache_hit_rate", "must be in [0, 1]")
     W = cluster.num_workers
@@ -284,8 +296,6 @@ def component_latencies(
 
     fixed = cluster.fixed_latency_per_collective
     remote_frac = _remote_fraction(W, cluster.gpus_per_node)
-    if volumes is None:
-        volumes = collective_volumes(plan, model, a2a_fwd_precision, a2a_bwd_precision)
     by_label = {v.label: v for v in volumes}
     a2a_fwd = _pooled_exchange_time(
         by_label["pooled_a2a_fwd"], by_label.get("rw_reduce_scatter_fwd"),
@@ -311,18 +321,16 @@ def component_latencies(
     )
 
     input_vol = by_label["input_a2a"]
-    input_bytes = max(
-        (p + m for p, m in zip(input_vol.per_worker_send_bytes, input_vol.metadata_bytes)),
-        default=0.0,
+    input_bytes = float(
+        (input_vol.per_worker_send_bytes + input_vol.metadata_bytes).max(initial=0.0)
     )
     input_a2a = _collective_time(
         input_bytes, remote_frac, cluster.alltoall_bw_points,
         cluster.scaleup_bw, fixed, input_vol.message_count,
     )
 
-    h2d_bytes = B * sum(
-        t.avg_pooling * t.index_bytes + LENGTH_BYTES for t in model.tables
-    ) + B * model.dense_input_dim * 4
+    index_bytes = (tc.pooling * tc.index_bytes + LENGTH_BYTES).tolist()
+    h2d_bytes = B * sum(index_bytes) + B * model.dense_input_dim * 4
     h2d = h2d_bytes / cluster.dram_to_gpu_bw if h2d_bytes > 0 else 0.0
 
     return ComponentLatencies(
@@ -383,16 +391,8 @@ def simulate(
     flags: CompressionFlags = CompressionFlags(rowwise_optimizer=True),
 ) -> SimulationResult:
     volumes = collective_volumes(plan, model, a2a_fwd_precision, a2a_bwd_precision)
-    comps = component_latencies(
-        model,
-        plan,
-        cluster,
-        cache_hit_rate=cache_hit_rate,
-        compute_precision=compute_precision,
-        a2a_fwd_precision=a2a_fwd_precision,
-        a2a_bwd_precision=a2a_bwd_precision,
-        flags=flags,
-        volumes=volumes,
+    comps = _component_latencies(
+        model, plan, cluster, cache_hit_rate, compute_precision, flags, volumes
     )
     global_batch = model.local_batch * cluster.num_workers
     estimate = iteration_latency(comps, global_batch)
@@ -465,9 +465,9 @@ def scaling_sweep(
     compute_precision: Precision = Precision.TF32,
     a2a_fwd_precision: Precision = Precision.FP32,
     a2a_bwd_precision: Precision = Precision.FP32,
-    shrink: bool = True,
 ) -> list[SweepEntry]:
-    """Weak-scaling sweep: per-GPU batch fixed, re-planned at every scale.
+    """Weak-scaling sweep: per-GPU batch fixed, re-planned at every scale,
+    each scale's tables shrunk to fit (shrink_to_fit).
 
     Efficiency is per-worker throughput relative to the smallest node count.
     Infeasible scales are reported per entry rather than raised.
@@ -480,9 +480,7 @@ def scaling_sweep(
     baseline: Optional[tuple[int, float]] = None  # (workers, qps)
     for n in node_counts:
         cluster = replace(cluster_template, num_nodes=n)
-        scale_model = (
-            shrink_to_fit(model, cluster, policy.flags) if shrink else model
-        )
+        scale_model = shrink_to_fit(model, cluster, policy.flags)
         try:
             plan = plan_4d(scale_model, cluster, weights, policy, heuristic)
             result = simulate(

@@ -1224,7 +1224,9 @@ def validate_plan(plan: ShardingPlan, model: ModelSpec) -> None:
     Every table is assigned once. Table-wise and data-parallel tables hold
     one shard without bounds. Row-wise shards carry row bounds only, one per
     row shard of the scheme, tiling [0, H). Column-wise shards carry column
-    bounds only, tiling [0, D) in exactly the scheme's column splits.
+    bounds only, tiling [0, D) in exactly the scheme's column splits. A
+    hierarchical assignment's shards all sit on one node (worker //
+    gpus_per_node), where its reduction is charged to the scale-up fabric.
 
     Each rule is a pass over the shard columns. The error names the first
     assignment in plan order that breaks a rule, and the first rule in the
@@ -1276,6 +1278,10 @@ def validate_plan(plan: ShardingPlan, model: ModelSpec) -> None:
     for i in np.flatnonzero(kind == CW).tolist():
         sorted_cols = zip(*(x[starts[i] : ends[i]].tolist() for x in (lo, hi)))
         differ[i] = list(sorted_cols) != list(schemes[i].col_splits)
+    node, first = cols.worker // plan.gpus_per_node, starts[counts > 0]
+    low, high = np.minimum.reduceat(node, first), np.maximum.reduceat(node, first)
+    spans_nodes = np.zeros(A, bool)
+    spans_nodes[counts > 0] = low < high  # the shards sit on more than one node
     # (the assignments that break a rule, the rule's message)
     rules = (
         (table < 0, "plan names unknown table {tid}"),
@@ -1296,6 +1302,10 @@ def validate_plan(plan: ShardingPlan, model: ModelSpec) -> None:
         (split & any_shard(gap), "{tid}: {axis} shards must tile [0, {letter})"),
         (split & (last != extent), "{tid}: {axis} shards must cover [0, {extent})"),
         (differ, "{tid}: column shards differ from the scheme's column splits"),
+        (
+            any_shard(cols.hierarchical) & spans_nodes,
+            "{tid}: hierarchical shards must lie on one node",
+        ),
     )
     broken = np.logical_or.reduce([breach for breach, _ in rules])
     if broken.any():

@@ -107,6 +107,24 @@ def mixed_desk_case():
     return model, cluster, policy
 
 
+VOLUME_BYTES = ("per_worker_send_bytes", "metadata_bytes", "scaleup_bytes")
+
+
+def assert_volumes_equal(got, want) -> None:
+    """Two sequences of CollectiveVolumes hold the same fields, in order, and
+    every byte field of `got` is a read-only float64 array."""
+
+    def fields(v):
+        arrays = (getattr(v, f).tolist() for f in VOLUME_BYTES)
+        return (v.kind, v.label, v.message_count, *arrays)
+
+    for v in got:
+        for f in VOLUME_BYTES:
+            array = getattr(v, f)
+            assert array.dtype == np.float64 and not array.flags.writeable, (v.label, f)
+    assert [fields(v) for v in got] == [fields(v) for v in want]
+
+
 # reads what `verify --dump-tables` writes (embedding.dump_table)
 def load_table(spec: TableSpec, fh: IO[bytes]) -> EmbeddingTable:
     magic = fh.read(4)

@@ -6,7 +6,9 @@ or an oracle to move into the tests. A top-level function or class counts
 as called when the program reads its name, plainly or as an attribute; a
 method or property only when the program reads an attribute of its name
 (`x.name`), on any receiver, so a local variable of the same name does not
-hide it."""
+hide it. Likewise every defaulted parameter of those functions and methods
+must be set by some program call: an option only tests set is surface to
+delete."""
 
 import ast
 from pathlib import Path
@@ -89,3 +91,106 @@ def test_allowlist_names_only_uncalled_definitions():
         if qualified not in defined or qualified in called
     )
     assert not stale, "drop from ALLOWED: " + ", ".join(stale)
+
+
+# ---------------------------------------------------------------------------
+# options census: every defaulted parameter of a public function or method
+# is set by some program call, by keyword or by position. A call counts
+# when it names the function, plainly or as an attribute, or hands it to
+# perfbench's `tr.call(label, fn, *args, **kwargs)`; a `*args` or
+# `**kwargs` spread counts as setting every parameter it can reach.
+
+# defaulted parameters kept although only tests set them
+ALLOWED_OPTIONS = {
+    "main.argv": "the console entry point calls main() without arguments",
+    "load_bundled_cluster.name": "README's Python API",
+}
+
+
+def defaulted_parameters(fn, bound: bool) -> dict[str, int | None]:
+    """Defaulted parameter -> its position among the call's positional
+    arguments (None if keyword-only). A bound method's first parameter is
+    not passed."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+    if bound and not static:
+        positional = positional[1:]
+    first = len(positional) - len(args.defaults)
+    found = {arg.arg: i for i, arg in enumerate(positional) if i >= first}
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            found[arg.arg] = None
+    return found
+
+
+def called_with(call) -> tuple[str | None, list, list]:
+    """(the called name, its positional arguments, its keywords) of a call."""
+    func, args = call.func, call.args
+    if isinstance(func, ast.Attribute) and func.attr == "call" and len(args) >= 2:
+        func, args = args[1], args[2:]  # tr.call(label, fn, *args, **kwargs)
+    name = getattr(func, "id", None) or getattr(func, "attr", None)
+    return name, args, call.keywords
+
+
+def program_calls(tree, own=None) -> list[tuple]:
+    """called_with of every call in a syntax tree, but of calls to `own`."""
+    calls = (called_with(c) for c in ast.walk(tree) if isinstance(c, ast.Call))
+    return [c for c in calls if c[0] != own]
+
+
+def public_functions(node) -> list[tuple[str, ast.FunctionDef, bool]]:
+    """(qualified name, definition, whether it is a method) of each function
+    that public_definitions names."""
+    defined = public_definitions(node)
+    if isinstance(node, ast.FunctionDef):
+        return [(node.name, node, False)] if defined else []
+    return [
+        (f"{node.name}.{item.name}", item, True)
+        for item in getattr(node, "body", ())
+        if isinstance(item, ast.FunctionDef) and f"{node.name}.{item.name}" in defined
+    ]
+
+
+def options_census() -> tuple[dict[str, tuple[str, str, int | None]], set[str]]:
+    """(option "function.parameter" -> (its module, the called name, its
+    position), options some program call sets)."""
+    options = {}
+    calls = program_calls(ast.parse(WORKLOADS.read_text()))
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for qualified, fn, method in public_functions(node):
+                for param, position in defaulted_parameters(fn, method).items():
+                    options[f"{qualified}.{param}"] = (path.stem, fn.name, position)
+            if path.name != "__init__.py":
+                calls += program_calls(node, getattr(node, "name", None))
+    set_ = set()
+    for option, (_, name, position) in options.items():
+        param = option.rsplit(".", 1)[1]
+        for called, args, keywords in calls:
+            by_keyword = any(k.arg in (param, None) for k in keywords)
+            by_position = position is not None and (
+                len(args) > position or any(isinstance(a, ast.Starred) for a in args)
+            )
+            if called == name and (by_keyword or by_position):
+                set_.add(option)
+                break
+    return options, set_
+
+
+def test_every_option_is_set_by_the_program():
+    options, set_ = options_census()
+    unset = sorted(
+        f"{module}.{option}"
+        for option, (module, _, _) in options.items()
+        if option not in set_ and option not in ALLOWED_OPTIONS
+    )
+    assert not unset, "only tests set: " + ", ".join(unset)
+
+
+def test_options_allowlist_names_only_unset_options():
+    options, set_ = options_census()
+    stale = sorted(
+        option for option in ALLOWED_OPTIONS if option not in options or option in set_
+    )
+    assert not stale, "drop from ALLOWED_OPTIONS: " + ", ".join(stale)

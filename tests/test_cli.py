@@ -509,6 +509,30 @@ class TestInputHardening:
         )
         assert code == 1
 
+    def test_simulate_plan_for_other_gpus_per_node_rejected(
+        self, tmp_path, capsys, desk_model_file, tiny_cluster_file
+    ):
+        # two nodes of one GPU, simulated on one node of two
+        tw = {"kind": "table_wise"}
+        plan_doc = {
+            "spec_version": 1,
+            "num_workers": 2,
+            "gpus_per_node": 1,
+            "tables": [
+                {"table_id": f"t{i}", "scheme": tw, "shards": [{"worker": i % 2}]}
+                for i in range(3)
+            ],
+        }
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan_doc))
+        args = ["simulate", "--model", desk_model_file, "--plan", str(plan_path)]
+        args += ["--cluster", tiny_cluster_file, "--out", str(tmp_path)]
+        assert main(args) == 1
+        assert "disagree on GPUs per node" in capsys.readouterr().err
+        plan_doc["gpus_per_node"] = 2
+        plan_path.write_text(json.dumps(plan_doc))
+        assert main(args) == 0
+
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_plan_shard_without_bounds_rejected(
         self, tmp_path, capsys, desk_model_file, tiny_cluster_file, command

@@ -6,7 +6,13 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from conftest import desk_cluster, desk_model, mixed_desk_case, random_desk_model
+from conftest import (
+    assert_volumes_equal,
+    desk_cluster,
+    desk_model,
+    mixed_desk_case,
+    random_desk_model,
+)
 
 from neosim import (
     CandidatePolicy,
@@ -292,7 +298,8 @@ class TestVolumes:
     def test_forward_alltoall_formula(self):
         # dims 64+128 on one worker, global 1024, local 512, FP16
         model, plan = self.two_table_plan_and_model()
-        vol = volume_forward_alltoall(plan, model, 2, elem_bytes=2)
+        vol = collective_volumes(plan, model, Precision.FP16)[0]
+        assert vol.label == "pooled_a2a_fwd"
         assert vol.per_worker_send_bytes[0] == (64 + 128) * 512 * 2 == 196_608
         assert vol.per_worker_send_bytes[1] == 0
 
@@ -314,7 +321,7 @@ class TestVolumes:
         )
         vols = volume_gradient_collectives(tw_plan(model, 2), model, 2)
         dense = [v for v in vols if v.label == "dense_allreduce"][0]
-        assert dense.per_worker_send_bytes == (1e6, 1e6)
+        assert dense.per_worker_send_bytes.tolist() == [1e6, 1e6]
 
     def test_no_rw_tables_no_reduce_scatter(self):
         model, plan = self.two_table_plan_and_model()
@@ -325,8 +332,8 @@ class TestVolumes:
         model, plan = self.two_table_plan_and_model()
         fwd, bwd = collective_volumes(plan, model)[:2]
         assert (fwd.label, bwd.label) == ("pooled_a2a_fwd", "pooled_a2a_bwd")
-        assert fwd == volume_forward_alltoall(plan, model, 2)
-        assert fwd.per_worker_send_bytes == bwd.per_worker_send_bytes
+        assert_volumes_equal([fwd], [volume_forward_alltoall(plan, model, 2)])
+        assert fwd.per_worker_send_bytes.tolist() == bwd.per_worker_send_bytes.tolist()
 
 
 def make_mixed_plan(model, W, gpn):
@@ -435,8 +442,8 @@ class TestInputAlltoallVolume:
     def test_single_worker_sends_nothing(self):
         model = random_desk_model(np.random.default_rng(14))
         vol = volume_input_alltoall(make_mixed_plan(model, 1, 1), model, 1)
-        assert vol.per_worker_send_bytes == (0.0,)
-        assert vol.metadata_bytes == (0.0,)
+        assert vol.per_worker_send_bytes.tolist() == [0.0]
+        assert vol.metadata_bytes.tolist() == [0.0]
 
     def test_data_parallel_only_plan_sends_nothing(self):
         model = random_desk_model(np.random.default_rng(15))
@@ -451,8 +458,8 @@ class TestInputAlltoallVolume:
             ),
         )
         vol = volume_input_alltoall(plan, model, 4)
-        assert vol.per_worker_send_bytes == (0.0,) * 4
-        assert vol.metadata_bytes == (0.0,) * 4
+        assert vol.per_worker_send_bytes.tolist() == [0.0] * 4
+        assert vol.metadata_bytes.tolist() == [0.0] * 4
         self.assert_matches_brute_force(plan, model, exact=True)
 
     @pytest.mark.parametrize(

@@ -472,15 +472,17 @@ class TestFp16Roundtrip:
 
 class TestTrainStepReference:
     def test_sgd_on_zero_tables_writes_occurrence_counts(self):
-        model = desk_model(
-            [TableSpec(id="t", num_rows=6, dim=3, avg_pooling=2.0)], local_batch=4
-        )
+        spec = TableSpec(id="t", num_rows=6, dim=3, avg_pooling=2.0)
+        model = desk_model([spec], local_batch=4)
         cfg = OptimizerConfig(OptimizerKind.SGD, lr=0.1)
         batch = gen_synthetic_batch(model, 4, seed=11)
-        _, tables = train_step_reference(model, batch, cfg, seed=0, zero_init=True)
-        counts = np.bincount(batch.table_slice(0)[1], minlength=6).astype(float)
+        table = EmbeddingTable(spec, np.zeros((6, 3)))
+        lengths, indices = batch.table_slice(0)
+        # the sum-of-outputs loss sends an upstream gradient of ones
+        fused_backward_update(table, lengths, indices, np.ones((4, 3)), cfg)
+        counts = np.bincount(indices, minlength=6).astype(float)
         expected = -0.1 * counts[:, None] * np.ones((6, 3))
-        assert np.allclose(tables[0].values, expected, atol=1e-15)
+        assert np.allclose(table.values, expected, atol=1e-15)
 
     def test_purity(self):
         model = desk_model(

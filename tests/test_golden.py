@@ -288,7 +288,8 @@ def test_golden_shrunk_hierarchical_plan(case):
     }
     got = (
         _sha(plan_to_json(plan, model, cluster, flags)),
-        _sha(json.dumps(sim, sort_keys=True)),
+        # volume byte arrays serialize as JSON lists
+        _sha(json.dumps(sim, sort_keys=True, default=np.ndarray.tolist)),
     )
     assert got == SHRUNK_HIER_GOLDEN[case]
 

@@ -1,6 +1,7 @@
 """Roofline/overlap model: bandwidth curves, latency composition, sweeps."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -13,13 +14,17 @@ from neosim import (
     CompressionFlags,
     ComponentLatencies,
     CostWeights,
+    InvalidValue,
     Precision,
     TableSpec,
     achieved_bw,
     component_latencies,
     effective_performance,
+    hierarchical_plan,
     iteration_latency,
     plan_4d,
+    plan_from_json,
+    plan_to_json,
     scaling_sweep,
     simulate,
 )
@@ -169,7 +174,6 @@ class TestComponentLatencies:
         assert comps.emb_lookup == pytest.approx(per_worker, rel=1e-12)
 
     def test_hierarchical_rw_reduces_on_scaleup_fabric(self):
-        from neosim import hierarchical_plan
         from neosim.planner import (
             Scheme,
             SchemeKind,
@@ -204,6 +208,34 @@ class TestComponentLatencies:
         hier_comps = component_latencies(model, hier, cluster)
         flat_comps = component_latencies(model, flat, cluster)
         assert hier_comps.a2a_fwd < flat_comps.a2a_fwd
+
+    def test_plan_and_cluster_must_agree_on_gpus_per_node(self):
+        # a hierarchical plan for 2 x 4 GPUs on a 4 x 2 cluster of the same W
+        tables = [
+            TableSpec(id=f"t{i}", num_rows=4096, dim=64, avg_pooling=8.0)
+            for i in range(4)
+        ]
+        model = desk_model(tables, local_batch=64)
+        cluster = desk_cluster(8, gpus_per_node=4)
+        plan = hierarchical_plan(model, cluster, CostWeights(), CandidatePolicy())
+        component_latencies(model, plan, cluster)
+        other = desk_cluster(8, gpus_per_node=2)
+        with pytest.raises(InvalidValue, match="GPUs per node"):
+            component_latencies(model, plan, other)
+        with pytest.raises(InvalidValue, match="GPUs per node"):
+            simulate(model, other, plan)
+
+    def test_plan_file_without_gpus_per_node_is_one_node(self):
+        model = load_bundled_model("model_i")
+        cluster = load_bundled_cluster()
+        flags = CompressionFlags(table_precision=Precision.FP16, rowwise_optimizer=True)
+        plan = plan_4d(model, cluster, CostWeights(), CandidatePolicy(flags=flags))
+        doc = json.loads(plan_to_json(plan))
+        del doc["gpus_per_node"]
+        one_node = plan_from_json(json.dumps(doc))
+        assert one_node.gpus_per_node == cluster.num_workers != cluster.gpus_per_node
+        with pytest.raises(InvalidValue, match="GPUs per node"):
+            simulate(model, cluster, one_node, flags=flags)
 
     def test_mixed_fabric_pooled_latency(self):
         """Flat row-wise reductions cross scale-out at the remote fraction,
@@ -399,12 +431,13 @@ class TestScalingSweep:
         assert results["model_a"][-1] < results["model_i"][-1]
 
     def test_infeasible_scale_reported_per_entry(self):
+        # one row wider than HBM: shrinking keeps at least one row
         model = desk_model(
-            [TableSpec(id="big", num_rows=10**7, dim=256, avg_pooling=2.0)],
+            [TableSpec(id="big", num_rows=1, dim=2**21, avg_pooling=2.0)],
             local_batch=8,
         )
         tiny = desk_cluster(2, hbm=2**20, dram_per_node=2**20)
-        entries = scaling_sweep(model, tiny, [1], shrink=False)
+        entries = scaling_sweep(model, tiny, [1])
         assert entries[0].error is not None
         assert entries[0].qps is None
 

@@ -576,6 +576,29 @@ class TestHierarchicalPlan:
             nodes_used.update(table_nodes)
         assert nodes_used == {0, 1}  # one table per node
 
+    def test_shard_moved_to_the_next_node_rejected(self):
+        tables = [
+            TableSpec(id=f"t{i}", num_rows=400, dim=16, avg_pooling=4.0)
+            for i in range(4)
+        ]
+        model = desk_model(tables)
+        cluster = desk_cluster(8, gpus_per_node=4)
+        plan = hierarchical_plan(model, cluster, CostWeights(), CandidatePolicy())
+        validate_plan(plan, model)
+        a = plan.assignments[2]
+        moved = dataclasses.replace(a.shards[1], worker=(a.shards[1].worker + 4) % 8)
+        shards = (a.shards[0], moved, *a.shards[2:])
+        assignments = list(plan.assignments)
+        assignments[2] = dataclasses.replace(a, shards=shards)
+        broken = dataclasses.replace(plan, assignments=tuple(assignments))
+        message = f"{a.table_id}: hierarchical shards must lie on one node"
+        with pytest.raises(InvalidScheme, match=message):
+            validate_plan(broken, model)
+        # the same shards without the hierarchical tag are a valid flat plan
+        flat_scheme = dataclasses.replace(a.scheme, hierarchical=None)
+        assignments[2] = dataclasses.replace(a, scheme=flat_scheme, shards=shards)
+        validate_plan(dataclasses.replace(plan, assignments=tuple(assignments)), model)
+
     def test_hierarchical_reduces_inter_node_bytes(self):
         tables = [
             TableSpec(id=f"t{i}", num_rows=4000, dim=32, avg_pooling=6.0)
@@ -607,8 +630,8 @@ class TestHierarchicalPlan:
             ]
             assert len(rw) == 2
             for v in rw:
-                expect = v.per_worker_send_bytes if hierarchical else (0.0,) * 8
-                assert v.scaleup_bytes == expect
+                expect = v.per_worker_send_bytes if hierarchical else np.zeros(8)
+                assert v.scaleup_bytes.tolist() == expect.tolist()
 
     def test_single_node_degenerates_to_flat_plan(self):
         tables = [

@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import desk_cluster, desk_model, mixed_desk_case
+from conftest import assert_volumes_equal, desk_cluster, desk_model, mixed_desk_case
 
 from neosim import (
     CandidatePolicy,
@@ -47,7 +47,7 @@ from neosim.comms import (
     volume_input_alltoall,
 )
 from neosim.model import PRECISION_BYTES
-from neosim.perf import simulate
+from neosim.perf import _component_latencies, simulate
 from neosim.planner import (
     FULL_EXTENT,
     OPTIMIZER_STATE_BYTES,
@@ -276,7 +276,8 @@ def validate_plan_loop(plan: ShardingPlan, model: ModelSpec) -> None:
     Every table is assigned once. Table-wise and data-parallel tables hold
     one shard without bounds. Row-wise shards carry row bounds only, one per
     row shard of the scheme, tiling [0, H). Column-wise shards carry column
-    bounds only, tiling [0, D) in exactly the scheme's column splits.
+    bounds only, tiling [0, D) in exactly the scheme's column splits. A
+    hierarchical assignment's shards all sit on one node.
     """
     seen = set()
     table_by_id = {t.id: t for t in model.tables}
@@ -332,6 +333,8 @@ def validate_plan_loop(plan: ShardingPlan, model: ModelSpec) -> None:
                 raise InvalidScheme(
                     f"{tid}: column shards differ from the scheme's column splits"
                 )
+        if scheme.hierarchical and len({w // plan.gpus_per_node for w in workers}) > 1:
+            raise InvalidScheme(f"{tid}: hierarchical shards must lie on one node")
     missing = set(table_by_id) - seen
     if missing:
         raise InvalidScheme(f"tables not assigned: {sorted(missing)}")
@@ -448,14 +451,21 @@ def test_sums_equal_the_shard_loops(seed):
         memory_check(plan, model, cluster, flags),
         memory_check_loop(plan, model, cluster, flags),
     )
+    assert_volumes_equal(
+        [volume_forward_alltoall(plan, model, W)], [forward_loop(plan, model, W)]
+    )
+    assert_volumes_equal(
+        collective_volumes(plan, model, Precision.FP16)[:1],
+        [forward_loop(plan, model, W, 2)],
+    )
     for elem in (ACTIVATION_BYTES, 2):
-        assert volume_forward_alltoall(plan, model, W, elem) == forward_loop(
-            plan, model, W, elem
+        assert_volumes_equal(
+            volume_gradient_collectives(plan, model, W, elem, elem),
+            gradient_loop(plan, model, W, elem, elem),
         )
-        assert volume_gradient_collectives(plan, model, W, elem, elem) == gradient_loop(
-            plan, model, W, elem, elem
-        )
-    assert volume_input_alltoall(plan, model, W) == input_loop(plan, model, W)
+    assert_volumes_equal(
+        [volume_input_alltoall(plan, model, W)], [input_loop(plan, model, W)]
+    )
     fwd, bwd = PRECISION_BYTES[fwd_prec], PRECISION_BYTES[bwd_prec]
     loop_volumes = [
         forward_loop(plan, model, W, fwd),
@@ -463,20 +473,25 @@ def test_sums_equal_the_shard_loops(seed):
         *gradient_loop(plan, model, W, fwd, bwd),
         input_loop(plan, model, W),
     ]
-    assert collective_volumes(plan, model, fwd_prec, bwd_prec) == loop_volumes
-    kwargs = dict(
+    assert_volumes_equal(collective_volumes(plan, model, fwd_prec, bwd_prec), loop_volumes)
+    emb_lookup, emb_update = emb_terms_loop(model, plan, cluster, hit, flags)
+    expected = dataclasses.replace(
+        _component_latencies(
+            model, plan, cluster, hit, Precision.TF32, flags, loop_volumes
+        ),
+        emb_lookup=emb_lookup,
+        emb_update=emb_update,
+    )
+    got = component_latencies(
+        model,
+        plan,
+        cluster,
         cache_hit_rate=hit,
         a2a_fwd_precision=fwd_prec,
         a2a_bwd_precision=bwd_prec,
         flags=flags,
     )
-    emb_lookup, emb_update = emb_terms_loop(model, plan, cluster, hit, flags)
-    expected = dataclasses.replace(
-        component_latencies(model, plan, cluster, volumes=loop_volumes, **kwargs),
-        emb_lookup=emb_lookup,
-        emb_update=emb_update,
-    )
-    assert component_latencies(model, plan, cluster, **kwargs) == expected
+    assert got == expected
 
 
 # the AlltoAll direction whose precision each activation volume travels at
@@ -504,14 +519,15 @@ def test_activation_volumes_scale_with_wire_width(seed):
             for v, b in zip(got, base):
                 direction = WIRE_DIRECTION.get(v.label)
                 if direction is None:
-                    assert v == b
+                    assert_volumes_equal([v], [b])
                     continue
                 r = ratio if precisions[direction] is prec else 1.0
-                assert v == dataclasses.replace(
+                scaled = dataclasses.replace(
                     b,
-                    per_worker_send_bytes=tuple(x * r for x in b.per_worker_send_bytes),
-                    scaleup_bytes=tuple(x * r for x in b.scaleup_bytes),
+                    per_worker_send_bytes=b.per_worker_send_bytes * r,
+                    scaleup_bytes=b.scaleup_bytes * r,
                 )
+                assert_volumes_equal([v], [scaled])
 
 
 def test_random_plans_cover_every_layout():
@@ -561,11 +577,13 @@ def _with_shard(assignment, j, **changes):
     return dataclasses.replace(assignment, shards=tuple(shards))
 
 
-def _broken_assignments(a, table, W, rng):
+def _broken_assignments(a, table, W, gpn, rng):
     """Copies of assignment `a` of `table`, each breaking one rule (or
     several rules at once, in the order validate_plan checks them)."""
     kind = a.scheme.kind
     j = int(rng.integers(len(a.shards)))
+    if a.scheme.hierarchical and W > gpn and len(a.shards) > 1:
+        yield _with_shard(a, j, worker=(a.shards[j].worker + gpn) % W)  # next node
     bad_worker = int(rng.choice([W, W + 3, -1, -7]))
     yield dataclasses.replace(a, table_id="nope")
     if kind is not SchemeKind.DATA_PARALLEL:
@@ -610,7 +628,7 @@ def _broken_assignments(a, table, W, rng):
 def broken_plans(plan, model, rng):
     """Plans that break validate_plan's rules: every breach of one random
     assignment, a copy or loss of an assignment, and two breaches at once."""
-    W = plan.num_workers
+    W, gpn = plan.num_workers, plan.gpus_per_node
     assignments = plan.assignments
     tables = {t.id: t for t in model.tables}
 
@@ -620,7 +638,7 @@ def broken_plans(plan, model, rng):
     i = int(rng.integers(len(assignments)))
     a = assignments[i]
     before, after = assignments[:i], assignments[i + 1 :]
-    broken = list(_broken_assignments(a, tables[a.table_id], W, rng))
+    broken = list(_broken_assignments(a, tables[a.table_id], W, gpn, rng))
     for b in broken:
         yield with_assignments(*before, b, *after)
     yield with_assignments(*before, *after)
@@ -630,7 +648,7 @@ def broken_plans(plan, model, rng):
         # a breach in each of two assignments: the earlier one is reported
         i2 = (i + 1 + int(rng.integers(len(assignments) - 1))) % len(assignments)
         a2 = assignments[i2]
-        b2 = list(_broken_assignments(a2, tables[a2.table_id], W, rng))
+        b2 = list(_broken_assignments(a2, tables[a2.table_id], W, gpn, rng))
         two = list(assignments)
         two[i] = broken[int(rng.integers(len(broken)))]
         two[i2] = b2[int(rng.integers(len(b2)))]
@@ -687,6 +705,7 @@ def test_broken_plans_reach_every_rule():
         "row shards must cover [<n>, <n>)",
         "column shards must cover [<n>, <n>)",
         "column shards differ from the scheme's column splits",
+        "hierarchical shards must lie on one node",
     }
 
 
@@ -817,12 +836,13 @@ def test_pickle_round_trip_gives_equal_sums():
             memory_check(plan2, model2, cluster, flags),
             memory_check(plan, model, cluster, flags),
         )
-        assert collective_volumes(plan2, model2) == collective_volumes(plan, model)
+        assert_volumes_equal(collective_volumes(plan2, model2), collective_volumes(plan, model))
         assert component_latencies(model2, plan2, cluster, flags=flags) == (
             component_latencies(model, plan, cluster, flags=flags)
         )
-        assert volume_input_alltoall(plan2, model2, W) == volume_input_alltoall(
-            plan, model, W
+        assert_volumes_equal(
+            [volume_input_alltoall(plan2, model2, W)],
+            [volume_input_alltoall(plan, model, W)],
         )
         assert plan_to_json(plan2, model2, cluster, flags) == plan_to_json(
             plan, model, cluster, flags
@@ -925,7 +945,9 @@ def test_explicit_bound_outside_the_table_raises(axis, end):
     with pytest.raises(InvalidScheme):
         component_latencies(model, bad, cluster, flags=flags)
     if axis == "cols":
-        assert volume_forward_alltoall(good, model, 2) == forward_loop(good, model, 2)
+        assert_volumes_equal(
+            [volume_forward_alltoall(good, model, 2)], [forward_loop(good, model, 2)]
+        )
         with pytest.raises(InvalidScheme):
             volume_forward_alltoall(bad, model, 2)
 
