@@ -28,12 +28,9 @@ from .embedding import (
     EmbeddingTable,
     OptimizerConfig,
     OptimizerKind,
-    RowGradients,
     apply_optimizer,
-    backward_sort_aggregate,
     build_tables,
-    forward_pooled,
-    merge_row_gradients,
+    pool_and_aggregate,
     storage_roundtrip,
 )
 from .errors import IndexOutOfRange, InvalidValue, LayoutMismatch
@@ -470,10 +467,10 @@ def _slice_table(
     return EmbeddingTable(full.spec, values, moment, row_base=r0, col_base=c0)
 
 
-def _row_gradients(si: ShardInput, dim: int) -> RowGradients:
+def _pool_and_aggregate(table: EmbeddingTable, inputs: list[ShardInput]) -> tuple:
     # the sum-of-outputs loss sends an upstream gradient of ones
-    upstream = np.ones((len(si.lengths), dim), dtype=np.float64)
-    return backward_sort_aggregate(si.lengths, si.indices, upstream)
+    upstream = np.ones((sum(len(si.lengths) for si in inputs), table.dim))
+    return pool_and_aggregate(table, [(si.lengths, si.indices) for si in inputs], upstream)
 
 
 def train_step_sharded(
@@ -509,31 +506,27 @@ def train_step_sharded(
         if kind == DP:
             replicas = [_slice_table(full, rows[0], cols[0], cfg) for _ in range(W)]
             state.dp_replicas[table.id] = replicas
-            local = [inputs[(table.id, w)] for w in range(W)]
-            pooled = [
-                forward_pooled(r, si.lengths, si.indices) for r, si in zip(replicas, local)
-            ]
-            outputs.append(np.vstack(pooled))
-            # gradient AllReduce: parts merge in worker order
-            merged = merge_row_gradients(
-                [_row_gradients(si, table.dim) for si in local], table.dim
+            # the replicas are equal until the update, so one pools every
+            # worker's local batch; the gradient AllReduce merges in worker order
+            pooled, merged = _pool_and_aggregate(
+                replicas[0], [inputs[(table.id, w)] for w in range(W)]
             )
+            outputs.append(pooled)
             for replica in replicas:
                 apply_optimizer(replica, merged, cfg)
-                storage_roundtrip(replica)
+                storage_roundtrip(replica, merged.ids)
             continue
         out = np.zeros((n, table.dim), dtype=np.float64)
         for i, (r, c) in enumerate(zip(rows, cols)):
             piece = _slice_table(full, r, c, cfg)
             state.shards[(table.id, i)] = piece
-            si = inputs[(table.id, i)]
-            pooled = forward_pooled(piece, si.lengths, si.indices)
+            pooled, grads = _pool_and_aggregate(piece, [inputs[(table.id, i)]])
             if kind == RW:
                 out += pooled  # partial pools reduce in shard-list order
             else:
                 out[:, c[0] : c[1]] = pooled
-            apply_optimizer(piece, _row_gradients(si, piece.dim), cfg)
-            storage_roundtrip(piece)
+            apply_optimizer(piece, grads, cfg)
+            storage_roundtrip(piece, grads.ids)
         outputs.append(out)
 
     stacked = np.concatenate(outputs, axis=1) if outputs else np.zeros((n, 0))

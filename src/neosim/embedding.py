@@ -1,17 +1,19 @@
 """Executable reference semantics for the embedding operator family.
 
 Pooling is SUM over the rows selected by each sample's multi-hot indices.
-The fused backward path sorts gradients by row id and aggregates duplicates
-before a single optimizer application per touched row; applying a non-linear
-sparse optimizer once per occurrence instead would corrupt the update.
-Master weights are float64; FP16 table storage is emulated by a round-trip
-at step boundaries.
+The fused backward path aggregates duplicate row ids before a single
+optimizer application per touched row; applying a non-linear sparse
+optimizer once per occurrence instead would corrupt the update. Master
+weights are float64; FP16 table storage is emulated by a round trip of the
+rows a step touched, at step boundaries.
 
-Sample pooling, per-row gradient aggregation and the data-parallel gradient
-merge are all one scatter-sum (`_scatter_sum`). It adds each output cell's
-terms in buffer order starting from 0.0, exactly as a scalar loop does, so
-every result is bit-for-bit reproducible. Sort-and-reduce forms such as
-np.add.reduceat are not: numpy's reduction loop reassociates the sum.
+Every sum adds each output cell's terms in buffer order starting from 0.0,
+exactly as a scalar loop does, so every result is bit-for-bit reproducible.
+Pooling (`_pool`) runs in sample order: one slice add per position over the
+samples long enough to reach it, then a seeded cumsum for the few longest.
+Per-row gradient aggregation and the data-parallel merge (`_sum_rows`) are
+one bincount over the table's (row, column) cells, with no sort. Reductions
+such as np.add.reduceat are not usable: numpy's reduction loop reassociates.
 """
 
 from __future__ import annotations
@@ -101,7 +103,8 @@ class RowGradients:
     def __post_init__(self):
         if len(self.ids) != len(self.grads):
             raise InvalidValue("grads", "one gradient per row id required")
-        if len(self.ids) > 1 and not np.all(np.diff(self.ids) > 0):
+        ids = np.asarray(self.ids)
+        if len(ids) > 1 and not (ids[1:] > ids[:-1]).all():
             raise InvalidValue("ids", "must be strictly increasing")
 
 
@@ -123,8 +126,8 @@ def build_tables(
     for t, spec in enumerate(model.tables):
         rng = np.random.default_rng([seed, t])
         values = rng.standard_normal((spec.num_rows, spec.dim))
-        if spec.value_precision is Precision.FP16:
-            values, _ = quantize_fp16_roundtrip(values)
+        if spec.value_precision is Precision.FP16:  # normals are finite and in range
+            values = values.astype(np.float16).astype(np.float64)
         tables.append(
             EmbeddingTable(spec, values, _moment_for(spec.num_rows, spec.dim, cfg))
         )
@@ -132,45 +135,79 @@ def build_tables(
 
 
 # ---------------------------------------------------------------------------
-# scatter-sum kernel and input checks
+# input checks and the pooling and aggregation kernels
 
 
-def _scatter_sum(rows: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
-    """out[r] = sum of values[i] over every i with rows[i] == r.
-
-    One bincount over flattened (row, column) cells. bincount adds its
-    weights in buffer order into a zeroed output, so each cell's sum is the
-    scalar loop's, bit for bit (the same as np.add.at on a zero matrix).
-    """
-    dim = values.shape[1]
-    cells = (rows[:, None] * dim + np.arange(dim)).ravel()
-    out = np.bincount(cells, weights=values.ravel(), minlength=num_rows * dim)
-    return out.reshape(num_rows, dim)
-
-
-def _sum_by_row(ids: np.ndarray, grads: np.ndarray) -> RowGradients:
-    """Ascending unique ids, each with the buffer-order sum of its grads."""
-    unique, inverse = np.unique(ids, return_inverse=True)
-    return RowGradients(unique, _scatter_sum(inverse, grads, len(unique)))
-
-
-def _checked_batch(lengths, indices) -> tuple[np.ndarray, np.ndarray]:
-    """Checked (indices, owning sample of each index) for a pooled batch."""
+def _checked_input(
+    lengths, indices, num_rows: int, table_id: str = ""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked (lengths, indices, owning sample of each index) of one pooled
+    batch; raises IndexOutOfRange on the first id outside [0, num_rows)."""
     lengths = np.asarray(lengths, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
-    if np.any(lengths < 0):
+    if (lengths < 0).any():
         raise InvalidValue("lengths", "must be >= 0")
     if int(lengths.sum()) != len(indices):
         raise LayoutMismatch("lengths do not cover the index buffer")
-    return indices, np.repeat(np.arange(len(lengths)), lengths)
+    _check_ids(indices, num_rows, table_id)
+    return lengths, indices, np.arange(len(lengths)).repeat(lengths)
 
 
-def _check_rows(table: EmbeddingTable, indices: np.ndarray) -> None:
-    """Raise IndexOutOfRange on the first index outside [0, H)."""
-    indices = np.asarray(indices, dtype=np.int64)
-    if len(indices) and (indices.min() < 0 or indices.max() >= table.num_rows):
-        bad = indices[(indices < 0) | (indices >= table.num_rows)][0]
-        raise IndexOutOfRange(table.spec.id, int(bad))
+def _check_ids(ids: np.ndarray, num_rows: int, table_id: str) -> None:
+    if len(ids) and (ids.min() < 0 or ids.max() >= num_rows):
+        raise IndexOutOfRange(table_id, int(ids[(ids < 0) | (ids >= num_rows)][0]))
+
+
+def _pool(values: np.ndarray, batch: tuple) -> np.ndarray:
+    """out[s] = 0.0 + values[i1] + values[i2] + ... over sample s's ids in
+    buffer order. Samples sorted by descending length (stably) put their
+    k-th ids in one block of a position-major gather, so position k is one
+    slice add over the samples still active at k. Those still active at
+    `split` finish with a cumsum seeded with their partial sum; `split`
+    minimizes the numpy calls (slice adds before it, samples after it)."""
+    lengths, indices, _ = batch
+    out = np.zeros((len(lengths), values.shape[1]))
+    if not len(indices):
+        return out
+    order = (-lengths).argsort(kind="stable")
+    sorted_len = lengths.take(order)
+    starts = (lengths.cumsum() - lengths).take(order)
+    # active[k]: samples holding a k-th id, the first active[k] of `order`
+    active = (-sorted_len).searchsorted(-np.arange(sorted_len[0] + 1))
+    split = int((np.arange(len(active)) + active).argmin())
+    counts = active[:split]
+    ends = counts.cumsum()
+    first = (ends - counts).repeat(counts)  # of each slot, its block's first slot
+    head = starts.take(np.arange(len(first)) - first) + np.arange(split).repeat(counts)
+    rows = values.take(indices.take(head), 0)  # block k: the k-th rows of active samples
+    acc = np.zeros((int(active[0]), values.shape[1]))
+    for end, n in zip(ends.tolist(), counts.tolist()):
+        acc[:n] += rows[end - n : end]
+    for i, (s, n) in enumerate(zip(starts.tolist(), sorted_len[: active[split]].tolist())):
+        seg = values.take(indices[s + split : s + n], 0)
+        seg[0] = acc[i] + seg[0]
+        acc[i] = np.cumsum(seg, axis=0)[-1]
+    out[order[: len(acc)]] = acc
+    return out
+
+
+def _sum_rows(ids: np.ndarray, grads: np.ndarray, num_rows: int) -> RowGradients:
+    """Ascending present ids, each with the buffer-order sum of its grads:
+    one bincount over the (row, column) cells of the table's row space, so
+    no sort is needed. Every id must lie in [0, num_rows)."""
+    dim = grads.shape[1]
+    cells = (ids[:, None] * dim + np.arange(dim)).ravel()
+    sums = np.bincount(cells, weights=grads.ravel(), minlength=num_rows * dim)
+    present = np.bincount(ids, minlength=num_rows).nonzero()[0]
+    return RowGradients(present, sums.reshape(num_rows, dim).take(present, 0))
+
+
+def _upstream_rows(batch: tuple, upstream) -> np.ndarray:
+    """Each index's upstream gradient row."""
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.shape[0] != len(batch[0]):
+        raise LayoutMismatch("one upstream gradient row per sample required")
+    return upstream.take(batch[2], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +218,7 @@ def forward_pooled(
     table: EmbeddingTable, lengths: np.ndarray, indices: np.ndarray
 ) -> np.ndarray:
     """Sum-pool table rows per sample; an empty sample yields a zero vector."""
-    indices, sample_ids = _checked_batch(lengths, indices)
-    _check_rows(table, indices)
-    # each sample's rows are added in buffer order, matching a scalar loop
-    return _scatter_sum(sample_ids, table.values[indices], len(lengths))
+    return _pool(table.values, _checked_input(lengths, indices, table.num_rows, table.spec.id))
 
 
 def fused_forward(
@@ -197,10 +231,7 @@ def fused_forward(
         )
     if not tables:
         return np.zeros((batch.num_samples, 0), dtype=np.float64)
-    outs = []
-    for t, table in enumerate(tables):
-        lengths, indices = batch.table_slice(t)
-        outs.append(forward_pooled(table, lengths, indices))
+    outs = [forward_pooled(table, *batch.table_slice(t)) for t, table in enumerate(tables)]
     return np.concatenate(outs, axis=1)
 
 
@@ -209,28 +240,41 @@ def fused_forward(
 
 
 def backward_sort_aggregate(
-    lengths: np.ndarray, indices: np.ndarray, upstream: np.ndarray
+    lengths: np.ndarray, indices: np.ndarray, upstream: np.ndarray, num_rows: int
 ) -> RowGradients:
-    """Adjoint of sum pooling: per-row sums of the contributing samples'
-    upstream gradients. Duplicate indices within a sample contribute once per
-    occurrence."""
-    indices, sample_ids = _checked_batch(lengths, indices)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape[0] != len(lengths):
-        raise LayoutMismatch("one upstream gradient row per sample required")
-    return _sum_by_row(indices, upstream[sample_ids])
+    """Adjoint of sum pooling over a table of num_rows rows: per-row sums of
+    the contributing samples' upstream gradients. Duplicate indices within a
+    sample contribute once per occurrence."""
+    batch = _checked_input(lengths, indices, num_rows)
+    return _sum_rows(batch[1], _upstream_rows(batch, upstream), num_rows)
 
 
-def merge_row_gradients(parts: Sequence[RowGradients], dim: int) -> RowGradients:
-    """Sum per-row gradients across partial results (e.g. DP replicas);
-    each row's parts are added in the order given."""
-    parts = [p for p in parts if len(p.ids)]
-    if not parts:
-        return RowGradients(np.empty(0, dtype=np.int64), np.zeros((0, dim)))
-    return _sum_by_row(
-        np.concatenate([p.ids for p in parts]),
-        np.concatenate([p.grads for p in parts]),
-    )
+def pool_and_aggregate(
+    table: EmbeddingTable, parts: Sequence[tuple], upstream: np.ndarray
+) -> tuple[np.ndarray, RowGradients]:
+    """Pool the (lengths, indices) of `parts` from one table, stacked in
+    order, and sum each part's gradients (upstream: a row per stacked
+    sample), merged in part order as a data-parallel AllReduce adds them.
+    One part gives forward_pooled and backward_sort_aggregate, checked once."""
+    lengths, indices = (np.concatenate(column) for column in zip(*parts))
+    batch = _checked_input(lengths, indices, table.num_rows, table.spec.id)
+    pooled, grads = _pool(table.values, batch), _upstream_rows(batch, upstream)
+    ends = np.array([len(i) for _, i in parts]).cumsum().tolist()
+    sums = [_sum_rows(batch[1][a:b], grads[a:b], table.num_rows) for a, b in zip([0, *ends], ends)]
+    # merging one part's sums is a no-op: they never hold -0.0
+    merged = sums[0] if len(sums) == 1 else merge_row_gradients(sums, *table.values.shape)
+    return pooled, merged
+
+
+def merge_row_gradients(
+    parts: Sequence[RowGradients], num_rows: int, dim: int
+) -> RowGradients:
+    """Sum per-row gradients across partial results (e.g. DP replicas) of a
+    table of num_rows rows; each row's parts are added in the order given."""
+    ids = np.concatenate([np.empty(0, np.int64), *(p.ids for p in parts)])
+    _check_ids(ids, num_rows, "")
+    grads = np.concatenate([np.zeros((0, dim)), *(p.grads for p in parts)])
+    return _sum_rows(ids, grads, num_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +346,11 @@ def fused_backward_update(
     upstream: np.ndarray,
     cfg: OptimizerConfig,
 ) -> RowGradients:
-    """Sort-aggregate then exactly one optimizer application per touched row,
+    """Aggregate per row, then exactly one optimizer application per touched row,
     never one per occurrence. Ids outside the table are rejected before the
     table is touched."""
-    _check_rows(table, indices)
-    grads = backward_sort_aggregate(lengths, indices, upstream)
+    _check_ids(np.asarray(indices, dtype=np.int64), table.num_rows, table.spec.id)
+    grads = backward_sort_aggregate(lengths, indices, upstream, table.num_rows)
     apply_optimizer(table, grads, cfg)
     return grads
 
@@ -329,10 +373,12 @@ def quantize_fp16_roundtrip(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return quantized, np.isinf(quantized)
 
 
-def storage_roundtrip(table: EmbeddingTable) -> None:
-    """Apply the table's storage precision at a step boundary."""
+def storage_roundtrip(table: EmbeddingTable, rows: np.ndarray) -> None:
+    """Apply the table's storage precision at a step boundary to the rows
+    the step touched. Every other row is still what build_tables or the last
+    round trip stored, which the round trip would leave as it is."""
     if table.spec.value_precision is Precision.FP16:
-        table.values[:], _ = quantize_fp16_roundtrip(table.values)
+        table.values[rows], _ = quantize_fp16_roundtrip(table.values.take(rows, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +399,8 @@ def train_step_reference(
     for t, table in enumerate(tables):
         lengths, indices = batch.table_slice(t)
         upstream = np.ones((batch.num_samples, table.dim), dtype=np.float64)
-        fused_backward_update(table, lengths, indices, upstream, cfg)
-        storage_roundtrip(table)
+        grads = fused_backward_update(table, lengths, indices, upstream, cfg)
+        storage_roundtrip(table, grads.ids)
     return outputs, tables
 
 

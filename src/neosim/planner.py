@@ -353,6 +353,7 @@ class ShardingPlan:
     shard_columns: ShardColumns = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_layout(self.num_workers, self.gpus_per_node)
         object.__setattr__(self, "shard_columns", ShardColumns.of(self))
 
     @classmethod
@@ -360,6 +361,7 @@ class ShardingPlan:
         cls, num_workers: int, gpus_per_node: int, columns: ShardColumns, heuristic: str
     ) -> "ShardingPlan":
         """A plan holding `columns` (built for `num_workers`) alone."""
+        _check_layout(num_workers, gpus_per_node)
         plan = object.__new__(cls)
         object.__setattr__(plan, "num_workers", num_workers)
         object.__setattr__(plan, "gpus_per_node", gpus_per_node)
@@ -382,6 +384,12 @@ class ShardingPlan:
         return type(self), (
             self.num_workers, self.gpus_per_node, self.assignments, self.heuristic
         )
+
+
+def _check_layout(num_workers: int, gpus_per_node: int) -> None:
+    for name, value in (("num_workers", num_workers), ("gpus_per_node", gpus_per_node)):
+        if value < 1:
+            raise InvalidValue(name, "must be >= 1")
 
 
 def _even_edges(i, extent, parts):
@@ -1446,14 +1454,11 @@ def plan_from_json(text: str) -> ShardingPlan:
     doc = _load_json(text)
     _check_version(doc)
     num_workers = _as_int(_take(doc, "num_workers", ""), "num_workers")
-    if num_workers < 1:
-        raise InvalidValue("num_workers", "must be >= 1")
     gpus_per_node = _as_int(
         _take(doc, "gpus_per_node", "", required=False, default=num_workers),
         "gpus_per_node",
     )
-    if gpus_per_node < 1:
-        raise InvalidValue("gpus_per_node", "must be >= 1")
+    _check_layout(num_workers, gpus_per_node)
     heuristic = _take(doc, "heuristic", "", required=False, default="greedy")
     if not isinstance(heuristic, str):
         raise InvalidValue("heuristic", "expected a string")

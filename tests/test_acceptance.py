@@ -272,7 +272,7 @@ def test_criterion_6_gradient_check_suite():
                 return total
 
             upstream = np.repeat(sample_w, D, axis=1)
-            analytic = backward_sort_aggregate(lengths, indices, upstream)
+            analytic = backward_sort_aggregate(lengths, indices, upstream, H)
             dense = np.zeros((H, D))
             dense[analytic.ids] = analytic.grads
             for r in range(H):

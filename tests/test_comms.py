@@ -50,7 +50,8 @@ from neosim.comms import (
     to_wtb,
     volume_input_alltoall,
 )
-from neosim.embedding import apply_rowwise_adagrad, RowGradients
+from neosim import comms, embedding
+from neosim.embedding import apply_rowwise_adagrad, quantize_fp16_roundtrip, RowGradients
 from neosim.planner import CompressionFlags, even_bounds
 
 
@@ -614,6 +615,44 @@ class TestTrainStepSharded:
                 assert (a.row_base, a.col_base) == (b.row_base, b.col_base), key
             for a, b in zip(values, reassemble_values(model, twin, twin_state)):
                 assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("heuristic", ["greedy", "hierarchical"])
+    @pytest.mark.parametrize("kind", list(OptimizerKind))
+    def test_touched_row_roundtrip_equals_whole_table(self, monkeypatch, kind, heuristic):
+        """FP16 storage round-trips only the rows a step touched. Every other
+        row is still FP16-exact from build_tables, so outputs, values and
+        moments equal, byte for byte, those of a whole-table round trip, in
+        the reference, every shard and every data-parallel replica."""
+        model, cluster, policy = mixed_desk_case()
+        fp16 = Precision.FP16
+        tables = tuple(dataclasses.replace(t, value_precision=fp16) for t in model.tables)
+        model = dataclasses.replace(model, tables=tables)
+        if heuristic == "hierarchical":
+            plan = hierarchical_plan(model, cluster, CostWeights(), policy)
+        else:
+            plan = plan_4d(model, cluster, CostWeights(), policy)
+        batch = gen_synthetic_batch(model, 8 * model.local_batch, seed=42)
+        cfg = OptimizerConfig(kind, lr=0.1, eps=1e-8)
+
+        def step_bytes():
+            out, ref_tables = train_step_reference(model, batch, cfg, seed=43)
+            sh_out, state = train_step_sharded(model, plan, batch, cfg, seed=43)
+            pieces = [*ref_tables, *(state.shards[k] for k in sorted(state.shards))]
+            for table_id in sorted(state.dp_replicas):
+                pieces += state.dp_replicas[table_id]
+            arrays = [out, sh_out]
+            for piece in pieces:
+                arrays += [piece.values] if piece.moment is None else [piece.values, piece.moment]
+            return len(state.dp_replicas), [a.tobytes() for a in arrays]
+
+        def whole_table(table, rows):
+            table.values[:], _ = quantize_fp16_roundtrip(table.values)
+
+        replicated, touched = step_bytes()
+        monkeypatch.setattr(embedding, "storage_roundtrip", whole_table)
+        monkeypatch.setattr(comms, "storage_roundtrip", whole_table)
+        assert step_bytes() == (replicated, touched)
+        assert replicated or heuristic == "hierarchical"
 
     def test_dp_replicas_bitwise_identical(self):
         model = desk_model(

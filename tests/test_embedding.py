@@ -218,24 +218,24 @@ class TestFusedForward:
 class TestBackwardSortAggregate:
     def test_two_samples_same_row_sum(self):
         upstream = np.array([[1.0, 2.0], [10.0, 20.0]])
-        grads = backward_sort_aggregate([1, 1], [1, 1], upstream)
+        grads = backward_sort_aggregate([1, 1], [1, 1], upstream, 2)
         assert grads.ids.tolist() == [1]
         assert grads.grads.tolist() == [[11.0, 22.0]]
 
     def test_single_sample_identity(self):
         upstream = np.array([[3.0, 4.0]])
-        grads = backward_sort_aggregate([1], [7], upstream)
+        grads = backward_sort_aggregate([1], [7], upstream, 8)
         assert grads.ids.tolist() == [7]
         assert grads.grads.tolist() == [[3.0, 4.0]]
 
     def test_duplicate_index_in_one_sample_counts_twice(self):
         upstream = np.array([[1.0]])
-        grads = backward_sort_aggregate([2], [3, 3], upstream)
+        grads = backward_sort_aggregate([2], [3, 3], upstream, 4)
         assert grads.grads.tolist() == [[2.0]]
 
     def test_ids_sorted_ascending(self):
         upstream = np.ones((1, 2))
-        grads = backward_sort_aggregate([3], [9, 2, 5], upstream)
+        grads = backward_sort_aggregate([3], [9, 2, 5], upstream, 10)
         assert grads.ids.tolist() == [2, 5, 9]
 
     def test_sample_order_permutation_invariance(self):
@@ -243,13 +243,15 @@ class TestBackwardSortAggregate:
         lengths = rng.integers(0, 4, size=8)
         indices = rng.integers(0, 12, size=int(lengths.sum()))
         upstream = rng.standard_normal((8, 3))
-        base = backward_sort_aggregate(lengths, indices, upstream)
+        base = backward_sort_aggregate(lengths, indices, upstream, 12)
         perm = rng.permutation(8)
         offsets = np.concatenate(([0], np.cumsum(lengths)))
         shuffled_indices = np.concatenate(
             [indices[offsets[p] : offsets[p + 1]] for p in perm]
         )
-        shuffled = backward_sort_aggregate(lengths[perm], shuffled_indices, upstream[perm])
+        shuffled = backward_sort_aggregate(
+            lengths[perm], shuffled_indices, upstream[perm], 12
+        )
         assert base.ids.tolist() == shuffled.ids.tolist()
         assert np.allclose(base.grads, shuffled.grads, atol=1e-12)
 
@@ -258,7 +260,7 @@ class TestBackwardSortAggregate:
         for values, lengths, indices in pooling_cases():
             upstream = rng.standard_normal((len(lengths), values.shape[1]))
             upstream *= np.exp(rng.uniform(-5.0, 5.0, size=(len(lengths), 1)))
-            got = backward_sort_aggregate(lengths, indices, upstream)
+            got = backward_sort_aggregate(lengths, indices, upstream, len(values))
             want_ids, want_grads = naive_backward(lengths, indices, upstream)
             assert np.array_equal(got.ids, want_ids)
             assert got.grads.shape == want_grads.shape
@@ -266,8 +268,16 @@ class TestBackwardSortAggregate:
 
     def test_negative_length_rejected(self):
         with pytest.raises(InvalidValue) as err:
-            backward_sort_aggregate([3, -1], [0, 1], np.ones((2, 1)))
+            backward_sort_aggregate([3, -1], [0, 1], np.ones((2, 1)), 2)
         assert err.value.path == "lengths"
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_id_outside_the_row_count_rejected(self, bad):
+        from neosim import IndexOutOfRange
+
+        with pytest.raises(IndexOutOfRange) as err:
+            backward_sort_aggregate([2], [1, bad], np.ones((1, 2)), 4)
+        assert err.value.index == bad
 
     def test_matches_central_finite_differences(self):
         # loss = sum_s w_s . pooled_s with random per-sample weights; FD step 1e-4
@@ -284,7 +294,7 @@ class TestBackwardSortAggregate:
                 return float((sample_w * pooled).sum())
 
             upstream = np.repeat(sample_w, D, axis=1)
-            analytic = backward_sort_aggregate(lengths, indices, upstream)
+            analytic = backward_sort_aggregate(lengths, indices, upstream, H)
             dense = np.zeros((H, D))
             dense[analytic.ids] = analytic.grads
             step = 1e-4
@@ -309,15 +319,24 @@ class TestMergeRowGradients:
                     grads = rng.standard_normal((len(ids), dim))
                     grads *= np.exp(rng.uniform(-5.0, 5.0, size=(len(ids), 1)))
                     parts.append(RowGradients(ids, grads))
-                got = merge_row_gradients(parts, dim)
+                got = merge_row_gradients(parts, 30, dim)
                 want_ids, want_grads = naive_merge(parts, dim)
                 assert np.array_equal(got.ids, want_ids)
                 assert got.grads.shape == want_grads.shape
                 assert np.array_equal(got.grads, want_grads)
 
+    @pytest.mark.parametrize("bad", [-1, 30])
+    def test_id_outside_the_row_count_rejected(self, bad):
+        from neosim import IndexOutOfRange
+
+        parts = [RowGradients(np.array([bad]), np.ones((1, 2)))]
+        with pytest.raises(IndexOutOfRange) as err:
+            merge_row_gradients(parts, 30, 2)
+        assert err.value.index == bad
+
     def test_all_parts_empty(self):
         empty = RowGradients(np.empty(0, dtype=np.int64), np.zeros((0, 2)))
-        got = merge_row_gradients([empty, empty], 2)
+        got = merge_row_gradients([empty, empty], 5, 2)
         assert got.ids.shape == (0,) and got.grads.shape == (0, 2)
 
 
@@ -410,7 +429,7 @@ class TestFusedBackwardUpdate:
             fused = make_table(values.copy(), None if moment is None else moment.copy())
             fused_backward_update(fused, lengths, indices, upstream, cfg)
             manual = make_table(values.copy(), None if moment is None else moment.copy())
-            grads = backward_sort_aggregate(lengths, indices, upstream)
+            grads = backward_sort_aggregate(lengths, indices, upstream, 8)
             apply_optimizer(manual, grads, cfg)
             assert np.array_equal(fused.values, manual.values)
 

@@ -20,6 +20,10 @@ fine-grain plans of model_a (greedy and KK) and model_i, model_i's
 fine-grain KK plan, model_a's element-wise-state plan and model_f's
 element-wise-state infeasibility message were captured at commit a25a10b,
 before the planner scored every table's candidates as columns in one pass.
+The ragged verify digests (a hand-built batch with empty and dominant
+samples and hot Zipf rows, every optimizer, W = 1 and 4) were captured at
+commit 1e1e4da, before pooling moved to sample-order slice adds and
+aggregation to the table's row space.
 Any change that moves a digest
 changes what neosim prints or computes; a pure performance change must
 leave every digest as it is.
@@ -37,6 +41,7 @@ from conftest import desk_model, mixed_desk_case
 
 from neosim import (
     CacheConfig,
+    CombinedBatch,
     CandidatePolicy,
     CompressionFlags,
     CostWeights,
@@ -416,7 +421,15 @@ VERIFY_GOLDEN = {
 
 
 def verify_digests(workers, gpus_per_node, optimizer):
-    """Run both steps on the fixed desk model and digest what they leave.
+    """Run both steps on the fixed desk model and digest what they leave."""
+    model = _verify_model(workers)
+    plan = _verify_plan(model, workers, gpus_per_node)
+    batch = gen_synthetic_batch(_verify_model(1), 32, seed=20)
+    return _step_digests(model, plan, batch, optimizer, seed=21)
+
+
+def _step_digests(model, plan, batch, optimizer, seed):
+    """(reference digest, sharded digest) of one step on `batch`.
 
     The reference digest covers the outputs and every table's post-step
     values and moment; the sharded digest covers the outputs, the
@@ -424,13 +437,11 @@ def verify_digests(workers, gpus_per_node, optimizer):
     Also checks that all W data-parallel replicas are bitwise equal, which
     reassemble_values relies on when it reads replica 0 only.
     """
-    model = _verify_model(workers)
-    plan = _verify_plan(model, workers, gpus_per_node)
-    batch = gen_synthetic_batch(_verify_model(1), 32, seed=20)
+    workers = plan.num_workers
     cfg = OptimizerConfig(OptimizerKind(optimizer), lr=0.05, eps=1e-8)
 
-    ref_out, ref_tables = train_step_reference(model, batch, cfg, seed=21)
-    sh_out, state = train_step_sharded(model, plan, batch, cfg, seed=21)
+    ref_out, ref_tables = train_step_reference(model, batch, cfg, seed=seed)
+    sh_out, state = train_step_sharded(model, plan, batch, cfg, seed=seed)
     values = reassemble_values(model, plan, state)
 
     for table_id, replicas in state.dp_replicas.items():
@@ -463,6 +474,100 @@ def test_golden_verify_step(workers, gpus_per_node, optimizer):
     assert ("hier" in kinds) == (workers == 8)
     got = verify_digests(workers, gpus_per_node, optimizer)
     assert got == VERIFY_GOLDEN[(workers, optimizer)]
+
+
+def _ragged_model(workers: int):
+    """Five tables whose one hand-built batch (16 samples) holds empty
+    samples, lengths far from each table's mean, and one sample holding most
+    of a table's rows; "rw_hot" and "dp_hot" are Zipf tables whose row 0 is
+    hot. The global batch is 16 samples at every W."""
+    zipf = IndexSkew(SkewKind.ZIPF, alpha=1.2)
+    rows = (
+        # (id, rows, dim, pooling, zipf, fp16)
+        ("tw", 30, 3, 2.0, False, False),
+        ("rw_hot", 40, 5, 10.0, True, True),
+        ("cw", 24, 6, 4.0, False, True),
+        ("dp_hot", 20, 2, 9.0, True, True),
+        ("hier", 36, 4, 3.0, False, False),
+    )
+    tables = [
+        TableSpec(
+            id=i,
+            num_rows=h,
+            dim=d,
+            avg_pooling=L,
+            value_precision=Precision.FP16 if fp16 else Precision.FP32,
+            index_skew=zipf if z else IndexSkew(),
+        )
+        for i, h, d, L, z, fp16 in rows
+    ]
+    return desk_model(tables, local_batch=16 // workers)
+
+
+# per table of _ragged_model, each sample's pooling size
+RAGGED_LENGTHS = (
+    (0, 0, 5, 1, 0, 2, 0, 9, 1, 0, 0, 3, 1, 0, 4, 0),
+    (0, 57, 1, 0, 2, 0, 0, 3, 1, 0, 0, 0, 6, 0, 1, 0),
+    (4, 4, 0, 13, 4, 1, 0, 4, 7, 4, 0, 2, 4, 4, 0, 11),
+    (1, 0, 0, 2, 0, 0, 88, 0, 1, 0, 0, 3, 0, 0, 0, 1),
+    (0, 3, 3, 0, 3, 0, 3, 29, 3, 0, 3, 0, 3, 0, 3, 0),
+)
+
+
+def _ragged_batch(model) -> CombinedBatch:
+    """Ids drawn per table; three quarters of a hot table's ids are row 0."""
+    rng = np.random.default_rng(1801)
+    chunks = []
+    for table, lengths in zip(model.tables, RAGGED_LENGTHS):
+        idx = rng.integers(0, table.num_rows, size=sum(lengths))
+        if table.id.endswith("_hot"):
+            idx[rng.random(len(idx)) < 0.75] = 0
+        chunks.append(idx)
+    return CombinedBatch(np.array(RAGGED_LENGTHS), np.concatenate(chunks))
+
+
+RAGGED_LAYOUTS = ((1, 1), (4, 2))  # (workers, gpus per node)
+
+# (workers, optimizer) -> (reference digest, sharded digest)
+RAGGED_GOLDEN = {
+    (1, "sgd"): (
+        "f561697d83b46544cba448d800ca561ae641039abce6a1250cdde5c406c6cd2e",
+        "1f4a07aeddd544144893fc3f279a9831ff113fcd4bbd4a757dfbe33702f52c70",
+    ),
+    (1, "rowwise_adagrad"): (
+        "28f97529b4237d67978eb4d2b797d67c61d371edfe519667fc9ea013ce68b266",
+        "9ce818e187bc9f7195bf01bbdf2c807ae3f11929c4e9a251f1a703aabb540631",
+    ),
+    (1, "adagrad"): (
+        "7543fddbcfb1432ca64c0f425a18104178af4aff791f8842a752d5c9b899a1f3",
+        "479d9c4cec89857f4f8af2df1facbd9ce361ee817178a0fddb7eb651b69da682",
+    ),
+    (4, "sgd"): (
+        "f561697d83b46544cba448d800ca561ae641039abce6a1250cdde5c406c6cd2e",
+        "2ef8a8a6f5de26d1ef27e7b088b652d4c084fd6d419a521b3591bf67228ecdb7",
+    ),
+    (4, "rowwise_adagrad"): (
+        "28f97529b4237d67978eb4d2b797d67c61d371edfe519667fc9ea013ce68b266",
+        "bfdb7f7539f356a7b2b9bb1668d8381328a333699f5d785921706a448be8e468",
+    ),
+    (4, "adagrad"): (
+        "7543fddbcfb1432ca64c0f425a18104178af4aff791f8842a752d5c9b899a1f3",
+        "1779c122b7bc7c251187f60a85d3debc63a7f3b815c5919da636d2bad14fc247",
+    ),
+}
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "rowwise_adagrad", "adagrad"])
+@pytest.mark.parametrize("workers,gpus_per_node", RAGGED_LAYOUTS)
+def test_golden_ragged_verify_step(workers, gpus_per_node, optimizer):
+    model = _ragged_model(workers)
+    plan = _verify_plan(model, workers, gpus_per_node)
+    batch = _ragged_batch(_ragged_model(1))
+    lengths = batch.lengths
+    assert (lengths == 0).any(axis=1).all()
+    assert (lengths.max(axis=1) > lengths.sum(axis=1) / 2).sum() == 3
+    got = _step_digests(model, plan, batch, optimizer, seed=1802)
+    assert got == RAGGED_GOLDEN[(workers, optimizer)]
 
 
 # ---------------------------------------------------------------------------

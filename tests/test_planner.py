@@ -1048,11 +1048,10 @@ class TestPlanToJson:
             assert text == dict_plan_to_json(no_tables, *args)
             assert '"tables": []' in text
             assert plan_from_json(text) == no_tables
-        # plan_from_json refuses zero workers, but the writer still matches
-        no_workers = ShardingPlan(0, 1, ())
-        text = plan_to_json(no_workers, model, cluster)
-        assert text == dict_plan_to_json(no_workers, model, cluster)
-        assert '"workers": []' in text
+        # a plan without workers is refused when it is built, as plan_from_json
+        # refuses it, so the writer never sees one
+        with pytest.raises(InvalidValue):
+            ShardingPlan(0, 1, ())
 
     def test_never_runs_the_pure_python_encoder(self, monkeypatch):
         """json's indent path builds its encoder with _make_iterencode; the
@@ -1079,6 +1078,56 @@ class TestCostWeights:
     def test_negative_rejected(self):
         with pytest.raises(InvalidValue):
             CostWeights(-1.0, 1.0, 1.0)
+
+
+class TestPlanLayout:
+    """A plan needs at least one worker and one GPU per node, however it is
+    built; numpy warnings are errors here, so no node rule may divide by 0."""
+
+    def hierarchical_plan_on_workers_0_and_3(self, gpus_per_node):
+        scheme = Scheme(
+            SchemeKind.ROW_WISE,
+            num_row_shards=2,
+            hierarchical=(SchemeKind.TABLE_WISE, SchemeKind.ROW_WISE),
+        )
+        shards = (Shard(worker=0, rows=(0, 32)), Shard(worker=3, rows=(32, 64)))
+        return ShardingPlan(4, gpus_per_node, (TableAssignment("t0", scheme, shards),))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "num_workers,gpus_per_node,path",
+        [
+            (0, 1, "num_workers"),
+            (-2, 1, "num_workers"),
+            (4, 0, "gpus_per_node"),
+            (4, -1, "gpus_per_node"),
+        ],
+    )
+    def test_non_positive_layout_rejected(self, num_workers, gpus_per_node, path):
+        columns = self.hierarchical_plan_on_workers_0_and_3(4).shard_columns
+        with pytest.raises(InvalidValue) as err:
+            ShardingPlan(num_workers, gpus_per_node, ())
+        assert err.value.path == path
+        with pytest.raises(InvalidValue) as err:
+            ShardingPlan.from_columns(num_workers, gpus_per_node, columns, "greedy")
+        assert err.value.path == path
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_gpus_per_node_never_reaches_the_node_rule(self):
+        model = desk_model([TableSpec(id="t0", num_rows=64, dim=4, avg_pooling=2.0)])
+        with pytest.raises(InvalidScheme, match="hierarchical shards must lie on one node"):
+            validate_plan(self.hierarchical_plan_on_workers_0_and_3(2), model)
+        with pytest.raises(InvalidValue) as err:
+            self.hierarchical_plan_on_workers_0_and_3(0)
+        assert err.value.path == "gpus_per_node"
+
+    @pytest.mark.parametrize("key", ["num_workers", "gpus_per_node"])
+    def test_json_layout_rejected_with_path(self, key):
+        _, doc = TestPlanFromJson().plan_doc()
+        doc[key] = 0
+        with pytest.raises(InvalidValue) as err:
+            plan_from_json(json.dumps(doc))
+        assert err.value.path == key
 
 
 class TestPlanFromJson:
