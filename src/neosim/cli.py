@@ -42,6 +42,7 @@ from .planner import (
     CandidatePolicy,
     CompressionFlags,
     CostWeights,
+    ShardingPlan,
     hierarchical_plan,
     memory_check,
     plan_4d,
@@ -111,6 +112,13 @@ def _load_cluster(path: str) -> ClusterSpec:
     return parse_cluster_spec(Path(path).read_text())
 
 
+def _load_plan(path: str, model: ModelSpec) -> ShardingPlan:
+    """The plan document at `path`, validated against the model."""
+    plan = plan_from_json(Path(path).read_text())
+    validate_plan(plan, model)
+    return plan
+
+
 def _policy_from_args(args) -> CandidatePolicy:
     flags = CompressionFlags(
         table_precision=Precision.FP16 if args.fp16_tables else None,
@@ -135,9 +143,7 @@ def _weights_from_args(args) -> CostWeights:
 
 def _plan_from_args(args, model: ModelSpec, cluster: ClusterSpec):
     if getattr(args, "plan", None):
-        plan = plan_from_json(Path(args.plan).read_text())
-        validate_plan(plan, model)
-        return plan
+        return _load_plan(args.plan, model)
     policy = _policy_from_args(args)
     weights = _weights_from_args(args)
     if getattr(args, "hierarchical", False):
@@ -293,8 +299,7 @@ def cmd_verify(args) -> int:
             f"exceed the {VERIFY_MAX_PARAMS} limit"
         )
     if args.plan:
-        plan = plan_from_json(Path(args.plan).read_text())
-        validate_plan(plan, model)
+        plan = _load_plan(args.plan, model)
     else:
         cluster = _desk_cluster(args.workers)
         plan = plan_4d(

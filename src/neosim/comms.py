@@ -7,11 +7,11 @@ belongs to the performance model. collective_volumes composes one
 iteration's volumes, each built once at the width it travels at: pooled
 embeddings, their gradients and row-wise partial pools at their direction's
 AlltoAll precision. The lengths phase and the index payloads have no such
-width, and DP gradients travel at the table's storage width. Pooled AlltoAll
-send volumes exclude a worker's own slice (self-traffic is free under
-per-link accounting). Row-wise reduction volumes also record the share of
-each worker's send that stays on the scale-up fabric, which the performance
-model charges there.
+width, and DP gradients travel at the model spec's value precision. Pooled
+AlltoAll send volumes exclude a worker's own slice (self-traffic is free
+under per-link accounting). Row-wise reduction volumes also record the
+share of each worker's send that stays on the scale-up fabric, which the
+performance model charges there.
 """
 
 from __future__ import annotations
@@ -27,13 +27,14 @@ import numpy as np
 from .embedding import (
     EmbeddingTable,
     OptimizerConfig,
-    OptimizerKind,
+    _checked_input,
+    _moment_for,
     apply_optimizer,
     build_tables,
     pool_and_aggregate,
     storage_roundtrip,
 )
-from .errors import IndexOutOfRange, InvalidValue, LayoutMismatch
+from .errors import InvalidValue, LayoutMismatch
 from .model import CombinedBatch, ModelSpec, Precision, PRECISION_BYTES, frozen_array
 from .planner import (
     CW,
@@ -110,24 +111,18 @@ def bucketize_rowwise(
     """Route each index to the row shard containing it, rebased to the shard.
 
     Per-sample lengths are recomputed per shard; the original order of
-    indices is preserved within each bucket.
+    indices is preserved within each bucket. The boundaries are checked
+    first, then the batch as every pooling kernel checks it.
     """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)
-    if int(lengths.sum()) != len(indices):
-        raise LayoutMismatch("lengths do not cover the index buffer")
     pos = 0
     for a, b in boundaries:
         if a != pos or b <= a:
             raise InvalidValue("boundaries", "must tile [0, H) in order")
         pos = b
-    if len(indices) and (indices.min() < 0 or indices.max() >= pos):
-        bad = indices[(indices < 0) | (indices >= pos)][0]
-        raise IndexOutOfRange(table_id, int(bad))
+    lengths, indices, sample_ids = _checked_input(lengths, indices, pos, table_id)
     starts = np.array([a for a, _ in boundaries], dtype=np.int64)
     ends = np.array([b for _, b in boundaries], dtype=np.int64)
     shard_of = np.searchsorted(ends, indices, side="right")
-    sample_ids = np.repeat(np.arange(len(lengths)), lengths)
     out = []
     for s in range(len(boundaries)):
         mask = shard_of == s
@@ -356,7 +351,8 @@ def volume_gradient_collectives(
     backward gather that mirrors it at bwd_elem_bytes; hierarchical row
     shards reduce inside one node, so their bytes also count in
     scaleup_bytes. DP tables and dense parameters synchronize with ring
-    AllReduce at 2(W-1)/W x bytes, DP tables at their storage width.
+    AllReduce at 2(W-1)/W x bytes, DP tables at the value precision of
+    the model spec (a forced table precision does not apply).
     """
     global_batch = model.local_batch * num_workers
     cols = plan.shard_columns
@@ -457,14 +453,8 @@ def _slice_table(
 ) -> EmbeddingTable:
     (r0, r1), (c0, c1) = rows, cols
     values = full.values[r0:r1, c0:c1].copy()
-    if cfg.kind is OptimizerKind.SGD:
-        moment = None
-    elif cfg.kind is OptimizerKind.ROWWISE_ADAGRAD:
-        # a column shard keeps an independent moment scalar per (row, shard)
-        moment = np.zeros(r1 - r0, dtype=np.float64)
-    else:
-        moment = np.zeros((r1 - r0, c1 - c0), dtype=np.float64)
-    return EmbeddingTable(full.spec, values, moment, row_base=r0, col_base=c0)
+    # under row-wise AdaGrad a column shard keeps its own moment per row
+    return EmbeddingTable(full.spec, values, _moment_for(r1 - r0, c1 - c0, cfg))
 
 
 def _pool_and_aggregate(table: EmbeddingTable, inputs: list[ShardInput]) -> tuple:

@@ -25,8 +25,8 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidValue, LayoutMismatch
-from .model import CombinedBatch, ModelSpec, Precision, TableSpec
+from .errors import InvalidValue, LayoutMismatch
+from .model import CombinedBatch, ModelSpec, Precision, TableSpec, _check_ids
 
 
 class OptimizerKind(str, Enum):
@@ -56,8 +56,6 @@ class EmbeddingTable:
         spec: TableSpec,
         values: np.ndarray,
         moment: Optional[np.ndarray] = None,
-        row_base: int = 0,
-        col_base: int = 0,
     ):
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2:
@@ -71,9 +69,6 @@ class EmbeddingTable:
         self.spec = spec
         self.values = values
         self.moment = moment
-        # global offsets when this table object is a shard of a larger table
-        self.row_base = row_base
-        self.col_base = col_base
 
     @property
     def num_rows(self) -> int:
@@ -82,15 +77,6 @@ class EmbeddingTable:
     @property
     def dim(self) -> int:
         return self.values.shape[1]
-
-    def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(
-            self.spec,
-            self.values.copy(),
-            None if self.moment is None else self.moment.copy(),
-            self.row_base,
-            self.col_base,
-        )
 
 
 @dataclass(frozen=True)
@@ -151,11 +137,6 @@ def _checked_input(
         raise LayoutMismatch("lengths do not cover the index buffer")
     _check_ids(indices, num_rows, table_id)
     return lengths, indices, np.arange(len(lengths)).repeat(lengths)
-
-
-def _check_ids(ids: np.ndarray, num_rows: int, table_id: str) -> None:
-    if len(ids) and (ids.min() < 0 or ids.max() >= num_rows):
-        raise IndexOutOfRange(table_id, int(ids[(ids < 0) | (ids >= num_rows)][0]))
 
 
 def _pool(values: np.ndarray, batch: tuple) -> np.ndarray:

@@ -285,6 +285,13 @@ def _check_bw_points(name, points, link_peak):
             )
 
 
+def _check_ids(ids: np.ndarray, num_rows: int, table_id: str) -> None:
+    """Raise IndexOutOfRange at the first of the int64 `ids` outside
+    [0, num_rows)."""
+    if len(ids) and (ids.min() < 0 or ids.max() >= num_rows):
+        raise IndexOutOfRange(table_id, int(ids[(ids < 0) | (ids >= num_rows)][0]))
+
+
 class CombinedBatch:
     """Lengths-format sparse batch for all tables of one model.
 
@@ -327,10 +334,7 @@ class CombinedBatch:
         if self.num_tables != model.num_tables:
             raise InvalidValue("lengths", "table count does not match model")
         for t, table in enumerate(model.tables):
-            _, idx = self.table_slice(t)
-            if len(idx) and (idx.min() < 0 or idx.max() >= table.num_rows):
-                bad = idx[(idx < 0) | (idx >= table.num_rows)][0]
-                raise IndexOutOfRange(table.id, int(bad))
+            _check_ids(self.table_slice(t)[1], table.num_rows, table.id)
 
     def __eq__(self, other) -> bool:
         return (

@@ -33,6 +33,7 @@ from .planner import (
     CompressionFlags,
     CostWeights,
     ShardingPlan,
+    _value_bytes,
     greedy_partition,
     memory_check,
     plan_4d,
@@ -284,7 +285,7 @@ def _component_latencies(
     cols = plan.shard_columns
     tc = model.table_columns
     t = cols.tables(model)
-    elem = cols.elem_bytes(model, flags, t)
+    elem = _value_bytes(tc, flags)[t]
     pooling = tc.pooling[t]
     width = cols.extents("cols", tc.dim[t])
     placed = global_batch * pooling * cols.row_share() * width * elem

@@ -137,6 +137,8 @@ FULL_EXTENT = -1  # end of the (0, FULL_EXTENT) filler where a shard has no boun
 # ShardColumns.kind codes: each scheme kind's position in SchemeKind
 _KIND_CODE = {kind: code for code, kind in enumerate(SchemeKind)}
 _KINDS = tuple(SchemeKind)  # code -> kind
+# the one hierarchical tag: table-wise across nodes, then row-wise in a node
+_TW_THEN_RW = (SchemeKind.TABLE_WISE, SchemeKind.ROW_WISE)
 TW, RW, CW, DP = (
     _KIND_CODE[kind]
     for kind in (
@@ -292,13 +294,6 @@ class ShardColumns(NamedTuple):
         shard of k, else 1.0."""
         return np.where(self.kind == RW, 1.0 / self.num_shards, 1.0)
 
-    def elem_bytes(self, model: ModelSpec, flags: CompressionFlags, tables):
-        """Value bytes per element of each shard: the forced table precision,
-        else its table's (`tables` is tables(model))."""
-        if flags.table_precision:
-            return PRECISION_BYTES[flags.table_precision]
-        return model.table_columns.elem_bytes[tables]
-
     def per_worker(self, values: np.ndarray, num_workers: int) -> np.ndarray:
         """Per-worker sums of a per-shard value, every replica on every worker.
 
@@ -447,14 +442,22 @@ def _int64_product(factor, *factors):
     return product
 
 
-def _storage_bytes(rows, width, elem_bytes, flags: CompressionFlags):
-    """Value bytes plus optimizer state of (rows x width) shards whose values
-    take `elem_bytes` each, elementwise and exact in int64."""
-    elems = _int64_product(rows, width)
-    value_bytes = _int64_product(elems, elem_bytes)
-    state_bytes = _int64_product(
+def _piece_bytes(rows, width, elem_bytes, flags: CompressionFlags, product=_int64_product):
+    """(value bytes, optimizer state bytes) of (rows x width) pieces whose
+    values take `elem_bytes` each, elementwise. `product` multiplies, exact
+    in int64; a caller that has bounded every piece passes np.multiply."""
+    elems = product(rows, width)
+    value_bytes = product(elems, elem_bytes)
+    state_bytes = product(
         rows if flags.rowwise_optimizer else elems, OPTIMIZER_STATE_BYTES
     )
+    return value_bytes, state_bytes
+
+
+def _storage_bytes(rows, width, elem_bytes, flags: CompressionFlags):
+    """Value bytes plus optimizer state of (rows x width) pieces, the sum of
+    _piece_bytes' two parts, exact in int64."""
+    value_bytes, state_bytes = _piece_bytes(rows, width, elem_bytes, flags)
     if np.any(value_bytes > INT64_MAX - state_bytes):
         raise InvalidValue("model", "a byte count passes int64")
     return value_bytes + state_bytes
@@ -481,7 +484,8 @@ def _shard_costs(tc: TableColumns, table, kind, num_shards, width, cluster, glob
     batch x pooling x dim. comm_bytes charges pooled output plus index payload
     for TW/CW, bucketized indices plus ReduceScatter volume for RW, and the
     ring AllReduce volume 2(p-1)/p x table bytes for DP. Pooled activations
-    count 4 bytes per element; parameter gradients count the storage width.
+    count 4 bytes per element; parameter gradients count the model spec's
+    value precision.
     Each expression keeps its operands in the order of the scalar formula,
     and integer terms are exact, so every value is the float that one
     table's arithmetic in Python gives.
@@ -965,11 +969,9 @@ def memory_check(
     t = cols.tables(model)
     rows = cols.extents("rows", tc.rows[t])
     width = cols.extents("cols", tc.dim[t])
-    value_bytes = rows * width * cols.elem_bytes(model, flags, t)
-    if flags.rowwise_optimizer:
-        state_bytes = rows * OPTIMIZER_STATE_BYTES
-    else:
-        state_bytes = rows * width * OPTIMIZER_STATE_BYTES
+    elem_bytes = _value_bytes(tc, flags)[t]
+    # _check_int64_bytes has bounded every piece: unchecked products are exact
+    value_bytes, state_bytes = _piece_bytes(rows, width, elem_bytes, flags, np.multiply)
     W = plan.num_workers
     values = cols.per_worker(value_bytes, W)
     states = cols.per_worker(state_bytes, W)
@@ -1195,7 +1197,7 @@ def hierarchical_plan(
         n: Scheme(
             SchemeKind.ROW_WISE,
             num_row_shards=n,
-            hierarchical=(SchemeKind.TABLE_WISE, SchemeKind.ROW_WISE),
+            hierarchical=_TW_THEN_RW,
         )
         for n in set(counts)
     }
@@ -1235,6 +1237,8 @@ def validate_plan(plan: ShardingPlan, model: ModelSpec) -> None:
     bounds only, tiling [0, D) in exactly the scheme's column splits. A
     hierarchical assignment's shards all sit on one node (worker //
     gpus_per_node), where its reduction is charged to the scale-up fabric.
+    A hierarchical tag is [table_wise, row_wise] on a row-wise scheme, the
+    only tag the planner writes and the simulator models.
 
     Each rule is a pass over the shard columns. The error names the first
     assignment in plan order that breaks a rule, and the first rule in the
@@ -1290,6 +1294,11 @@ def validate_plan(plan: ShardingPlan, model: ModelSpec) -> None:
     low, high = np.minimum.reduceat(node, first), np.maximum.reduceat(node, first)
     spans_nodes = np.zeros(A, bool)
     spans_nodes[counts > 0] = low < high  # the shards sit on more than one node
+    # an assignment without shards has broken a rule before the tag rule
+    tagged = any_shard(cols.hierarchical)
+    odd_tag = tagged & (kind != RW)
+    hier = np.flatnonzero(tagged).tolist()
+    odd_tag[[i for i in hier if schemes[i].hierarchical != _TW_THEN_RW]] = True
     # (the assignments that break a rule, the rule's message)
     rules = (
         (table < 0, "plan names unknown table {tid}"),
@@ -1311,9 +1320,10 @@ def validate_plan(plan: ShardingPlan, model: ModelSpec) -> None:
         (split & (last != extent), "{tid}: {axis} shards must cover [0, {extent})"),
         (differ, "{tid}: column shards differ from the scheme's column splits"),
         (
-            any_shard(cols.hierarchical) & spans_nodes,
+            tagged & spans_nodes,
             "{tid}: hierarchical shards must lie on one node",
         ),
+        (odd_tag, "{tid}: hierarchical must be [table_wise, row_wise] on a row_wise scheme"),
     )
     broken = np.logical_or.reduce([breach for breach, _ in rules])
     if broken.any():

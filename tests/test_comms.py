@@ -19,6 +19,7 @@ from neosim import (
     CollectiveKind,
     CombinedBatch,
     CostWeights,
+    IndexOutOfRange,
     InvalidValue,
     LayoutMismatch,
     LayoutMismatch,
@@ -123,6 +124,65 @@ class TestBucketize:
 
         with pytest.raises(IndexOutOfRange):
             bucketize_rowwise([1], [10], [(0, 5), (5, 10)])
+
+
+def _bad_input_entries():
+    """Each public entry that checks a pooled batch of table "t" (4 x 2),
+    as entry(lengths, indices), with the table id it reports: the id it is
+    given, "" for backward_sort_aggregate, which is given none."""
+    spec = TableSpec(id="t", num_rows=4, dim=2, avg_pooling=1.0)
+    model = desk_model([spec])
+
+    def table():
+        return embedding.EmbeddingTable(spec, np.ones((4, 2)))
+
+    def upstream(lengths):
+        return np.ones((len(lengths), 2))
+
+    return {
+        "forward_pooled": (lambda l, i: embedding.forward_pooled(table(), l, i), "t"),
+        "backward_sort_aggregate": (
+            lambda l, i: embedding.backward_sort_aggregate(l, i, upstream(l), 4),
+            "",
+        ),
+        "pool_and_aggregate": (
+            lambda l, i: embedding.pool_and_aggregate(table(), [(l, i)], upstream(l)),
+            "t",
+        ),
+        "bucketize_rowwise": (
+            lambda l, i: bucketize_rowwise(l, i, [(0, 2), (2, 4)], "t"),
+            "t",
+        ),
+        # the batch itself refuses negative lengths, before validate_against
+        "CombinedBatch.validate_against": (
+            lambda l, i: CombinedBatch(np.array([l]), i).validate_against(model),
+            "t",
+        ),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_bad_input_entries()))
+@pytest.mark.parametrize(
+    "lengths, indices, error, where",
+    [
+        ([1, 1], [0, -1], IndexOutOfRange, -1),
+        ([1, 1], [0, 4], IndexOutOfRange, 4),
+        ([2, 1], [3, 4, 0], IndexOutOfRange, 4),
+        ([2, -1], [0], InvalidValue, "lengths"),
+    ],
+    ids=["id_-1", "id_H", "id_H_second", "negative_length"],
+)
+def test_every_entry_rejects_a_bad_batch_alike(entry, lengths, indices, error, where):
+    """One bad batch sent through every entry that checks it raises the same
+    error class at the same id, index or path."""
+    run, table_id = _bad_input_entries()[entry]
+    with pytest.raises(error) as err:
+        run(np.array(lengths), np.array(indices))
+    assert type(err.value) is error
+    if error is IndexOutOfRange:
+        assert (err.value.table_id, err.value.index) == (table_id, where)
+    else:
+        assert err.value.path == where
 
 
 def column_wise_inputs(splits, seed=5):
@@ -612,7 +672,6 @@ class TestTrainStepSharded:
                     assert a.moment is None and b.moment is None, key
                 else:
                     assert np.array_equal(a.moment, b.moment), key
-                assert (a.row_base, a.col_base) == (b.row_base, b.col_base), key
             for a, b in zip(values, reassemble_values(model, twin, twin_state)):
                 assert np.array_equal(a, b)
 

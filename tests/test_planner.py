@@ -5,6 +5,7 @@ import heapq
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -598,6 +599,62 @@ class TestHierarchicalPlan:
         flat_scheme = dataclasses.replace(a.scheme, hierarchical=None)
         assignments[2] = dataclasses.replace(a, scheme=flat_scheme, shards=shards)
         validate_plan(dataclasses.replace(plan, assignments=tuple(assignments)), model)
+
+    @pytest.mark.parametrize(
+        "tag", [["data_parallel", "column_wise"], ["table_wise", "row_wise"]]
+    )
+    def test_tag_on_a_table_wise_scheme_rejected(self, tag):
+        model = load_bundled_model("model_i")
+        doc = {
+            "spec_version": 1,
+            "num_workers": 128,
+            "gpus_per_node": 8,
+            "tables": [
+                {
+                    "table_id": t.id,
+                    "scheme": {"kind": "table_wise", "hierarchical": tag},
+                    "shards": [{"worker": i % 128}],
+                }
+                for i, t in enumerate(model.tables)
+            ],
+        }
+        message = (
+            f"{model.tables[0].id}: hierarchical must be [table_wise, row_wise] "
+            "on a row_wise scheme"
+        )
+        with pytest.raises(InvalidScheme, match=re.escape(message)):
+            validate_plan(plan_from_json(json.dumps(doc)), model)
+        for table in doc["tables"]:
+            del table["scheme"]["hierarchical"]
+        validate_plan(plan_from_json(json.dumps(doc)), model)
+
+    def test_tag_other_than_tw_then_rw_rejected_last(self):
+        tables = [
+            TableSpec(id=f"t{i}", num_rows=400, dim=16, avg_pooling=4.0)
+            for i in range(4)
+        ]
+        model = desk_model(tables)
+        plan = hierarchical_plan(
+            model, desk_cluster(8, gpus_per_node=4), CostWeights(), CandidatePolicy()
+        )
+        a = plan.assignments[1]
+        assert a.scheme.hierarchical == (SchemeKind.TABLE_WISE, SchemeKind.ROW_WISE)
+        reversed_tag = (SchemeKind.ROW_WISE, SchemeKind.TABLE_WISE)
+        scheme = dataclasses.replace(a.scheme, hierarchical=reversed_tag)
+        assignments = list(plan.assignments)
+        assignments[1] = dataclasses.replace(a, scheme=scheme)
+        broken = dataclasses.replace(plan, assignments=tuple(assignments))
+        with pytest.raises(InvalidScheme, match=f"{a.table_id}: hierarchical must be"):
+            validate_plan(broken, model)
+        # a shard off the node breaks an older rule, which is reported first
+        moved = dataclasses.replace(a.shards[0], worker=(a.shards[0].worker + 4) % 8)
+        assignments[1] = dataclasses.replace(
+            a, scheme=scheme, shards=(moved, *a.shards[1:])
+        )
+        broken = dataclasses.replace(plan, assignments=tuple(assignments))
+        message = f"{a.table_id}: hierarchical shards must lie on one node"
+        with pytest.raises(InvalidScheme, match=message):
+            validate_plan(broken, model)
 
     def test_hierarchical_reduces_inter_node_bytes(self):
         tables = [

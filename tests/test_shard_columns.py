@@ -270,6 +270,9 @@ def input_loop(plan, model, num_workers):
     )
 
 
+HIER = (SchemeKind.TABLE_WISE, SchemeKind.ROW_WISE)  # the planner's one tag
+
+
 def validate_plan_loop(plan: ShardingPlan, model: ModelSpec) -> None:
     """Coverage and placement invariants; raises InvalidScheme on breach.
 
@@ -277,7 +280,8 @@ def validate_plan_loop(plan: ShardingPlan, model: ModelSpec) -> None:
     one shard without bounds. Row-wise shards carry row bounds only, one per
     row shard of the scheme, tiling [0, H). Column-wise shards carry column
     bounds only, tiling [0, D) in exactly the scheme's column splits. A
-    hierarchical assignment's shards all sit on one node.
+    hierarchical assignment's shards all sit on one node. A hierarchical tag
+    is [table_wise, row_wise] on a row-wise scheme.
     """
     seen = set()
     table_by_id = {t.id: t for t in model.tables}
@@ -302,6 +306,7 @@ def validate_plan_loop(plan: ShardingPlan, model: ModelSpec) -> None:
                 raise InvalidScheme(f"{tid}: worker {shard.worker} out of range")
             if shard.rows is not None or shard.cols is not None:
                 raise InvalidScheme(f"{tid}: bounds on a {kind.value} shard")
+            _check_tag(tid, scheme)
             continue
         workers = [s.worker for s in shards]
         if None in workers:
@@ -335,9 +340,18 @@ def validate_plan_loop(plan: ShardingPlan, model: ModelSpec) -> None:
                 )
         if scheme.hierarchical and len({w // plan.gpus_per_node for w in workers}) > 1:
             raise InvalidScheme(f"{tid}: hierarchical shards must lie on one node")
+        _check_tag(tid, scheme)
     missing = set(table_by_id) - seen
     if missing:
         raise InvalidScheme(f"tables not assigned: {sorted(missing)}")
+
+
+def _check_tag(tid: str, scheme: Scheme) -> None:
+    tag = scheme.hierarchical
+    if tag is not None and (tag != HIER or scheme.kind is not SchemeKind.ROW_WISE):
+        raise InvalidScheme(
+            f"{tid}: hierarchical must be [table_wise, row_wise] on a row_wise scheme"
+        )
 
 
 def _check_tiling(tid: str, axis: str, bounds: list, extent: int) -> None:
@@ -414,7 +428,7 @@ def random_case(seed):
             scheme = Scheme(
                 SchemeKind.ROW_WISE,
                 num_row_shards=k,
-                hierarchical=(SchemeKind.TABLE_WISE, SchemeKind.ROW_WISE),
+                hierarchical=HIER,
             )
         else:
             shards, scheme = [Shard(worker())], Scheme(SchemeKind.TABLE_WISE)
@@ -584,6 +598,9 @@ def _broken_assignments(a, table, W, gpn, rng):
     j = int(rng.integers(len(a.shards)))
     if a.scheme.hierarchical and W > gpn and len(a.shards) > 1:
         yield _with_shard(a, j, worker=(a.shards[j].worker + gpn) % W)  # next node
+    # a tag the planner never writes: reversed, or on another scheme kind
+    tag = HIER[::-1] if kind is SchemeKind.ROW_WISE else HIER
+    yield dataclasses.replace(a, scheme=dataclasses.replace(a.scheme, hierarchical=tag))
     bad_worker = int(rng.choice([W, W + 3, -1, -7]))
     yield dataclasses.replace(a, table_id="nope")
     if kind is not SchemeKind.DATA_PARALLEL:
@@ -706,6 +723,7 @@ def test_broken_plans_reach_every_rule():
         "column shards must cover [<n>, <n>)",
         "column shards differ from the scheme's column splits",
         "hierarchical shards must lie on one node",
+        "hierarchical must be [table_wise, row_wise] on a row_wise scheme",
     }
 
 
