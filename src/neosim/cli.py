@@ -141,12 +141,11 @@ def _weights_from_args(args) -> CostWeights:
     return CostWeights(*parts)
 
 
-def _plan_from_args(args, model: ModelSpec, cluster: ClusterSpec):
+def _plan_from_args(args, model: ModelSpec, cluster: ClusterSpec, policy: CandidatePolicy):
     if getattr(args, "plan", None):
         return _load_plan(args.plan, model)
-    policy = _policy_from_args(args)
     weights = _weights_from_args(args)
-    if getattr(args, "hierarchical", False):
+    if args.hierarchical:
         return hierarchical_plan(model, cluster, weights, policy)
     return plan_4d(model, cluster, weights, policy, heuristic=args.heuristic)
 
@@ -158,8 +157,8 @@ def _plan_from_args(args, model: ModelSpec, cluster: ClusterSpec):
 def cmd_plan(args) -> int:
     model = _load_model(args.model)
     cluster = _load_cluster(args.cluster)
-    plan = _plan_from_args(args, model, cluster)
     policy = _policy_from_args(args)
+    plan = _plan_from_args(args, model, cluster, policy)
     text = plan_to_json(plan, model, cluster, policy.flags)
     Path(args.out).write_text(text)
     report = memory_check(plan, model, cluster, policy.flags)
@@ -179,8 +178,8 @@ def _precision(value: str) -> Precision:
 def cmd_simulate(args) -> int:
     model = _load_model(args.model)
     cluster = _load_cluster(args.cluster)
-    plan = _plan_from_args(args, model, cluster)
     policy = _policy_from_args(args)
+    plan = _plan_from_args(args, model, cluster, policy)
     result = simulate(
         model,
         cluster,
@@ -437,8 +436,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_policy(p: argparse.ArgumentParser) -> None:
     p.add_argument("--heuristic", choices=["greedy", "kk"], default="greedy")
     p.add_argument("--weights", default="1,1,1", help="w_comm,w_load,w_lat")
-    p.add_argument("--hierarchical", action="store_true",
-                   help="table-wise across nodes, then row-wise within")
     p.add_argument("--fine-grain", action="store_true",
                    help="offer row/column sharding even for fitting tables")
     p.add_argument("--fp16-tables", action="store_true",
@@ -447,6 +444,14 @@ def _add_policy(p: argparse.ArgumentParser) -> None:
                    help="full H x D optimizer state instead of row-wise")
     p.add_argument("--dp-threshold", type=int, default=None,
                    help="max table bytes for data parallelism")
+
+
+def _add_planner(p: argparse.ArgumentParser) -> None:
+    """The policy options and --hierarchical, which sweep lacks: scaling_sweep
+    plans every node count with plan_4d."""
+    _add_policy(p)
+    p.add_argument("--hierarchical", action="store_true",
+                   help="table-wise across nodes, then row-wise within")
 
 
 def _add_sim(p: argparse.ArgumentParser) -> None:
@@ -478,12 +483,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="compute a sharding plan")
     _add_common(p)
-    _add_policy(p)
+    _add_planner(p)
     p.set_defaults(out="plan.json")
 
     p = sub.add_parser("simulate", help="estimate per-iteration latency and QPS")
     _add_common(p)
-    _add_policy(p)
+    _add_planner(p)
     _add_sim(p)
     p.add_argument("--plan", help="plan JSON (computed when omitted)")
 

@@ -29,10 +29,8 @@ from .embedding import (
     OptimizerConfig,
     _checked_input,
     _moment_for,
-    apply_optimizer,
+    _train_piece,
     build_tables,
-    pool_and_aggregate,
-    storage_roundtrip,
 )
 from .errors import InvalidValue, LayoutMismatch
 from .model import CombinedBatch, ModelSpec, Precision, PRECISION_BYTES, frozen_array
@@ -249,7 +247,7 @@ def alltoall_redistribute(
     Every worker ends up with the full global batch for each of its local
     table shards, received worker-major and permuted table-major; row-wise
     shards receive bucketized shard-local indices, column shards identical
-    replicas, data-parallel tables keep their local slice.
+    replicas, data-parallel tables keep their local slice (a view of it).
     """
     if laidout.workers != plan.num_workers or laidout.tables != model.num_tables:
         raise LayoutMismatch("batch layout does not match plan/model")
@@ -267,31 +265,24 @@ def alltoall_redistribute(
     for t, (table, (kind, workers, rows, _)) in enumerate(tables):
         if kind == DP:
             for v in range(W):
-                lens, idx = block(v, t)
-                slices[v].inputs.append(ShardInput(table.id, v, lens.copy(), idx.copy()))
+                slices[v].inputs.append(ShardInput(table.id, v, *block(v, t)))
             continue
-        if kind == RW:
-            # bucketize routes by row order; the shard list may hold any order
-            order = sorted(range(len(rows)), key=rows.__getitem__)
-            bounds = [rows[i] for i in order]
-            received: list[list] = [[] for _ in rows]
-            # phase 1+2 per source worker: bucketize locally, send to shard owners
-            for w in range(W):
-                lens, idx = block(w, t)
-                parts = bucketize_rowwise(lens, idx, bounds, table.id)
-                for i, part in zip(order, parts):
-                    received[i].append(part)
-            for i, (w, parts) in enumerate(zip(workers, received)):
-                lens = np.concatenate([p[0] for p in parts])
-                idx = np.concatenate([p[1] for p in parts])
-                slices[w].inputs.append(ShardInput(table.id, i, lens, idx))
-            continue
-        # TABLE_WISE and COLUMN_WISE receive the raw global stream; column
-        # shards each get a full replica of the indices.
+        # the table's global stream, worker-major: TW and CW shards receive
+        # it whole, column shards each a full replica of the indices
         lens = lengths_mat[:, t].reshape(-1)
         idx = np.concatenate([block(w, t)[1] for w in range(W)])
+        received = [(lens, idx)] * len(workers)
+        if kind == RW:
+            # Sources bucketize their blocks for the shard owners. Buckets keep
+            # stream order and per-sample lengths, so received worker-major
+            # they equal one bucketize of the stream, which routes by row
+            # order; the shard list may hold any order.
+            order = sorted(range(len(rows)), key=rows.__getitem__)
+            parts = bucketize_rowwise(lens, idx, [rows[i] for i in order], table.id)
+            for i, part in zip(order, parts):
+                received[i] = part
         for i, w in enumerate(workers):
-            slices[w].inputs.append(ShardInput(table.id, i, lens, idx))
+            slices[w].inputs.append(ShardInput(table.id, i, *received[i]))
     return slices
 
 
@@ -457,12 +448,6 @@ def _slice_table(
     return EmbeddingTable(full.spec, values, _moment_for(r1 - r0, c1 - c0, cfg))
 
 
-def _pool_and_aggregate(table: EmbeddingTable, inputs: list[ShardInput]) -> tuple:
-    # the sum-of-outputs loss sends an upstream gradient of ones
-    upstream = np.ones((sum(len(si.lengths) for si in inputs), table.dim))
-    return pool_and_aggregate(table, [(si.lengths, si.indices) for si in inputs], upstream)
-
-
 def train_step_sharded(
     model: ModelSpec,
     plan: ShardingPlan,
@@ -473,12 +458,12 @@ def train_step_sharded(
     """Execute one iteration across W logical workers, deterministically.
 
     Redistribute, then run each table end to end: slice its shards (or W
-    data-parallel replicas), pool each over its received input, assemble the
-    pooled output (AlltoAll for TW/CW, ReduceScatter for RW, worker-local
-    rows for DP), backpropagate and apply the sparse update (after the
-    gradient AllReduce for DP). A table reads only its own shards, so this
-    equals running every forward first. Outputs match
-    train_step_reference's shape.
+    data-parallel replicas), train each on its received input with the
+    reference's per-piece step (_train_piece; DP replicas share the gradient
+    merged in worker order, as the AllReduce adds it) and assemble the pooled
+    output (AlltoAll for TW/CW, ReduceScatter for RW, worker-local rows for
+    DP). A table reads only its own shards, so this equals running every
+    forward first. Outputs match train_step_reference's shape.
     """
     validate_plan(plan, model)
     batch.validate_against(model)
@@ -488,7 +473,7 @@ def train_step_sharded(
     n = batch.num_samples
     full_tables = build_tables(model, cfg, seed)
     slices = alltoall_redistribute(to_wtb(batch, W), plan, model)
-    inputs = {(si.table_id, si.position): si for ws in slices for si in ws.inputs}
+    inputs = {(s.table_id, s.position): (s.lengths, s.indices) for w in slices for s in w.inputs}
     state = ShardedState(shards={}, dp_replicas={})
     outputs = []
     tables = zip(model.tables, full_tables, _table_shards(plan, model))
@@ -498,25 +483,18 @@ def train_step_sharded(
             state.dp_replicas[table.id] = replicas
             # the replicas are equal until the update, so one pools every
             # worker's local batch; the gradient AllReduce merges in worker order
-            pooled, merged = _pool_and_aggregate(
-                replicas[0], [inputs[(table.id, w)] for w in range(W)]
-            )
-            outputs.append(pooled)
-            for replica in replicas:
-                apply_optimizer(replica, merged, cfg)
-                storage_roundtrip(replica, merged.ids)
+            parts = [inputs[(table.id, w)] for w in range(W)]
+            outputs.append(_train_piece(replicas, parts, cfg))
             continue
         out = np.zeros((n, table.dim), dtype=np.float64)
         for i, (r, c) in enumerate(zip(rows, cols)):
             piece = _slice_table(full, r, c, cfg)
             state.shards[(table.id, i)] = piece
-            pooled, grads = _pool_and_aggregate(piece, [inputs[(table.id, i)]])
+            pooled = _train_piece([piece], [inputs[(table.id, i)]], cfg)
             if kind == RW:
                 out += pooled  # partial pools reduce in shard-list order
             else:
                 out[:, c[0] : c[1]] = pooled
-            apply_optimizer(piece, grads, cfg)
-            storage_roundtrip(piece, grads.ids)
         outputs.append(out)
 
     stacked = np.concatenate(outputs, axis=1) if outputs else np.zeros((n, 0))

@@ -366,23 +366,38 @@ def storage_roundtrip(table: EmbeddingTable, rows: np.ndarray) -> None:
 # single-worker reference step
 
 
+def _train_piece(
+    replicas: Sequence[EmbeddingTable], parts: Sequence[tuple], cfg: OptimizerConfig
+) -> np.ndarray:
+    """One training step of a table piece held by one or more equal replicas:
+    pool the (lengths, indices) of `parts` from replicas[0] and sum their
+    gradients under the sum-of-outputs loss (an upstream gradient of ones),
+    then update every replica once per touched row and round-trip those rows
+    to storage precision. Returns the rows pooled before the update."""
+    upstream = np.ones((sum(len(lengths) for lengths, _ in parts), replicas[0].dim))
+    pooled, grads = pool_and_aggregate(replicas[0], parts, upstream)
+    for replica in replicas:
+        apply_optimizer(replica, grads, cfg)
+        storage_roundtrip(replica, grads.ids)
+    return pooled
+
+
 def train_step_reference(
     model: ModelSpec,
     batch: CombinedBatch,
     cfg: OptimizerConfig,
     seed: int = 0,
 ) -> tuple[np.ndarray, list[EmbeddingTable]]:
-    """Desk-scale oracle: fused forward, backward from the sum-of-outputs
-    loss (upstream gradient of all ones), fused optimizer update."""
+    """Desk-scale oracle: each table in turn pools the batch, backpropagates
+    the sum-of-outputs loss and takes its optimizer update (_train_piece).
+    Tables are independent, so this equals fused_forward followed by a
+    fused_backward_update per table."""
     batch.validate_against(model)
     tables = build_tables(model, cfg, seed)
-    outputs = fused_forward(tables, batch)
-    for t, table in enumerate(tables):
-        lengths, indices = batch.table_slice(t)
-        upstream = np.ones((batch.num_samples, table.dim), dtype=np.float64)
-        grads = fused_backward_update(table, lengths, indices, upstream, cfg)
-        storage_roundtrip(table, grads.ids)
-    return outputs, tables
+    outputs = [
+        _train_piece([table], [batch.table_slice(t)], cfg) for t, table in enumerate(tables)
+    ]
+    return np.concatenate([np.zeros((batch.num_samples, 0)), *outputs], axis=1), tables
 
 
 # ---------------------------------------------------------------------------

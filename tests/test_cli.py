@@ -435,6 +435,11 @@ class TestInputHardening:
             (["plan", "--seed", "3"], "unrecognized arguments: --seed 3"),
             (["plan", "--format", "csv"], "unrecognized arguments: --format csv"),
             (["simulate", "--seed", "3"], "unrecognized arguments: --seed 3"),
+            # scaling_sweep plans with plan_4d only, so sweep must not accept it
+            (
+                ["sweep", "--nodes", "1", "--hierarchical"],
+                "unrecognized arguments: --hierarchical",
+            ),
         ],
     )
     def test_usage_error_exit_one(self, tmp_path, capsys, argv, message):

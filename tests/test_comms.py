@@ -337,6 +337,60 @@ class TestRedistribute:
                     assert np.array_equal(block, idx[starts[w * B] : starts[(w + 1) * B]])
 
 
+    @pytest.mark.parametrize("W", [2, 4, 8])
+    def test_rowwise_inputs_equal_per_source_buckets(self, W):
+        """Oracle: each source worker bucketizes its own block and every
+        owner receives its buckets worker-major. The row-wise inputs equal
+        that array for array, in stream order, whatever the shard list order."""
+        rng = np.random.default_rng(W)
+        tables = [
+            TableSpec(
+                id=f"t{i}",
+                num_rows=int(rng.integers(8, 40)),
+                dim=2,
+                avg_pooling=float(rng.uniform(0.5, 4.0)),
+            )
+            for i in range(3)
+        ]
+        model = desk_model(tables, local_batch=int(rng.integers(1, 6)))
+        assignments = []
+        for table in tables:
+            k = int(rng.integers(1, 5))
+            shards = [
+                Shard(worker=int(rng.integers(W)), rows=r) for r in even_bounds(table.num_rows, k)
+            ]
+            scheme = Scheme(SchemeKind.ROW_WISE, num_row_shards=k)
+            shuffled = tuple(shards[i] for i in rng.permutation(k))
+            assignments.append(TableAssignment(table.id, scheme, shuffled))
+        plan = ShardingPlan(W, W, tuple(assignments))
+        laid = to_wtb(gen_synthetic_batch(model, W * model.local_batch, seed=W), W)
+        slices = alltoall_redistribute(laid, plan, model)
+        T, B = model.num_tables, model.local_batch
+        lengths = laid.lengths.reshape(W, T, B)
+        ends = np.cumsum(lengths.sum(axis=2).ravel())
+        for t, a in enumerate(assignments):
+            bounds = sorted(shard.rows for shard in a.shards)
+            sources = []
+            for w in range(W):
+                end = ends[w * T + t]
+                block = laid.indices[end - lengths[w, t].sum() : end]
+                sources.append(dict(zip(bounds, bucketize_rowwise(lengths[w, t], block, bounds))))
+            got = {
+                si.position: (ws.worker, si)
+                for ws in slices
+                for si in ws.inputs
+                if si.table_id == a.table_id
+            }
+            assert sorted(got) == list(range(len(a.shards)))
+            for i, shard in enumerate(a.shards):
+                worker, si = got[i]
+                want = [source[shard.rows] for source in sources]
+                assert worker == shard.worker
+                assert si.lengths.dtype == si.indices.dtype == np.int64
+                assert np.array_equal(si.lengths, np.concatenate([l for l, _ in want]))
+                assert np.array_equal(si.indices, np.concatenate([x for _, x in want]))
+
+
 class TestVolumes:
     def two_table_plan_and_model(self):
         model = desk_model(
@@ -709,7 +763,6 @@ class TestTrainStepSharded:
 
         replicated, touched = step_bytes()
         monkeypatch.setattr(embedding, "storage_roundtrip", whole_table)
-        monkeypatch.setattr(comms, "storage_roundtrip", whole_table)
         assert step_bytes() == (replicated, touched)
         assert replicated or heuristic == "hierarchical"
 

@@ -32,7 +32,9 @@ from neosim.embedding import (
     apply_sgd,
     dump_table,
     merge_row_gradients,
+    storage_roundtrip,
 )
+from neosim.model import IndexSkew, SkewKind
 
 
 def make_table(values, moment=None, precision=Precision.FP32):
@@ -533,6 +535,45 @@ class TestTrainStepReference:
         _, tables = train_step_reference(model, batch, cfg, seed=1)
         q, _ = quantize_fp16_roundtrip(tables[0].values)
         assert np.array_equal(tables[0].values, q)
+
+    @pytest.mark.parametrize("kind", list(OptimizerKind))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_fused_kernels_bytewise(self, kind, seed):
+        """Oracle: fused_forward over every table, then per table
+        fused_backward_update under an upstream of ones and the storage
+        round trip of the rows it touched. Outputs, values and moments must
+        match byte for byte."""
+        rng = np.random.default_rng([seed, 20])
+        zipf = IndexSkew(SkewKind.ZIPF, rng.uniform(0.5, 1.5))
+        tables = [
+            TableSpec(
+                id=f"t{i}",
+                num_rows=int(rng.integers(1, 40)),
+                dim=int(rng.integers(1, 5)),
+                avg_pooling=0.4 if i == 0 else float(rng.uniform(0.5, 6.0)),
+                value_precision=(Precision.FP32, Precision.FP16)[i % 2],
+                index_skew=(IndexSkew(), zipf)[i // 2 % 2],
+            )
+            for i in range(int(rng.integers(4, 8)))
+        ]
+        model = desk_model(tables, local_batch=int(rng.integers(8, 17)))
+        batch = gen_synthetic_batch(model, model.local_batch, seed=seed)
+        assert (batch.table_slice(0)[0] == 0).any()  # empty samples
+        cfg = OptimizerConfig(kind, lr=0.05, eps=1e-8)
+        out, got = train_step_reference(model, batch, cfg, seed=seed)
+        want = build_tables(model, cfg, seed)
+        want_out = fused_forward(want, batch)
+        for t, table in enumerate(want):
+            lengths, indices = batch.table_slice(t)
+            upstream = np.ones((batch.num_samples, table.dim))
+            grads = fused_backward_update(table, lengths, indices, upstream, cfg)
+            storage_roundtrip(table, grads.ids)
+        assert out.tobytes() == want_out.tobytes()
+        for a, b in zip(got, want, strict=True):
+            assert a.values.tobytes() == b.values.tobytes()
+            assert (a.moment is None) == (kind is OptimizerKind.SGD)
+            if a.moment is not None:
+                assert a.moment.tobytes() == b.moment.tobytes()
 
 
 class TestTableCheckpoint:
