@@ -354,7 +354,7 @@ def volume_gradient_collectives(
     per_shard = (k - 1) / k * global_batch * tc.dim[t]
     elements = cols.per_worker(np.where(rw, per_shard, 0.0), num_workers)
     scaleup = cols.per_worker(
-        np.where(rw & cols.hierarchical, per_shard, 0.0), num_workers
+        np.where(rw & (cols.hierarchical != 0), per_shard, 0.0), num_workers
     )
     out = []
     if rw.any():

@@ -283,6 +283,10 @@ def _check_bw_points(name, points, link_peak):
             raise InvalidValue(
                 name, f"achieved {bw} exceeds relevant link peak {link_peak}"
             )
+    # more bytes never take less time: bandwidth may grow by the size ratio at most
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        if y1 * x0 > y0 * x1:
+            raise InvalidValue(name, f"bandwidth grows faster than size from {x0} to {x1}")
 
 
 def _check_ids(ids: np.ndarray, num_rows: int, table_id: str) -> None:

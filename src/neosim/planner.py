@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, count, repeat
@@ -155,7 +155,8 @@ class ShardColumns(NamedTuple):
 
     Per assignment: `table_ids` and `schemes`. Per shard: `assignment` (the
     position of its assignment), `kind` (its scheme's code: TW, RW, CW or
-    DP), `num_shards` (its assignment's shard count), `hierarchical`,
+    DP), `num_shards` (its assignment's shard count), `hierarchical` (its
+    scheme's tag code: 0 for none, 1 for _TW_THEN_RW, 2 for any other),
     `worker` (-1 for a data-parallel replica), `replica` (the shard has no
     worker), `rows`/`cols` as (start, end) pairs, (0, FULL_EXTENT) where
     the shard carries no bound, and `has_rows`/`has_cols` (the shard
@@ -191,11 +192,13 @@ class ShardColumns(NamedTuple):
         rows, has_rows = _bounds_column([s.rows for s in shards], "rows")
         cols, has_cols = _bounds_column([s.cols for s in shards], "cols")
         schemes = tuple(a.scheme for a in assignments)
+        tags = [s.hierarchical for s in schemes]
+        codes = [0 if t is None else 1 if t == _TW_THEN_RW else 2 for t in tags]
         return cls.build(
             tuple(a.table_id for a in assignments),
             schemes,
             np.array([_KIND_CODE[s.kind] for s in schemes], np.int8),
-            np.array([s.hierarchical is not None for s in schemes], bool),
+            np.array(codes, np.int8),
             np.array([len(a.shards) for a in assignments], np.int64),
             plan.num_workers,
             worker=_int64_column((-1 if w is None else w for w in workers), n, "worker"),
@@ -210,9 +213,9 @@ class ShardColumns(NamedTuple):
     def build(
         cls, table_ids, schemes, kind, hierarchical, num_shards, num_workers, **shards
     ) -> "ShardColumns":
-        """Columns from each assignment's id, scheme, kind code, hierarchical
-        flag and shard count, and the per-shard columns `shards` (worker,
-        replica, rows, has_rows, cols, has_cols) in plan order."""
+        """Columns from each assignment's id, scheme, kind code, tag code and
+        shard count, and the per-shard columns `shards` (worker, replica,
+        rows, has_rows, cols, has_cols) in plan order."""
         assignment = np.repeat(np.arange(len(table_ids)), num_shards)
         # every charge in plan order: a replica expands to workers 0..W-1
         W, replica = num_workers, shards["replica"]
@@ -755,25 +758,38 @@ def greedy_partition(items: Sequence[tuple], k: int) -> dict:
 def karmarkar_karp_partition(items: Sequence[tuple], k: int) -> dict:
     """k-way largest differencing method with full partition reconstruction.
 
-    Each heap entry is a vector of k bins, sums in descending order, keyed
-    by (-spread, smallest contained seq), where spread is max sum - min sum
-    and seq is an item's rank by id. A merge pops the two largest spreads,
+    Each entry is a vector of k bins, sums in descending order, keyed by
+    (-spread, smallest contained seq), where spread is max sum - min sum
+    and seq is an item's rank by id. A merge takes the two smallest keys,
     pairs slot i of A with slot k-1-i of B and sorts the k merged bins by a
     stable descending sort on sum, so equal sums keep their slot order.
 
     An entry holds only the prefix of its k (sum, tree) bins that ends at
     its last occupied bin; every slot past it is (0.0, no items), and an
-    item starts as a one-bin prefix.
-    With prefix lengths pa + pb <= k no occupied bins meet, so the merged
-    vector is A's prefix, k-pa-pb empty slots, then B's prefix reversed.
-    Its stable sort is an insertion sort into A's prefix: each slot goes
-    after every bin of equal or larger sum (a binary search). The empty
-    slots are spelled out only if a bin sorts after them, which takes a
-    zero-sum or negative bin. That is O(pa + pb) element moves and pb
-    searches; the usual merge, of one item into a long prefix, is a single
-    insertion. Only when pa + pb > k are both padded to k and paired,
-    O(k). Trailing empty slots are then trimmed, so the spread's min sum is
-    0.0 unless the prefix has k bins.
+    item starts as a one-bin prefix. With prefix lengths pa + pb <= k no
+    occupied bins meet, so the merged vector is A's prefix, k-pa-pb empty
+    slots, then B's prefix reversed, and its stable sort is an insertion
+    sort into A's prefix: each slot goes after every bin of equal or larger
+    sum (a binary search). The empty slots are spelled out only if a bin
+    sorts after them, which takes a zero-sum or negative bin. Only when
+    pa + pb > k are both padded to k and paired, O(k). Trailing empty slots
+    are then trimmed, so the spread's min sum is 0.0 unless the prefix has
+    k bins.
+
+    Items no merge has touched wait in a ranked queue, sorted once by key
+    (-cost, seq); only merged entries go in a heap, and each pop takes the
+    smaller key of the queue head and the heap top (seqs are unique, so
+    keys never tie). When a merge leaves entry E with p < k bins, the
+    stepwise loop would pop E again and merge the queue head q into it
+    while E's key is below q's and the heap top's, q's key is below the
+    heap top's, and 0 < cost(q) <= E's last sum. Such an E holds one item
+    per bin, each popped before q and so costing no less: a positive
+    cost(q) implies the last condition, and E's key is above q's only
+    where float() rounds an int cost. q's bin sorts last with no empty slot
+    spelled out, E keeps its spread (its first sum), its seq can only fall,
+    and the next queue item has a larger key and no larger cost, so the
+    conditions hold on a prefix of the queue. That run, cut at k - p items,
+    is appended in one slice and E is pushed once.
 
     A bin's items are a merge tree, never a copied list: one shared empty
     list (no items), an item id, or a two-element list [left, right]. Lists
@@ -785,19 +801,30 @@ def karmarkar_karp_partition(items: Sequence[tuple], k: int) -> dict:
     non-finite cost.
     """
     _check_partition_input(items, k)
-    if not items:
-        return {}
     if k == 1:
         return {item_id: 0 for item_id, _ in items}
+    by_id = sorted(items, key=itemgetter(0))
+    keys = sorted((-cost, seq) for seq, (_, cost) in enumerate(by_id))
+    ids = [by_id[seq][0] for _, seq in keys]
+    costs = [float(by_id[seq][1]) for _, seq in keys]
+    n = len(keys)
+    positive = bisect_left(keys, (0,))  # the queue items of cost > 0
+    q = 0  # the queue head
+    heap = []
     empty = []  # the tree of an empty bin
-    heap = [
-        (-cost, seq, [float(cost)], [item_id])
-        for seq, (item_id, cost) in enumerate(sorted(items, key=lambda it: it[0]))
-    ]
-    heapq.heapify(heap)
-    while len(heap) > 1:
-        _, seq_a, sums_a, trees_a = heapq.heappop(heap)
-        _, seq_b, sums_b, trees_b = heapq.heappop(heap)
+    while n - q + len(heap) > 1:
+        # pop A, then B: the queue head unless the heap top's key is smaller
+        # (written out twice: a call per pop costs ~10% at k = 2)
+        if q < n and not (heap and heap[0] < keys[q]):
+            seq_a, sums_a, trees_a = keys[q][1], [costs[q]], [ids[q]]
+            q += 1
+        else:
+            _, seq_a, sums_a, trees_a = heapq.heappop(heap)
+        if q < n and not (heap and heap[0] < keys[q]):
+            seq_b, sums_b, trees_b = keys[q][1], [costs[q]], [ids[q]]
+            q += 1
+        else:
+            _, seq_b, sums_b, trees_b = heapq.heappop(heap)
         pa = len(sums_a)
         pb = len(sums_b)
         gap = k - pa - pb
@@ -831,10 +858,27 @@ def karmarkar_karp_partition(items: Sequence[tuple], k: int) -> dict:
         while trees[-1] is empty:
             sums.pop()
             trees.pop()
+        seq = min(seq_a, seq_b)
+        p = len(sums)
+        if (
+            p < k
+            and q < positive
+            and (-sums[0], seq) < keys[q]
+            and not (heap and heap[0] < keys[q])
+        ):
+            # a run: the queue items below the heap top, at most k - p
+            end = min(positive, q + k - p)
+            if heap:
+                end = bisect_left(keys, heap[0], q, end)
+            sums += costs[q:end]
+            trees += ids[q:end]
+            seq = min(seq, *map(itemgetter(1), keys[q:end]))
+            q = end
         spread = sums[0] - sums[-1] if len(sums) == k else sums[0]
-        heapq.heappush(heap, (-spread, min(seq_a, seq_b), sums, trees))
+        heapq.heappush(heap, (-spread, seq, sums, trees))
     assign = {}
-    for bin_idx, root in enumerate(heap[0][3]):
+    # without a merge, ids holds the one item or none
+    for bin_idx, root in enumerate(heap[0][3] if heap else ids):
         stack = [root]
         while stack:
             node = stack.pop()
@@ -1007,10 +1051,10 @@ def _placed_columns(
     num_workers: int,
 ) -> ShardColumns:
     """The columns of one assignment per table of `model`, in model order:
-    table t takes schemes[t] (kind code kind[t]) with num_shards[t] shards,
-    and `workers` holds every non-DP shard's worker in plan order. Row-wise
-    shard i of k holds rows even_bounds(H, k)[i]; column-wise shard i of c
-    holds columns even_bounds(D, c)[i]."""
+    table t takes schemes[t] (kind code kind[t], tag code hierarchical[t])
+    with num_shards[t] shards; `workers` holds every non-DP shard's worker
+    in plan order. Row-wise shard i of k holds rows even_bounds(H, k)[i];
+    column-wise shard i of c holds columns even_bounds(D, c)[i]."""
     tc = model.table_columns
     assignment = np.repeat(np.arange(len(kind)), num_shards)
     k = kind[assignment]
@@ -1160,7 +1204,7 @@ def _place(
         model,
         _schemes(kind, num_shards, model.table_columns.dim),
         kind,
-        np.zeros(len(rows), bool),
+        np.zeros(len(rows), np.int8),
         num_shards,
         [assign[uid] for uid, _ in items],
         W,
@@ -1208,7 +1252,7 @@ def hierarchical_plan(
         model,
         list(map(schemes.__getitem__, counts)),
         np.full(T, RW, np.int8),
-        np.ones(T, bool),
+        np.ones(T, np.int8),  # tag code 1: _TW_THEN_RW
         k,
         np.repeat(first, k) + np.arange(int(k.sum())),
         W,
@@ -1295,10 +1339,10 @@ def validate_plan(plan: ShardingPlan, model: ModelSpec) -> None:
     spans_nodes = np.zeros(A, bool)
     spans_nodes[counts > 0] = low < high  # the shards sit on more than one node
     # an assignment without shards has broken a rule before the tag rule
-    tagged = any_shard(cols.hierarchical)
-    odd_tag = tagged & (kind != RW)
-    hier = np.flatnonzero(tagged).tolist()
-    odd_tag[[i for i in hier if schemes[i].hierarchical != _TW_THEN_RW]] = True
+    tag = np.zeros(A, np.int8)
+    tag[a] = cols.hierarchical
+    tagged = tag != 0
+    odd_tag = tagged & ((kind != RW) | (tag != 1))
     # (the assignments that break a rule, the rule's message)
     rules = (
         (table < 0, "plan names unknown table {tid}"),

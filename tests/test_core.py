@@ -255,6 +255,18 @@ class TestParseClusterSpec:
         assert err.value.path == path
         assert err.value.reason == "expected a finite number"
 
+    def test_bandwidth_growing_faster_than_size_rejected(self):
+        # 1 MiB at 0.1 GB/s takes 10.5 ms, 8 MiB at 2 GB/s only 4.2 ms
+        doc = json.loads(data_path("cluster_16node.json").read_text())
+        doc["alltoall_bw_points"] = [[2**20, 1e8], [8 * 2**20, 2e9]]
+        with pytest.raises(InvalidValue) as err:
+            parse_cluster_spec(json.dumps(doc))
+        assert err.value.path == "alltoall_bw_points"
+        assert "grows faster than size" in err.value.reason
+        # bandwidth growing exactly with size keeps the time flat: accepted
+        doc["alltoall_bw_points"] = [[2**20, 1e8], [8 * 2**20, 8e8]]
+        assert parse_cluster_spec(json.dumps(doc)).alltoall_bw_points[1] == (8 * 2**20, 8e8)
+
 
 class TestSyntheticBatch:
     def test_deterministic(self):

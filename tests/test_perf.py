@@ -56,6 +56,33 @@ class TestAchievedBw:
         assert achieved_bw(cluster.alltoall_bw_points, 256 * MIB) == 7e9
         assert achieved_bw(cluster.allreduce_bw_points, 256 * MIB) == 60e9
 
+    def test_accepted_curves_never_take_less_time_for_more_bytes(self):
+        """Seeded random curves of 1 to 5 points: a curve the cluster spec
+        accepts has bytes / achieved_bw non-decreasing over a grid that
+        spans both clamped ends, and a rejected one falls between two of its
+        own points."""
+        rng = np.random.default_rng(11)
+        base = load_bundled_cluster()
+        accepted = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            sizes = np.unique(np.round(2.0 ** rng.uniform(10, 32, size=n)))
+            bws = 1e9 * 2.0 ** rng.uniform(-3, 4, size=len(sizes))
+            points = tuple(zip(sizes.tolist(), bws.tolist()))
+            try:
+                dataclasses.replace(base, alltoall_bw_points=points)
+            except InvalidValue as err:
+                assert err.path == "alltoall_bw_points"
+                times = [x / achieved_bw(points, x) for x in sizes.tolist()]
+                assert any(b < a for a, b in zip(times, times[1:]))
+                continue
+            accepted += 1
+            grid = np.concatenate((np.geomspace(sizes[0] / 8, sizes[-1] * 8, 200), sizes))
+            grid = np.sort(grid).tolist()
+            times = [x / achieved_bw(points, x) for x in grid]
+            assert all(b >= a * (1 - 1e-12) for a, b in zip(times, times[1:]))
+        assert 50 < accepted < 250
+
 
 class TestIterationLatency:
     def test_forward_formula_hand_example(self):

@@ -42,9 +42,11 @@ from neosim import (
 )
 from neosim.bundled import load_bundled_cluster, load_bundled_model
 from neosim.comms import volume_gradient_collectives
+from neosim.perf import shrink_to_fit
 from neosim.planner import (
     CW,
     DP,
+    HEURISTICS,
     RW,
     TIERS,
     TW,
@@ -445,6 +447,116 @@ class TestKarmarkarKarp:
                 scaled, 3
             )
 
+    @staticmethod
+    def pushes(monkeypatch, items, k):
+        """karmarkar_karp_partition's result, checked against the oracle's
+        assignments and insertion order, and the bin sums of every entry it
+        pushes on its heap, in push order."""
+        expected = list(list_kk_partition(items, k).items())
+        pushed = []
+        push = heapq.heappush
+
+        def record(heap, entry):
+            pushed.append(list(entry[2]))
+            push(heap, entry)
+
+        with monkeypatch.context() as patch:
+            patch.setattr("neosim.planner.heapq.heappush", record)
+            got = karmarkar_karp_partition(items, k)
+        assert list(got.items()) == expected
+        return got, pushed
+
+    def test_run_fills_an_entry_to_k_bins(self, monkeypatch):
+        # the first merge joins two items, and the run appends the next two
+        # in one step: 5 merges, 3 pushes
+        items = [(f"i{j}", 1.0) for j in range(6)]
+        _, pushed = self.pushes(monkeypatch, items, 4)
+        assert pushed[:2] == [[1.0] * 4, [1.0] * 2] and len(pushed) == 3
+
+    def test_run_cut_by_a_merged_entry_between_queue_items(self, monkeypatch):
+        # [10, 10, 9.5, 9.5] (spread 0.5) waits in the heap; 8 and 8 merge
+        # and take 7, but 0.4's key is above the waiting entry's, so the run
+        # stops at 3 of 4 bins although 0 < 0.4 <= 7
+        costs = [10.0, 10.0, 9.5, 9.5, 8.0, 8.0, 7.0, 0.4, 0.3]
+        items = [(f"i{j}", c) for j, c in enumerate(costs)]
+        _, pushed = self.pushes(monkeypatch, items, 4)
+        assert pushed[:2] == [[10.0, 10.0, 9.5, 9.5], [8.0, 8.0, 7.0]]
+
+    def test_no_run_when_the_entry_key_ties_a_lower_seq(self, monkeypatch):
+        # b and c round to 2**53 as floats, so their entry's key ties a's,
+        # and a's seq is lower: the stepwise loop pops a first and merges the
+        # entry into it, so a takes bin 0 rather than being appended last
+        items = [("b", 2**53 + 1), ("c", 2**53 + 1), ("a", 2**53)]
+        got, pushed = self.pushes(monkeypatch, items, 3)
+        assert pushed[0] == [2.0**53, 2.0**53]
+        assert list(got.items()) == [("a", 0), ("c", 1), ("b", 2)]
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 8])
+    def test_zero_and_negative_costs_never_join_a_run(self, monkeypatch, k):
+        items = [("a", 5.0), ("b", 5), ("c", 0.0), ("d", -0.0), ("e", 0), ("f", -1.5)]
+        _, pushed = self.pushes(monkeypatch, items, k)
+        assert pushed[0] == [5.0, 5.0]
+        rng = np.random.default_rng(7)
+        signed = [-2, -0.5, -0.0, 0, 0.0, 0.5, 1, 1.0, 3]
+        for n in range(2, 40):
+            items = [(j, signed[int(rng.integers(len(signed)))]) for j in range(n)]
+            self.pushes(monkeypatch, items, k)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 16])
+    def test_int_costs_beyond_float_precision(self, monkeypatch, k):
+        """Ints above 2**53 sort exactly but sum as rounded floats."""
+        rng = np.random.default_rng(k)
+        palette = [2**53 - 1, 2**53, 2**53 + 1, 2**53 + 2, 2**53 + 3, 2**60 + 1, 3, 1, 0]
+        for n in range(1, 60):
+            items = [(f"t{j}", palette[int(rng.integers(len(palette)))]) for j in range(n)]
+            self.pushes(monkeypatch, items, k)
+
+    def test_bundled_plan_partitions_match_oracle(self, monkeypatch):
+        """Every partition that plan_4d (kk) and hierarchical_plan run on
+        model_a, shrunk to fit 1 to 16 nodes with FP16 tables, and that
+        plan_4d runs on model_f (its memory repair retries included)."""
+        calls = []
+        partition = karmarkar_karp_partition
+
+        def record(items, k):
+            calls.append((list(items), k))
+            return partition(items, k)
+
+        monkeypatch.setattr("neosim.planner.karmarkar_karp_partition", record)
+        monkeypatch.setitem(HEURISTICS, "kk", record)
+        flags = CompressionFlags(table_precision=Precision.FP16, rowwise_optimizer=True)
+        policy = CandidatePolicy(flags=flags)
+        cluster = load_bundled_cluster()
+        model_a = load_bundled_model("model_a")
+        for nodes in (1, 2, 4, 8, 16):
+            at = dataclasses.replace(cluster, num_nodes=nodes)
+            shrunk = shrink_to_fit(model_a, at, flags)
+            plan_4d(shrunk, at, CostWeights(), policy, heuristic="kk")
+            hierarchical_plan(shrunk, at, CostWeights(), policy)
+        plan_4d(load_bundled_model("model_f"), cluster, CostWeights(), policy, "kk")
+        assert len(calls) == 15  # model_f: the first placement and 4 retries
+        monkeypatch.undo()
+        for items, k in calls:
+            assert list(partition(items, k).items()) == list(
+                list_kk_partition(items, k).items()
+            )
+
+    @pytest.mark.parametrize("n", [192, 208, 224, 240, 256])
+    def test_equal_costs_push_once_per_run(self, monkeypatch, n):
+        """model_f's memory-repair shape: n equal shards on 128 workers. Runs
+        fill whole entries, so the heap sees a handful of pushes, not n - 1."""
+        count = 0
+        push = heapq.heappush
+
+        def counted(heap, entry):
+            nonlocal count
+            count += 1
+            push(heap, entry)
+
+        monkeypatch.setattr("neosim.planner.heapq.heappush", counted)
+        karmarkar_karp_partition([(f"t#{i}", 6.5e9) for i in range(n)], 128)
+        assert count <= 8
+
 
 class TestPlan4d:
     def test_four_identical_tables_four_workers(self):
@@ -655,6 +767,42 @@ class TestHierarchicalPlan:
         message = f"{a.table_id}: hierarchical shards must lie on one node"
         with pytest.raises(InvalidScheme, match=message):
             validate_plan(broken, model)
+
+    @pytest.mark.parametrize("case", ["table_wise", "column_wise", "data_parallel", "list"])
+    def test_object_built_tags_checked_by_code(self, case):
+        """A plan built from TableAssignments carries each scheme's tag as a
+        code: the planner's tag on a TW, CW or DP scheme, or a tag equal to
+        it in value but not a tuple, fails the tag rule with its message;
+        the planner's tag on a row-wise scheme validates."""
+        tables = [TableSpec(id=f"t{i}", num_rows=400, dim=16, avg_pooling=4.0) for i in range(2)]
+        model = desk_model(tables)
+        tag = (SchemeKind.TABLE_WISE, SchemeKind.ROW_WISE)
+        row_wise = Scheme(SchemeKind.ROW_WISE, num_row_shards=2, hierarchical=tag)
+        row_shards = (Shard(4, rows=(0, 200)), Shard(5, rows=(200, 400)))
+        scheme, shards = {
+            "table_wise": (Scheme(SchemeKind.TABLE_WISE, hierarchical=tag), (Shard(1),)),
+            "column_wise": (
+                Scheme(SchemeKind.COLUMN_WISE, col_splits=((0, 8), (8, 16)), hierarchical=tag),
+                (Shard(0, cols=(0, 8)), Shard(1, cols=(8, 16))),
+            ),
+            "data_parallel": (Scheme(SchemeKind.DATA_PARALLEL, hierarchical=tag), (Shard(None),)),
+            "list": (dataclasses.replace(row_wise, hierarchical=list(tag)), row_shards),
+        }[case]
+
+        def plan_with(scheme, shards):
+            first = TableAssignment("t0", Scheme(SchemeKind.TABLE_WISE), (Shard(2),))
+            return ShardingPlan(8, 4, (first, TableAssignment("t1", scheme, shards)))
+
+        broken = plan_with(scheme, shards)
+        code = 2 if case == "list" else 1  # a list is not the planner's tuple
+        assert broken.shard_columns.hierarchical.tolist() == [0] + [code] * len(shards)
+        message = "t1: hierarchical must be [table_wise, row_wise] on a row_wise scheme"
+        with pytest.raises(InvalidScheme, match=re.escape(message)):
+            validate_plan(broken, model)
+        validate_plan(plan_with(dataclasses.replace(scheme, hierarchical=None), shards), model)
+        tagged = plan_with(row_wise, row_shards)
+        assert tagged.shard_columns.hierarchical.tolist() == [0, 1, 1]
+        validate_plan(tagged, model)
 
     def test_hierarchical_reduces_inter_node_bytes(self):
         tables = [
