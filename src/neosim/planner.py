@@ -14,7 +14,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, count, repeat
+from itertools import chain, count, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add, is_, is_not, itemgetter, neg
 from typing import NamedTuple, Optional, Sequence
@@ -245,35 +245,43 @@ class ShardColumns(NamedTuple):
         ends[i - 1]:ends[i] (0:ends[0] for the first)."""
         return np.cumsum(np.bincount(self.assignment, minlength=len(self.table_ids)))
 
-    def per_shard(self, make) -> list:
-        """make(worker, rows, cols) of each shard in plan order, None for a
-        replica's worker and for a bound the shard lacks; equal shards share
-        one result."""
-        layout = (self.replica + 2 * self.has_rows + 4 * self.has_cols).tolist()
-        made = {}
-        out = []
-        bounds = (*self.rows.T.tolist(), *self.cols.T.tolist())
-        for key in zip(layout, self.worker.tolist(), *bounds):
-            value = made.get(key)
-            if value is None:
-                code, w, r0, r1, c0, c1 = key
-                value = made[key] = make(
-                    None if code & 1 else w,
-                    (r0, r1) if code & 2 else None,
-                    (c0, c1) if code & 4 else None,
-                )
-            out.append(value)
-        return out
+    def shard_lists(self, make) -> tuple[list[tuple], list[int]]:
+        """The distinct shard lists of the assignments, and the position of
+        each assignment's list among them. A list holds make(worker, rows,
+        cols) of its shards, None for a replica's worker and for a bound the
+        shard lacks; make runs once per distinct shard, equal shards share
+        one result, and equal lists share one tuple."""
+        layout = self.replica + 2 * self.has_rows + 4 * self.has_cols
+        keys = np.column_stack((layout, self.worker, self.rows, self.cols))
+        shard, first = _distinct_rows(keys)
+        made = [  # layout bits: 1 a replica, 2 has rows, 4 has cols
+            make(None if m & 1 else w, (r0, r1) if m & 2 else None, (c0, c1) if m & 4 else None)
+            for m, w, r0, r1, c0, c1 in keys[first].tolist()
+        ]
+        counts = np.bincount(self.assignment, minlength=len(self.table_ids))
+        if len(made) == len(keys) and counts.all():
+            # no shard repeats and no list is empty, so no list repeats
+            shards = map(made.__getitem__, shard.tolist())
+            return [tuple(islice(shards, c)) for c in counts.tolist()], list(range(len(counts)))
+        starts = np.cumsum(counts) - counts
+        which = np.empty(len(counts), np.int64)
+        lists = []
+        # the lists of c shards are the rows of one (assignments x c) matrix
+        for c in np.flatnonzero(np.bincount(counts)).tolist():
+            group = np.flatnonzero(counts == c)
+            ids = shard[starts[group, None] + np.arange(c)]
+            position, first = _distinct_rows(ids)
+            which[group] = position + len(lists)
+            shards = map(made.__getitem__, ids[first].ravel().tolist())
+            lists += zip(*[shards] * c) if c else [()]  # tuples of c in a row
+        return lists, which.tolist()
 
     def table_assignments(self) -> tuple[TableAssignment, ...]:
-        """The assignments these columns hold; equal shards share one Shard."""
-        shards = self.per_shard(Shard)
-        ends = self.ends().tolist()
+        """The assignments these columns hold; equal shard lists share one
+        tuple of Shards."""
+        lists, which = self.shard_lists(Shard)
         return tuple(
-            TableAssignment(table_id, scheme, tuple(shards[start:end]))
-            for table_id, scheme, start, end in zip(
-                self.table_ids, self.schemes, [0, *ends], ends
-            )
+            map(TableAssignment, self.table_ids, self.schemes, map(lists.__getitem__, which))
         )
 
     def tables(self, model: ModelSpec) -> np.ndarray:
@@ -319,6 +327,18 @@ def _int64_column(values, count: int, name: str) -> np.ndarray:
         return np.fromiter(values, np.int64, count)
     except OverflowError:
         raise InvalidValue(f"shards.{name}", "must fit in int64") from None
+
+
+def _distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's id among the distinct rows of a 2-D int array, and the
+    index of one row per id."""
+    order = np.lexsort(matrix.T) if matrix.shape[1] else np.arange(len(matrix))
+    ordered = matrix[order]
+    new = np.ones(len(order), bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ids = np.empty(len(order), np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids, order[new]
 
 
 def _bounds_column(bounds: list, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -772,7 +792,8 @@ def karmarkar_karp_partition(items: Sequence[tuple], k: int) -> dict:
     sort into A's prefix: each slot goes after every bin of equal or larger
     sum (a binary search). The empty slots are spelled out only if a bin
     sorts after them, which takes a zero-sum or negative bin. Only when
-    pa + pb > k are both padded to k and paired, O(k). Trailing empty slots
+    pa + pb > k are both padded to k and paired, O(k); at k = 2 two full
+    pairs merge in two additions and one comparison. Trailing empty slots
     are then trimmed, so the spread's min sum is 0.0 unless the prefix has
     k bins.
 
@@ -841,6 +862,11 @@ def karmarkar_karp_partition(items: Sequence[tuple], k: int) -> dict:
                 i = bisect_right(sums, -s, key=neg)
                 sums.insert(i, s)
                 trees.insert(i, t)
+        elif gap == -2 and k == 2:  # two full pairs, each with an occupied last bin
+            (a0, a1), (b0, b1) = trees_a, trees_b
+            s0, s1 = sums_a[0] + sums_b[1], sums_a[1] + sums_b[0]
+            t0, t1 = b1 if a0 is empty else [a0, b1], a1 if b0 is empty else [a1, b0]
+            sums, trees = ([s1, s0], [t1, t0]) if s0 < s1 else ([s0, s1], [t0, t1])
         else:
             # largest sums of A absorb the smallest sums of B
             sums_a += [0.0] * (k - pa)
@@ -1411,34 +1437,32 @@ def plan_to_json(
     sorted order. Shards and schemes are written from the shard columns:
     each distinct shard is one f-string, with `rows` and `cols` as two-int
     lists and `"worker": null` for a data-parallel replica, written once per
-    call, as is each scheme object's text; each `workers` record is written
-    field by field from the memory report's columns. Strings go through
-    json's own ASCII escaper, and an empty list is `[]`, as json writes it.
+    call, as are each distinct shard list's and scheme object's texts; each
+    `workers` record is written field by field from the memory report's
+    columns, and the document is joined once. Strings go through json's own
+    ASCII escaper, and an empty list is `[]`, as json writes it.
     """
     esc = encode_basestring_ascii
     cols = plan.shard_columns
-    shards = cols.per_shard(_shard_text)
-    ends = cols.ends().tolist()
-    scheme_texts: dict[int, str] = {}  # by id: cols.schemes keeps them alive
-    tables = []
-    for table_id, scheme, start, end in zip(
-        cols.table_ids, cols.schemes, [0, *ends], ends
-    ):
-        text = scheme_texts.get(id(scheme))
-        if text is None:
-            text = scheme_texts[id(scheme)] = _scheme_text(scheme)
-        tables.append(
-            f'    {{\n      "scheme": {text},\n'
-            f'      "shards": {_json_list(shards[start:end], "      ")},\n'
-            f'      "table_id": {esc(table_id)}\n    }}'
-        )
-    text = (
+    lists, which = cols.shard_lists(_shard_text)
+    list_texts = [_json_list(shards, "      ") for shards in lists]
+    schemes = {id(scheme): scheme for scheme in cols.schemes}  # alive in cols
+    scheme_texts = {key: _scheme_text(scheme) for key, scheme in schemes.items()}
+    tables = zip(  # each table's texts, each followed by the piece after it
+        map(scheme_texts.__getitem__, map(id, cols.schemes)), repeat(',\n      "shards": '),
+        map(list_texts.__getitem__, which), repeat(',\n      "table_id": '),
+        map(esc, cols.table_ids), repeat('\n    },\n    {\n      "scheme": '),
+    )
+    parts = [
         f'{{\n  "gpus_per_node": {plan.gpus_per_node},\n'
         f'  "heuristic": {esc(plan.heuristic)},\n'
         f'  "num_workers": {plan.num_workers},\n'
         f'  "spec_version": {SPEC_VERSION},\n'
-        f'  "tables": {_json_list(tables, "  ")}'
-    )
+        '  "tables": ' + ('[\n    {\n      "scheme": ' if cols.table_ids else "[]"),
+        *chain.from_iterable(tables),
+    ]
+    if cols.table_ids:
+        parts[-1] = "\n    }\n  ]"  # the last table opens no other
     if model is not None and cluster is not None:
         report = memory_check(plan, model, cluster, flags)
         tiers = [esc(tier) for tier in TIERS]
@@ -1453,8 +1477,9 @@ def plan_to_json(
                 count(), *(column.tolist() for column in report[1:])  # after feasible
             )
         ]
-        text += f',\n  "workers": {_json_list(workers, "  ")}'
-    return text + "\n}"
+        parts += ',\n  "workers": ', _json_list(workers, "  ")
+    parts.append("\n}")
+    return "".join(parts)
 
 
 _I12 = " " * 12  # indent of a shard's bound values
@@ -1473,7 +1498,7 @@ def _shard_text(worker, rows, cols) -> str:
     return f'{text}          "worker": {worker}\n        }}'
 
 
-def _json_list(items: list[str], indent: str) -> str:
+def _json_list(items: Sequence[str], indent: str) -> str:
     """A JSON list of already-indented item texts, closed at `indent`."""
     if not items:
         return "[]"

@@ -5,6 +5,7 @@ import heapq
 import itertools
 import json
 import math
+import operator
 import re
 
 import numpy as np
@@ -40,6 +41,7 @@ from neosim import (
     shard_cost,
     validate_plan,
 )
+import neosim.planner as planner_module
 from neosim.bundled import load_bundled_cluster, load_bundled_model
 from neosim.comms import volume_gradient_collectives
 from neosim.perf import shrink_to_fit
@@ -540,6 +542,50 @@ class TestKarmarkarKarp:
             assert list(partition(items, k).items()) == list(
                 list_kk_partition(items, k).items()
             )
+
+    def test_two_bin_merges_match_oracle(self, monkeypatch):
+        """At k = 2 two full pairs merge in two additions and one comparison,
+        and a pair meeting a lone item still takes the padded path. Zero,
+        -0.0 and negative costs (an empty first bin), equal sums and ints
+        beyond 2**53 give the oracle's assignments and insertion order."""
+        cases = [
+            [("a", 5.0), ("b", 5), ("c", 0.0), ("d", -0.0), ("e", 0), ("f", -1.5)],
+            [("a", -1.0), ("b", -2.0), ("c", -3.0), ("d", -4.0), ("e", -0.0)],
+            [("a", 3.0), ("b", 1.0), ("c", 2.0)],  # a pair meets a lone item
+            [("a", 2.0), ("b", 2.0), ("c", 1.0), ("d", 1.0)],  # equal merged sums
+            [("a", 2**53 + 1), ("b", 2**53), ("c", 2**53 + 3), ("d", 2**60 + 1), ("e", 1)],
+        ]
+        rng = np.random.default_rng(2)
+        palette = [-2, -1.5, -0.0, 0, 0.0, 0.5, 1, 1.0, 3, 2**53, 2**53 + 1, 2**60 + 1]
+        for n in range(2, 80):
+            cases.append(
+                [(f"t{j}", palette[int(rng.integers(len(palette)))]) for j in range(n)]
+            )
+        for items in cases:
+            self.pushes(monkeypatch, items, 2)
+
+    def test_two_bin_merges_skip_the_padded_path(self, monkeypatch):
+        """model_a's 1000 tables by access load over 2 nodes, the split of
+        hierarchical_plan at 2 nodes. The padded path sorts its k slots, so
+        sorted() runs twice up front and once per padded merge: 500 of the
+        999 merges before two full pairs had their own path, 2 now."""
+        cluster = dataclasses.replace(load_bundled_cluster(), num_nodes=2)
+        flags = CompressionFlags(table_precision=Precision.FP16, rowwise_optimizer=True)
+        model = shrink_to_fit(load_bundled_model("model_a"), cluster, flags)
+        global_batch = model.local_batch * cluster.num_workers
+        tw = Scheme(SchemeKind.TABLE_WISE)
+        items = [(t.id, shard_cost(t, tw, cluster, global_batch).load) for t in model.tables]
+        expected = list(list_kk_partition(items, 2).items())
+        calls = 0
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return sorted(*args, **kwargs)
+
+        monkeypatch.setattr("neosim.planner.sorted", counted, raising=False)
+        assert list(karmarkar_karp_partition(items, 2).items()) == expected
+        assert calls - 2 <= 4
 
     @pytest.mark.parametrize("n", [192, 208, 224, 240, 256])
     def test_equal_costs_push_once_per_run(self, monkeypatch, n):
@@ -1273,6 +1319,172 @@ class TestPlanToJson:
         monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
         text = plan_to_json(plan, model, cluster, flags)
         assert plan_from_json(text) == plan
+
+    def test_bundled_plans_match_dict_json_dumps(self):
+        """Every plan kind the benchmark writes, up to 8000 shards: model_a
+        shrunk to fit 1 to 16 nodes under greedy, KK and hierarchical
+        placement; model_f greedy, KK and fine-grained; model_i greedy, KK
+        and hierarchical. Each reads back to an equal plan whose assignments
+        equal the column-built view's."""
+        flags = CompressionFlags(table_precision=Precision.FP16, rowwise_optimizer=True)
+        cluster = load_bundled_cluster()
+        cases = []
+        for nodes in (1, 2, 4, 8, 16):
+            at = dataclasses.replace(cluster, num_nodes=nodes)
+            shrunk = shrink_to_fit(load_bundled_model("model_a"), at, flags)
+            cases += [(shrunk, at, h, False) for h in ("greedy", "kk", "hierarchical")]
+        model_f, model_i = load_bundled_model("model_f"), load_bundled_model("model_i")
+        cases += [(model_f, cluster, "greedy", False), (model_f, cluster, "kk", False)]
+        cases += [(model_f, cluster, "greedy", True)]
+        cases += [(model_i, cluster, h, False) for h in ("greedy", "kk", "hierarchical")]
+        for model, at, heuristic, fine_grain in cases:
+            policy = CandidatePolicy(fine_grain=fine_grain, flags=flags)
+            if heuristic == "hierarchical":
+                plan = hierarchical_plan(model, at, CostWeights(), policy)
+            else:
+                plan = plan_4d(model, at, CostWeights(), policy, heuristic=heuristic)
+            text = plan_to_json(plan, model, at, flags)
+            assert plan_to_json(plan) == dict_plan_to_json(plan)
+            assert text == dict_plan_to_json(plan, model, at, flags)
+            # the object-built plan's assignments equal the column-built view
+            assert plan_from_json(text).assignments == plan.assignments
+            lists = [a.shards for a in plan.assignments]
+            assert len({id(shards) for shards in lists}) == len(set(lists))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shared_shard_lists(self, seed):
+        """Tables that share a shard list, lists that differ in one shard,
+        a list that is a prefix of another, data-parallel replicas and
+        column-wise shards: the writer matches the oracle, and the view of
+        the columns equals the plan built from TableAssignments, with one
+        tuple per distinct list and one Shard per distinct shard."""
+        rng = np.random.default_rng(seed)
+        seen = set()
+        for _ in range(40):
+            model, cluster, plan, flags = shared_list_case(rng)
+            seen |= list_kinds(plan)
+            assert plan_to_json(plan) == dict_plan_to_json(plan)
+            text = plan_to_json(plan, model, cluster, flags)
+            assert text == dict_plan_to_json(plan, model, cluster, flags)
+            assert plan_from_json(text) == plan
+            view = ShardingPlan.from_columns(
+                plan.num_workers, plan.gpus_per_node, plan.shard_columns, plan.heuristic
+            )
+            assert view.assignments == plan.assignments
+            lists = [a.shards for a in view.assignments]
+            assert len({id(shards) for shards in lists}) == len(set(lists))
+            shards = [s for shards in lists for s in shards]
+            assert len({id(s) for s in shards}) == len(set(shards))
+        assert seen == {"shared", "one_shard_differs", "prefix", "replica", "column_wise"}
+
+    def test_each_distinct_shard_and_list_written_once(self, monkeypatch):
+        """model_a's 16-node hierarchical plan: 8000 shards, 128 of them
+        distinct, in 16 distinct lists over 1000 tables. The writer makes
+        each distinct shard's text and joins each distinct list once, and
+        the view builds one Shard per distinct shard."""
+        model, cluster = load_bundled_model("model_a"), load_bundled_cluster()
+        flags = CompressionFlags(table_precision=Precision.FP16, rowwise_optimizer=True)
+        plan = hierarchical_plan(
+            model, cluster, CostWeights(), CandidatePolicy(flags=flags)
+        )
+        calls = {"shard_text": 0, "shard_list": 0, "Shard": 0}
+        shard_text, json_list = planner_module._shard_text, planner_module._json_list
+
+        def count_shard_text(*args):
+            calls["shard_text"] += 1
+            return shard_text(*args)
+
+        def count_json_list(items, indent):
+            # a shard list is the one list closed at a table entry's indent
+            calls["shard_list"] += indent == " " * 6
+            return json_list(items, indent)
+
+        def count_shard(*args):
+            calls["Shard"] += 1
+            return Shard(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(planner_module, "_shard_text", count_shard_text)
+            patch.setattr(planner_module, "_json_list", count_json_list)
+            text = plan_to_json(plan, model, cluster, flags)
+            patch.setattr(planner_module, "Shard", count_shard)
+            assignments = plan.assignments
+        assert calls == {"shard_text": 128, "shard_list": 16, "Shard": 128}
+        assert len(plan.shard_columns.worker) == 8000 and len(assignments) == 1000
+        assert len({a.shards for a in assignments}) == 16
+        assert len({s for a in assignments for s in a.shards}) == 128
+        assert plan_from_json(text) == plan
+
+
+def list_kinds(plan) -> set:
+    """Which of these a plan holds: tables sharing a shard list, two lists
+    of one length that differ in one shard, a list that is a proper prefix
+    of another, a data-parallel replica, a column-wise shard."""
+    lists = {a.shards for a in plan.assignments}
+    kinds = set()
+    if len(lists) < len(plan.assignments):
+        kinds.add("shared")
+    for a, b in itertools.permutations(lists, 2):
+        if len(a) == len(b) and sum(map(operator.ne, a, b)) == 1:
+            kinds.add("one_shard_differs")
+        if len(a) < len(b) and b[: len(a)] == a:
+            kinds.add("prefix")
+    shards = [s for shards in lists for s in shards]
+    if any(s.worker is None for s in shards):
+        kinds.add("replica")
+    if any(s.cols for s in shards):
+        kinds.add("column_wise")
+    return kinds
+
+
+def shared_list_case(rng):
+    """A random plan whose tables, all of one shape, draw their shard lists
+    from a few base lists: some reuse one as it is, some move one shard to
+    another worker, some keep a prefix of a row-wise list."""
+    gpus_per_node = int(rng.integers(1, 4))
+    workers = gpus_per_node * int(rng.integers(1, 4))
+    H, D = int(rng.integers(8, 3000)), int(rng.integers(2, 17))
+    worker = lambda: int(rng.integers(workers))  # noqa: E731
+    bases = []
+    for _ in range(int(rng.integers(1, 5))):
+        kind = rng.choice(["tw", "dp", "rw", "hier", "cw"])
+        both = bool(rng.integers(2))  # the other bound too
+        if kind == "tw":
+            bases.append((Scheme(SchemeKind.TABLE_WISE), (Shard(worker()),)))
+        elif kind == "dp":
+            bases.append((Scheme(SchemeKind.DATA_PARALLEL), (Shard(None),)))
+        elif kind in ("rw", "hier"):
+            bounds = even_bounds(H, int(rng.integers(1, 9)))
+            scheme = Scheme(
+                SchemeKind.ROW_WISE,
+                num_row_shards=len(bounds),
+                hierarchical=HIER if kind == "hier" else None,
+            )
+            cols = (0, D) if both else None
+            bases.append((scheme, tuple(Shard(worker(), b, cols) for b in bounds)))
+        else:
+            splits = tuple(even_bounds(D, int(rng.integers(1, D + 1))))
+            scheme = Scheme(SchemeKind.COLUMN_WISE, col_splits=splits)
+            rows = (0, H) if both else None
+            bases.append((scheme, tuple(Shard(worker(), rows, c) for c in splits)))
+    tables, assignments = [], []
+    for i in range(int(rng.integers(1, 16))):
+        table = TableSpec(id=f"t{i}", num_rows=H, dim=D, avg_pooling=1.0)
+        tables.append(table)
+        scheme, shards = bases[int(rng.integers(len(bases)))]
+        change = rng.choice(["shared", "one_shard_differs", "prefix"])
+        j = int(rng.integers(len(shards)))
+        if change == "one_shard_differs" and shards[j].worker is not None:
+            moved = dataclasses.replace(shards[j], worker=(shards[j].worker + 1) % workers)
+            shards = shards[:j] + (moved,) + shards[j + 1 :]
+        elif change == "prefix" and scheme.kind is SchemeKind.ROW_WISE and j:
+            shards = shards[:j]
+            scheme = dataclasses.replace(scheme, num_row_shards=j)
+        assignments.append(TableAssignment(table.id, scheme, shards))
+    plan = ShardingPlan(workers, gpus_per_node, tuple(assignments), "kk")
+    model = desk_model(tables)
+    cluster = desk_cluster(workers, gpus_per_node=gpus_per_node)
+    return model, cluster, plan, CompressionFlags()
 
 
 class TestCostWeights:
