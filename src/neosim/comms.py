@@ -28,7 +28,7 @@ from .embedding import (
     EmbeddingTable,
     OptimizerConfig,
     _checked_input,
-    _moment_for,
+    _fresh_table,
     _train_piece,
     build_tables,
 )
@@ -445,7 +445,7 @@ def _slice_table(
     (r0, r1), (c0, c1) = rows, cols
     values = full.values[r0:r1, c0:c1].copy()
     # under row-wise AdaGrad a column shard keeps its own moment per row
-    return EmbeddingTable(full.spec, values, _moment_for(r1 - r0, c1 - c0, cfg))
+    return _fresh_table(full.spec, values, cfg)
 
 
 def train_step_sharded(

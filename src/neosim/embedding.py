@@ -102,6 +102,15 @@ def _moment_for(spec_rows: int, dim: int, cfg: OptimizerConfig) -> Optional[np.n
     return np.zeros((spec_rows, dim), dtype=np.float64)
 
 
+def _fresh_table(spec: TableSpec, values: np.ndarray, cfg: OptimizerConfig) -> EmbeddingTable:
+    """A table of `values`, a new 2-D float64 matrix, with the zero moment
+    of `cfg` (_moment_for): made here, so it skips the moment checks of a
+    caller's moment."""
+    table = EmbeddingTable(spec, values)
+    table.moment = _moment_for(*values.shape, cfg)
+    return table
+
+
 def build_tables(
     model: ModelSpec,
     cfg: OptimizerConfig,
@@ -114,9 +123,7 @@ def build_tables(
         values = rng.standard_normal((spec.num_rows, spec.dim))
         if spec.value_precision is Precision.FP16:  # normals are finite and in range
             values = values.astype(np.float16).astype(np.float64)
-        tables.append(
-            EmbeddingTable(spec, values, _moment_for(spec.num_rows, spec.dim, cfg))
-        )
+        tables.append(_fresh_table(spec, values, cfg))
     return tables
 
 

@@ -33,6 +33,7 @@ from .planner import (
     CompressionFlags,
     CostWeights,
     ShardingPlan,
+    _check_cluster_layout,
     _value_bytes,
     greedy_partition,
     memory_check,
@@ -254,10 +255,7 @@ def _component_latencies(
 ) -> ComponentLatencies:
     """component_latencies at `compute_precision`, over the volumes that
     comms.collective_volumes built."""
-    if plan.num_workers != cluster.num_workers:
-        raise InvalidValue("plan", "plan and cluster disagree on worker count")
-    if plan.gpus_per_node != cluster.gpus_per_node:
-        raise InvalidValue("plan", "plan and cluster disagree on GPUs per node")
+    _check_cluster_layout(plan.num_workers, plan.gpus_per_node, cluster)
     if not 0 <= cache_hit_rate <= 1:
         raise InvalidValue("cache_hit_rate", "must be in [0, 1]")
     W = cluster.num_workers

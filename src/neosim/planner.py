@@ -360,7 +360,8 @@ class ShardingPlan:
     first access. The program reads only the columns, so planning,
     serializing, validating, simulating and verifying build no Shard.
     Equality, hash, repr, pickling and dataclasses.replace read
-    `assignments`, so they behave the same for both.
+    `assignments`, so they behave the same for both; none of them sees the
+    memory report a plan keeps (see memory_check).
     """
 
     num_workers: int
@@ -369,6 +370,9 @@ class ShardingPlan:
     heuristic: str = "greedy"
     # derived, so outside eq/hash/repr
     shard_columns: ShardColumns = field(init=False, repr=False, compare=False)
+    # (model, cluster, flags, report) of the first memory report computed
+    # for the plan; a class attribute, not a field
+    _memory = None
 
     def __post_init__(self):
         _check_layout(self.num_workers, self.gpus_per_node)
@@ -408,6 +412,14 @@ def _check_layout(num_workers: int, gpus_per_node: int) -> None:
     for name, value in (("num_workers", num_workers), ("gpus_per_node", gpus_per_node)):
         if value < 1:
             raise InvalidValue(name, "must be >= 1")
+
+
+def _check_cluster_layout(num_workers: int, gpus_per_node: int, cluster: ClusterSpec) -> None:
+    """A plan's worker count and GPUs per node must be the cluster's."""
+    if num_workers != cluster.num_workers:
+        raise InvalidValue("plan", "plan and cluster disagree on worker count")
+    if gpus_per_node != cluster.gpus_per_node:
+        raise InvalidValue("plan", "plan and cluster disagree on GPUs per node")
 
 
 def _even_edges(i, extent, parts):
@@ -1000,23 +1012,24 @@ class MemoryReport(NamedTuple):
 _MAX_ELEMENT_BYTES = max(*PRECISION_BYTES.values(), OPTIMIZER_STATE_BYTES)
 
 
-def _check_int64_bytes(plan: ShardingPlan, model: ModelSpec) -> None:
-    """Raise InvalidValue if a per-worker byte total could pass int64.
+def _check_int64_bytes(charges: int, model: ModelSpec) -> None:
+    """Raise InvalidValue if a per-worker byte total of a placement with
+    `charges` (worker, shard) charges (ShardColumns.charges) could pass
+    int64.
 
     With Python ints: every charge holds at most the widest table's rows
     times its widest dim elements (ShardColumns.extents refuses a bound
     past its table), each of at most _MAX_ELEMENT_BYTES.
     """
-    cols = plan.shard_columns
     tc = model.table_columns
     rows = int(tc.rows.max(initial=0))
     width = int(tc.dim.max(initial=0))
-    bound = cols.charges * rows * width * _MAX_ELEMENT_BYTES
+    bound = charges * rows * width * _MAX_ELEMENT_BYTES
     if bound > INT64_MAX:
         raise InvalidValue(
             "model",
             f"a worker's table bytes may reach {bound}, beyond int64 "
-            f"({cols.charges} shard charges of up to {rows} x {width} elements)",
+            f"({charges} shard charges of up to {rows} x {width} elements)",
         )
 
 
@@ -1031,20 +1044,62 @@ def memory_check(
 
     Tiers compare each exact int64 total against the capacities floored to
     integers (_floor_bytes), so they match an exact comparison with a float
-    capacity; a total that would pass int64 raises InvalidValue at `model`.
+    capacity; a total that would pass int64 raises InvalidValue at `model`,
+    and a plan whose worker count or GPUs per node differ from the
+    cluster's raises InvalidValue at `plan`.
+
+    A plan keeps the first report computed for it, here or by plan_4d or
+    hierarchical_plan, keyed by the identity of `model` and `cluster` and by
+    equal `flags`: a call with that model, that cluster and equal flags
+    returns the kept report, and any other call evaluates afresh.
     """
-    _check_int64_bytes(plan, model)
+    kept = plan._memory
+    if kept is not None and kept[0] is model and kept[1] is cluster and kept[2] == flags:
+        return kept[3]
     cols = plan.shard_columns
+    _check_int64_bytes(cols.charges, model)
     tc = model.table_columns
     t = cols.tables(model)
-    rows = cols.extents("rows", tc.rows[t])
-    width = cols.extents("cols", tc.dim[t])
-    elem_bytes = _value_bytes(tc, flags)[t]
-    # _check_int64_bytes has bounded every piece: unchecked products are exact
+    report = _memory_report(
+        model,
+        cluster,
+        flags,
+        (plan.num_workers, plan.gpus_per_node),
+        t,
+        cols.extents("rows", tc.rows[t]),
+        cols.extents("cols", tc.dim[t]),
+        cols.worker,
+        cols.replica,
+    )
+    if kept is None:
+        object.__setattr__(plan, "_memory", (model, cluster, flags, report))
+    return report
+
+
+def _memory_report(
+    model, cluster, flags, layout, table, rows, width, worker, replica
+) -> MemoryReport:
+    """The memory core: the report of a placement over `layout` (its
+    worker count and GPUs per node, which must be the cluster's), from its
+    per-shard facts in plan order: the table (position in model.tables),
+    rows, width, worker and whether the shard is a replica, charged to
+    every worker. The caller has run _check_int64_bytes, so every piece's
+    product is exact; a placed worker outside [0, W) raises InvalidScheme.
+    """
+    _check_cluster_layout(*layout, cluster)
+    W = cluster.num_workers
+    elem_bytes = _value_bytes(model.table_columns, flags)[table]
     value_bytes, state_bytes = _piece_bytes(rows, width, elem_bytes, flags, np.multiply)
-    W = plan.num_workers
-    values = cols.per_worker(value_bytes, W)
-    states = cols.per_worker(state_bytes, W)
+    held = ~replica  # charged to its own worker only
+    workers = worker[held]
+    if len(workers) and (workers.min() < 0 or workers.max() >= W):
+        raise InvalidScheme("a shard's worker is out of range")
+    values, states = np.zeros(W, np.int64), np.zeros(W, np.int64)
+    # integer sums are exact in any order
+    np.add.at(values, workers, value_bytes[held])
+    np.add.at(states, workers, state_bytes[held])
+    values += value_bytes[replica].sum()
+    states += state_bytes[replica].sum()
     dense = model.dense_param_bytes
     if np.any(values > INT64_MAX - states):
         raise InvalidValue("model", "a worker's table bytes pass int64")
@@ -1067,44 +1122,75 @@ def memory_check(
 # plan construction
 
 
-def _placed_columns(
-    model: ModelSpec,
-    schemes: Sequence[Scheme],
-    kind: np.ndarray,
-    hierarchical: np.ndarray,
-    num_shards: np.ndarray,
-    workers,
-    num_workers: int,
-) -> ShardColumns:
-    """The columns of one assignment per table of `model`, in model order:
-    table t takes schemes[t] (kind code kind[t], tag code hierarchical[t])
-    with num_shards[t] shards; `workers` holds every non-DP shard's worker
-    in plan order. Row-wise shard i of k holds rows even_bounds(H, k)[i];
-    column-wise shard i of c holds columns even_bounds(D, c)[i]."""
+class _Placement(NamedTuple):
+    """One assignment per table of a model, in model order, before a plan
+    holds it. Per table: its kind code `kind` and `num_shards`. Per shard:
+    its `table` (position in model.tables) and the columns `shards` that
+    ShardColumns.build takes. `report` is the placement's memory report
+    against `key`, its (model, cluster, flags)."""
+
+    kind: np.ndarray
+    num_shards: np.ndarray
+    table: np.ndarray
+    shards: dict
+    report: MemoryReport
+    key: tuple
+
+    def plan(self, schemes: Sequence[Scheme], tags: np.ndarray, heuristic: str) -> ShardingPlan:
+        """The plan of this placement, keeping its report: table t takes
+        schemes[t] with tag code tags[t]."""
+        model, cluster, _ = self.key
+        W = cluster.num_workers
+        columns = ShardColumns.build(
+            tuple(t.id for t in model.tables),
+            tuple(schemes),
+            self.kind,
+            tags,
+            self.num_shards,
+            W,
+            **self.shards,
+        )
+        plan = ShardingPlan.from_columns(W, cluster.gpus_per_node, columns, heuristic)
+        object.__setattr__(plan, "_memory", (*self.key, self.report))
+        return plan
+
+
+def _placement(model, cluster, flags, kind, num_shards, workers) -> _Placement:
+    """Table t of `model` takes kind code kind[t] with num_shards[t] shards;
+    `workers` holds every non-DP shard's worker in plan order. Row-wise
+    shard i of k holds rows even_bounds(H, k)[i]; column-wise shard i of c
+    holds columns even_bounds(D, c)[i]. The memory report reads each
+    shard's extents from those bounds; no plan is built."""
     tc = model.table_columns
-    assignment = np.repeat(np.arange(len(kind)), num_shards)
-    k = kind[assignment]
-    n = num_shards[assignment]
-    i = np.arange(len(assignment)) - (np.cumsum(num_shards) - num_shards)[assignment]
+    table = np.repeat(np.arange(len(kind)), num_shards)
+    k = kind[table]
+    n = num_shards[table]
+    i = np.arange(len(table)) - (np.cumsum(num_shards) - num_shards)[table]
     replica = k == DP
-    worker = np.full(len(assignment), -1, np.int64)
+    worker = np.full(len(table), -1, np.int64)
     worker[~replica] = workers
     has_rows = k == RW
     has_cols = k == CW
-    return ShardColumns.build(
-        tuple(t.id for t in model.tables),
-        tuple(schemes),
-        kind,
-        hierarchical,
-        num_shards,
-        num_workers,
-        worker=worker,
-        replica=replica,
-        rows=_even_bounds_column(tc.rows[assignment], n, i, has_rows),
-        has_rows=has_rows,
-        cols=_even_bounds_column(tc.dim[assignment], n, i, has_cols),
-        has_cols=has_cols,
+    H, D = tc.rows[table], tc.dim[table]
+    rows = _even_bounds_column(H, n, i, has_rows)
+    cols = _even_bounds_column(D, n, i, has_cols)
+    W = cluster.num_workers
+    _check_int64_bytes(len(table) + (W - 1) * int(replica.sum()), model)
+    report = _memory_report(
+        model,
+        cluster,
+        flags,
+        (W, cluster.gpus_per_node),
+        table,
+        np.where(has_rows, rows[:, 1] - rows[:, 0], H),
+        np.where(has_cols, cols[:, 1] - cols[:, 0], D),
+        worker,
+        replica,
     )
+    shards = dict(
+        worker=worker, replica=replica, rows=rows, has_rows=has_rows, cols=cols, has_cols=has_cols
+    )
+    return _Placement(kind, num_shards, table, shards, report, (model, cluster, flags))
 
 
 def _even_bounds_column(extent, parts, i, bounded) -> np.ndarray:
@@ -1170,14 +1256,13 @@ def plan_4d(
     start = cands.start.tolist()
     choice = start[:-1]
     for _ in range(len(ranked) + 1):
-        plan = _place(model, cluster, cands, ranked[choice], objective, heuristic)
-        report = memory_check(plan, model, cluster, policy.flags)
-        if report.feasible:
-            return plan
-        cols = plan.shard_columns
+        placed = _place(model, cluster, policy.flags, cands, ranked[choice], objective, heuristic)
+        if placed.report.feasible:
+            break
+        worker, replica = placed.shards["worker"], placed.shards["replica"]
         # a replica's worker -1 reads the last worker's flag; ~replica drops it
-        overloaded = (report.tier == INFEASIBLE)[cols.worker] & ~cols.replica
-        offenders = set(cols.assignment[overloaded].tolist())
+        overloaded = (placed.report.tier == INFEASIBLE)[worker] & ~replica
+        offenders = set(placed.table[overloaded].tolist())
         move = None  # (-storage, table id, table, next position) of the pick
         for t in offenders:
             j = choice[t]
@@ -1190,30 +1275,33 @@ def plan_4d(
             break
         _, _, t, nxt = move
         choice[t] = nxt
-    # last resort: balance bytes rather than the objective
-    by_memory = cands.storage.astype(np.float64)
-    plan = _place(model, cluster, cands, ranked[choice], by_memory, heuristic)
-    report = memory_check(plan, model, cluster, policy.flags)
-    if report.feasible:
-        return plan
-    worst = int(report.totals.argmax())  # the first of the largest
-    raise Infeasible(
-        f"no feasible placement found; worker {worst} needs "
-        f"{report.totals[worst]} bytes"
-    )
+    if not placed.report.feasible:
+        # last resort: balance bytes rather than the objective
+        by_memory = cands.storage.astype(np.float64)
+        placed = _place(model, cluster, policy.flags, cands, ranked[choice], by_memory, heuristic)
+    report = placed.report
+    if not report.feasible:
+        worst = int(report.totals.argmax())  # the first of the largest
+        raise Infeasible(
+            f"no feasible placement found; worker {worst} needs "
+            f"{report.totals[worst]} bytes"
+        )
+    schemes = _schemes(placed.kind, placed.num_shards, model.table_columns.dim)
+    return placed.plan(schemes, np.zeros(len(schemes), np.int8), heuristic)
 
 
 def _place(
     model: ModelSpec,
     cluster: ClusterSpec,
+    flags: CompressionFlags,
     cands: CandidateColumns,
     rows: np.ndarray,
     item_costs: np.ndarray,
     heuristic: str,
-) -> ShardingPlan:
-    """The plan of one chosen candidate row per table (model order): each
-    non-DP shard i of table t is the partition item "<t's id>#<i>" costing
-    item_costs[row]; DP tables are replicated."""
+) -> _Placement:
+    """The placement of one chosen candidate row per table (model order):
+    each non-DP shard i of table t is the partition item "<t's id>#<i>"
+    costing item_costs[row]; DP tables are replicated."""
     kind = cands.kind[rows]
     num_shards = cands.num_shards[rows]
     items = [
@@ -1224,18 +1312,9 @@ def _place(
         if k != DP
         for i in range(n)
     ]
-    W = cluster.num_workers
-    assign = HEURISTICS[heuristic](items, W)
-    columns = _placed_columns(
-        model,
-        _schemes(kind, num_shards, model.table_columns.dim),
-        kind,
-        np.zeros(len(rows), np.int8),
-        num_shards,
-        [assign[uid] for uid, _ in items],
-        W,
-    )
-    return ShardingPlan.from_columns(W, cluster.gpus_per_node, columns, heuristic)
+    assign = HEURISTICS[heuristic](items, cluster.num_workers)
+    workers = [assign[uid] for uid, _ in items]
+    return _placement(model, cluster, flags, kind, num_shards, workers)
 
 
 def hierarchical_plan(
@@ -1274,24 +1353,23 @@ def hierarchical_plan(
     # node * gpn + i is that GPU, i the shard's plan position less t's first
     first = np.array([node_of_table[tid] * gpn for tid, _ in items]) - (np.cumsum(k) - k)
     T = len(counts)
-    columns = _placed_columns(
+    placed = _placement(
         model,
-        list(map(schemes.__getitem__, counts)),
+        cluster,
+        policy.flags,
         np.full(T, RW, np.int8),
-        np.ones(T, np.int8),  # tag code 1: _TW_THEN_RW
         k,
         np.repeat(first, k) + np.arange(int(k.sum())),
-        W,
     )
-    plan = ShardingPlan.from_columns(W, gpn, columns, "kk")
-    report = memory_check(plan, model, cluster, policy.flags)
+    report = placed.report
     if not report.feasible:
         worst = int(report.totals.argmax())  # the first of the largest
         raise Infeasible(
             f"hierarchical placement overflows worker {worst} "
             f"({report.totals[worst]} bytes)"
         )
-    return plan
+    # tag code 1: _TW_THEN_RW
+    return placed.plan(list(map(schemes.__getitem__, counts)), np.ones(T, np.int8), "kk")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 from typing import IO
 
@@ -7,13 +8,18 @@ from neosim import (
     CandidatePolicy,
     ClusterSpec,
     CompressionFlags,
+    CostWeights,
     EmbeddingTable,
     MalformedDocument,
     ModelSpec,
     Precision,
     TableSpec,
+    hierarchical_plan,
+    plan_4d,
 )
+from neosim.bundled import load_bundled_cluster, load_bundled_model
 from neosim.embedding import _MAGIC
+from neosim.perf import shrink_to_fit
 
 
 def desk_cluster(
@@ -105,6 +111,32 @@ def mixed_desk_case():
         flags=CompressionFlags(table_precision=Precision.FP16),
     )
     return model, cluster, policy
+
+
+def bundled_plans(flags):
+    """(model, cluster, plan) of every plan kind the benchmark writes, up to
+    8000 shards: model_a shrunk to fit 1 to 16 nodes under greedy, KK and
+    hierarchical placement; model_f greedy, KK and fine-grained; model_i
+    greedy, KK and hierarchical; each planned under `flags`."""
+    cluster = load_bundled_cluster()
+    cases = []
+    for nodes in (1, 2, 4, 8, 16):
+        at = dataclasses.replace(cluster, num_nodes=nodes)
+        shrunk = shrink_to_fit(load_bundled_model("model_a"), at, flags)
+        cases += [(shrunk, at, h, False) for h in ("greedy", "kk", "hierarchical")]
+    model_f, model_i = load_bundled_model("model_f"), load_bundled_model("model_i")
+    cases += [(model_f, cluster, "greedy", False), (model_f, cluster, "kk", False)]
+    cases += [(model_f, cluster, "greedy", True)]
+    cases += [(model_i, cluster, h, False) for h in ("greedy", "kk", "hierarchical")]
+    plans = []
+    for model, at, heuristic, fine_grain in cases:
+        policy = CandidatePolicy(fine_grain=fine_grain, flags=flags)
+        if heuristic == "hierarchical":
+            plan = hierarchical_plan(model, at, CostWeights(), policy)
+        else:
+            plan = plan_4d(model, at, CostWeights(), policy, heuristic=heuristic)
+        plans.append((model, at, plan))
+    return plans
 
 
 VOLUME_BYTES = ("per_worker_send_bytes", "metadata_bytes", "scaleup_bytes")

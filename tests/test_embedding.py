@@ -34,6 +34,7 @@ from neosim.embedding import (
     merge_row_gradients,
     storage_roundtrip,
 )
+from neosim.comms import _slice_table
 from neosim.model import IndexSkew, SkewKind
 
 
@@ -115,6 +116,45 @@ def pooling_cases():
         cases.append((rows(5, dim), np.zeros(4, dtype=np.int64), np.zeros(0, np.int64)))
         cases.append((rows(5, dim), np.zeros(0, dtype=np.int64), np.zeros(0, np.int64)))
     return cases
+
+
+class TestTableMoments:
+    def test_caller_moments_keep_their_checks(self):
+        """A moment a caller passes must be (H,) or (H, D) and >= 0."""
+        values = np.ones((3, 2))
+        for shape in ((2,), (4,), (3, 1), (2, 3), (3, 2, 1), ()):
+            with pytest.raises(InvalidValue, match=r"must be \(H,\) or \(H, D\)"):
+                make_table(values, np.zeros(shape))
+        for negative in (np.array([0.0, -1.0, 0.0]), np.full((3, 2), -0.5)):
+            with pytest.raises(InvalidValue, match="must be >= 0"):
+                make_table(values, negative)
+        for moment in (np.zeros(3), np.full((3, 2), 2.0), [0.0, 1.0, 3]):
+            table = make_table(values, moment)
+            assert table.moment.dtype == np.float64
+            assert table.moment.tolist() == np.asarray(moment, np.float64).tolist()
+        spec = TableSpec(id="t", num_rows=3, dim=1, avg_pooling=1.0)
+        with pytest.raises(InvalidValue, match="must be a 2-D matrix"):
+            EmbeddingTable(spec, np.ones(3))
+
+    @pytest.mark.parametrize("kind", list(OptimizerKind))
+    def test_built_and_sliced_tables_start_from_zero_moments(self, kind):
+        """build_tables and a shard's slice attach fresh zero moments shaped
+        by the optimizer: none for SGD, one per row for row-wise AdaGrad,
+        one per element for AdaGrad."""
+        model = desk_model(
+            [TableSpec(id=f"t{i}", num_rows=5 + i, dim=3, avg_pooling=1.0) for i in range(2)]
+        )
+        cfg = OptimizerConfig(kind, lr=0.1)
+        tables = build_tables(model, cfg, seed=3)
+        pieces = tables + [_slice_table(tables[1], (1, 4), (0, 2), cfg)]
+        for table in pieces:
+            H, D = table.values.shape
+            if kind is OptimizerKind.SGD:
+                assert table.moment is None
+            else:
+                shape = (H,) if kind is OptimizerKind.ROWWISE_ADAGRAD else (H, D)
+                assert table.moment.shape == shape and not table.moment.any()
+        assert pieces[-1].values.tolist() == tables[1].values[1:4, 0:2].tolist()
 
 
 class TestForwardPooled:

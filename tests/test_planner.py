@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import desk_cluster, desk_model, mixed_desk_case
+from conftest import bundled_plans, desk_cluster, desk_model, mixed_desk_case
 
 from neosim import (
     CandidatePolicy,
@@ -1321,28 +1321,11 @@ class TestPlanToJson:
         assert plan_from_json(text) == plan
 
     def test_bundled_plans_match_dict_json_dumps(self):
-        """Every plan kind the benchmark writes, up to 8000 shards: model_a
-        shrunk to fit 1 to 16 nodes under greedy, KK and hierarchical
-        placement; model_f greedy, KK and fine-grained; model_i greedy, KK
-        and hierarchical. Each reads back to an equal plan whose assignments
-        equal the column-built view's."""
+        """Every plan kind the benchmark writes (bundled_plans). Each reads
+        back to an equal plan whose assignments equal the column-built
+        view's."""
         flags = CompressionFlags(table_precision=Precision.FP16, rowwise_optimizer=True)
-        cluster = load_bundled_cluster()
-        cases = []
-        for nodes in (1, 2, 4, 8, 16):
-            at = dataclasses.replace(cluster, num_nodes=nodes)
-            shrunk = shrink_to_fit(load_bundled_model("model_a"), at, flags)
-            cases += [(shrunk, at, h, False) for h in ("greedy", "kk", "hierarchical")]
-        model_f, model_i = load_bundled_model("model_f"), load_bundled_model("model_i")
-        cases += [(model_f, cluster, "greedy", False), (model_f, cluster, "kk", False)]
-        cases += [(model_f, cluster, "greedy", True)]
-        cases += [(model_i, cluster, h, False) for h in ("greedy", "kk", "hierarchical")]
-        for model, at, heuristic, fine_grain in cases:
-            policy = CandidatePolicy(fine_grain=fine_grain, flags=flags)
-            if heuristic == "hierarchical":
-                plan = hierarchical_plan(model, at, CostWeights(), policy)
-            else:
-                plan = plan_4d(model, at, CostWeights(), policy, heuristic=heuristic)
+        for model, at, plan in bundled_plans(flags):
             text = plan_to_json(plan, model, at, flags)
             assert plan_to_json(plan) == dict_plan_to_json(plan)
             assert text == dict_plan_to_json(plan, model, at, flags)

@@ -10,7 +10,13 @@ import re
 import numpy as np
 import pytest
 
-from conftest import assert_volumes_equal, desk_cluster, desk_model, mixed_desk_case
+from conftest import (
+    assert_volumes_equal,
+    bundled_plans,
+    desk_cluster,
+    desk_model,
+    mixed_desk_case,
+)
 
 from neosim import (
     CandidatePolicy,
@@ -39,6 +45,8 @@ from neosim import (
     volume_forward_alltoall,
     volume_gradient_collectives,
 )
+import neosim.planner as planner_module
+from neosim.bundled import load_bundled_cluster, load_bundled_model
 from neosim.cache import effective_row_bandwidth
 from neosim.comms import (
     ACTIVATION_BYTES,
@@ -1092,3 +1100,146 @@ def test_infeasible_messages_name_the_first_worker():
     assert report.tier.tolist() == [0, 2, 0, 2]
     with pytest.raises(Infeasible, match="^infeasible: worker 1 exceeds its memory budget$"):
         component_latencies(model, plan, cluster, flags=CompressionFlags())
+
+
+# ---------------------------------------------------------------------------
+# the report a plan keeps
+
+
+def _other_flags(flags):
+    """flags with the forced table precision switched between FP16 and none."""
+    fp16 = None if flags.table_precision else Precision.FP16
+    return dataclasses.replace(flags, table_precision=fp16)
+
+
+def _assert_kept_report_holds(plan, model, cluster, flags):
+    """The report memory_check keeps for (model, cluster, flags) equals the
+    shard loop and a fresh check of the plan read back from its JSON; equal
+    flags return it, while an equal but distinct model or cluster, or other
+    flags, get a fresh report equal to the shard loop."""
+    kept = memory_check(plan, model, cluster, flags)
+    assert memory_check(plan, model, cluster, flags) is kept
+    assert memory_check(plan, model, cluster, dataclasses.replace(flags)) is kept
+    assert_report_matches(kept, memory_check_loop(plan, model, cluster, flags))
+    loaded = plan_from_json(plan_to_json(plan, model, cluster, flags))
+    assert loaded._memory is None
+    assert_report_matches(kept, memory_check(loaded, model, cluster, flags))
+    for args in (
+        (dataclasses.replace(model), cluster, flags),
+        (model, dataclasses.replace(cluster), flags),
+        (model, cluster, _other_flags(flags)),
+    ):
+        fresh = memory_check(plan, *args)
+        assert fresh is not kept
+        assert_report_matches(fresh, memory_check_loop(plan, *args))
+    assert memory_check(plan, model, cluster, flags) is kept
+    return kept
+
+
+def test_planners_keep_the_report_of_their_plan():
+    """Every bundled plan kind keeps the report its planner computed.
+    Without forced FP16, model_i's FP32 tables take twice the value bytes;
+    model_a's and model_f's tables are FP16 already."""
+    flags = CompressionFlags(table_precision=Precision.FP16, rowwise_optimizer=True)
+    for model, cluster, plan in bundled_plans(flags):
+        kept = plan._memory
+        assert kept[0] is model and kept[1] is cluster and kept[2] is flags
+        assert _assert_kept_report_holds(plan, model, cluster, flags) is kept[3]
+        wider = memory_check(plan, model, cluster, _other_flags(flags))
+        fp32 = all(t.value_precision is Precision.FP32 for t in model.tables)
+        assert np.array_equal(wider.table_bytes, kept[3].table_bytes * (1 + fp32))
+
+
+def test_random_plans_keep_their_first_report():
+    for seed in CASES:
+        model, plan, cluster, flags, _, _ = random_case(seed)
+        assert plan._memory is None
+        _assert_kept_report_holds(plan, model, cluster, flags)
+
+
+def test_kept_report_is_outside_eq_hash_pickle_and_replace():
+    for source in PLAN_SOURCES:
+        model, plan, cluster, flags = _plan(source)
+        kept = memory_check(plan, model, cluster, flags)
+        bare = ShardingPlan(
+            plan.num_workers, plan.gpus_per_node, plan.assignments, plan.heuristic
+        )
+        assert bare._memory is None and bare == plan and hash(bare) == hash(plan)
+        assert repr(bare) == repr(plan)
+        assert pickle.loads(pickle.dumps(plan))._memory is None
+        assert dataclasses.replace(plan)._memory is None
+        assert plan._memory[3] is kept
+
+
+def test_memory_check_refuses_another_layout():
+    """A 128-worker model_i plan checked against 8 nodes (64 workers), or
+    against 32 nodes of 4 GPUs, is refused at `plan` by memory_check,
+    plan_to_json and simulate alike."""
+    model, cluster = load_bundled_model("model_i"), load_bundled_cluster()
+    flags = CompressionFlags(rowwise_optimizer=True)
+    plan = plan_4d(model, cluster, CostWeights(), CandidatePolicy(flags=flags))
+    for other, reason in (
+        (dataclasses.replace(cluster, num_nodes=8), "worker count"),
+        (dataclasses.replace(cluster, num_nodes=32, gpus_per_node=4), "GPUs per node"),
+    ):
+        for call in (
+            lambda: memory_check(plan, model, other, flags),
+            lambda: plan_to_json(plan, model, other, flags),
+            lambda: simulate(model, other, plan, flags=flags),
+        ):
+            with pytest.raises(InvalidValue, match=f"plan and cluster disagree on {reason}") as exc:
+                call()
+            assert exc.value.path == "plan"
+
+
+def _count_evaluations(monkeypatch) -> dict:
+    """Count the memory core's evaluations and the plans built from columns."""
+    calls = {"evaluations": 0, "plans": 0}
+    core = planner_module._memory_report
+    from_columns = ShardingPlan.from_columns.__func__
+
+    def counted_core(*args):
+        calls["evaluations"] += 1
+        return core(*args)
+
+    def counted_from_columns(cls, *args):
+        calls["plans"] += 1
+        return from_columns(cls, *args)
+
+    monkeypatch.setattr(planner_module, "_memory_report", counted_core)
+    monkeypatch.setattr(ShardingPlan, "from_columns", classmethod(counted_from_columns))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name,placement,fp16,evaluations",
+    [
+        ("model_a", "greedy", True, 1),
+        ("model_a", "kk", False, 1),
+        ("model_i", "greedy", False, 1),
+        ("model_i", "kk", True, 1),
+        ("model_i", "hierarchical", True, 1),
+        # four memory-repair retries: one evaluation per placement tried
+        ("model_f", "greedy", False, 5),
+        ("model_f", "greedy", True, 5),
+        ("model_f", "kk", False, 5),
+        ("model_f", "kk", True, 5),
+    ],
+)
+def test_one_evaluation_per_placement(monkeypatch, name, placement, fp16, evaluations):
+    """A plan -> plan_to_json -> simulate -> memory_check cycle evaluates
+    each placement's memory once and builds one plan."""
+    model, cluster = load_bundled_model(name), load_bundled_cluster()
+    flags = CompressionFlags(
+        table_precision=Precision.FP16 if fp16 else None, rowwise_optimizer=True
+    )
+    policy = CandidatePolicy(flags=flags)
+    calls = _count_evaluations(monkeypatch)
+    if placement == "hierarchical":
+        plan = hierarchical_plan(model, cluster, CostWeights(), policy)
+    else:
+        plan = plan_4d(model, cluster, CostWeights(), policy, heuristic=placement)
+    plan_to_json(plan, model, cluster, flags)
+    simulate(model, cluster, plan, flags=flags)
+    assert memory_check(plan, model, cluster, flags).feasible
+    assert calls == {"evaluations": evaluations, "plans": 1}
