@@ -39,6 +39,7 @@ from .model import (
 from .perf import scaling_sweep, simulate
 from .planner import (
     TIERS,
+    _DEFAULT_FLAGS,
     CandidatePolicy,
     CompressionFlags,
     CostWeights,
@@ -305,7 +306,7 @@ def cmd_verify(args) -> int:
             model,
             cluster,
             CostWeights(),
-            CandidatePolicy(flags=CompressionFlags(rowwise_optimizer=True)),
+            CandidatePolicy(flags=_DEFAULT_FLAGS),
         )
     W = plan.num_workers
     cfg = OptimizerConfig(

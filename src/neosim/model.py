@@ -94,8 +94,12 @@ class TableSpec:
 
     @property
     def index_bytes(self) -> int:
-        """Bytes per transmitted row id: int32 where it fits, int64 otherwise."""
-        return 4 if self.num_rows <= 2**31 else 8
+        return _index_bytes(self.num_rows)
+
+
+def _index_bytes(rows):
+    """Bytes per row id of tables of `rows` rows: int32 where it fits, else int64."""
+    return 4 + 4 * (rows > 2**31)
 
 
 def frozen_array(values, dtype) -> np.ndarray:
@@ -116,12 +120,13 @@ class TableColumns(NamedTuple):
 
     @classmethod
     def of(cls, tables) -> "TableColumns":
+        rows = frozen_array([t.num_rows for t in tables], np.int64)
         return cls(
-            rows=frozen_array([t.num_rows for t in tables], np.int64),
+            rows=rows,
             dim=frozen_array([t.dim for t in tables], np.int64),
             pooling=frozen_array([t.avg_pooling for t in tables], np.float64),
             elem_bytes=frozen_array([t.elem_bytes for t in tables], np.int64),
-            index_bytes=frozen_array([t.index_bytes for t in tables], np.int64),
+            index_bytes=frozen_array(_index_bytes(rows), np.int64),
         )
 
 
@@ -192,6 +197,25 @@ class ModelSpec:
         return np.fromiter(
             map(self._table_pos.__getitem__, table_ids), np.int64, len(table_ids)
         )
+
+    def _with_rows(self, rows: np.ndarray) -> "ModelSpec":
+        """This model with rows[i] rows (whole floats >= 1) in table i, checked in
+        bulk as TableSpec checks one; no other check reruns."""
+        past = rows >= 2.0**63
+        if past.any():
+            raise InvalidValue(f"tables[{self.tables[past.argmax()].id}].num_rows", "must be < 2**63")
+        rows = frozen_array(rows, np.int64)
+        tables = tuple(_copy_with(t, num_rows=n) for t, n in zip(self.tables, rows.tolist()))
+        index_bytes = frozen_array(_index_bytes(rows), np.int64)
+        columns = self.table_columns._replace(rows=rows, index_bytes=index_bytes)
+        return _copy_with(self, tables=tables, table_columns=columns)
+
+
+def _copy_with(obj, **changes):
+    """A copy of `obj` with `changes` to its attributes; its checks do not run."""
+    copy = object.__new__(type(obj))
+    vars(copy).update(vars(obj), **changes)
+    return copy
 
 
 def mlp_param_bytes(layers: Iterable[tuple[int, int]]) -> int:

@@ -24,18 +24,19 @@ import numpy as np
 from .cache import effective_row_bandwidth
 from .comms import CollectiveVolume, LENGTH_BYTES, collective_volumes
 from .errors import Infeasible, InvalidValue
-from .model import ClusterSpec, ModelSpec, Precision, TableSpec, mlp_param_bytes
+from .model import ClusterSpec, ModelSpec, Precision, mlp_param_bytes
 from .planner import (
     DP,
     HBM,
     INFEASIBLE,
+    _DEFAULT_FLAGS,
     CandidatePolicy,
     CompressionFlags,
     CostWeights,
     ShardingPlan,
     _check_cluster_layout,
+    _greedy_bins,
     _value_bytes,
-    greedy_partition,
     memory_check,
     plan_4d,
     table_bytes,
@@ -232,7 +233,7 @@ def component_latencies(
     cache_hit_rate: float = 1.0,
     a2a_fwd_precision: Precision = Precision.FP32,
     a2a_bwd_precision: Precision = Precision.FP32,
-    flags: CompressionFlags = CompressionFlags(rowwise_optimizer=True),
+    flags: CompressionFlags = _DEFAULT_FLAGS,
 ) -> ComponentLatencies:
     """Calibrated per-component latencies for one training iteration, at
     TF32 compute (simulate takes the compute precision).
@@ -387,7 +388,7 @@ def simulate(
     compute_precision: Precision = Precision.TF32,
     a2a_fwd_precision: Precision = Precision.FP32,
     a2a_bwd_precision: Precision = Precision.FP32,
-    flags: CompressionFlags = CompressionFlags(rowwise_optimizer=True),
+    flags: CompressionFlags = _DEFAULT_FLAGS,
 ) -> SimulationResult:
     volumes = collective_volumes(plan, model, a2a_fwd_precision, a2a_bwd_precision)
     comps = _component_latencies(
@@ -409,35 +410,37 @@ def shrink_to_fit(
 
     Mirrors the shrunk-model methodology for small node counts: inputs hash
     into the reduced row space, leaving per-iteration access volumes (and so
-    the performance character) unchanged. The straggler estimate balances
-    per-table bytes greedily, with 10% headroom for placement differences.
+    the performance character) unchanged. The heaviest worker is estimated by
+    greedy placement of whole tables by bytes, with 10% headroom: above 0.9 x
+    HBM, table i keeps max(1, floor(H_i * budget / heaviest)) rows.
+
+    The model is returned unpartitioned when S / W + the largest table (S the
+    exact int total of T tables) is within budget / (1 + 4Tu), u = 2**-53:
+    greedy puts each table on a bin no heavier than the mean of all bins
+    before it, so no bin ends above S / W + the largest. The heap's and the
+    compared float sums stray from the exact ones by a factor within 1 +- g,
+    g = Tu / (1 - Tu), and (1 + g)**2 / (1 - g) < 1 + 4Tu for T < 2**40.
     """
     if not model.tables:
         return model
     per_table = table_bytes(model.table_columns, flags)
-    ids = [t.id for t in model.tables]
-    assign = greedy_partition(list(zip(ids, per_table.tolist())), cluster.num_workers)
-    # per-bin sums in table order from 0.0
-    bins = np.bincount(
-        [assign[tid] for tid in ids], weights=per_table, minlength=cluster.num_workers
-    )
-    heaviest = float(bins.max())
+    W, T = cluster.num_workers, len(per_table)
     budget = 0.9 * cluster.hbm_capacity_per_gpu
+    num, den = budget.as_integer_ratio()
+    bound = sum(per_table.tolist()) + W * int(per_table.max())  # W x (S / W + largest)
+    if bound * (2**53 + 4 * T) * den <= W * 2**53 * num:
+        return model
+    # placement order (-bytes, id): positions by id, then a stable sort by bytes
+    by_id = model.table_indices(sorted(model._table_pos))
+    order = by_id[np.argsort(-per_table[by_id], kind="stable")]
+    worker = np.empty(T, np.int64)
+    worker[order] = _greedy_bins(per_table[order].tolist(), W)
+    # per-worker sums in table order from 0.0
+    heaviest = float(np.bincount(worker, weights=per_table, minlength=W).max())
     if heaviest <= budget:
         return model
     factor = budget / heaviest
-    tables = tuple(
-        TableSpec(
-            t.id,
-            max(1, int(t.num_rows * factor)),
-            t.dim,
-            t.avg_pooling,
-            t.value_precision,
-            t.index_skew,
-        )
-        for t in model.tables
-    )
-    return replace(model, tables=tables)
+    return model._with_rows(np.maximum(1.0, np.trunc(model.table_columns.rows * factor)))
 
 
 @dataclass(frozen=True)
@@ -456,9 +459,7 @@ def scaling_sweep(
     cluster_template: ClusterSpec,
     node_counts: Sequence[int],
     weights: CostWeights = CostWeights(),
-    policy: CandidatePolicy = CandidatePolicy(
-        flags=CompressionFlags(rowwise_optimizer=True)
-    ),
+    policy: CandidatePolicy = CandidatePolicy(flags=_DEFAULT_FLAGS),
     heuristic: str = "greedy",
     cache_hit_rate: float = 0.9,
     compute_precision: Precision = Precision.TF32,

@@ -106,6 +106,9 @@ class CompressionFlags:
     rowwise_optimizer: bool = False
 
 
+_DEFAULT_FLAGS = CompressionFlags(rowwise_optimizer=True)  # the CLI's: row-wise state
+
+
 @dataclass(frozen=True)
 class CandidatePolicy:
     dp_threshold_bytes: Optional[int] = None  # None -> HBM capacity / 1000
@@ -772,19 +775,22 @@ def greedy_partition(items: Sequence[tuple], k: int) -> dict:
     """
     _check_partition_input(items, k)
     order = sorted(items, key=lambda it: (-it[1], it[0]))
-    sums = [0.0] * k
-    assign = {}
-    for i, (item_id, cost) in enumerate(order[:k]):
-        assign[item_id] = i
-        sums[i] += cost
+    return dict(zip(map(itemgetter(0), order), _greedy_bins(list(map(itemgetter(1), order)), k)))
+
+
+def _greedy_bins(costs: list, k: int) -> list[int]:
+    """greedy_partition over costs already in placement order: the bin of
+    each item. Bin sums are floats from 0.0."""
+    bins = list(range(min(k, len(costs))))
     # (sum, bin) pairs: the heap top is the lightest bin, ties the lowest index
-    heap = [(total, j) for j, total in enumerate(sums)]
+    heap = [(0.0 + cost, j) for j, cost in zip(bins, costs)]
+    heap += [(0.0, j) for j in range(len(bins), k)]
     heapq.heapify(heap)
-    for item_id, cost in order[k:]:
+    for cost in costs[k:]:
         total, bin_idx = heap[0]
-        assign[item_id] = bin_idx
+        bins.append(bin_idx)
         heapq.heapreplace(heap, (total + cost, bin_idx))
-    return assign
+    return bins
 
 
 def karmarkar_karp_partition(items: Sequence[tuple], k: int) -> dict:
@@ -1503,7 +1509,7 @@ def plan_to_json(
     plan: ShardingPlan,
     model: Optional[ModelSpec] = None,
     cluster: Optional[ClusterSpec] = None,
-    flags: CompressionFlags = CompressionFlags(),
+    flags: CompressionFlags = _DEFAULT_FLAGS,
 ) -> str:
     """The plan document, plus a per-worker memory summary (`workers`) when
     both the model and the cluster are given.

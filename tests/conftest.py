@@ -1,4 +1,5 @@
 import dataclasses
+import heapq
 import struct
 from typing import IO
 
@@ -137,6 +138,26 @@ def bundled_plans(flags):
             plan = plan_4d(model, at, CostWeights(), policy, heuristic=heuristic)
         plans.append((model, at, plan))
     return plans
+
+
+def list_greedy_partition(items, k):
+    """greedy_partition as it was before it ran on a positional core: the
+    (id, cost) items sorted by (-cost, id), one heap of (float sum, bin), an
+    {id: bin} dict filled in placement order. The oracle for its bins and
+    their order."""
+    order = sorted(items, key=lambda it: (-it[1], it[0]))
+    sums = [0.0] * k
+    assign = {}
+    for i, (item_id, cost) in enumerate(order[:k]):
+        assign[item_id] = i
+        sums[i] += cost
+    heap = [(total, j) for j, total in enumerate(sums)]
+    heapq.heapify(heap)
+    for item_id, cost in order[k:]:
+        total, bin_idx = heap[0]
+        assign[item_id] = bin_idx
+        heapq.heapreplace(heap, (total + cost, bin_idx))
+    return assign
 
 
 VOLUME_BYTES = ("per_worker_send_bytes", "metadata_bytes", "scaleup_bytes")

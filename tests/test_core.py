@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+from conftest import desk_model
+
 from neosim import (
     CombinedBatch,
     IndexSkew,
@@ -55,6 +57,10 @@ class TestTableSpec:
         big = TableSpec(id="b", num_rows=2**31 + 1, dim=4, avg_pooling=1.0)
         assert small.index_bytes == 4
         assert big.index_bytes == 8
+        edge = TableSpec(id="e", num_rows=2**31, dim=4, avg_pooling=1.0)
+        assert edge.index_bytes == 4 and type(big.index_bytes) is int
+        widths = desk_model([small, edge, big]).table_columns.index_bytes
+        assert widths.tolist() == [4, 4, 8] and widths.dtype == np.int64
 
 
 class TestParseModelSpec:

@@ -3,11 +3,13 @@
 import dataclasses
 import json
 import math
+import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import desk_cluster, desk_model
+from conftest import desk_cluster, desk_model, list_greedy_partition
 
 from neosim import (
     CandidatePolicy,
@@ -28,8 +30,12 @@ from neosim import (
     scaling_sweep,
     simulate,
 )
+import neosim.perf as perf_module
+import neosim.planner as planner_module
 from neosim.bundled import load_bundled_cluster, load_bundled_model
+from neosim.model import INT64_MAX, TableColumns
 from neosim.perf import exposed_breakdown, shrink_to_fit
+from neosim.planner import greedy_partition, table_bytes
 
 MIB = 2**20
 
@@ -479,6 +485,215 @@ class TestScalingSweep:
         assert all(
             s.num_rows <= t.num_rows for s, t in zip(shrunk.tables, model.tables)
         )
+
+
+def shrink_to_fit_oracle(model, cluster, flags):
+    """shrink_to_fit as it was before it worked on the table columns: the
+    list greedy over (id, bytes) items, per-worker float sums in table
+    order, and one checked TableSpec per table in a replaced model."""
+    if not model.tables:
+        return model
+    per_table = table_bytes(model.table_columns, flags)
+    ids = [t.id for t in model.tables]
+    assign = list_greedy_partition(list(zip(ids, per_table.tolist())), cluster.num_workers)
+    bins = np.bincount(
+        [assign[tid] for tid in ids], weights=per_table, minlength=cluster.num_workers
+    )
+    heaviest = float(bins.max())
+    budget = 0.9 * cluster.hbm_capacity_per_gpu
+    if heaviest <= budget:
+        return model
+    factor = budget / heaviest
+    tables = tuple(
+        TableSpec(
+            t.id,
+            max(1, int(t.num_rows * factor)),
+            t.dim,
+            t.avg_pooling,
+            t.value_precision,
+            t.index_skew,
+        )
+        for t in model.tables
+    )
+    return dataclasses.replace(model, tables=tables)
+
+
+def shrink_outcome(shrink, model, cluster, flags):
+    """The shrunk model, or the (type, path, message) of what it raised."""
+    try:
+        return shrink(model, cluster, flags)
+    except InvalidValue as exc:
+        return type(exc), exc.path, str(exc)
+
+
+def assert_same_shrink(model, cluster, flags):
+    """shrink_to_fit's outcome equals the oracle's: the same error, or the
+    same model object when nothing shrinks, or an equal model whose hash,
+    repr, `_table_pos` and every read-only table column (values, dtype)
+    match, before and after a pickle round trip; a shrunk model shares
+    `_table_pos` with the original, and its index widths follow the int32
+    rule table by table. Returns the outcome."""
+    got = shrink_outcome(shrink_to_fit, model, cluster, flags)
+    want = shrink_outcome(shrink_to_fit_oracle, model, cluster, flags)
+    if isinstance(want, tuple):
+        assert got == want
+        return got
+    assert (got is model) == (want is model)
+    # compared as flags: pytest's diff of two reprs of 1000 tables takes minutes
+    assert [t.num_rows for t in got.tables] == [t.num_rows for t in want.tables]
+    same = got._table_pos == want._table_pos and repr(got) == repr(want)
+    assert same and got._table_pos is model._table_pos
+    assert all(type(t.num_rows) is int for t in got.tables)
+    widths = [4 if t.num_rows <= 2**31 else 8 for t in got.tables]
+    assert got.table_columns.index_bytes.tolist() == widths
+    for copy in (got, pickle.loads(pickle.dumps(got))):
+        same = copy == want and hash(copy) == hash(want)
+        assert same
+        for name, a, b in zip(TableColumns._fields, copy.table_columns, want.table_columns):
+            assert a.dtype == b.dtype and not a.flags.writeable, name
+            assert np.array_equal(a, b), name
+    return got
+
+
+ALL_FLAGS = [
+    CompressionFlags(table_precision, rowwise)
+    for table_precision in (None, Precision.FP16)
+    for rowwise in (False, True)
+]
+
+
+class TestShrinkToFit:
+    @pytest.mark.parametrize("name", ["model_a", "model_f", "model_i"])
+    def test_bundled_models_match_oracle(self, name):
+        model, cluster = load_bundled_model(name), load_bundled_cluster()
+        for nodes in (1, 2, 4, 8, 16):
+            at = dataclasses.replace(cluster, num_nodes=nodes)
+            for flags in ALL_FLAGS:
+                assert_same_shrink(model, at, flags)
+
+    def test_random_models_match_oracle(self):
+        """Seeded models of tie-heavy tables, with ids that differ only by
+        trailing NULs, rows that straddle 2**31, pass 2**53 or sit next to
+        INT64_MAX, at budgets drawn at random and next to the skip bound and
+        the greedy heaviest worker. The last 200 models hold 3 to 11 tables
+        of rows past 2**52 on 2 or 3 workers, where the float sum of a
+        worker's bytes rounds and so depends on which of two tables of equal
+        bytes the tie rule placed there."""
+        rng = np.random.default_rng(2024)
+        regimes = [
+            lambda: int(rng.integers(1, 5000)),
+            lambda: int(rng.integers(2**31 - 64, 2**31 + 2**30)),
+            lambda: int(rng.integers(2**53, 2**56)) | 1,
+            lambda: INT64_MAX - int(rng.integers(0, 1024)),
+            lambda: int(rng.integers(2**52, 2**55)) | 1,
+        ]
+        seen = dict.fromkeys(("raised", "kept", "shrunk", "int32", "past_2**53"), 0)
+        for case in range(320):
+            if case < 120:
+                T, W = int(rng.integers(1, 40)), int(rng.choice([1, 2, 3, 4, 8, 16]))
+                kinds = rng.choice(4, 3, p=[0.4, 0.3, 0.28, 0.02])
+            else:
+                T, W, kinds = int(rng.integers(3, 12)), int(rng.integers(2, 4)), [4] * 3
+            palette = [regimes[r]() for r in kinds]
+            names = [f"t{j}" for j in range(T)] + ["a" + "\x00" * j for j in range(T)]
+            ids = [names[i] for i in rng.choice(len(names), T, replace=False)]  # no U array
+            tables = [
+                TableSpec(
+                    tid,
+                    palette[int(rng.integers(3))],
+                    int(rng.choice([1, 2, 3, 4, 8])),
+                    1.0,
+                    [Precision.FP32, Precision.FP16][int(rng.integers(2))],
+                )
+                for tid in ids
+            ]
+            model = desk_model(tables)
+            flags = ALL_FLAGS[case % 4]
+            try:
+                per_table = table_bytes(model.table_columns, flags).tolist()
+            except InvalidValue:
+                seen["raised"] += 1
+                assert_same_shrink(model, desk_cluster(W), flags)
+                continue
+            total, largest = sum(per_table), max(per_table)
+            assign = list_greedy_partition(list(zip(ids, per_table)), W)
+            workers = [assign[tid] for tid in ids]
+            heaviest = float(np.bincount(workers, weights=np.array(per_table, float)).max())
+            hbms = [int(total / W / 0.9 * rng.uniform(0.3, 2.5)) + 1]
+            for near in ((total + W * largest) / W, heaviest):
+                hbms += [max(1, math.ceil(near / 0.9) + d) for d in (-1, 0, 1, 2)]
+            for hbm in hbms:
+                got = assert_same_shrink(model, desk_cluster(W, hbm=hbm), flags)
+                seen["kept" if got is model else "shrunk"] += 1
+                pairs = list(zip(model.tables, got.tables))
+                seen["int32"] += any(t.index_bytes > s.index_bytes for t, s in pairs)
+                seen["past_2**53"] += any(2**53 < s.num_rows < t.num_rows for t, s in pairs)
+        assert min(seen.values()) > 0, seen
+
+    def test_rows_past_int64_raise_as_table_spec_does(self):
+        """A row count that rounds to 2**63 at factor 1.0 (the parent's
+        max(1, int(H * factor)) rule) raises TableSpec's error in bulk."""
+        big = [TableSpec("a", 7, 2, 1.0), TableSpec("b", INT64_MAX - 100, 1, 1.0)]
+        model = desk_model(big)
+        with pytest.raises(InvalidValue) as want:
+            [TableSpec(t.id, max(1, int(t.num_rows * 1.0)), t.dim, 1.0) for t in big]
+        with pytest.raises(InvalidValue) as got:
+            model._with_rows(np.maximum(1.0, np.trunc(model.table_columns.rows * 1.0)))
+        assert (got.value.path, str(got.value)) == (want.value.path, str(want.value))
+        assert got.value.path == "tables[b].num_rows"
+
+    def test_greedy_never_passes_the_skip_bound(self):
+        """Over seeded ints, floats, heavy ties and zeros at k = 1 to 130, the
+        heaviest greedy bin, summed as floats in item order, stays within
+        (S / k + largest) x (1 + 4n / 2**53): the bound shrink_to_fit skips
+        partitioning on."""
+        rng = np.random.default_rng(90)
+        for case in range(400):
+            n, k = int(rng.integers(1, 300)), int(rng.integers(1, 131))
+            kind = case % 4
+            if kind == 0:
+                costs = rng.integers(0, 10 ** int(rng.integers(1, 18)), n).tolist()
+            elif kind == 1:
+                costs = (rng.random(n) * 10 ** rng.uniform(0, 15)).tolist()
+            elif kind == 2:
+                costs = [[0, 1, 3, 2**53 + 1, 2**60 + 7][i] for i in rng.integers(5, size=n)]
+            else:
+                costs = [0] * n
+                costs[int(rng.integers(n))] = int(rng.integers(1, 100))
+            assign = greedy_partition(list(enumerate(costs)), k)
+            weights = np.asarray(costs)
+            bins = [assign[i] for i in range(n)]
+            heaviest = np.bincount(bins, weights=weights, minlength=k).max()
+            exact = sum(map(Fraction, costs)) / k + max(map(Fraction, costs))
+            assert Fraction(float(heaviest)) <= exact * Fraction(2**53 + 4 * n, 2**53)
+
+    @pytest.mark.parametrize("table_precision", [None, Precision.FP16])
+    def test_model_a_fits_without_partition(self, monkeypatch, table_precision):
+        """model_a at 8 and 16 nodes under row-wise state fits by the bound
+        alone: shrink_to_fit returns it as is and partitions nothing (at 4
+        nodes it partitions once)."""
+        calls = []
+
+        def count(module, name):
+            function = getattr(module, name)
+
+            def counted(*args):
+                calls.append(f"{module.__name__}.{name}")
+                return function(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(perf_module, "_greedy_bins")
+        for name in ("_greedy_bins", "greedy_partition", "karmarkar_karp_partition"):
+            count(planner_module, name)
+        model, cluster = load_bundled_model("model_a"), load_bundled_cluster()
+        flags = CompressionFlags(table_precision, rowwise_optimizer=True)
+        for nodes in (8, 16):
+            at = dataclasses.replace(cluster, num_nodes=nodes)
+            assert shrink_to_fit(model, at, flags) is model
+        assert calls == []
+        shrunk = shrink_to_fit(model, dataclasses.replace(cluster, num_nodes=4), flags)
+        assert shrunk is not model and calls == ["neosim.perf._greedy_bins"]
 
 
 def iteration_times_oracle(c: ComponentLatencies) -> tuple[float, float, float]:

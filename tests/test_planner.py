@@ -2,6 +2,7 @@
 
 import dataclasses
 import heapq
+import inspect
 import itertools
 import json
 import math
@@ -11,7 +12,13 @@ import re
 import numpy as np
 import pytest
 
-from conftest import bundled_plans, desk_cluster, desk_model, mixed_desk_case
+from conftest import (
+    bundled_plans,
+    desk_cluster,
+    desk_model,
+    list_greedy_partition,
+    mixed_desk_case,
+)
 
 from neosim import (
     CandidatePolicy,
@@ -44,7 +51,7 @@ from neosim import (
 import neosim.planner as planner_module
 from neosim.bundled import load_bundled_cluster, load_bundled_model
 from neosim.comms import volume_gradient_collectives
-from neosim.perf import shrink_to_fit
+from neosim.perf import component_latencies, scaling_sweep, shrink_to_fit, simulate
 from neosim.planner import (
     CW,
     DP,
@@ -324,6 +331,27 @@ class TestGreedyPartition:
             palette = [0, 0.5, 1, 1, 2, 3, float(rng.random())]
             items = [(f"i{j:02d}", palette[int(rng.integers(len(palette)))]) for j in range(n)]
             assert greedy_partition(items, k) == min_rule(items, k)
+
+    def test_matches_list_oracle(self):
+        """Seeded tie-heavy items (ints past 2**53, floats, zeros, -0.0) over
+        k = 1 to 130, with ids from "a", "b" and NUL that differ only by
+        trailing NULs and sometimes repeat: the list version's bins, in its
+        dict order."""
+        cases = [[("a", 1), ("a\x00", 1)], [("a\x00", 1), ("a", 1.0), ("a\x00\x00", 1)]]
+        rng = np.random.default_rng(24)
+        palette = [0, 0.0, -0.0, 1, 1.0, 2, 2.5, 7, 2**53, 2**53 + 1, 2**60 + 3]
+        for _ in range(400):
+            n = int(rng.integers(0, 200))
+            # characters by index: a numpy U array would drop trailing NULs
+            chars = [rng.integers(3, size=int(rng.integers(1, 4))) for _ in range(n)]
+            ids = ["".join("ab\x00"[c] for c in word) for word in chars]
+            costs = [palette[i] for i in rng.integers(len(palette), size=n)]
+            cases.append(list(zip(ids, costs)))
+        for i, items in enumerate(cases):
+            for k in (1, 2, 3, int(rng.integers(1, 131))) if i > 1 else (1, 2):
+                got = greedy_partition(items, k)
+                assert list(got.items()) == list(list_greedy_partition(items, k).items())
+        assert greedy_partition(cases[0], 2) == {"a": 0, "a\x00": 1}
 
 
 @pytest.mark.parametrize("partition", [greedy_partition, karmarkar_karp_partition])
@@ -1141,7 +1169,9 @@ class TestPlanValidation:
         validate_plan(loaded, model)
 
 
-def dict_plan_to_json(plan, model=None, cluster=None, flags=CompressionFlags()):
+def dict_plan_to_json(
+    plan, model=None, cluster=None, flags=CompressionFlags(rowwise_optimizer=True)
+):
     """The plan document built as dicts and encoded by json.dumps(indent=2,
     sort_keys=True), as plan_to_json did before it wrote the text directly:
     the oracle for its bytes."""
@@ -1290,6 +1320,24 @@ class TestPlanToJson:
             assert plan_from_json(text) == plan
             tiers.update(w["tier"] for w in json.loads(text)["workers"])
         assert tiers == {"hbm", "hbm+dram", "infeasible"}
+
+    def test_default_flags_are_simulates(self):
+        """Without flags, plan_to_json's `workers` block is memory_check's
+        under the flags simulate assumes, row-wise optimizer state: on
+        model_a's 16-node greedy plan the element-wise state differs."""
+        flags = inspect.signature(simulate).parameters["flags"].default
+        assert flags == CompressionFlags(rowwise_optimizer=True)
+        for function in (plan_to_json, component_latencies):
+            assert inspect.signature(function).parameters["flags"].default is flags
+        assert inspect.signature(scaling_sweep).parameters["policy"].default.flags is flags
+        model, cluster = load_bundled_model("model_a"), load_bundled_cluster()
+        plan = plan_4d(model, cluster, CostWeights(), CandidatePolicy(flags=flags))
+        doc = json.loads(plan_to_json(plan, model, cluster))
+        report = memory_check(plan, model, cluster, flags)
+        assert [w["total_bytes"] for w in doc["workers"]] == report.totals.tolist()
+        assert doc == json.loads(dict_plan_to_json(plan, model, cluster, flags))
+        elementwise = memory_check(plan, model, cluster, CompressionFlags())
+        assert elementwise.totals.tolist() != report.totals.tolist()
 
     def test_empty_plans(self):
         model, cluster = desk_model(()), desk_cluster(2)
