@@ -39,7 +39,6 @@ from .model import (
 from .perf import scaling_sweep, simulate
 from .planner import (
     TIERS,
-    _DEFAULT_FLAGS,
     CandidatePolicy,
     CompressionFlags,
     CostWeights,
@@ -306,7 +305,7 @@ def cmd_verify(args) -> int:
             model,
             cluster,
             CostWeights(),
-            CandidatePolicy(flags=_DEFAULT_FLAGS),
+            CandidatePolicy(),
         )
     W = plan.num_workers
     cfg = OptimizerConfig(

@@ -133,7 +133,17 @@ class TableColumns(NamedTuple):
 @dataclass(frozen=True)
 class ModelSpec:
     """One recommendation model: embedding tables plus dense MLP/interaction
-    shapes and the per-worker batch size."""
+    shapes and the per-worker batch size.
+
+    A model shrunk by _with_rows holds its rows in `table_columns` and
+    builds `tables` on first access, from the TableSpecs of the model it
+    was shrunk from. Shrinking, planning, plan_to_json, simulate,
+    validate_plan and memory_check read only the ids and the columns, so a
+    shrunk model that is planned and simulated builds no TableSpec.
+    Equality, hash, repr, pickling and dataclasses.replace read `tables`,
+    so they behave the same for a shrunk model and one built from
+    TableSpecs.
+    """
 
     tables: tuple[TableSpec, ...]
     bottom_mlp_layers: tuple[tuple[int, int], ...]
@@ -142,10 +152,16 @@ class ModelSpec:
     mflops_per_sample: float
     interaction_flops_per_sample: float
     dense_param_bytes: int
-    # table id -> position in `tables`, and the per-table arrays; derived,
-    # so outside eq/hash/repr
+    # table id -> position in `tables`, the ids in that order, the positions
+    # in str order of their ids, and the per-table arrays; derived, so
+    # outside eq/hash/repr
     _table_pos: dict[str, int] = field(init=False, repr=False, compare=False)
+    _ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _id_order: np.ndarray = field(init=False, repr=False, compare=False)
     table_columns: TableColumns = field(init=False, repr=False, compare=False)
+    # the model whose TableSpecs a shrunk model's `tables` copy; a class
+    # attribute, not a field
+    _source = None
 
     def __post_init__(self):
         if self.local_batch < 1:
@@ -154,10 +170,15 @@ class ModelSpec:
             raise InvalidValue("mflops_per_sample", "must be >= 0")
         if self.interaction_flops_per_sample < 0:
             raise InvalidValue("interaction_flops_per_sample", "must be >= 0")
-        pos = {t.id: i for i, t in enumerate(self.tables)}
-        if len(pos) != len(self.tables):
+        ids = tuple(t.id for t in self.tables)
+        pos = dict(zip(ids, range(len(ids))))
+        if len(pos) != len(ids):
             raise InvalidValue("tables", "duplicate table ids")
         object.__setattr__(self, "_table_pos", pos)
+        object.__setattr__(self, "_ids", ids)
+        # sorted as Python strs: a numpy str array would drop trailing NULs
+        by_id = frozen_array(list(map(pos.__getitem__, sorted(pos))), np.int64)
+        object.__setattr__(self, "_id_order", by_id)
         object.__setattr__(self, "table_columns", TableColumns.of(self.tables))
         layers = self.bottom_mlp_layers + self.top_mlp_layers
         if layers:
@@ -168,9 +189,20 @@ class ModelSpec:
                     f"must equal MLP parameter bytes {expected} when layers are given",
                 )
 
+    def __getattr__(self, name):
+        # reached only for what is not set yet: a shrunk model's tables
+        if name != "tables" or self._source is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        rows = self.table_columns.rows.tolist()
+        value = tuple(_copy_with(t, num_rows=n) for t, n in zip(self._source.tables, rows))
+        object.__setattr__(self, name, value)
+        return value
+
     @property
     def num_tables(self) -> int:
-        return len(self.tables)
+        return len(self.table_columns.rows)
 
     @property
     def total_table_params(self) -> int:
@@ -200,15 +232,19 @@ class ModelSpec:
 
     def _with_rows(self, rows: np.ndarray) -> "ModelSpec":
         """This model with rows[i] rows (whole floats >= 1) in table i, checked in
-        bulk as TableSpec checks one; no other check reruns."""
+        bulk as TableSpec checks one; no other check reruns. Only the rows
+        and index widths are new: the ids, id order and other columns are
+        shared, and `tables` is built on first access (see ModelSpec)."""
         past = rows >= 2.0**63
         if past.any():
-            raise InvalidValue(f"tables[{self.tables[past.argmax()].id}].num_rows", "must be < 2**63")
+            raise InvalidValue(f"tables[{self._ids[past.argmax()]}].num_rows", "must be < 2**63")
         rows = frozen_array(rows, np.int64)
-        tables = tuple(_copy_with(t, num_rows=n) for t, n in zip(self.tables, rows.tolist()))
         index_bytes = frozen_array(_index_bytes(rows), np.int64)
         columns = self.table_columns._replace(rows=rows, index_bytes=index_bytes)
-        return _copy_with(self, tables=tables, table_columns=columns)
+        source = self if self._source is None else self._source
+        shrunk = _copy_with(self, table_columns=columns, _source=source)
+        vars(shrunk).pop("tables", None)
+        return shrunk
 
 
 def _copy_with(obj, **changes):

@@ -421,7 +421,7 @@ def shrink_to_fit(
     compared float sums stray from the exact ones by a factor within 1 +- g,
     g = Tu / (1 - Tu), and (1 + g)**2 / (1 - g) < 1 + 4Tu for T < 2**40.
     """
-    if not model.tables:
+    if not model.num_tables:
         return model
     per_table = table_bytes(model.table_columns, flags)
     W, T = cluster.num_workers, len(per_table)
@@ -431,7 +431,7 @@ def shrink_to_fit(
     if bound * (2**53 + 4 * T) * den <= W * 2**53 * num:
         return model
     # placement order (-bytes, id): positions by id, then a stable sort by bytes
-    by_id = model.table_indices(sorted(model._table_pos))
+    by_id = model._id_order
     order = by_id[np.argsort(-per_table[by_id], kind="stable")]
     worker = np.empty(T, np.int64)
     worker[order] = _greedy_bins(per_table[order].tolist(), W)
@@ -459,7 +459,7 @@ def scaling_sweep(
     cluster_template: ClusterSpec,
     node_counts: Sequence[int],
     weights: CostWeights = CostWeights(),
-    policy: CandidatePolicy = CandidatePolicy(flags=_DEFAULT_FLAGS),
+    policy: CandidatePolicy = CandidatePolicy(),
     heuristic: str = "greedy",
     cache_hit_rate: float = 0.9,
     compute_precision: Precision = Precision.TF32,

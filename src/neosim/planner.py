@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add, is_, is_not, itemgetter, neg
 from typing import NamedTuple, Optional, Sequence
@@ -113,7 +114,7 @@ _DEFAULT_FLAGS = CompressionFlags(rowwise_optimizer=True)  # the CLI's: row-wise
 class CandidatePolicy:
     dp_threshold_bytes: Optional[int] = None  # None -> HBM capacity / 1000
     fine_grain: bool = False
-    flags: CompressionFlags = field(default_factory=CompressionFlags)
+    flags: CompressionFlags = _DEFAULT_FLAGS
 
 
 @dataclass(frozen=True)
@@ -604,15 +605,15 @@ def _cluster_bytes(cluster: ClusterSpec):
     )
 
 
-def _enumerate(tc: TableColumns, tables: Sequence[TableSpec], cluster, policy):
+def _enumerate(tc: TableColumns, ids: Sequence[str], cluster, policy):
     """Every table's feasible schemes as rows (see CandidateColumns):
     (table, kind, num_shards, width, storage, start).
 
     Data parallelism is offered only below the policy's size threshold;
     row/column sharding only when the table cannot fit one device or the
-    policy asks for finer grain. Raises NoFeasibleScheme for the first table
-    in `tables` that needs more than the whole cluster or that no scheme
-    places, the former checked first.
+    policy asks for finer grain. Raises NoFeasibleScheme, naming its id from
+    `ids`, for the first table in model order that needs more than the
+    whole cluster or that no scheme places, the former checked first.
     """
     flags = policy.flags
     H, D = tc.rows, tc.dim
@@ -652,10 +653,10 @@ def _enumerate(tc: TableColumns, tables: Sequence[TableSpec], cluster, policy):
         t = int(unplaced.argmax())
         if too_big[t]:
             raise NoFeasibleScheme(
-                f"table {tables[t].id} needs {int(full[t])} bytes, "
+                f"table {ids[t]} needs {int(full[t])} bytes, "
                 f"cluster has {cluster_total}"
             )
-        raise NoFeasibleScheme(f"no scheme places table {tables[t].id} on this cluster")
+        raise NoFeasibleScheme(f"no scheme places table {ids[t]} on this cluster")
     table, slot = np.nonzero(offered)
     n = len(counts)
     kind = np.array([TW, *[RW] * n, *[CW] * n, DP], np.int8)[slot]
@@ -698,7 +699,7 @@ class CandidateColumns(NamedTuple):
         the first table in model order that has none (see _enumerate)."""
         tc = model.table_columns
         table, kind, num_shards, width, storage, start = _enumerate(
-            tc, model.tables, cluster, policy
+            tc, model._ids, cluster, policy
         )
         global_batch = model.local_batch * cluster.num_workers
         costs = _shard_costs(tc, table, kind, num_shards, width, cluster, global_batch)
@@ -753,18 +754,24 @@ def _is_finite(cost) -> bool:
 
 
 def _check_partition_input(items: Sequence[tuple], k: int) -> None:
-    """k must be an int (not a bool) >= 1 and every cost finite: NaN has no
-    order, so no assignment is defined for it."""
+    """k must be an int (not a bool) >= 1 and every cost finite (see
+    _check_costs)."""
     if isinstance(k, bool) or not isinstance(k, int):
         raise InvalidValue("k", "expected an integer")
     if k < 1:
         raise InvalidValue("k", "must be >= 1")
+    _check_costs(list(map(itemgetter(1), items)))
+
+
+def _check_costs(costs: list) -> None:
+    """Every item's cost must be finite: NaN has no order, so no assignment
+    is defined for it. The error names the first such item, items[i]."""
     try:
-        finite = all(map(math.isfinite, map(itemgetter(1), items)))
+        finite = all(map(math.isfinite, costs))
     except OverflowError:
         finite = False
     if not finite:
-        i = next(i for i, (_, cost) in enumerate(items) if not _is_finite(cost))
+        i = next(i for i, cost in enumerate(costs) if not _is_finite(cost))
         raise InvalidValue(f"items[{i}]", "expected a finite cost")
 
 
@@ -794,11 +801,33 @@ def _greedy_bins(costs: list, k: int) -> list[int]:
 
 
 def karmarkar_karp_partition(items: Sequence[tuple], k: int) -> dict:
-    """k-way largest differencing method with full partition reconstruction.
+    """k-way largest differencing method with full partition reconstruction:
+    {item id: bin}.
+
+    The items, ranked by id (an item's seq is its rank), are partitioned by
+    _kk_bins, which describes the merges. The result lists the items bin by
+    bin, each bin's items in the order of concatenating A's items before
+    B's at each merge. k=1 puts every item in bin 0, in the given order;
+    k=2 is the classic LDM. Raises InvalidValue for a k that is not an int
+    >= 1 and for a non-finite cost.
+    """
+    _check_partition_input(items, k)
+    if k == 1:
+        return {item_id: 0 for item_id, _ in items}
+    by_id = sorted(items, key=itemgetter(0))
+    seqs, bins = _kk_bins(list(map(itemgetter(1), by_id)), k)
+    return dict(zip([by_id[seq][0] for seq in seqs], bins))
+
+
+def _kk_bins(raw: list, k: int) -> tuple[list[int], list[int]]:
+    """karmarkar_karp_partition over the costs of items already in seq
+    order (item seq costs raw[seq]; k >= 1, every cost finite): the seqs in
+    the order the merge trees flatten, bin by bin and each left-first, and
+    the bin of each.
 
     Each entry is a vector of k bins, sums in descending order, keyed by
     (-spread, smallest contained seq), where spread is max sum - min sum
-    and seq is an item's rank by id. A merge takes the two smallest keys,
+    and seq is an item's position in raw. A merge takes the two smallest keys,
     pairs slot i of A with slot k-1-i of B and sorts the k merged bins by a
     stable descending sort on sum, so equal sums keep their slot order.
 
@@ -831,21 +860,17 @@ def karmarkar_karp_partition(items: Sequence[tuple], k: int) -> dict:
     is appended in one slice and E is pushed once.
 
     A bin's items are a merge tree, never a copied list: one shared empty
-    list (no items), an item id, or a two-element list [left, right]. Lists
-    are unhashable, so no item id, None and tuples included, can be
-    mistaken for a node. The trees are flattened left-first at the end,
-    which gives every item the bin, and the result the insertion order, of
-    concatenating A's items before B's at each merge. k=2 is the classic
-    LDM. Raises InvalidValue for a k that is not an int >= 1 and for a
-    non-finite cost.
+    list (no items), an item's seq, or a two-element list [left, right].
+    The trees are flattened left-first at the end, which gives every item
+    the bin, and the result the insertion order, of concatenating A's items
+    before B's at each merge. Keys compare the raw costs, so ints beyond
+    2**53 order exactly; only the bin sums are floats.
     """
-    _check_partition_input(items, k)
     if k == 1:
-        return {item_id: 0 for item_id, _ in items}
-    by_id = sorted(items, key=itemgetter(0))
-    keys = sorted((-cost, seq) for seq, (_, cost) in enumerate(by_id))
-    ids = [by_id[seq][0] for _, seq in keys]
-    costs = [float(by_id[seq][1]) for _, seq in keys]
+        return list(range(len(raw))), [0] * len(raw)
+    keys = sorted(zip(map(neg, raw), count()))
+    ids = list(map(itemgetter(1), keys))  # the queue's items, each a tree leaf
+    costs = list(map(float, map(raw.__getitem__, ids)))
     n = len(keys)
     positive = bisect_left(keys, (0,))  # the queue items of cost > 0
     q = 0  # the queue head
@@ -920,17 +945,19 @@ def karmarkar_karp_partition(items: Sequence[tuple], k: int) -> dict:
             q = end
         spread = sums[0] - sums[-1] if len(sums) == k else sums[0]
         heapq.heappush(heap, (-spread, seq, sums, trees))
-    assign = {}
+    seqs, bins = [], []
     # without a merge, ids holds the one item or none
     for bin_idx, root in enumerate(heap[0][3] if heap else ids):
         stack = [root]
+        held = len(seqs)
         while stack:
             node = stack.pop()
             if type(node) is not list:
-                assign[node] = bin_idx
+                seqs.append(node)
             elif node:
                 stack += node[1], node[0]
-    return assign
+        bins += [bin_idx] * (len(seqs) - held)
+    return seqs, bins
 
 
 HEURISTICS = {"greedy": greedy_partition, "kk": karmarkar_karp_partition}
@@ -985,9 +1012,7 @@ def candidate_costs(
     )
     rows = list(zip(schemes, costs))
     start = cands.start.tolist()
-    return {
-        t.id: rows[start[i] : start[i + 1]] for i, t in enumerate(model.tables)
-    }
+    return {tid: rows[start[i] : start[i + 1]] for i, tid in enumerate(model._ids)}
 
 
 # ---------------------------------------------------------------------------
@@ -1148,7 +1173,7 @@ class _Placement(NamedTuple):
         model, cluster, _ = self.key
         W = cluster.num_workers
         columns = ShardColumns.build(
-            tuple(t.id for t in model.tables),
+            model._ids,
             tuple(schemes),
             self.kind,
             tags,
@@ -1237,7 +1262,7 @@ def plan_4d(
     if heuristic not in HEURISTICS:
         raise InvalidValue("heuristic", f"unknown heuristic {heuristic!r}")
     W = cluster.num_workers
-    if not model.tables:
+    if not model.num_tables:
         return ShardingPlan(W, cluster.gpus_per_node, (), heuristic)
     total_bytes = sum(table_bytes(model.table_columns, policy.flags).tolist())
     cluster_total = _cluster_bytes(cluster)
@@ -1275,7 +1300,7 @@ def plan_4d(
             finer = (i for i in range(j + 1, start[t + 1]) if shards[i] > shards[j])
             nxt = next(finer, None)
             if nxt is not None:
-                key = (-storage[j], model.tables[t].id, t, nxt)
+                key = (-storage[j], model._ids[t], t, nxt)
                 move = key if move is None else min(move, key)
         if move is None:
             break
@@ -1306,21 +1331,61 @@ def _place(
     heuristic: str,
 ) -> _Placement:
     """The placement of one chosen candidate row per table (model order):
-    each non-DP shard i of table t is the partition item "<t's id>#<i>"
-    costing item_costs[row]; DP tables are replicated."""
+    each non-DP shard i of table t is a partition item costing
+    item_costs[row], in plan order; DP tables are replicated. The heuristic
+    places the items as its public function places (uid, cost) pairs, uid
+    "<t's id>#<i>" (see _shard_keys); no uid is built."""
     kind = cands.kind[rows]
     num_shards = cands.num_shards[rows]
-    items = [
-        (f"{table.id}#{i}", cost)
-        for table, k, n, cost in zip(
-            model.tables, kind.tolist(), num_shards.tolist(), item_costs[rows].tolist()
-        )
-        if k != DP
-        for i in range(n)
-    ]
-    assign = HEURISTICS[heuristic](items, cluster.num_workers)
-    workers = [assign[uid] for uid, _ in items]
+    placed = np.where(kind == DP, 0, num_shards)  # items per table
+    table = np.repeat(np.arange(len(rows)), placed)
+    shard = np.arange(len(table)) - (np.cumsum(placed) - placed)[table]
+    cost = item_costs[rows][table]
+    if not np.isfinite(cost).all():
+        _check_costs(cost.tolist())  # names the first non-finite item
+    key = _shard_keys(model, table, shard)
+    workers = np.empty(len(table), np.int64)
+    if heuristic == "greedy":
+        order = np.lexsort((key, -cost))
+        workers[order] = _greedy_bins(cost[order].tolist(), cluster.num_workers)
+    else:
+        by_uid = np.argsort(key)
+        seqs, bins = _kk_bins(cost[by_uid].tolist(), cluster.num_workers)
+        workers[by_uid[seqs]] = bins
     return _placement(model, cluster, flags, kind, num_shards, workers)
+
+
+_AT_MOST_HASH = re.compile(r"[\x00-#]")  # a character <= "#"
+
+
+def _shard_keys(model: ModelSpec, table: np.ndarray, shard: np.ndarray) -> np.ndarray:
+    """A distinct int key per partition item, shard shard[j] of the table at
+    position table[j], that ascends in the str order of the item's uid
+    "<id>#<i>", which no two items share.
+
+    The key is (the table's rank by id, the rank of str(i) among the str of
+    the shard numbers), so shard 10 sorts before shard 2. That order is the
+    uids' unless some id continues another with a character <= "#", as "a!",
+    "a#0" and "a" plus a NUL continue "a": then the uid strings are sorted
+    themselves. Such a pair is adjacent in id order: any id between the two
+    continues the first as well, with no larger character.
+    """
+    ids, by_id = model._ids, model._id_order
+    # only an id that holds a character <= "#" can continue another with one
+    if _AT_MOST_HASH.search("".join(ids)):
+        ordered = list(map(ids.__getitem__, by_id.tolist()))
+        pairs = compress(zip(ordered, ordered[1:]), map(str.startswith, ordered[1:], ordered))
+        if any(longer[len(prefix)] <= "#" for prefix, longer in pairs):
+            uids = [f"{ids[t]}#{i}" for t, i in zip(table.tolist(), shard.tolist())]
+            key = np.empty(len(uids), np.int64)
+            key[sorted(range(len(uids)), key=uids.__getitem__)] = np.arange(len(uids))
+            return key
+    table_rank = np.empty(len(ids), np.int64)
+    table_rank[by_id] = np.arange(len(ids))
+    n = int(shard.max(initial=0)) + 1
+    shard_rank = np.empty(n, np.int64)
+    shard_rank[sorted(range(n), key=str)] = np.arange(n)
+    return table_rank[table] * n + shard_rank[shard]
 
 
 def hierarchical_plan(
@@ -1338,12 +1403,17 @@ def hierarchical_plan(
     if cluster.num_nodes < 2:
         return plan_4d(model, cluster, weights, policy, heuristic="kk")
     W = cluster.num_workers
-    if not model.tables:
+    if not model.num_tables:
         return ShardingPlan(W, cluster.gpus_per_node, (), "kk")
     tw = CandidateColumns.table_wise(model, cluster, policy.flags)
     objective = scalar_objective(tw, weights, cost_norms(tw))
-    items = list(zip([t.id for t in model.tables], objective.tolist()))
-    node_of_table = karmarkar_karp_partition(items, cluster.num_nodes)
+    # karmarkar_karp_partition of the (id, objective) items, seq by id
+    if not np.isfinite(objective).all():
+        _check_costs(objective.tolist())  # names the first non-finite item
+    by_id = model._id_order
+    seqs, bins = _kk_bins(objective[by_id].tolist(), cluster.num_nodes)
+    node = np.empty(len(by_id), np.int64)
+    node[by_id[seqs]] = bins
     gpn = cluster.gpus_per_node
     # table t holds k = min(gpn, H) row shards, shard i on GPU i of its node
     k = np.minimum(model.table_columns.rows, gpn)
@@ -1357,7 +1427,7 @@ def hierarchical_plan(
         for n in set(counts)
     }
     # node * gpn + i is that GPU, i the shard's plan position less t's first
-    first = np.array([node_of_table[tid] * gpn for tid, _ in items]) - (np.cumsum(k) - k)
+    first = node * gpn - (np.cumsum(k) - k)
     T = len(counts)
     placed = _placement(
         model,
@@ -1498,10 +1568,10 @@ def validate_plan(plan: ShardingPlan, model: ModelSpec) -> None:
                 extent=extent[i],
             )
         )
-    assigned = np.zeros(len(model.tables), bool)
+    assigned = np.zeros(model.num_tables, bool)
     assigned[table[table >= 0]] = True
     if not assigned.all():
-        missing = [t.id for t, done in zip(model.tables, assigned.tolist()) if not done]
+        missing = [model._ids[t] for t in np.flatnonzero(~assigned).tolist()]
         raise InvalidScheme(f"tables not assigned: {sorted(missing)}")
 
 

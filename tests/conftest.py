@@ -14,6 +14,7 @@ from neosim import (
     MalformedDocument,
     ModelSpec,
     Precision,
+    ShardingPlan,
     TableSpec,
     hierarchical_plan,
     plan_4d,
@@ -21,6 +22,52 @@ from neosim import (
 from neosim.bundled import load_bundled_cluster, load_bundled_model
 from neosim.embedding import _MAGIC
 from neosim.perf import shrink_to_fit
+
+
+def pytest_assertrepr_compare(config, op, left, right):
+    """The explanation of a failing == between two ModelSpecs or two
+    ShardingPlans: their table or assignment counts and the first differing
+    table or assignment, and its first differing field. pytest would
+    otherwise diff their one-line reprs character by character, which at
+    the bundled models' size runs for minutes. No assertion changes."""
+    if op != "==" or type(left) is not type(right):
+        return None
+    if isinstance(left, ModelSpec):
+        return _first_difference(left, right, "tables", "id")
+    if isinstance(left, ShardingPlan):
+        return _first_difference(left, right, "assignments", "table_id")
+    return None
+
+
+def _first_difference(left, right, items: str, name: str) -> list[str]:
+    """Lines naming the counts of `items` in two dataclasses of one type,
+    then the first compared field in which they differ: for `items`, the
+    first differing item (by its `name` field) and the item's first
+    differing field, or one element of that field where it is a tuple."""
+    a, b = getattr(left, items), getattr(right, items)
+    lines = [f"{type(left).__name__}s differ: {len(a)} vs {len(b)} {items}"]
+    for f in dataclasses.fields(left):
+        x, y = getattr(left, f.name), getattr(right, f.name)
+        if not f.compare or x == y:
+            continue
+        if f.name != items:
+            lines.append(f"{f.name}: {x!r} != {y!r}")
+            break
+        i = next((i for i, (p, q) in enumerate(zip(a, b)) if p != q), None)
+        if i is None:  # one is a prefix of the other
+            extra = (a if len(a) > len(b) else b)[min(len(a), len(b))]
+            lines.append(f"{items}[{min(len(a), len(b))}] only on one side: {getattr(extra, name)!r}")
+            break
+        p, q = a[i], b[i]
+        field = next(g.name for g in dataclasses.fields(p) if getattr(p, g.name) != getattr(q, g.name))
+        u, v = getattr(p, field), getattr(q, field)
+        where = f"{items}[{i}] ({name} {getattr(p, name)!r}).{field}"
+        if isinstance(u, tuple) and isinstance(v, tuple) and len(u) == len(v):
+            j = next(j for j, (s, t) in enumerate(zip(u, v)) if s != t)
+            where, u, v = f"{where}[{j}]", u[j], v[j]
+        lines.append(f"{where}: {u!r} != {v!r}")
+        break
+    return lines
 
 
 def desk_cluster(

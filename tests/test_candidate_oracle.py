@@ -39,6 +39,7 @@ from neosim.planner import (
     ShardingPlan,
     TableAssignment,
     even_bounds,
+    greedy_partition,
     karmarkar_karp_partition,
     memory_check,
     validate_scheme,
@@ -652,7 +653,7 @@ def test_first_unplaced_table_is_named(order, message):
     ]
     model = desk_model(tables)
     cluster = _cluster(1, 2, 16, 576)  # 304 bytes a device, 608 in all
-    policy = CandidatePolicy()
+    policy = CandidatePolicy(flags=CompressionFlags())
     got = outcome(planner.candidate_costs, model, cluster, policy)
     assert got == outcome(candidate_costs, model, cluster, policy)
     assert got == ("NoFeasibleScheme", message)
@@ -662,3 +663,159 @@ def test_first_unplaced_table_is_named(order, message):
     got = outcome(planner.plan_4d, model, cluster, weights, policy)
     assert got == outcome(plan_4d, model, cluster, weights, policy)
     assert got[0] == "Infeasible"
+
+
+# ---------------------------------------------------------------------------
+# placement ties: the str order of the uids "<id>#<i>"
+
+PREFIX_CHAIN = ("a", "a!", "a#0", "a#", "a0", "a\x00", "a ", 'a"', "t1", "t10", "t1#2", "#", "!")
+ID_CHARS = ("#", "!", " ", '"', "\x00", "0", "1", "a", "t")
+
+
+def _conflict(ids) -> bool:
+    """Whether some id continues another with a character <= "#"."""
+    return any(b.startswith(a) and b[len(a)] <= "#" for a in ids for b in ids if b != a)
+
+
+def rank_case(seed: int):
+    """(model, cluster, policy, weights), all drawn from `seed`, whose ids
+    mix '#', '!', ' ', '"', NUL and digits with the prefix chains of
+    PREFIX_CHAIN. Tables take one of two shapes, so many shards cost the
+    same; on 16 or 32 workers up to W // 16 tables of a third shape need 16
+    row shards. The device budget sits near the mean load, so memory repair
+    moves tables, and some models do not fit at all."""
+    rng = np.random.default_rng([seed, 25])
+    nodes, gpn = ((2, 8), (4, 8), (1, 3), (2, 2))[seed % 4]
+    W = nodes * gpn
+    pool = list(PREFIX_CHAIN)
+    for _ in range(40):
+        size = int(rng.integers(1, 5))
+        pool.append("".join(ID_CHARS[i] for i in rng.integers(len(ID_CHARS), size=size)))
+    pool = list(dict.fromkeys(pool))
+    T = int(rng.integers(2, 40))
+    ids = [pool[i] for i in rng.choice(len(pool), T, replace=False)]  # no U array
+    shapes = [(64, 8), (1024, 16)]  # (rows, dim), 8 bytes an element
+    picks = rng.integers(2, size=T)
+    total = sum(shapes[p][0] * shapes[p][1] * 8 for p in picks.tolist())
+    bigs = int(rng.integers(0, W // 16 + 1))
+    budget = max(1024 * 16 * 8 + 1, int(total * rng.uniform(0.95, 1.8) / (W - 12 * bigs)))
+    # a big table holds 12 budgets: 8 row shards do not fit a device, 16 do
+    shapes.append((12 * budget // (16 * 8), 16))
+    picks[rng.choice(T, min(bigs, T), replace=False)] = 2
+    tables = [
+        TableSpec(id=tid, num_rows=shapes[p][0], dim=shapes[p][1], avg_pooling=2.0)
+        for tid, p in zip(ids, picks.tolist())
+    ]
+    model = desk_model(tables, local_batch=8)
+    hbm = budget // 2
+    cluster = _cluster(nodes, gpn, hbm, (budget - hbm) * gpn)
+    policy = CandidatePolicy(
+        dp_threshold_bytes=[None, 64 * 8 * 4][int(rng.integers(2))],
+        fine_grain=bool(rng.random() < 0.3),
+        flags=CompressionFlags(),
+    )
+    return model, cluster, policy, WEIGHTS[int(rng.integers(len(WEIGHTS)))]
+
+
+def test_placement_ties_match_oracle(monkeypatch):
+    """plan_4d (greedy and KK, memory repair included) and hierarchical_plan
+    place ties as the string-uid oracle does, over 48 rank_case models:
+    ids that continue another below '#', tables of more than 10 row shards,
+    repaired placements and infeasible models all occur."""
+    place = planner._place
+    attempts = []
+
+    def counted(*args):
+        attempts[-1] += 1
+        return place(*args)
+
+    monkeypatch.setattr(planner, "_place", counted)
+    seen = dict.fromkeys(("conflict", "over_10_shards", "repaired", "infeasible"), 0)
+    for seed in range(48):
+        model, cluster, policy, weights = rank_case(seed)
+        seen["conflict"] += _conflict(model._ids)
+        for heuristic in ("greedy", "kk"):
+            attempts.append(0)
+            got = outcome(planner.plan_4d, model, cluster, weights, policy, heuristic)
+            assert got == outcome(plan_4d, model, cluster, weights, policy, heuristic)
+            seen["repaired"] += attempts[-1] > 1
+            if isinstance(got, tuple):
+                seen["infeasible"] += 1
+            else:
+                seen["over_10_shards"] += any(len(a.shards) > 10 for a in got.assignments)
+        if cluster.num_nodes > 1:
+            got = outcome(planner.hierarchical_plan, model, cluster, weights, policy)
+            assert got == outcome(hierarchical_plan, model, cluster, weights, policy)
+    assert min(seen.values()) > 0, seen
+
+
+def test_cores_match_their_public_wrappers():
+    """The uid keys ascend in the str order of the uids, and each positional
+    core, run as the planners run it, gives its public function's bins and
+    insertion order on the (uid, cost) items: up to 20 shards a table, costs
+    with many ties."""
+    for seed in range(32):
+        model = rank_case(seed)[0]
+        rng = np.random.default_rng([seed, 26])
+        counts = rng.integers(1, 21, size=model.num_tables)
+        table = np.repeat(np.arange(model.num_tables), counts)
+        shard = np.arange(len(table)) - (np.cumsum(counts) - counts)[table]
+        uids = [f"{model._ids[t]}#{i}" for t, i in zip(table.tolist(), shard.tolist())]
+        key = planner._shard_keys(model, table, shard)
+        assert [uids[j] for j in np.argsort(key)] == sorted(uids)
+        cost = np.array([0.0, 0.5, 1.0, 1.0, 3.0, 2.0**53])[rng.integers(6, size=len(uids))]
+        items = list(zip(uids, cost.tolist()))
+        for k in (1, 2, 3, 16):
+            order = np.lexsort((key, -cost))
+            bins = planner._greedy_bins(cost[order].tolist(), k)
+            got = list(zip([uids[j] for j in order], bins))
+            assert got == list(greedy_partition(items, k).items())
+            by_uid = np.argsort(key)
+            seqs, bins = planner._kk_bins(cost[by_uid].tolist(), k)
+            got = dict(zip([uids[j] for j in by_uid[seqs]], bins))
+            want = karmarkar_karp_partition(items, k)
+            assert got == want
+            if k > 1:  # k = 1 lists the items in their given order
+                assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("heuristic", ["greedy", "kk"])
+@pytest.mark.parametrize(
+    "ids", [("a", "a!"), ("a", "a\x00"), ("a", "a "), ("t1", "t1#"), ("a", "a#0"), ("a", "a0")]
+)
+def test_a_tie_goes_to_the_smaller_uid(heuristic, ids):
+    """Of two tables of equal cost on two workers, the one whose uid
+    "<id>#0" sorts first takes worker 0: "a!#0" sorts before "a#0" although
+    "a" < "a!", while "a#0" sorts before "a#0#0" and "a0#0"."""
+    tables = [TableSpec(id=tid, num_rows=100, dim=8, avg_pooling=2.0) for tid in ids]
+    model = desk_model(tables)
+    cluster = _cluster(1, 2, 2**30, 2**30)
+    policy = CandidatePolicy(dp_threshold_bytes=0)
+    plan = planner.plan_4d(model, cluster, CostWeights(), policy, heuristic)
+    assert plan == plan_4d(model, cluster, CostWeights(), policy, heuristic)
+    first = min(ids, key=lambda tid: f"{tid}#0")
+    assert [a.shards[0].worker for a in plan.assignments] == [tid != first for tid in ids]
+
+
+def test_non_finite_costs_name_the_item_in_plan_order():
+    """A weight that takes one table's objective past the float range
+    raises InvalidValue at that item's position in plan order, as the
+    string-uid partition does: item 1, table t1's shard, in plan_4d and in
+    hierarchical_plan's node split."""
+    tables = [
+        TableSpec(id="t0", num_rows=8, dim=4, avg_pooling=1.0),
+        TableSpec(id="t1", num_rows=8, dim=128, avg_pooling=1.0),
+    ]
+    model = desk_model(tables)
+    cluster = _cluster(2, 2, 2**30, 2**30)
+    policy = CandidatePolicy(dp_threshold_bytes=0)
+    comm = CandidateColumns.table_wise(model, cluster, policy.flags).comm_bytes
+    # w_comm x comm passes the float range for t1 only
+    weights = CostWeights(w_comm=float(np.finfo(float).max) / comm[1] * 1.5)
+    error = ("InvalidValue", "invalid value at items[1]: expected a finite cost")
+    with np.errstate(over="ignore"):
+        for heuristic in ("greedy", "kk"):
+            got = outcome(planner.plan_4d, model, cluster, weights, policy, heuristic)
+            assert got == outcome(plan_4d, model, cluster, weights, policy, heuristic) == error
+        got = outcome(planner.hierarchical_plan, model, cluster, weights, policy)
+        assert got == outcome(hierarchical_plan, model, cluster, weights, policy) == error

@@ -16,7 +16,12 @@ from neosim import (
     MalformedDocument,
     ModelSpec,
     Precision,
+    Scheme,
+    SchemeKind,
+    Shard,
+    ShardingPlan,
     SkewKind,
+    TableAssignment,
     TableSpec,
     gen_synthetic_batch,
     parse_cluster_spec,
@@ -332,3 +337,57 @@ class TestCombinedBatch:
         batch = gen_synthetic_batch(model, 16, seed=3)
         clone = CombinedBatch(batch.lengths.copy(), batch.indices.copy())
         assert clone.indices.tobytes() == batch.indices.tobytes()
+
+
+class TestModelSpecIds:
+    def test_ids_and_id_order(self):
+        """The ids in model order, and the positions in str order of the ids;
+        ids that differ only in trailing NULs keep their order."""
+        ids = ["t10", "a\x00", "t1", "a", "a\x00\x00", "#", "a!"]
+        model = small_model(
+            tables=[TableSpec(id=tid, num_rows=4, dim=2, avg_pooling=1.0) for tid in ids]
+        )
+        assert model._ids == tuple(ids)
+        assert [ids[p] for p in model._id_order.tolist()] == sorted(ids)
+        assert not model._id_order.flags.writeable
+
+
+class TestAssertionExplanation:
+    """tests/conftest.py's pytest_assertrepr_compare hook."""
+
+    @staticmethod
+    def explanation(left, right) -> str:
+        with pytest.raises(AssertionError) as failed:
+            assert left == right
+        return str(failed.value)
+
+    def test_models_differing_in_one_table(self):
+        model = load_bundled_model("model_a")
+        tables = list(model.tables)
+        tables[437] = dataclasses.replace(tables[437], num_rows=tables[437].num_rows + 1)
+        other = dataclasses.replace(model, tables=tuple(tables))
+        text = self.explanation(model, other)
+        assert len(text.splitlines()) <= 4
+        assert "ModelSpecs differ: 1000 vs 1000 tables" in text
+        assert "tables[437] (id 'emb_a_437').num_rows: 8500000 != 8500001" in text
+
+    def test_models_differing_in_a_shape_field(self):
+        model = small_model()
+        other = dataclasses.replace(model, local_batch=8)
+        assert "local_batch: 4 != 8" in self.explanation(model, other)
+        shorter = dataclasses.replace(model, tables=model.tables[:1])
+        assert "tables[1] only on one side: 't1'" in self.explanation(model, shorter)
+
+    def test_plans_differing_in_one_shard(self):
+        rw = Scheme(SchemeKind.ROW_WISE, num_row_shards=2)
+
+        def plan(worker):
+            shards = (Shard(0, rows=(0, 3)), Shard(worker, rows=(3, 6)))
+            return ShardingPlan(2, 2, (TableAssignment("t1", rw, shards),))
+
+        text = self.explanation(plan(1), plan(0))
+        assert "ShardingPlans differ: 1 vs 1 assignments" in text
+        assert (
+            "assignments[0] (table_id 't1').shards[1]: "
+            "Shard(worker=1, rows=(3, 6), cols=None) != Shard(worker=0, rows=(3, 6), cols=None)"
+        ) in text

@@ -24,11 +24,13 @@ from neosim import (
     effective_performance,
     hierarchical_plan,
     iteration_latency,
+    memory_check,
     plan_4d,
     plan_from_json,
     plan_to_json,
     scaling_sweep,
     simulate,
+    validate_plan,
 )
 import neosim.perf as perf_module
 import neosim.planner as planner_module
@@ -629,6 +631,37 @@ class TestShrinkToFit:
                 seen["int32"] += any(t.index_bytes > s.index_bytes for t, s in pairs)
                 seen["past_2**53"] += any(2**53 < s.num_rows < t.num_rows for t, s in pairs)
         assert min(seen.values()) > 0, seen
+
+    def test_plan_cycle_builds_no_table_spec(self):
+        """Planning (greedy, KK and hierarchical), plan_to_json, simulate,
+        validate_plan and memory_check on model_a shrunk at 1, 2 and 4
+        nodes read the shrunk model's ids and columns only: its `tables`
+        is never built. Built on first access, it equals the oracle's."""
+        model, cluster = load_bundled_model("model_a"), load_bundled_cluster()
+        flags = CompressionFlags(rowwise_optimizer=True)
+        policy = CandidatePolicy(flags=flags)
+        for nodes in (1, 2, 4):
+            at = dataclasses.replace(cluster, num_nodes=nodes)
+            shrunk = shrink_to_fit(model, at, flags)
+            assert shrunk is not model and "tables" not in vars(shrunk)
+            plans = [plan_4d(shrunk, at, CostWeights(), policy, h) for h in ("greedy", "kk")]
+            plans.append(hierarchical_plan(shrunk, at, CostWeights(), policy))
+            for plan in plans:
+                plan_to_json(plan, shrunk, at, flags)
+                simulate(shrunk, at, plan, flags=flags)
+                validate_plan(plan, shrunk)
+                memory_check(plan, shrunk, at, flags)
+            assert "tables" not in vars(shrunk)
+            want = shrink_to_fit_oracle(model, at, flags)
+            assert [t.num_rows for t in shrunk.tables] == [t.num_rows for t in want.tables]
+            assert shrunk.tables == want.tables and shrunk == want
+            assert shrunk.num_tables == len(shrunk.tables) == 1000
+        # a shrunk model shrinks again from the first model's TableSpecs
+        again = shrunk._with_rows(np.maximum(1.0, np.trunc(shrunk.table_columns.rows * 0.5)))
+        assert again._source is model and "tables" not in vars(again)
+        assert [t.num_rows for t in again.tables] == again.table_columns.rows.tolist()
+        assert [t.id for t in again.tables] == list(model._ids)
+        assert dataclasses.replace(again, local_batch=again.local_batch) == again
 
     def test_rows_past_int64_raise_as_table_spec_does(self):
         """A row count that rounds to 2**63 at factor 1.0 (the parent's

@@ -55,7 +55,6 @@ from neosim.perf import component_latencies, scaling_sweep, shrink_to_fit, simul
 from neosim.planner import (
     CW,
     DP,
-    HEURISTICS,
     RW,
     TIERS,
     TW,
@@ -544,16 +543,17 @@ class TestKarmarkarKarp:
     def test_bundled_plan_partitions_match_oracle(self, monkeypatch):
         """Every partition that plan_4d (kk) and hierarchical_plan run on
         model_a, shrunk to fit 1 to 16 nodes with FP16 tables, and that
-        plan_4d runs on model_f (its memory repair retries included)."""
+        plan_4d runs on model_f (its memory repair retries included). The
+        planners call the positional core on costs in seq order, so the
+        oracle partitions each call's costs as (seq, cost) items."""
         calls = []
-        partition = karmarkar_karp_partition
+        core = planner_module._kk_bins
 
-        def record(items, k):
-            calls.append((list(items), k))
-            return partition(items, k)
+        def record(costs, k):
+            calls.append((list(costs), k))
+            return core(costs, k)
 
-        monkeypatch.setattr("neosim.planner.karmarkar_karp_partition", record)
-        monkeypatch.setitem(HEURISTICS, "kk", record)
+        monkeypatch.setattr("neosim.planner._kk_bins", record)
         flags = CompressionFlags(table_precision=Precision.FP16, rowwise_optimizer=True)
         policy = CandidatePolicy(flags=flags)
         cluster = load_bundled_cluster()
@@ -566,9 +566,10 @@ class TestKarmarkarKarp:
         plan_4d(load_bundled_model("model_f"), cluster, CostWeights(), policy, "kk")
         assert len(calls) == 15  # model_f: the first placement and 4 retries
         monkeypatch.undo()
-        for items, k in calls:
-            assert list(partition(items, k).items()) == list(
-                list_kk_partition(items, k).items()
+        for costs, k in calls:
+            seqs, bins = core(costs, k)
+            assert list(zip(seqs, bins)) == list(
+                list_kk_partition(list(enumerate(costs)), k).items()
             )
 
     def test_two_bin_merges_match_oracle(self, monkeypatch):
@@ -633,6 +634,25 @@ class TestKarmarkarKarp:
 
 
 class TestPlan4d:
+    def test_default_policy_plans_under_the_reported_flags(self):
+        """CandidatePolicy() places and repairs under the row-wise optimizer
+        state that plan_to_json, simulate, component_latencies and
+        scaling_sweep report under by default: a model_a plan at 16 nodes
+        made with it fits the memory its JSON summary reports."""
+        policy = CandidatePolicy()
+        for function in (plan_to_json, simulate, component_latencies):
+            assert inspect.signature(function).parameters["flags"].default == policy.flags
+        assert inspect.signature(scaling_sweep).parameters["policy"].default == policy
+        assert policy.flags == CompressionFlags(rowwise_optimizer=True)
+        model = load_bundled_model("model_a")
+        cluster = dataclasses.replace(load_bundled_cluster(), num_nodes=16)
+        plan = plan_4d(model, cluster, CostWeights(), policy)
+        workers = json.loads(plan_to_json(plan, model, cluster))["workers"]
+        assert all(w["tier"] != "infeasible" for w in workers)
+        assert plan == plan_4d(
+            model, cluster, CostWeights(), CandidatePolicy(flags=CompressionFlags(None, True))
+        )
+
     def test_four_identical_tables_four_workers(self):
         tables = [
             TableSpec(id=f"t{i}", num_rows=500, dim=32, avg_pooling=4.0)

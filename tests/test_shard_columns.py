@@ -1079,7 +1079,7 @@ def test_infeasible_messages_name_the_first_worker():
     model, cluster = _last_resort_case()
     with pytest.raises(Infeasible, match="^infeasible: no feasible placement found; "
                        "worker 1 needs 64 bytes$"):
-        plan_4d(model, cluster, CostWeights(), CandidatePolicy())
+        plan_4d(model, cluster, CostWeights(), CandidatePolicy(flags=CompressionFlags()))
     # 40, 40, 48, 48 bytes on two nodes of two 40-byte devices
     model = desk_model(
         [TableSpec(id="a", num_rows=2, dim=5, avg_pooling=1.0),
@@ -1088,7 +1088,7 @@ def test_infeasible_messages_name_the_first_worker():
     cluster = desk_cluster(4, 2, hbm=40, dram_per_node=2)
     with pytest.raises(Infeasible, match=r"^infeasible: hierarchical placement "
                        r"overflows worker 2 \(48 bytes\)$"):
-        hierarchical_plan(model, cluster, CostWeights(), CandidatePolicy())
+        hierarchical_plan(model, cluster, CostWeights(), CandidatePolicy(flags=CompressionFlags()))
     # workers 1 and 3 hold 64 and 80 bytes, over 56 + 0.25
     model, cluster = _last_resort_case()
     tw = Scheme(SchemeKind.TABLE_WISE)
