@@ -139,10 +139,11 @@ class ModelSpec:
     builds `tables` on first access, from the TableSpecs of the model it
     was shrunk from. Shrinking, planning, plan_to_json, simulate,
     validate_plan and memory_check read only the ids and the columns, so a
-    shrunk model that is planned and simulated builds no TableSpec.
-    Equality, hash, repr, pickling and dataclasses.replace read `tables`,
-    so they behave the same for a shrunk model and one built from
-    TableSpecs.
+    shrunk model that is planned and simulated builds no TableSpec. The
+    ids only name tables: placement, memory repair and shrinking break
+    their ties by table position. Equality, hash, repr, pickling and
+    dataclasses.replace read `tables`, so they behave the same for a
+    shrunk model and one built from TableSpecs.
     """
 
     tables: tuple[TableSpec, ...]
@@ -152,12 +153,10 @@ class ModelSpec:
     mflops_per_sample: float
     interaction_flops_per_sample: float
     dense_param_bytes: int
-    # table id -> position in `tables`, the ids in that order, the positions
-    # in str order of their ids, and the per-table arrays; derived, so
-    # outside eq/hash/repr
+    # table id -> position in `tables`, the ids in that order, and the
+    # per-table arrays; derived, so outside eq/hash/repr
     _table_pos: dict[str, int] = field(init=False, repr=False, compare=False)
     _ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _id_order: np.ndarray = field(init=False, repr=False, compare=False)
     table_columns: TableColumns = field(init=False, repr=False, compare=False)
     # the model whose TableSpecs a shrunk model's `tables` copy; a class
     # attribute, not a field
@@ -176,9 +175,6 @@ class ModelSpec:
             raise InvalidValue("tables", "duplicate table ids")
         object.__setattr__(self, "_table_pos", pos)
         object.__setattr__(self, "_ids", ids)
-        # sorted as Python strs: a numpy str array would drop trailing NULs
-        by_id = frozen_array(list(map(pos.__getitem__, sorted(pos))), np.int64)
-        object.__setattr__(self, "_id_order", by_id)
         object.__setattr__(self, "table_columns", TableColumns.of(self.tables))
         layers = self.bottom_mlp_layers + self.top_mlp_layers
         if layers:
@@ -233,8 +229,8 @@ class ModelSpec:
     def _with_rows(self, rows: np.ndarray) -> "ModelSpec":
         """This model with rows[i] rows (whole floats >= 1) in table i, checked in
         bulk as TableSpec checks one; no other check reruns. Only the rows
-        and index widths are new: the ids, id order and other columns are
-        shared, and `tables` is built on first access (see ModelSpec)."""
+        and index widths are new: the ids and other columns are shared, and
+        `tables` is built on first access (see ModelSpec)."""
         past = rows >= 2.0**63
         if past.any():
             raise InvalidValue(f"tables[{self._ids[past.argmax()]}].num_rows", "must be < 2**63")

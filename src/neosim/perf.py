@@ -430,9 +430,8 @@ def shrink_to_fit(
     bound = sum(per_table.tolist()) + W * int(per_table.max())  # W x (S / W + largest)
     if bound * (2**53 + 4 * T) * den <= W * 2**53 * num:
         return model
-    # placement order (-bytes, id): positions by id, then a stable sort by bytes
-    by_id = model._id_order
-    order = by_id[np.argsort(-per_table[by_id], kind="stable")]
+    # placement order (-bytes, table position)
+    order = np.argsort(-per_table, kind="stable")
     worker = np.empty(T, np.int64)
     worker[order] = _greedy_bins(per_table[order].tolist(), W)
     # per-worker sums in table order from 0.0

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import heapq
 import math
-import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, count, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add, is_, is_not, itemgetter, neg
 from typing import NamedTuple, Optional, Sequence
@@ -776,9 +775,12 @@ def _check_costs(costs: list) -> None:
 
 
 def greedy_partition(items: Sequence[tuple], k: int) -> dict:
-    """Largest-first greedy: seed k bins, then fill the lightest bin.
+    """Largest-first greedy over (id, cost) items: seed k bins, then fill
+    the lightest bin. {item id: bin}, in placement order (-cost, id).
 
-    Ties between bins break toward the lowest bin index.
+    Ties between bins break toward the lowest bin index. perfbench and the
+    tests call it; the planners run _greedy_bins on their items in plan
+    order.
     """
     _check_partition_input(items, k)
     order = sorted(items, key=lambda it: (-it[1], it[0]))
@@ -809,7 +811,8 @@ def karmarkar_karp_partition(items: Sequence[tuple], k: int) -> dict:
     bin, each bin's items in the order of concatenating A's items before
     B's at each merge. k=1 puts every item in bin 0, in the given order;
     k=2 is the classic LDM. Raises InvalidValue for a k that is not an int
-    >= 1 and for a non-finite cost.
+    >= 1 and for a non-finite cost. perfbench and the tests call it; the
+    planners run _kk_bins on their items in plan order.
     """
     _check_partition_input(items, k)
     if k == 1:
@@ -960,7 +963,7 @@ def _kk_bins(raw: list, k: int) -> tuple[list[int], list[int]]:
     return seqs, bins
 
 
-HEURISTICS = {"greedy": greedy_partition, "kk": karmarkar_karp_partition}
+HEURISTICS = ("greedy", "kk")
 
 
 # ---------------------------------------------------------------------------
@@ -1254,10 +1257,11 @@ def plan_4d(
     replica). Ties go by kind name, then shard count, then enumeration
     order: one stable lexsort over every candidate row. Non-DP shards of
     each table's first-ranked candidate are partitioned with the chosen
-    heuristic. If the resulting placement fails the memory check, the most
-    memory-hungry offending table (ties: the lowest id) is moved to its next
-    ranked candidate with strictly more shards and placement is retried; a
-    final attempt balances shard bytes instead of the objective.
+    heuristic, equal costs in plan order (see _place). If the resulting
+    placement fails the memory check, the most memory-hungry offending
+    table (ties: the first in model order) is moved to its next ranked
+    candidate with strictly more shards and placement is retried; a final
+    attempt balances shard bytes instead of the objective.
     """
     if heuristic not in HEURISTICS:
         raise InvalidValue("heuristic", f"unknown heuristic {heuristic!r}")
@@ -1294,17 +1298,17 @@ def plan_4d(
         # a replica's worker -1 reads the last worker's flag; ~replica drops it
         overloaded = (placed.report.tier == INFEASIBLE)[worker] & ~replica
         offenders = set(placed.table[overloaded].tolist())
-        move = None  # (-storage, table id, table, next position) of the pick
+        move = None  # (-storage, table, next position) of the pick
         for t in offenders:
             j = choice[t]
             finer = (i for i in range(j + 1, start[t + 1]) if shards[i] > shards[j])
             nxt = next(finer, None)
             if nxt is not None:
-                key = (-storage[j], model._ids[t], t, nxt)
+                key = (-storage[j], t, nxt)
                 move = key if move is None else min(move, key)
         if move is None:
             break
-        _, _, t, nxt = move
+        _, t, nxt = move
         choice[t] = nxt
     if not placed.report.feasible:
         # last resort: balance bytes rather than the objective
@@ -1332,60 +1336,25 @@ def _place(
 ) -> _Placement:
     """The placement of one chosen candidate row per table (model order):
     each non-DP shard i of table t is a partition item costing
-    item_costs[row], in plan order; DP tables are replicated. The heuristic
-    places the items as its public function places (uid, cost) pairs, uid
-    "<t's id>#<i>" (see _shard_keys); no uid is built."""
+    item_costs[row], in plan order (table position, then i); DP tables are
+    replicated. Ties go to the earlier item in plan order: greedy places
+    the items largest first, equal costs in plan order, and KK ranks them
+    by (-cost, plan position)."""
     kind = cands.kind[rows]
     num_shards = cands.num_shards[rows]
     placed = np.where(kind == DP, 0, num_shards)  # items per table
     table = np.repeat(np.arange(len(rows)), placed)
-    shard = np.arange(len(table)) - (np.cumsum(placed) - placed)[table]
     cost = item_costs[rows][table]
     if not np.isfinite(cost).all():
         _check_costs(cost.tolist())  # names the first non-finite item
-    key = _shard_keys(model, table, shard)
     workers = np.empty(len(table), np.int64)
     if heuristic == "greedy":
-        order = np.lexsort((key, -cost))
+        order = np.argsort(-cost, kind="stable")
         workers[order] = _greedy_bins(cost[order].tolist(), cluster.num_workers)
     else:
-        by_uid = np.argsort(key)
-        seqs, bins = _kk_bins(cost[by_uid].tolist(), cluster.num_workers)
-        workers[by_uid[seqs]] = bins
+        seqs, bins = _kk_bins(cost.tolist(), cluster.num_workers)
+        workers[seqs] = bins
     return _placement(model, cluster, flags, kind, num_shards, workers)
-
-
-_AT_MOST_HASH = re.compile(r"[\x00-#]")  # a character <= "#"
-
-
-def _shard_keys(model: ModelSpec, table: np.ndarray, shard: np.ndarray) -> np.ndarray:
-    """A distinct int key per partition item, shard shard[j] of the table at
-    position table[j], that ascends in the str order of the item's uid
-    "<id>#<i>", which no two items share.
-
-    The key is (the table's rank by id, the rank of str(i) among the str of
-    the shard numbers), so shard 10 sorts before shard 2. That order is the
-    uids' unless some id continues another with a character <= "#", as "a!",
-    "a#0" and "a" plus a NUL continue "a": then the uid strings are sorted
-    themselves. Such a pair is adjacent in id order: any id between the two
-    continues the first as well, with no larger character.
-    """
-    ids, by_id = model._ids, model._id_order
-    # only an id that holds a character <= "#" can continue another with one
-    if _AT_MOST_HASH.search("".join(ids)):
-        ordered = list(map(ids.__getitem__, by_id.tolist()))
-        pairs = compress(zip(ordered, ordered[1:]), map(str.startswith, ordered[1:], ordered))
-        if any(longer[len(prefix)] <= "#" for prefix, longer in pairs):
-            uids = [f"{ids[t]}#{i}" for t, i in zip(table.tolist(), shard.tolist())]
-            key = np.empty(len(uids), np.int64)
-            key[sorted(range(len(uids)), key=uids.__getitem__)] = np.arange(len(uids))
-            return key
-    table_rank = np.empty(len(ids), np.int64)
-    table_rank[by_id] = np.arange(len(ids))
-    n = int(shard.max(initial=0)) + 1
-    shard_rank = np.empty(n, np.int64)
-    shard_rank[sorted(range(n), key=str)] = np.arange(n)
-    return table_rank[table] * n + shard_rank[shard]
 
 
 def hierarchical_plan(
@@ -1407,13 +1376,12 @@ def hierarchical_plan(
         return ShardingPlan(W, cluster.gpus_per_node, (), "kk")
     tw = CandidateColumns.table_wise(model, cluster, policy.flags)
     objective = scalar_objective(tw, weights, cost_norms(tw))
-    # karmarkar_karp_partition of the (id, objective) items, seq by id
+    # KK over the tables' objectives, seq by table position
     if not np.isfinite(objective).all():
         _check_costs(objective.tolist())  # names the first non-finite item
-    by_id = model._id_order
-    seqs, bins = _kk_bins(objective[by_id].tolist(), cluster.num_nodes)
-    node = np.empty(len(by_id), np.int64)
-    node[by_id[seqs]] = bins
+    seqs, bins = _kk_bins(objective.tolist(), cluster.num_nodes)
+    node = np.empty(len(seqs), np.int64)
+    node[seqs] = bins
     gpn = cluster.gpus_per_node
     # table t holds k = min(gpn, H) row shards, shard i on GPU i of its node
     k = np.minimum(model.table_columns.rows, gpn)
@@ -1472,8 +1440,9 @@ def validate_plan(plan: ShardingPlan, model: ModelSpec) -> None:
     ids, schemes, a = cols.table_ids, cols.schemes, cols.assignment
     A = len(ids)
     table = np.fromiter(map(model._table_pos.get, ids, repeat(-1)), np.int64, A)
-    first = {}
-    twice = np.fromiter((first.setdefault(t, i) != i for i, t in enumerate(ids)), bool, A)
+    # an unknown id (-1) breaks the first rule, so its repeats need no own flag
+    twice = np.ones(A, bool)
+    twice[np.unique(table, return_index=True)[1]] = False  # each table's first
     counts = np.bincount(a, minlength=A)
     kind = np.zeros(A, np.int8)
     kind[a] = cols.kind

@@ -9,9 +9,13 @@ tables over the device budget; dims that some column counts do not divide;
 fewer rows than row shards; the data-parallel threshold at equality; fine
 grain, zero weights, forced FP16, row-wise or element-wise state) the
 vectorized planner must give equal candidate lists, equal costs down to
-the repr of every float, equal errors and equal plans.
+the repr of every float, equal errors and equal plans. One edit breaks the
+verbatim copy: placement items, the hierarchical node split and memory
+repair key tables by position in the model, not by id, so every placement
+tie goes by plan order.
 """
 
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,8 +26,8 @@ from conftest import desk_model
 from neosim import planner
 from neosim.errors import Infeasible, InvalidValue, NoFeasibleScheme
 from neosim.model import ClusterSpec, ModelSpec, Precision, PRECISION_BYTES, TableSpec
+from neosim.perf import shrink_to_fit
 from neosim.planner import (
-    HEURISTICS,
     INFEASIBLE,
     MIN_COL_WIDTH,
     OPTIMIZER_STATE_BYTES,
@@ -46,7 +50,9 @@ from neosim.planner import (
 )
 
 # ---------------------------------------------------------------------------
-# the scalar planner, verbatim
+# the scalar planner, verbatim but for its position keys
+
+PARTITIONS = {"greedy": greedy_partition, "kk": karmarkar_karp_partition}
 
 
 def table_storage_bytes(
@@ -249,7 +255,7 @@ def plan_4d(
     to its next finer candidate and placement is retried; a final attempt
     balances shard bytes instead of the objective.
     """
-    if heuristic not in HEURISTICS:
+    if heuristic not in PARTITIONS:
         raise InvalidValue("heuristic", f"unknown heuristic {heuristic!r}")
     W = cluster.num_workers
     if not model.tables:
@@ -297,11 +303,12 @@ def plan_4d(
             if any(s.worker in overloaded for s in assignment.shards):
                 nxt = _next_finer(ordered[assignment.table_id], choice[assignment.table_id])
                 if nxt is not None:
-                    table = model.tables[model.table_indices([assignment.table_id])[0]]
+                    pos = model.table_indices([assignment.table_id])[0]
                     scheme, _ = ordered[assignment.table_id][choice[assignment.table_id]]
                     offenders.append(
                         (
-                            shard_storage_bytes(table, scheme, policy.flags),
+                            shard_storage_bytes(model.tables[pos], scheme, policy.flags),
+                            pos,
                             assignment.table_id,
                             nxt,
                         )
@@ -309,7 +316,7 @@ def plan_4d(
         if not offenders:
             break
         offenders.sort(key=lambda o: (-o[0], o[1]))
-        _, tid, nxt = offenders[0]
+        _, _, tid, nxt = offenders[0]
         choice[tid] = nxt
     # last resort: balance bytes rather than the objective
     plan = _build_plan(
@@ -339,7 +346,7 @@ def _build_plan(
     items = []
     shard_refs = {}
     dp_tables = []
-    for table in model.tables:
+    for pos, table in enumerate(model.tables):
         scheme, cost = ordered[table.id][choice[table.id]]
         if scheme.kind is SchemeKind.DATA_PARALLEL:
             dp_tables.append((table, scheme))
@@ -349,13 +356,12 @@ def _build_plan(
         else:
             per_shard = scalar_objective(cost, weights, norms)
         for i in range(scheme.num_shards):
-            uid = f"{table.id}#{i}"
-            items.append((uid, per_shard))
-            shard_refs[uid] = (table, scheme, i)
-    assign = HEURISTICS[heuristic](items, W)
+            items.append(((pos, i), per_shard))
+            shard_refs[pos, i] = (table, scheme, i)
+    assign = PARTITIONS[heuristic](items, W)
     workers_by_table: dict[str, list[int]] = {}
-    for uid, worker in assign.items():
-        table, scheme, i = shard_refs[uid]
+    for key, worker in assign.items():
+        table, scheme, i = shard_refs[key]
         workers_by_table.setdefault(table.id, [None] * scheme.num_shards)
         workers_by_table[table.id][i] = worker
     assignments = []
@@ -392,13 +398,14 @@ def hierarchical_plan(
     }
     norms = cost_norms(list(tw_costs.values()))
     items = [
-        (t.id, scalar_objective(tw_costs[t.id], weights, norms)) for t in model.tables
+        (pos, scalar_objective(tw_costs[t.id], weights, norms))
+        for pos, t in enumerate(model.tables)
     ]
     node_of_table = karmarkar_karp_partition(items, cluster.num_nodes)
     gpn = cluster.gpus_per_node
     assignments = []
-    for table in model.tables:
-        first = node_of_table[table.id] * gpn
+    for pos, table in enumerate(model.tables):
+        first = node_of_table[pos] * gpn
         k = min(gpn, table.num_rows)
         scheme = Scheme(
             SchemeKind.ROW_WISE,
@@ -666,14 +673,15 @@ def test_first_unplaced_table_is_named(order, message):
 
 
 # ---------------------------------------------------------------------------
-# placement ties: the str order of the uids "<id>#<i>"
+# placement ties: plan order, never the id text
 
 PREFIX_CHAIN = ("a", "a!", "a#0", "a#", "a0", "a\x00", "a ", 'a"', "t1", "t10", "t1#2", "#", "!")
 ID_CHARS = ("#", "!", " ", '"', "\x00", "0", "1", "a", "t")
 
 
 def _conflict(ids) -> bool:
-    """Whether some id continues another with a character <= "#"."""
+    """Whether some id continues another with a character <= "#", so that
+    "<id>#<i>" strings sort apart from their ids."""
     return any(b.startswith(a) and b[len(a)] <= "#" for a in ids for b in ids if b != a)
 
 
@@ -717,23 +725,29 @@ def rank_case(seed: int):
     return model, cluster, policy, WEIGHTS[int(rng.integers(len(WEIGHTS)))]
 
 
-def test_placement_ties_match_oracle(monkeypatch):
-    """plan_4d (greedy and KK, memory repair included) and hierarchical_plan
-    place ties as the string-uid oracle does, over 48 rank_case models:
-    ids that continue another below '#', tables of more than 10 row shards,
-    repaired placements and infeasible models all occur."""
+@pytest.fixture
+def attempts(monkeypatch):
+    """A list whose last entry counts the calls to planner._place since it
+    was appended."""
     place = planner._place
-    attempts = []
+    calls = []
 
     def counted(*args):
-        attempts[-1] += 1
+        calls[-1] += 1
         return place(*args)
 
     monkeypatch.setattr(planner, "_place", counted)
-    seen = dict.fromkeys(("conflict", "over_10_shards", "repaired", "infeasible"), 0)
+    return calls
+
+
+def test_placement_ties_match_oracle(attempts):
+    """plan_4d (greedy and KK, memory repair included) and hierarchical_plan
+    place ties as the position-keyed oracle does, over 48 rank_case models:
+    tables of more than 10 row shards, repaired placements and infeasible
+    models all occur."""
+    seen = dict.fromkeys(("over_10_shards", "repaired", "infeasible"), 0)
     for seed in range(48):
         model, cluster, policy, weights = rank_case(seed)
-        seen["conflict"] += _conflict(model._ids)
         for heuristic in ("greedy", "kk"):
             attempts.append(0)
             got = outcome(planner.plan_4d, model, cluster, weights, policy, heuristic)
@@ -749,30 +763,86 @@ def test_placement_ties_match_oracle(monkeypatch):
     assert min(seen.values()) > 0, seen
 
 
+RELABEL_CHARS = ID_CHARS + ("b", "z", "~", "\x7f")
+
+
+def relabeled(model: ModelSpec, seed: int) -> ModelSpec:
+    """`model` with each id replaced by a distinct other string, drawn from
+    `seed`; every table keeps its position and its columns."""
+    rng = np.random.default_rng([seed, 26])
+    fresh = {}
+    while len(fresh) < model.num_tables:
+        size = int(rng.integers(1, 7))
+        tid = "".join(RELABEL_CHARS[i] for i in rng.integers(len(RELABEL_CHARS), size=size))
+        if tid not in model._table_pos:
+            fresh[tid] = None
+    tables = [replace(t, id=tid) for t, tid in zip(model.tables, fresh)]
+    return replace(model, tables=tuple(tables))
+
+
+def placement_text(plan) -> object:
+    """The id-free columns of a plan, or the outcome of a failed call."""
+    if isinstance(plan, tuple):
+        return plan
+    cols = plan.shard_columns
+    return tuple(
+        getattr(cols, name).tolist() for name in ("kind", "num_shards", "worker", "rows", "cols")
+    )
+
+
+def test_placement_ignores_the_id_text(attempts):
+    """Placement reads costs and positions only: relabeling every id of 48
+    rank_case models with other strings leaves plan_4d's (greedy and KK,
+    memory repair included) and hierarchical_plan's kinds, shard counts,
+    workers and bounds, and shrink_to_fit's rows, as they were. Ids that
+    continue another below '#', tables of more than 10 row shards, repaired
+    placements, infeasible models and shrunk models all occur."""
+    seen = dict.fromkeys(("conflict", "over_10_shards", "repaired", "infeasible", "shrunk"), 0)
+    for seed in range(48):
+        model, cluster, policy, weights = rank_case(seed)
+        other = relabeled(model, seed)
+        seen["conflict"] += _conflict(model._ids)
+        for heuristic in ("greedy", "kk"):
+            attempts.append(0)
+            got = outcome(planner.plan_4d, model, cluster, weights, policy, heuristic)
+            seen["repaired"] += attempts[-1] > 1
+            want = outcome(planner.plan_4d, other, cluster, weights, policy, heuristic)
+            assert placement_text(got) == placement_text(want)
+            if isinstance(got, tuple):
+                seen["infeasible"] += 1
+            else:
+                seen["over_10_shards"] += any(len(a.shards) > 10 for a in got.assignments)
+        if cluster.num_nodes > 1:
+            got = outcome(planner.hierarchical_plan, model, cluster, weights, policy)
+            want = outcome(planner.hierarchical_plan, other, cluster, weights, policy)
+            assert placement_text(got) == placement_text(want)
+        shrunk = shrink_to_fit(model, cluster, policy.flags)
+        rows = shrunk.table_columns.rows.tolist()
+        assert rows == shrink_to_fit(other, cluster, policy.flags).table_columns.rows.tolist()
+        seen["shrunk"] += shrunk is not model
+    assert min(seen.values()) > 0, seen
+
+
 def test_cores_match_their_public_wrappers():
-    """The uid keys ascend in the str order of the uids, and each positional
-    core, run as the planners run it, gives its public function's bins and
-    insertion order on the (uid, cost) items: up to 20 shards a table, costs
-    with many ties."""
+    """Each positional core, run as the planners run it on items in plan
+    order, gives its public function's bins and insertion order on the
+    (plan position, cost) items: up to 20 shards a table, costs with many
+    ties."""
     for seed in range(32):
-        model = rank_case(seed)[0]
         rng = np.random.default_rng([seed, 26])
-        counts = rng.integers(1, 21, size=model.num_tables)
-        table = np.repeat(np.arange(model.num_tables), counts)
+        counts = rng.integers(1, 21, size=int(rng.integers(2, 40)))
+        table = np.repeat(np.arange(len(counts)), counts)
         shard = np.arange(len(table)) - (np.cumsum(counts) - counts)[table]
-        uids = [f"{model._ids[t]}#{i}" for t, i in zip(table.tolist(), shard.tolist())]
-        key = planner._shard_keys(model, table, shard)
-        assert [uids[j] for j in np.argsort(key)] == sorted(uids)
-        cost = np.array([0.0, 0.5, 1.0, 1.0, 3.0, 2.0**53])[rng.integers(6, size=len(uids))]
-        items = list(zip(uids, cost.tolist()))
+        keys = list(zip(table.tolist(), shard.tolist()))
+        cost = np.array([0.0, 0.5, 1.0, 1.0, 3.0, 2.0**53])[rng.integers(6, size=len(keys))]
+        items = list(zip(keys, cost.tolist()))
         for k in (1, 2, 3, 16):
-            order = np.lexsort((key, -cost))
+            order = np.argsort(-cost, kind="stable")
             bins = planner._greedy_bins(cost[order].tolist(), k)
-            got = list(zip([uids[j] for j in order], bins))
+            got = list(zip([keys[j] for j in order], bins))
             assert got == list(greedy_partition(items, k).items())
-            by_uid = np.argsort(key)
-            seqs, bins = planner._kk_bins(cost[by_uid].tolist(), k)
-            got = dict(zip([uids[j] for j in by_uid[seqs]], bins))
+            seqs, bins = planner._kk_bins(cost.tolist(), k)
+            got = dict(zip([keys[j] for j in seqs], bins))
             want = karmarkar_karp_partition(items, k)
             assert got == want
             if k > 1:  # k = 1 lists the items in their given order
@@ -783,24 +853,24 @@ def test_cores_match_their_public_wrappers():
 @pytest.mark.parametrize(
     "ids", [("a", "a!"), ("a", "a\x00"), ("a", "a "), ("t1", "t1#"), ("a", "a#0"), ("a", "a0")]
 )
-def test_a_tie_goes_to_the_smaller_uid(heuristic, ids):
-    """Of two tables of equal cost on two workers, the one whose uid
-    "<id>#0" sorts first takes worker 0: "a!#0" sorts before "a#0" although
-    "a" < "a!", while "a#0" sorts before "a#0#0" and "a0#0"."""
-    tables = [TableSpec(id=tid, num_rows=100, dim=8, avg_pooling=2.0) for tid in ids]
-    model = desk_model(tables)
-    cluster = _cluster(1, 2, 2**30, 2**30)
-    policy = CandidatePolicy(dp_threshold_bytes=0)
-    plan = planner.plan_4d(model, cluster, CostWeights(), policy, heuristic)
-    assert plan == plan_4d(model, cluster, CostWeights(), policy, heuristic)
-    first = min(ids, key=lambda tid: f"{tid}#0")
-    assert [a.shards[0].worker for a in plan.assignments] == [tid != first for tid in ids]
+def test_a_tie_goes_to_the_earlier_table(heuristic, ids):
+    """Of two tables of equal cost on two workers, the earlier in the model
+    takes worker 0, in either order of the ids, whichever "<id>#0" sorts
+    first."""
+    for order in (ids, ids[::-1]):
+        tables = [TableSpec(id=tid, num_rows=100, dim=8, avg_pooling=2.0) for tid in order]
+        model = desk_model(tables)
+        cluster = _cluster(1, 2, 2**30, 2**30)
+        policy = CandidatePolicy(dp_threshold_bytes=0)
+        plan = planner.plan_4d(model, cluster, CostWeights(), policy, heuristic)
+        assert plan == plan_4d(model, cluster, CostWeights(), policy, heuristic)
+        assert [a.shards[0].worker for a in plan.assignments] == [0, 1]
 
 
 def test_non_finite_costs_name_the_item_in_plan_order():
     """A weight that takes one table's objective past the float range
     raises InvalidValue at that item's position in plan order, as the
-    string-uid partition does: item 1, table t1's shard, in plan_4d and in
+    oracle's partition does: item 1, table t1's shard, in plan_4d and in
     hierarchical_plan's node split."""
     tables = [
         TableSpec(id="t0", num_rows=8, dim=4, avg_pooling=1.0),

@@ -341,15 +341,13 @@ class TestCombinedBatch:
 
 class TestModelSpecIds:
     def test_ids_and_id_order(self):
-        """The ids in model order, and the positions in str order of the ids;
-        ids that differ only in trailing NULs keep their order."""
+        """The ids in model order; ids that differ only in trailing NULs keep
+        their order."""
         ids = ["t10", "a\x00", "t1", "a", "a\x00\x00", "#", "a!"]
         model = small_model(
             tables=[TableSpec(id=tid, num_rows=4, dim=2, avg_pooling=1.0) for tid in ids]
         )
         assert model._ids == tuple(ids)
-        assert [ids[p] for p in model._id_order.tolist()] == sorted(ids)
-        assert not model._id_order.flags.writeable
 
 
 class TestAssertionExplanation:

@@ -491,16 +491,15 @@ class TestScalingSweep:
 
 def shrink_to_fit_oracle(model, cluster, flags):
     """shrink_to_fit as it was before it worked on the table columns: the
-    list greedy over (id, bytes) items, per-worker float sums in table
-    order, and one checked TableSpec per table in a replaced model."""
+    list greedy over (table position, bytes) items, per-worker float sums
+    in table order, and one checked TableSpec per table in a replaced
+    model."""
     if not model.tables:
         return model
     per_table = table_bytes(model.table_columns, flags)
-    ids = [t.id for t in model.tables]
-    assign = list_greedy_partition(list(zip(ids, per_table.tolist())), cluster.num_workers)
-    bins = np.bincount(
-        [assign[tid] for tid in ids], weights=per_table, minlength=cluster.num_workers
-    )
+    assign = list_greedy_partition(list(enumerate(per_table.tolist())), cluster.num_workers)
+    workers = [assign[t] for t in range(len(per_table))]
+    bins = np.bincount(workers, weights=per_table, minlength=cluster.num_workers)
     heaviest = float(bins.max())
     budget = 0.9 * cluster.hbm_capacity_per_gpu
     if heaviest <= budget:
