@@ -459,11 +459,12 @@ def train_step_sharded(
 
     Redistribute, then run each table end to end: slice its shards (or W
     data-parallel replicas), train each on its received input with the
-    reference's per-piece step (_train_piece; DP replicas share the gradient
-    merged in worker order, as the AllReduce adds it) and assemble the pooled
-    output (AlltoAll for TW/CW, ReduceScatter for RW, worker-local rows for
-    DP). A table reads only its own shards, so this equals running every
-    forward first. Outputs match train_step_reference's shape.
+    reference's per-piece step (_train_piece: each row's gradient is its
+    lookup count; DP replicas share the counts added in worker order, as the
+    AllReduce adds them) and assemble the pooled output (AlltoAll for TW/CW,
+    ReduceScatter for RW, worker-local rows for DP). A table reads only its
+    own shards, so this equals running every forward first. Outputs match
+    train_step_reference's shape.
     """
     validate_plan(plan, model)
     batch.validate_against(model)

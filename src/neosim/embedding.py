@@ -11,9 +11,12 @@ Every sum adds each output cell's terms in buffer order starting from 0.0,
 exactly as a scalar loop does, so every result is bit-for-bit reproducible.
 Pooling (`_pool`) runs in sample order: one slice add per position over the
 samples long enough to reach it, then a seeded cumsum for the few longest.
-Per-row gradient aggregation and the data-parallel merge (`_sum_rows`) are
-one bincount over the table's (row, column) cells, with no sort. Reductions
+Per-row aggregation of a general upstream gradient (`_sum_rows`) is one
+bincount over the table's (row, column) cells, with no sort. Reductions
 such as np.add.reduceat are not usable: numpy's reduction loop reassociates.
+The training step backpropagates the sum of all pooled outputs, under which
+each row's gradient is its lookup count in every column: one bincount of
+ids per part, exact in float64, with no upstream matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidValue, LayoutMismatch
+from .errors import IndexOutOfRange, InvalidValue, LayoutMismatch
 from .model import CombinedBatch, ModelSpec, Precision, TableSpec, _check_ids
 
 
@@ -237,34 +240,6 @@ def backward_sort_aggregate(
     return _sum_rows(batch[1], _upstream_rows(batch, upstream), num_rows)
 
 
-def pool_and_aggregate(
-    table: EmbeddingTable, parts: Sequence[tuple], upstream: np.ndarray
-) -> tuple[np.ndarray, RowGradients]:
-    """Pool the (lengths, indices) of `parts` from one table, stacked in
-    order, and sum each part's gradients (upstream: a row per stacked
-    sample), merged in part order as a data-parallel AllReduce adds them.
-    One part gives forward_pooled and backward_sort_aggregate, checked once."""
-    lengths, indices = (np.concatenate(column) for column in zip(*parts))
-    batch = _checked_input(lengths, indices, table.num_rows, table.spec.id)
-    pooled, grads = _pool(table.values, batch), _upstream_rows(batch, upstream)
-    ends = np.array([len(i) for _, i in parts]).cumsum().tolist()
-    sums = [_sum_rows(batch[1][a:b], grads[a:b], table.num_rows) for a, b in zip([0, *ends], ends)]
-    # merging one part's sums is a no-op: they never hold -0.0
-    merged = sums[0] if len(sums) == 1 else merge_row_gradients(sums, *table.values.shape)
-    return pooled, merged
-
-
-def merge_row_gradients(
-    parts: Sequence[RowGradients], num_rows: int, dim: int
-) -> RowGradients:
-    """Sum per-row gradients across partial results (e.g. DP replicas) of a
-    table of num_rows rows; each row's parts are added in the order given."""
-    ids = np.concatenate([np.empty(0, np.int64), *(p.ids for p in parts)])
-    _check_ids(ids, num_rows, "")
-    grads = np.concatenate([np.zeros((0, dim)), *(p.grads for p in parts)])
-    return _sum_rows(ids, grads, num_rows)
-
-
 # ---------------------------------------------------------------------------
 # sparse optimizers
 
@@ -335,10 +310,12 @@ def fused_backward_update(
     cfg: OptimizerConfig,
 ) -> RowGradients:
     """Aggregate per row, then exactly one optimizer application per touched row,
-    never one per occurrence. Ids outside the table are rejected before the
-    table is touched."""
-    _check_ids(np.asarray(indices, dtype=np.int64), table.num_rows, table.spec.id)
-    grads = backward_sort_aggregate(lengths, indices, upstream, table.num_rows)
+    never one per occurrence. The batch is checked once, lengths first, and
+    a bad one is rejected before the table is touched."""
+    try:
+        grads = backward_sort_aggregate(lengths, indices, upstream, table.num_rows)
+    except IndexOutOfRange as err:  # given no table id, it reports none
+        raise IndexOutOfRange(table.spec.id, err.index) from None
     apply_optimizer(table, grads, cfg)
     return grads
 
@@ -377,15 +354,26 @@ def _train_piece(
     replicas: Sequence[EmbeddingTable], parts: Sequence[tuple], cfg: OptimizerConfig
 ) -> np.ndarray:
     """One training step of a table piece held by one or more equal replicas:
-    pool the (lengths, indices) of `parts` from replicas[0] and sum their
-    gradients under the sum-of-outputs loss (an upstream gradient of ones),
-    then update every replica once per touched row and round-trip those rows
-    to storage precision. Returns the rows pooled before the update."""
-    upstream = np.ones((sum(len(lengths) for lengths, _ in parts), replicas[0].dim))
-    pooled, grads = pool_and_aggregate(replicas[0], parts, upstream)
+    pool the (lengths, indices) of `parts` from replicas[0], stacked in
+    order, and backpropagate the sum-of-outputs loss, under which each row's
+    gradient is its lookup count in every column. Each part counts its ids
+    in one bincount and the counts add in part order, as a data-parallel
+    AllReduce adds them. Integer counts are exact, so the gradient equals,
+    byte for byte, the buffer-order float64 sum of an upstream of ones. Then
+    every replica is updated once per touched row and round-trips those
+    rows to storage precision. Returns the rows pooled before the update."""
+    lengths, indices = (np.concatenate(column) for column in zip(*parts))
+    rows, dim = replicas[0].values.shape
+    batch = _checked_input(lengths, indices, rows, replicas[0].spec.id)
+    pooled = _pool(replicas[0].values, batch)
+    ends = np.array([len(i) for _, i in parts]).cumsum()
+    counts = sum(np.bincount(ids, minlength=rows) for ids in np.split(batch[1], ends[:-1]))
+    touched = counts.nonzero()[0]
+    count = counts.take(touched).astype(np.float64)
+    grads = RowGradients(touched, count.repeat(dim).reshape(-1, dim))
     for replica in replicas:
         apply_optimizer(replica, grads, cfg)
-        storage_roundtrip(replica, grads.ids)
+        storage_roundtrip(replica, touched)
     return pooled
 
 
@@ -396,9 +384,10 @@ def train_step_reference(
     seed: int = 0,
 ) -> tuple[np.ndarray, list[EmbeddingTable]]:
     """Desk-scale oracle: each table in turn pools the batch, backpropagates
-    the sum-of-outputs loss and takes its optimizer update (_train_piece).
-    Tables are independent, so this equals fused_forward followed by a
-    fused_backward_update per table."""
+    the sum-of-outputs loss (each row's gradient is its lookup count) and
+    takes its optimizer update (_train_piece). Tables are independent, so
+    this equals fused_forward followed by a fused_backward_update per table
+    under an upstream gradient of ones."""
     batch.validate_against(model)
     tables = build_tables(model, cfg, seed)
     outputs = [

@@ -1,7 +1,7 @@
 import dataclasses
 import heapq
 import struct
-from typing import IO
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -20,7 +20,15 @@ from neosim import (
     plan_4d,
 )
 from neosim.bundled import load_bundled_cluster, load_bundled_model
-from neosim.embedding import _MAGIC
+from neosim.embedding import (
+    _MAGIC,
+    RowGradients,
+    _check_ids,
+    _checked_input,
+    _pool,
+    _sum_rows,
+    _upstream_rows,
+)
 from neosim.perf import shrink_to_fit
 
 
@@ -241,3 +249,34 @@ def load_table(spec: TableSpec, fh: IO[bytes]) -> EmbeddingTable:
             rows, dim
         )
     return EmbeddingTable(spec, values.copy(), None if moment is None else moment.copy())
+
+
+# The training step's aggregation under a general upstream, as
+# embedding._train_piece ran it before it counted lookups: the oracle of
+# the count gradient and of the data-parallel merge.
+def pool_and_aggregate(
+    table: EmbeddingTable, parts: Sequence[tuple], upstream: np.ndarray
+) -> tuple[np.ndarray, RowGradients]:
+    """Pool the (lengths, indices) of `parts` from one table, stacked in
+    order, and sum each part's gradients (upstream: a row per stacked
+    sample), merged in part order as a data-parallel AllReduce adds them.
+    One part gives forward_pooled and backward_sort_aggregate, checked once."""
+    lengths, indices = (np.concatenate(column) for column in zip(*parts))
+    batch = _checked_input(lengths, indices, table.num_rows, table.spec.id)
+    pooled, grads = _pool(table.values, batch), _upstream_rows(batch, upstream)
+    ends = np.array([len(i) for _, i in parts]).cumsum().tolist()
+    sums = [_sum_rows(batch[1][a:b], grads[a:b], table.num_rows) for a, b in zip([0, *ends], ends)]
+    # merging one part's sums is a no-op: they never hold -0.0
+    merged = sums[0] if len(sums) == 1 else merge_row_gradients(sums, *table.values.shape)
+    return pooled, merged
+
+
+def merge_row_gradients(
+    parts: Sequence[RowGradients], num_rows: int, dim: int
+) -> RowGradients:
+    """Sum per-row gradients across partial results (e.g. DP replicas) of a
+    table of num_rows rows; each row's parts are added in the order given."""
+    ids = np.concatenate([np.empty(0, np.int64), *(p.ids for p in parts)])
+    _check_ids(ids, num_rows, "")
+    grads = np.concatenate([np.zeros((0, dim)), *(p.grads for p in parts)])
+    return _sum_rows(ids, grads, num_rows)

@@ -139,14 +139,16 @@ def _bad_input_entries():
     def upstream(lengths):
         return np.ones((len(lengths), 2))
 
+    cfg = OptimizerConfig(OptimizerKind.SGD, lr=0.1)
+
     return {
         "forward_pooled": (lambda l, i: embedding.forward_pooled(table(), l, i), "t"),
         "backward_sort_aggregate": (
             lambda l, i: embedding.backward_sort_aggregate(l, i, upstream(l), 4),
             "",
         ),
-        "pool_and_aggregate": (
-            lambda l, i: embedding.pool_and_aggregate(table(), [(l, i)], upstream(l)),
+        "fused_backward_update": (
+            lambda l, i: embedding.fused_backward_update(table(), l, i, upstream(l), cfg),
             "t",
         ),
         "bucketize_rowwise": (
@@ -169,12 +171,14 @@ def _bad_input_entries():
         ([1, 1], [0, 4], IndexOutOfRange, 4),
         ([2, 1], [3, 4, 0], IndexOutOfRange, 4),
         ([2, -1], [0], InvalidValue, "lengths"),
+        ([3, -1], [0, 4], InvalidValue, "lengths"),
     ],
-    ids=["id_-1", "id_H", "id_H_second", "negative_length"],
+    ids=["id_-1", "id_H", "id_H_second", "negative_length", "negative_length_and_id_H"],
 )
 def test_every_entry_rejects_a_bad_batch_alike(entry, lengths, indices, error, where):
     """One bad batch sent through every entry that checks it raises the same
-    error class at the same id, index or path."""
+    error class at the same id, index or path; lengths are checked before
+    ids."""
     run, table_id = _bad_input_entries()[entry]
     with pytest.raises(error) as err:
         run(np.array(lengths), np.array(indices))
@@ -728,6 +732,27 @@ class TestTrainStepSharded:
                     assert np.array_equal(a.moment, b.moment), key
             for a, b in zip(values, reassemble_values(model, twin, twin_state)):
                 assert np.array_equal(a, b)
+
+    def test_verify_steps_build_no_upstream(self, monkeypatch):
+        """Both training steps take each row's gradient as its lookup count:
+        on a plan with TW, RW, CW and DP tables, neither gathers an upstream
+        row per index (_upstream_rows) nor sums (row, column) cells
+        (_sum_rows)."""
+        model, cluster, policy = mixed_desk_case()
+        plan = plan_4d(model, cluster, CostWeights(), policy)
+        assert {a.scheme.kind for a in plan.assignments} == set(SchemeKind)
+        batch = gen_synthetic_batch(model, 8 * model.local_batch, seed=44)
+        cfg = OptimizerConfig(OptimizerKind.ROWWISE_ADAGRAD, lr=0.1, eps=1e-8)
+
+        def forbidden(*args):
+            raise AssertionError("a verify step aggregated an upstream gradient")
+
+        monkeypatch.setattr(embedding, "_sum_rows", forbidden)
+        monkeypatch.setattr(embedding, "_upstream_rows", forbidden)
+        with pytest.raises(AssertionError):  # the general-upstream kernel does call them
+            embedding.backward_sort_aggregate([1], [0], np.ones((1, 2)), 1)
+        train_step_reference(model, batch, cfg, seed=45)
+        train_step_sharded(model, plan, batch, cfg, seed=45)
 
     @pytest.mark.parametrize("heuristic", ["greedy", "hierarchical"])
     @pytest.mark.parametrize("kind", list(OptimizerKind))

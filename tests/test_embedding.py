@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import desk_model, load_table
+from conftest import desk_model, load_table, merge_row_gradients
 
 from neosim import (
     EmbeddingTable,
@@ -31,7 +31,6 @@ from neosim.embedding import (
     apply_optimizer,
     apply_sgd,
     dump_table,
-    merge_row_gradients,
     storage_roundtrip,
 )
 from neosim.comms import _slice_table

@@ -14,11 +14,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from neosim import EmbeddingTable, RowGradients, TableSpec, forward_pooled
+from conftest import merge_row_gradients, pool_and_aggregate
+from neosim import (
+    EmbeddingTable,
+    OptimizerConfig,
+    OptimizerKind,
+    Precision,
+    RowGradients,
+    TableSpec,
+    forward_pooled,
+)
 from neosim.embedding import (
+    _train_piece,
+    apply_optimizer,
     backward_sort_aggregate,
-    merge_row_gradients,
-    pool_and_aggregate,
+    quantize_fp16_roundtrip,
+    storage_roundtrip,
 )
 
 # inf - inf is expected here, and numpy warns about it
@@ -161,3 +172,67 @@ def test_pool_and_aggregate_parts_match_scalar_loop(case, data):
         part_sums.append(scalar_aggregate(part_lengths, part_indices, part_up))
     pairs = [(r, g) for ids, grads in part_sums for r, g in zip(ids.tolist(), grads.tolist())]
     assert same(got, *scalar_sum_rows(pairs, values.shape[1]))
+
+
+@st.composite
+def piece_steps(draw):
+    """(replicas, parts, cfg) of one piece step: 1 to 4 equal replicas, one
+    part (a worker's pooled batch) each. Parts may hold no sample or only
+    empty samples, samples may repeat an id, rows may go untouched."""
+    rows = draw(st.integers(1, 10))
+    dim = draw(st.integers(1, 4))
+    precision = draw(st.sampled_from([Precision.FP32, Precision.FP16]))
+    kind = draw(st.sampled_from(list(OptimizerKind)))
+    lr, eps = draw(st.sampled_from([0.05, 1.0])), draw(st.sampled_from([0.0, 1e-8]))
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        lengths = draw(st.lists(st.integers(0, 6), max_size=4))
+        count = sum(lengths)
+        indices = draw(st.lists(st.integers(0, rows - 1), min_size=count, max_size=count))
+        parts.append((np.array(lengths, dtype=np.int64), np.array(indices, dtype=np.int64)))
+    finite = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=True)
+    flat = draw(st.lists(finite, min_size=rows * dim, max_size=rows * dim))
+    values = np.array(flat, dtype=np.float64).reshape(rows, dim)
+    if precision is Precision.FP16:
+        values, _ = quantize_fp16_roundtrip(values)
+    moment = None
+    if kind is not OptimizerKind.SGD:
+        shape = (rows,) if kind is OptimizerKind.ROWWISE_ADAGRAD else (rows, dim)
+        size = math.prod(shape)
+        flat = draw(st.lists(st.floats(0.0, 10.0), min_size=size, max_size=size))
+        moment = np.array(flat, dtype=np.float64).reshape(shape)
+    spec = TableSpec(id="t", num_rows=rows, dim=dim, avg_pooling=1.0, value_precision=precision)
+    replicas = [copied(EmbeddingTable(spec, values, moment)) for _ in parts]
+    return replicas, parts, OptimizerConfig(kind, lr=lr, eps=eps)
+
+
+def copied(table):
+    moment = None if table.moment is None else table.moment.copy()
+    return EmbeddingTable(table.spec, table.values.copy(), moment)
+
+
+def step_by_upstream(replicas, parts, cfg):
+    """_train_piece as it ran before it counted lookups: an upstream of ones
+    aggregated per part and merged in part order."""
+    upstream = np.ones((sum(len(lengths) for lengths, _ in parts), replicas[0].dim))
+    pooled, grads = pool_and_aggregate(replicas[0], parts, upstream)
+    for replica in replicas:
+        apply_optimizer(replica, grads, cfg)
+        storage_roundtrip(replica, grads.ids)
+    return pooled
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=piece_steps())
+def test_count_gradient_matches_upstream_of_ones(case):
+    """The piece step's lookup-count gradient gives, byte for byte, the
+    pooled rows, post-step values and moments of summing an all-ones
+    upstream, under every optimizer, storage precision and part count."""
+    replicas, parts, cfg = case
+    twins = [copied(replica) for replica in replicas]
+    pooled = _train_piece(replicas, parts, cfg)
+    assert pooled.tobytes() == step_by_upstream(twins, parts, cfg).tobytes()
+    for got, want in zip(replicas, twins):
+        assert got.values.tobytes() == want.values.tobytes()
+        if cfg.kind is not OptimizerKind.SGD:
+            assert got.moment.tobytes() == want.moment.tobytes()
