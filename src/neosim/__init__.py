@@ -75,9 +75,7 @@ from .comms import (
 )
 from .cache import (
     CacheConfig,
-    CacheState,
     ReplacementPolicy,
-    access,
     effective_row_bandwidth,
     simulate_trace,
 )

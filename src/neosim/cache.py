@@ -1,10 +1,11 @@
 """Set-associative software cache simulator for embedding rows.
 
-Rows map to sets by id modulo num_sets. Each set is a dict from resident row
-id to its access count, kept in recency order: a hit pops the row and
-re-inserts it, so the first key is always the least recently used row.
-Replacement is LRU (evict the first key) or LFU (evict the least frequent
-row, the least recent among equals). Recency is a strict order, so no two
+Rows map to sets by id modulo num_sets. `simulate_trace` replays a trace
+from an empty cache with one engine per replacement policy: LRU evicts the
+least recently used row of a full set, LFU the least frequently used row,
+the least recent among equals. Each set is a dict of its resident rows kept
+in recency order: a hit pops the row and re-inserts it, so the first key is
+always the least recently used row. Recency is a strict order, so no two
 rows ever tie on it and no further tie rule is needed. The default 32-way
 associativity mirrors the warp-sized layout the cache models.
 """
@@ -15,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from operator import index
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import EmptyTrace, InvalidValue
 
@@ -48,30 +49,6 @@ class CacheConfig:
         object.__setattr__(self, "policy", policy)
 
 
-@dataclass(frozen=True)
-class AccessResult:
-    hit: bool
-    evicted: Optional[int] = None
-
-
-_HIT = AccessResult(hit=True)
-
-
-class CacheState:
-    """Mutable simulator state; single-owner, not shared across threads.
-
-    `sets[s]` maps each row resident in set s to its access count, least
-    recently used row first.
-    """
-
-    def __init__(self, config: CacheConfig):
-        self.config = config
-        self.sets: list[dict[int, int]] = [{} for _ in range(config.num_sets)]
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-
 def _row_id(value) -> int:
     try:
         row_id = index(value)
@@ -82,35 +59,13 @@ def _row_id(value) -> int:
     return row_id
 
 
-def _victim(lines: dict[int, int], lfu: bool) -> int:
-    """The row a full set evicts. Keys run least recent first, so LRU takes
-    the first key and LFU the first key holding the lowest count."""
-    if not lfu:
-        return next(iter(lines))
+def _victim(lines: dict[int, int]) -> int:
+    """The row a full LFU set evicts. Keys run least recent first, so that
+    is the first key holding the lowest count."""
     least = min(lines.values())
     for row_id, count in lines.items():
         if count == least:
             return row_id
-
-
-def access(state: CacheState, row_id: int) -> AccessResult:
-    """One row lookup: hit refreshes the line, miss inserts and may evict."""
-    row_id = _row_id(row_id)
-    cfg = state.config
-    lines = state.sets[row_id % cfg.num_sets]
-    count = lines.pop(row_id, 0)
-    if count:
-        lines[row_id] = count + 1
-        state.hits += 1
-        return _HIT
-    state.misses += 1
-    evicted = None
-    if len(lines) >= cfg.ways:
-        evicted = _victim(lines, cfg.policy is ReplacementPolicy.LFU)
-        del lines[evicted]
-        state.evictions += 1
-    lines[row_id] = 1
-    return AccessResult(hit=False, evicted=evicted)
 
 
 @dataclass(frozen=True)
@@ -129,8 +84,9 @@ class TraceStats:
 
 
 def simulate_trace(config: CacheConfig, trace: Iterable[int]) -> TraceStats:
-    """Replay a trace from an empty cache; the same counts as folding
-    `access` over it.
+    """Replay a trace from an empty cache under the config's policy: the
+    hits, misses and evictions of LRU or LFU replacement (see the module
+    docstring).
 
     A set that never receives more distinct rows than it has ways only ever
     takes compulsory misses, under either policy. When no set overflows, the
@@ -207,7 +163,7 @@ def _replay_lfu(ids: list[int], num_sets: int, ways: int) -> tuple[int, int]:
                     victim = next(iter(fresh))
                     del fresh[victim]
                 else:
-                    victim = _victim(lines, True)
+                    victim = _victim(lines)
                 del lines[victim]
             fresh[row_id] = None
         lines[row_id] = count + 1

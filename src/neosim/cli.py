@@ -104,6 +104,20 @@ def _write(out_dir: str, name: str, text: str) -> Path:
     return target
 
 
+def _write_report(args, inputs: list, body: dict, seed: Optional[int] = None) -> None:
+    """Write `<command>.json`, the body under its run manifest, to --out and
+    say where."""
+    manifest = make_manifest(args.command, inputs, seed)
+    written = _write(args.out, f"{args.command}.json", render_report(manifest, body))
+    print(f"report written to {written}")
+
+
+def _csv(header: list, rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue()
+
+
 def _load_model(path: str) -> ModelSpec:
     return parse_model_spec(Path(path).read_text())
 
@@ -208,14 +222,9 @@ def cmd_simulate(args) -> int:
         },
         "volumes": [v.to_dict() for v in result.volumes],
     }
-    manifest = make_manifest(
-        "simulate", [args.model, args.cluster, getattr(args, "plan", None)]
-    )
-    text = render_report(manifest, body)
-    written = _write(args.out, "simulate.json", text)
+    _write_report(args, [args.model, args.cluster, args.plan], body)
     if args.format == "csv":
         _write(args.out, "simulate.csv", _components_csv(body["components_ms"]))
-    print(f"report written to {written}")
     print(
         f"t_total {est.t_total * 1e3:.3f} ms  qps {est.qps:,.0f}  "
         f"exposed comm {est.exposed_comm * 1e3:.3f} ms"
@@ -224,12 +233,13 @@ def cmd_simulate(args) -> int:
 
 
 def _components_csv(components: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["component", "serialized_ms", "exposed_ms"])
-    for name, entry in components.items():
-        writer.writerow([name, f"{entry['serialized']:.6f}", f"{entry['exposed']:.6f}"])
-    return buf.getvalue()
+    return _csv(
+        ["component", "serialized_ms", "exposed_ms"],
+        (
+            [name, f"{entry['serialized']:.6f}", f"{entry['exposed']:.6f}"]
+            for name, entry in components.items()
+        ),
+    )
 
 
 def cmd_sweep(args) -> int:
@@ -270,18 +280,11 @@ def cmd_sweep(args) -> int:
             }
         )
     body = {"node_counts": node_counts, "entries": rows}
-    manifest = make_manifest("sweep", [args.model, args.cluster])
-    written = _write(args.out, "sweep.json", render_report(manifest, body))
+    _write_report(args, [args.model, args.cluster], body)
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["nodes", "workers", "qps", "efficiency", "t_total_ms", "error"])
-        for r in rows:
-            writer.writerow(
-                [r["nodes"], r["workers"], r["qps"], r["efficiency"], r["t_total_ms"], r["error"]]
-            )
-        _write(args.out, "sweep.csv", buf.getvalue())
-    print(f"report written to {written}")
+        columns = ["nodes", "workers", "qps", "efficiency", "t_total_ms", "error"]
+        table = _csv(columns, ([r[c] for c in columns] for r in rows))
+        _write(args.out, "sweep.csv", table)
     for r in rows:
         eff = "-" if r["efficiency"] is None else f"{r['efficiency']:.3f}"
         qps = "-" if r["qps"] is None else f"{r['qps']:,.0f}"
@@ -339,11 +342,7 @@ def cmd_verify(args) -> int:
         "bitwise": bitwise,
         "passed": passed,
     }
-    manifest = make_manifest(
-        "verify", [args.model, args.plan] if args.plan else [args.model], args.seed
-    )
-    written = _write(args.out, "verify.json", render_report(manifest, body))
-    print(f"report written to {written}")
+    _write_report(args, [args.model, args.plan], body, args.seed)
     for tid, dev in per_table.items():
         print(f"table {tid}: max deviation {dev:.3e}")
     print(f"{'PASS' if passed else 'FAIL'}: max deviation {worst:.3e} "
@@ -394,9 +393,7 @@ def cmd_cache(args) -> int:
         "evictions": stats.evictions,
         "hit_rate": stats.hit_rate,
     }
-    manifest = make_manifest("cache", [args.trace])
-    written = _write(args.out, "cache.json", render_report(manifest, body))
-    print(f"report written to {written}")
+    _write_report(args, [args.trace], body)
     print(
         f"accesses {stats.accesses}  hits {stats.hits}  misses {stats.misses}  "
         f"evictions {stats.evictions}  hit_rate {stats.hit_rate:.4f}"

@@ -33,7 +33,14 @@ from .embedding import (
     build_tables,
 )
 from .errors import InvalidValue, LayoutMismatch
-from .model import CombinedBatch, ModelSpec, Precision, PRECISION_BYTES, frozen_array
+from .model import (
+    ACTIVATION_BYTES,
+    PRECISION_BYTES,
+    CombinedBatch,
+    ModelSpec,
+    Precision,
+    frozen_array,
+)
 from .planner import (
     CW,
     DP,
@@ -288,13 +295,6 @@ def alltoall_redistribute(
 
 # ---------------------------------------------------------------------------
 # collective volume models
-
-
-# Pooled embeddings and their gradients travel as activations, at the
-# AlltoAll width of their direction (4 bytes unless quantized). Table storage
-# precision only affects parameter traffic (DP gradient AllReduce) and memory
-# reads.
-ACTIVATION_BYTES = PRECISION_BYTES[Precision.FP32]
 
 
 def _pooled_elements(

@@ -42,7 +42,7 @@ class OptimizerKind(str, Enum):
 class OptimizerConfig:
     kind: OptimizerKind
     lr: float
-    eps: float = 0.0
+    eps: float = 1e-8
 
     def __post_init__(self):
         if not self.lr > 0:

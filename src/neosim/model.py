@@ -36,6 +36,11 @@ PRECISION_BYTES = {
     Precision.BF16: 2,
 }
 
+# Pooled embeddings and their gradients travel as activations, 4 bytes per
+# element unless an AlltoAll direction is quantized. Table storage precision
+# only affects parameter traffic (DP gradient AllReduce) and memory reads.
+ACTIVATION_BYTES = PRECISION_BYTES[Precision.FP32]
+
 # Precisions allowed for embedding-table storage.
 TABLE_PRECISIONS = (Precision.FP32, Precision.FP16)
 
@@ -91,10 +96,6 @@ class TableSpec:
     @property
     def num_params(self) -> int:
         return self.num_rows * self.dim
-
-    @property
-    def index_bytes(self) -> int:
-        return _index_bytes(self.num_rows)
 
 
 def _index_bytes(rows):

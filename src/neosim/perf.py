@@ -29,7 +29,6 @@ from .planner import (
     DP,
     HBM,
     INFEASIBLE,
-    _DEFAULT_FLAGS,
     CandidatePolicy,
     CompressionFlags,
     CostWeights,
@@ -230,10 +229,10 @@ def component_latencies(
     model: ModelSpec,
     plan: ShardingPlan,
     cluster: ClusterSpec,
-    cache_hit_rate: float = 1.0,
+    cache_hit_rate: float = 0.9,
     a2a_fwd_precision: Precision = Precision.FP32,
     a2a_bwd_precision: Precision = Precision.FP32,
-    flags: CompressionFlags = _DEFAULT_FLAGS,
+    flags: CompressionFlags = CompressionFlags(),
 ) -> ComponentLatencies:
     """Calibrated per-component latencies for one training iteration, at
     TF32 compute (simulate takes the compute precision).
@@ -388,7 +387,7 @@ def simulate(
     compute_precision: Precision = Precision.TF32,
     a2a_fwd_precision: Precision = Precision.FP32,
     a2a_bwd_precision: Precision = Precision.FP32,
-    flags: CompressionFlags = _DEFAULT_FLAGS,
+    flags: CompressionFlags = CompressionFlags(),
 ) -> SimulationResult:
     volumes = collective_volumes(plan, model, a2a_fwd_precision, a2a_bwd_precision)
     comps = _component_latencies(
@@ -449,7 +448,6 @@ class SweepEntry:
     qps: Optional[float]
     efficiency: Optional[float]
     estimate: Optional[PerfEstimate]
-    breakdown: Optional[dict]
     error: Optional[str] = None
 
 
@@ -494,7 +492,7 @@ def scaling_sweep(
             )
         except Infeasible as exc:
             entries.append(
-                SweepEntry(n, cluster.num_workers, None, None, None, None, str(exc))
+                SweepEntry(n, cluster.num_workers, None, None, None, str(exc))
             )
             continue
         qps = result.estimate.qps
@@ -508,7 +506,6 @@ def scaling_sweep(
                 qps=qps,
                 efficiency=efficiency,
                 estimate=result.estimate,
-                breakdown=result.breakdown,
             )
         )
     return entries

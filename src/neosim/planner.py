@@ -28,6 +28,7 @@ from .errors import (
     NoFeasibleScheme,
 )
 from .model import (
+    ACTIVATION_BYTES,
     INT64_MAX,
     SPEC_VERSION,
     ClusterSpec,
@@ -100,20 +101,19 @@ class CostWeights:
 
 @dataclass(frozen=True)
 class CompressionFlags:
-    """Capacity-accounting levers: forced table precision and row-wise state."""
+    """Capacity-accounting levers: forced table precision and row-wise
+    optimizer state (one moment per row; False keeps one per element). The
+    defaults are the CLI's."""
 
     table_precision: Optional[Precision] = None  # None keeps per-table precision
-    rowwise_optimizer: bool = False
-
-
-_DEFAULT_FLAGS = CompressionFlags(rowwise_optimizer=True)  # the CLI's: row-wise state
+    rowwise_optimizer: bool = True
 
 
 @dataclass(frozen=True)
 class CandidatePolicy:
     dp_threshold_bytes: Optional[int] = None  # None -> HBM capacity / 1000
     fine_grain: bool = False
-    flags: CompressionFlags = _DEFAULT_FLAGS
+    flags: CompressionFlags = CompressionFlags()
 
 
 @dataclass(frozen=True)
@@ -522,13 +522,13 @@ def _shard_costs(tc: TableColumns, table, kind, num_shards, width, cluster, glob
     batch x pooling x dim. comm_bytes charges pooled output plus index payload
     for TW/CW, bucketized indices plus ReduceScatter volume for RW, and the
     ring AllReduce volume 2(p-1)/p x table bytes for DP. Pooled activations
-    count 4 bytes per element; parameter gradients count the model spec's
-    value precision.
+    count ACTIVATION_BYTES per element; parameter gradients count the model
+    spec's value precision.
     Each expression keeps its operands in the order of the scalar formula,
     and integer terms are exact, so every value is the float that one
     table's arithmetic in Python gives.
     """
-    act = 4
+    act = ACTIVATION_BYTES
     gb = global_batch
     L = tc.pooling[table]
     D = tc.dim[table]
@@ -674,16 +674,14 @@ class CandidateColumns(NamedTuple):
     Rows run in model order, each table's in enumeration order: TW, RW by
     ascending k, CW by ascending c, then DP; table t's rows are
     start[t]:start[t + 1]. Per row: `table` (its position in model.tables),
-    `kind` (the TW/RW/CW/DP code), `num_shards`, `width` (columns per
-    shard), `storage` (bytes of the largest shard, values plus optimizer
-    state, exact in int64) and one shard's `comm_bytes`, `load` and
-    `fixed_latency`.
+    `kind` (the TW/RW/CW/DP code), `num_shards`, `storage` (bytes of the
+    largest shard, values plus optimizer state, exact in int64) and one
+    shard's `comm_bytes`, `load` and `fixed_latency`.
     """
 
     table: np.ndarray
     kind: np.ndarray
     num_shards: np.ndarray
-    width: np.ndarray
     storage: np.ndarray
     comm_bytes: np.ndarray
     load: np.ndarray
@@ -702,7 +700,7 @@ class CandidateColumns(NamedTuple):
         )
         global_batch = model.local_batch * cluster.num_workers
         costs = _shard_costs(tc, table, kind, num_shards, width, cluster, global_batch)
-        return cls(table, kind, num_shards, width, storage, *costs, start)
+        return cls(table, kind, num_shards, storage, *costs, start)
 
     @classmethod
     def table_wise(
@@ -718,7 +716,7 @@ class CandidateColumns(NamedTuple):
         global_batch = model.local_batch * cluster.num_workers
         costs = _shard_costs(tc, table, kind, num_shards, tc.dim, cluster, global_batch)
         storage = table_bytes(tc, flags)
-        return cls(table, kind, num_shards, tc.dim, storage, *costs, np.arange(T + 1))
+        return cls(table, kind, num_shards, storage, *costs, np.arange(T + 1))
 
 
 def _schemes(kind: np.ndarray, num_shards: np.ndarray, dim: np.ndarray) -> list[Scheme]:
@@ -1548,7 +1546,7 @@ def plan_to_json(
     plan: ShardingPlan,
     model: Optional[ModelSpec] = None,
     cluster: Optional[ClusterSpec] = None,
-    flags: CompressionFlags = _DEFAULT_FLAGS,
+    flags: CompressionFlags = CompressionFlags(),
 ) -> str:
     """The plan document, plus a per-worker memory summary (`workers`) when
     both the model and the cluster are given.

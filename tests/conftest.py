@@ -124,6 +124,12 @@ def desk_model(tables, local_batch=4, **kwargs) -> ModelSpec:
     return ModelSpec(tables=tuple(tables), local_batch=local_batch, **defaults)
 
 
+def index_bytes(num_rows: int) -> int:
+    """Bytes per row id of a table of `num_rows` rows: int32 up to 2**31
+    rows, else int64."""
+    return 4 if num_rows <= 2**31 else 8
+
+
 def random_desk_model(rng: np.random.Generator, max_tables=8, max_batch=4):
     num_tables = int(rng.integers(1, max_tables + 1))
     tables = [
@@ -164,7 +170,7 @@ def mixed_desk_case():
     policy = CandidatePolicy(
         dp_threshold_bytes=4096,
         fine_grain=True,
-        flags=CompressionFlags(table_precision=Precision.FP16),
+        flags=CompressionFlags(table_precision=Precision.FP16, rowwise_optimizer=False),
     )
     return model, cluster, policy
 

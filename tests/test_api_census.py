@@ -8,7 +8,14 @@ method or property only when the program reads an attribute of its name
 (`x.name`), on any receiver, so a local variable of the same name does not
 hide it. Likewise every defaulted parameter of those functions and methods
 must be set by some program call: an option only tests set is surface to
-delete."""
+delete. And every annotated field of a public dataclass or NamedTuple must
+be read by the program as an attribute (`x.field`): a member nothing reads
+is state to delete.
+
+Every rule matches by name alone, so it is blind to name collisions: a
+member whose name the program reads elsewhere (a field `breakdown` beside
+another class's `breakdown`, a property `index_bytes` beside a column of
+that name) counts as used although nothing reads it."""
 
 import ast
 from pathlib import Path
@@ -19,7 +26,6 @@ WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 # kept although only tests call them
 ALLOWED = {
-    "access": "the per-access oracle of cache.simulate_trace",
     "make_scan_hot_trace": "generates the bundled trace_scan_hot.txt",
     "effective_performance": "acceptance criterion 1 checks the paper's identity with it",
     "load_bundled_model": "README's Python API",
@@ -194,3 +200,77 @@ def test_options_allowlist_names_only_unset_options():
         option for option in ALLOWED_OPTIONS if option not in options or option in set_
     )
     assert not stale, "drop from ALLOWED_OPTIONS: " + ", ".join(stale)
+
+
+# ---------------------------------------------------------------------------
+# fields census: every annotated field of a public dataclass or NamedTuple is
+# read by the program as an attribute, on any receiver. A key naming a class
+# covers all its fields.
+
+# fields kept although the program reads them only whole
+ALLOWED_FIELDS = {
+    "ComponentLatencies": "read through as_dict, which the report walks",
+    "MemoryReport.table_bytes": "plan_to_json unpacks the report",
+    "MemoryReport.optimizer_bytes": "plan_to_json unpacks the report",
+    "MemoryReport.dense_bytes": "plan_to_json unpacks the report",
+    "PerfEstimate.components": "perfbench hashes dataclasses.asdict(estimate)",
+}
+
+
+def is_record(node) -> bool:
+    """Whether a class definition is a dataclass or a NamedTuple."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(getattr(d, "id", None) == "dataclass" for d in decorators) or any(
+        getattr(b, "id", None) == "NamedTuple" for b in node.bases
+    )
+
+
+def read_attributes(tree) -> set[str]:
+    """Attribute names a syntax tree reads (loads, not stores)."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def fields_census() -> tuple[dict[str, str], set[str]]:
+    """(field "Class.name" -> its module, fields the program reads)."""
+    fields = {}
+    read = read_attributes(ast.parse(WORKLOADS.read_text()))
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                if is_record(node):
+                    for item in node.body:
+                        if isinstance(item, ast.AnnAssign):
+                            fields[f"{node.name}.{item.target.id}"] = path.stem
+        if path.name != "__init__.py":
+            read |= read_attributes(tree)
+    return fields, {field for field in fields if field.split(".")[1] in read}
+
+
+def allowed_field(field: str) -> bool:
+    return field in ALLOWED_FIELDS or field.split(".")[0] in ALLOWED_FIELDS
+
+
+def test_every_field_is_read_by_the_program():
+    fields, read = fields_census()
+    unread = sorted(
+        f"{module}.{field}"
+        for field, module in fields.items()
+        if field not in read and not allowed_field(field)
+    )
+    assert not unread, "nothing reads: " + ", ".join(unread)
+
+
+def test_fields_allowlist_names_only_unread_fields():
+    fields, read = fields_census()
+    unread = set(fields) - read
+    stale = sorted(
+        key
+        for key in ALLOWED_FIELDS
+        if not any(field == key or field.split(".")[0] == key for field in unread)
+    )
+    assert not stale, "drop from ALLOWED_FIELDS: " + ", ".join(stale)

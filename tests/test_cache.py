@@ -8,11 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from neosim import (
     CacheConfig,
-    CacheState,
     EmptyTrace,
     InvalidValue,
     ReplacementPolicy,
-    access,
     effective_row_bandwidth,
     simulate_trace,
 )
@@ -34,7 +32,6 @@ class ListScanCache:
         self.clock = self.hits = self.misses = self.evictions = 0
 
     def access(self, row_id):
-        """(hit, evicted row or None)"""
         lines = self.sets[row_id % self.num_sets]
         self.clock += 1
         for line in lines:
@@ -42,37 +39,32 @@ class ListScanCache:
                 line[1] = self.clock
                 line[2] += 1
                 self.hits += 1
-                return True, None
+                return
         self.misses += 1
-        evicted = None
         if len(lines) >= self.ways:
             if self.policy is ReplacementPolicy.LRU:
                 i = min(range(len(lines)), key=lambda i: (lines[i][1], i))
             else:
                 i = min(range(len(lines)), key=lambda i: (lines[i][2], lines[i][1], i))
-            evicted = lines.pop(i)[0]
+            lines.pop(i)
             self.evictions += 1
         lines.append([row_id, self.clock, 1])
-        return False, evicted
 
 
 def assert_matches_oracle(num_sets, ways, policy, trace):
-    config = CacheConfig(num_sets, ways, policy)
-    state = CacheState(config)
     oracle = ListScanCache(num_sets, ways, policy)
     for row in trace:
-        got = access(state, row)
-        assert (got.hit, got.evicted) == oracle.access(row)
+        oracle.access(row)
+    stats = simulate_trace(CacheConfig(num_sets, ways, policy), trace)
     expected = (oracle.hits, oracle.misses, oracle.evictions)
-    assert (state.hits, state.misses, state.evictions) == expected
-    stats = simulate_trace(config, trace)
     assert (stats.hits, stats.misses, stats.evictions) == expected
     return stats
 
 
-def resident(state, row_id):
-    """Whether the valid row id `row_id` sits in its set."""
-    return row_id in state.sets[row_id % state.config.num_sets]
+def counts(config, trace):
+    """(hits, misses, evictions) of simulate_trace."""
+    stats = simulate_trace(config, trace)
+    return stats.hits, stats.misses, stats.evictions
 
 
 @st.composite
@@ -107,87 +99,58 @@ def oracle_traces(rng):
 
 
 class TestAccess:
+    """Each replacement rule pinned by a short trace whose counts differ
+    under the wrong rule."""
+
     def test_cold_miss_then_hit(self):
-        state = CacheState(CacheConfig(num_sets=2, ways=2))
-        first = access(state, 5)
-        assert not first.hit and first.evicted is None
-        assert access(state, 5).hit
+        assert counts(CacheConfig(num_sets=2, ways=2), [5, 5]) == (1, 1, 0)
 
     def test_lru_evicts_oldest(self):
-        # one set, two ways: 0, 2, 4 all map to set 0; 4 evicts 0
-        state = CacheState(CacheConfig(num_sets=1, ways=2, policy=ReplacementPolicy.LRU))
-        access(state, 0)
-        access(state, 2)
-        result = access(state, 4)
-        assert not result.hit
-        assert result.evicted == 0
+        # one set, two ways: 0, 2, 4 all map to set 0; 4 evicts 0, so 0
+        # misses again (had 4 evicted 2, the last access would hit)
+        config = CacheConfig(num_sets=1, ways=2, policy=ReplacementPolicy.LRU)
+        assert counts(config, [0, 2, 4, 0]) == (0, 4, 2)
 
     def test_lru_hit_refreshes_recency(self):
-        state = CacheState(CacheConfig(num_sets=1, ways=2, policy=ReplacementPolicy.LRU))
-        access(state, 0)
-        access(state, 2)
-        access(state, 0)  # refresh 0, making 2 the LRU line
-        assert access(state, 4).evicted == 2
+        # refreshing 0 makes 2 the LRU line: 4 evicts 2 and 0 hits again
+        config = CacheConfig(num_sets=1, ways=2, policy=ReplacementPolicy.LRU)
+        assert counts(config, [0, 2, 0, 4, 0]) == (2, 3, 1)
 
     def test_two_sets_hold_sixty_four_rows(self):
         # rows 0..63 over 2 sets x 32 ways: second pass hits every access
-        state = CacheState(CacheConfig(num_sets=2, ways=32))
-        for row in range(64):
-            assert not access(state, row).hit
-        for row in range(64):
-            assert access(state, row).hit
+        for policy in ReplacementPolicy:
+            config = CacheConfig(num_sets=2, ways=32, policy=policy)
+            assert counts(config, list(range(64)) * 2) == (64, 64, 0)
 
     def test_lfu_prefers_evicting_low_frequency(self):
-        state = CacheState(CacheConfig(num_sets=1, ways=2, policy=ReplacementPolicy.LFU))
-        access(state, 0)
-        access(state, 0)  # freq 2
-        access(state, 2)  # freq 1
-        assert access(state, 4).evicted == 2
+        # 0 and 2 at frequency 2, 4 at 1: 6 evicts 4, though 0 is least
+        # recent, so 0 and 2 hit again (LRU would give 2 hits, 6 misses)
+        config = CacheConfig(num_sets=1, ways=3, policy=ReplacementPolicy.LFU)
+        trace = [0, 0, 2, 2, 4, 6, 0, 2]
+        assert counts(config, trace) == (4, 4, 1)
+        assert_matches_oracle(1, 3, ReplacementPolicy.LFU, trace)
 
     def test_residency_bounded_by_ways(self):
+        # each miss adds a line and each eviction drops one, so the lines
+        # resident at the end are misses - evictions: every set full, no more
         rng = np.random.default_rng(0)
-        config = CacheConfig(num_sets=3, ways=4)
-        state = CacheState(config)
-        for row in rng.integers(0, 100, size=500):
-            access(state, int(row))
-            assert all(len(lines) <= config.ways for lines in state.sets)
-
-    def test_negative_row_rejected(self):
-        state = CacheState(CacheConfig(num_sets=1, ways=1))
-        with pytest.raises(InvalidValue):
-            access(state, -1)
+        trace = [int(row) for row in rng.integers(0, 100, size=500)]
+        for policy in ReplacementPolicy:
+            stats = simulate_trace(CacheConfig(num_sets=3, ways=4, policy=policy), trace)
+            assert stats.misses - stats.evictions == 3 * 4
 
     def test_lfu_frequency_tie_evicts_least_recent(self):
-        state = CacheState(CacheConfig(num_sets=1, ways=3, policy=ReplacementPolicy.LFU))
-        for row in (0, 1, 2, 2, 1, 0):  # every row at frequency 2; 2 least recent
-            access(state, row)
-        assert access(state, 3).evicted == 2
-        # 3 is now the only row at frequency 1
-        assert access(state, 4).evicted == 3
+        # every row at frequency 2, 2 least recent: 3 evicts 2; 3 is then the
+        # only row at frequency 1, so 4 evicts 3, and 0 and 1 hit again
+        config = CacheConfig(num_sets=1, ways=3, policy=ReplacementPolicy.LFU)
+        trace = [0, 1, 2, 2, 1, 0, 3, 4, 0, 1]
+        assert counts(config, trace) == (5, 5, 2)
+        assert_matches_oracle(1, 3, ReplacementPolicy.LFU, trace)
 
     def test_resident_after_miss_not_after_eviction(self):
-        state = CacheState(CacheConfig(num_sets=2, ways=1))
-        assert not resident(state, 4)
-        access(state, 4)
-        assert resident(state, 4)
-        assert not resident(state, 6)
-        assert access(state, 6).evicted == 4
-        assert not resident(state, 4) and resident(state, 6)
-
-    def test_non_integral_row_rejected(self):
-        state = CacheState(CacheConfig(num_sets=2, ways=2))
-        for bad in (1.7, 2.0, "3", None):
-            with pytest.raises(InvalidValue):
-                access(state, bad)
-        assert (state.hits, state.misses) == (0, 0)
-
-    def test_numpy_integer_rows_accepted(self):
-        state = CacheState(CacheConfig(num_sets=2, ways=2))
-        assert not access(state, np.int64(5)).hit
-        assert access(state, np.uint16(5)).hit
-        assert resident(state, 5)
-        assert access(state, np.int32(7)).evicted is None
-        assert all(type(row) is int for lines in state.sets for row in lines)
+        # 4 and 6 share set 0 of 2 x 1: 4 hits after its miss, 6 evicts 4,
+        # and 4 misses again
+        assert counts(CacheConfig(num_sets=2, ways=1), [4, 4, 6, 4]) == (1, 3, 2)
 
 
 class TestCacheConfig:
@@ -253,7 +216,7 @@ class TestOracle:
 class TestReplayShortcuts:
     """simulate_trace skips the replay when no set can evict and finds LFU
     victims among the count-1 rows; each case is checked against the
-    list-scan oracle and against folding `access`."""
+    list-scan oracle."""
 
     @pytest.mark.parametrize("policy", list(ReplacementPolicy))
     def test_every_set_exactly_full(self, policy):
@@ -279,18 +242,16 @@ class TestReplayShortcuts:
         assert stats.misses > 13 and stats.evictions > 0
 
     def test_lfu_count_one_row_evicted_before_older_row(self):
-        # [a, a, b, c] at 2 ways: b is the count-1 row, evicted though a is older
+        # [a, a, b, c] at 2 ways: b is the count-1 row, evicted though a is
+        # older, so the last a hits
         a, b, c = 0, 1, 2
-        state = CacheState(CacheConfig(1, 2, ReplacementPolicy.LFU))
-        assert [access(state, row).evicted for row in (a, a, b, c)][-1] == b
         stats = assert_matches_oracle(1, 2, ReplacementPolicy.LFU, [a, a, b, c, a])
         assert (stats.hits, stats.misses, stats.evictions) == (2, 3, 1)
 
     def test_lfu_without_count_one_row_scans(self):
-        # [a, a, b, b, c]: no count-1 row, so the least recent of count 2 goes
+        # [a, a, b, b, c]: no count-1 row, so the least recent of count 2
+        # goes, and the last b hits
         a, b, c = 0, 1, 2
-        state = CacheState(CacheConfig(1, 2, ReplacementPolicy.LFU))
-        assert [access(state, row).evicted for row in (a, a, b, b, c)][-1] == a
         stats = assert_matches_oracle(1, 2, ReplacementPolicy.LFU, [a, a, b, b, c, b])
         assert (stats.hits, stats.misses, stats.evictions) == (3, 3, 1)
 
@@ -357,7 +318,7 @@ class TestSimulateTrace:
             simulate_trace(CacheConfig(num_sets=2, ways=2), [3, 1, -1, 4])
 
     def test_non_integral_row_rejected(self):
-        for bad in (1.7, "3", None):
+        for bad in (1.7, 2.0, "3", None):
             with pytest.raises(InvalidValue):
                 simulate_trace(CacheConfig(num_sets=2, ways=2), [3, bad])
 
@@ -366,20 +327,11 @@ class TestSimulateTrace:
         stats = simulate_trace(CacheConfig(num_sets=1, ways=2), trace)
         assert (stats.hits, stats.misses, stats.evictions) == (2, 3, 1)
 
-    def test_equals_folding_access(self):
+    def test_long_zipf_traces_match_oracle(self):
         rng = np.random.default_rng(3)
         for policy in ReplacementPolicy:
-            config = CacheConfig(num_sets=3, ways=4, policy=policy)
             trace = [int(v) for v in rng.zipf(1.2, size=2000)]
-            state = CacheState(config)
-            for row in trace:
-                access(state, row)
-            stats = simulate_trace(config, trace)
-            assert (stats.hits, stats.misses, stats.evictions) == (
-                state.hits,
-                state.misses,
-                state.evictions,
-            )
+            assert_matches_oracle(3, 4, policy, trace)
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)

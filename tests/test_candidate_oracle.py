@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 import pytest
 
-from conftest import desk_model
+from conftest import desk_model, index_bytes
 
 from neosim import planner
 from neosim.errors import Infeasible, InvalidValue, NoFeasibleScheme
@@ -94,7 +94,7 @@ def shard_cost(
     validate_scheme(table, scheme)
     H, D, L = table.num_rows, table.dim, table.avg_pooling
     act = 4
-    idx = table.index_bytes
+    idx = index_bytes(H)
     fixed = cluster.fixed_latency_per_collective
     if scheme.kind is SchemeKind.TABLE_WISE:
         load = global_batch * L * D
@@ -660,7 +660,7 @@ def test_first_unplaced_table_is_named(order, message):
     ]
     model = desk_model(tables)
     cluster = _cluster(1, 2, 16, 576)  # 304 bytes a device, 608 in all
-    policy = CandidatePolicy(flags=CompressionFlags())
+    policy = CandidatePolicy(flags=CompressionFlags(rowwise_optimizer=False))
     got = outcome(planner.candidate_costs, model, cluster, policy)
     assert got == outcome(candidate_costs, model, cluster, policy)
     assert got == ("NoFeasibleScheme", message)
@@ -720,7 +720,7 @@ def rank_case(seed: int):
     policy = CandidatePolicy(
         dp_threshold_bytes=[None, 64 * 8 * 4][int(rng.integers(2))],
         fine_grain=bool(rng.random() < 0.3),
-        flags=CompressionFlags(),
+        flags=CompressionFlags(rowwise_optimizer=False),
     )
     return model, cluster, policy, WEIGHTS[int(rng.integers(len(WEIGHTS)))]
 

@@ -1,11 +1,29 @@
 """Command-line interface: exit codes, reports, manifests, determinism."""
 
+import inspect
 import json
+from operator import attrgetter
 
 import pytest
 
+from neosim import (
+    CacheConfig,
+    CandidatePolicy,
+    CompressionFlags,
+    CostWeights,
+    OptimizerConfig,
+    ReplacementPolicy,
+    build_tables,
+    component_latencies,
+    plan_4d,
+    scaling_sweep,
+    simulate,
+    train_step_reference,
+    train_step_sharded,
+)
 from neosim.bundled import data_path
-from neosim.cli import main
+from neosim.cli import _policy_from_args, _precision, _weights_from_args, build_parser, main
+from neosim.comms import collective_volumes
 from neosim.planner import SchemeKind, plan_from_json
 
 MODEL_A = str(data_path("model_a.json"))
@@ -564,3 +582,84 @@ class TestInputHardening:
             args += ["--cluster", tiny_cluster_file]
         assert main([*args, "--out", str(tmp_path)]) == 1
         assert "t0: row shard missing bounds" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the library's defaults are the CLI's
+
+
+def default(function, parameter: str):
+    return inspect.signature(function).parameters[parameter].default
+
+
+def precision(option: str):
+    return lambda args: _precision(getattr(args, option))
+
+
+REQUIRED = {
+    "plan": ["--model", "m.json", "--cluster", "c.json"],
+    "simulate": ["--model", "m.json", "--cluster", "c.json"],
+    "sweep": ["--model", "m.json", "--cluster", "c.json"],
+    "verify": ["--model", "m.json"],
+    "cache": ["--sets", "4", "--trace", "t.txt"],
+}
+
+# (command, the value the CLI passes, the library default that value feeds)
+CLI_DEFAULTS = {
+    "flags": ("plan", lambda args: _policy_from_args(args).flags, CompressionFlags),
+    "policy": ("plan", _policy_from_args, CandidatePolicy),
+    "weights": ("plan", _weights_from_args, CostWeights),
+    "heuristic-plan_4d": ("plan", attrgetter("heuristic"), lambda: default(plan_4d, "heuristic")),
+    "policy-scaling_sweep": (
+        "sweep", _policy_from_args, lambda: default(scaling_sweep, "policy")
+    ),
+    "weights-scaling_sweep": (
+        "sweep", _weights_from_args, lambda: default(scaling_sweep, "weights")
+    ),
+    "heuristic-scaling_sweep": (
+        "sweep", attrgetter("heuristic"), lambda: default(scaling_sweep, "heuristic")
+    ),
+    "hit_rate-simulate": (
+        "simulate", attrgetter("hit_rate"), lambda: default(simulate, "cache_hit_rate")
+    ),
+    "hit_rate-component_latencies": (
+        "simulate",
+        attrgetter("hit_rate"),
+        lambda: default(component_latencies, "cache_hit_rate"),
+    ),
+    "hit_rate-scaling_sweep": (
+        "sweep", attrgetter("hit_rate"), lambda: default(scaling_sweep, "cache_hit_rate")
+    ),
+    "eps": ("verify", attrgetter("eps"), lambda: default(OptimizerConfig, "eps")),
+    "ways": ("cache", attrgetter("ways"), lambda: default(CacheConfig, "ways")),
+    "cache_policy": (
+        "cache",
+        lambda args: ReplacementPolicy(args.policy),
+        lambda: default(CacheConfig, "policy"),
+    ),
+}
+for function in (train_step_reference, train_step_sharded, build_tables):
+    CLI_DEFAULTS[f"seed-{function.__name__}"] = (
+        "verify", attrgetter("seed"), lambda f=function: default(f, "seed")
+    )
+for option, functions in (
+    ("compute_precision", (simulate, scaling_sweep)),
+    ("a2a_fwd_precision", (simulate, component_latencies, collective_volumes, scaling_sweep)),
+    ("a2a_bwd_precision", (simulate, component_latencies, collective_volumes, scaling_sweep)),
+):
+    for function in functions:
+        command = "sweep" if function is scaling_sweep else "simulate"
+        CLI_DEFAULTS[f"{option}-{function.__name__}"] = (
+            command, precision(option), lambda f=function, o=option: default(f, o)
+        )
+
+
+@pytest.mark.parametrize("row", CLI_DEFAULTS)
+def test_library_defaults_are_the_clis(row):
+    """Each value a command passes when given only its required arguments
+    equals the library default of the parameter it feeds, so a library call
+    that leaves the parameter out means what the bare command means."""
+    command, passed, library = CLI_DEFAULTS[row]
+    args = build_parser().parse_args([command, *REQUIRED[command]])
+    assert passed(args) == library()
+

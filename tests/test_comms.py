@@ -10,6 +10,7 @@ from conftest import (
     assert_volumes_equal,
     desk_cluster,
     desk_model,
+    index_bytes,
     mixed_desk_case,
     random_desk_model,
 )
@@ -516,7 +517,7 @@ def brute_input_volume(plan, model, W):
         for shard in a.shards:
             for src in range(W):
                 if src != shard.worker:
-                    send[src] += B * t.avg_pooling * share * t.index_bytes
+                    send[src] += B * t.avg_pooling * share * index_bytes(t.num_rows)
                     meta[src] += B * LENGTH_BYTES
     return send, meta
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import desk_model
+from conftest import desk_model, index_bytes
 
 from neosim import (
     CombinedBatch,
@@ -58,14 +58,14 @@ class TestTableSpec:
             IndexSkew(kind=SkewKind.ZIPF, alpha=0.0)
 
     def test_index_bytes_widens_past_int32(self):
-        small = TableSpec(id="s", num_rows=100, dim=4, avg_pooling=1.0)
-        big = TableSpec(id="b", num_rows=2**31 + 1, dim=4, avg_pooling=1.0)
-        assert small.index_bytes == 4
-        assert big.index_bytes == 8
-        edge = TableSpec(id="e", num_rows=2**31, dim=4, avg_pooling=1.0)
-        assert edge.index_bytes == 4 and type(big.index_bytes) is int
-        widths = desk_model([small, edge, big]).table_columns.index_bytes
+        rows = (100, 2**31, 2**31 + 1)
+        tables = [
+            TableSpec(id=f"t{i}", num_rows=h, dim=4, avg_pooling=1.0)
+            for i, h in enumerate(rows)
+        ]
+        widths = desk_model(tables).table_columns.index_bytes
         assert widths.tolist() == [4, 4, 8] and widths.dtype == np.int64
+        assert widths.tolist() == [index_bytes(h) for h in rows]
 
 
 class TestParseModelSpec:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import desk_cluster, desk_model, list_greedy_partition
+from conftest import desk_cluster, desk_model, index_bytes, list_greedy_partition
 
 from neosim import (
     CandidatePolicy,
@@ -627,7 +627,9 @@ class TestShrinkToFit:
                 got = assert_same_shrink(model, desk_cluster(W, hbm=hbm), flags)
                 seen["kept" if got is model else "shrunk"] += 1
                 pairs = list(zip(model.tables, got.tables))
-                seen["int32"] += any(t.index_bytes > s.index_bytes for t, s in pairs)
+                seen["int32"] += any(
+                    index_bytes(t.num_rows) > index_bytes(s.num_rows) for t, s in pairs
+                )
                 seen["past_2**53"] += any(2**53 < s.num_rows < t.num_rows for t, s in pairs)
         assert min(seen.values()) > 0, seen
 

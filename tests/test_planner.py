@@ -16,6 +16,7 @@ from conftest import (
     bundled_plans,
     desk_cluster,
     desk_model,
+    index_bytes,
     list_greedy_partition,
     mixed_desk_case,
 )
@@ -238,7 +239,7 @@ class TestShardCost:
         )
         cw = shard_cost(table, cw_scheme, cluster, global_batch)
         pooled_tw = table.dim * global_batch * table.elem_bytes
-        index_tw = global_batch * table.avg_pooling * table.index_bytes
+        index_tw = global_batch * table.avg_pooling * index_bytes(table.num_rows)
         # two slices together: pooled bytes unchanged, index payload doubled
         assert 2 * cw.comm_bytes == pytest.approx(pooled_tw + 2 * index_tw)
         assert tw.comm_bytes == pytest.approx(pooled_tw + index_tw)
@@ -969,7 +970,8 @@ class TestMemoryCheck:
 
     def test_empty_model(self):
         plan = plan_4d(desk_model(()), desk_cluster(2), CostWeights(), CandidatePolicy())
-        report = memory_check(plan, desk_model(()), desk_cluster(2), CompressionFlags())
+        elementwise = CompressionFlags(rowwise_optimizer=False)
+        report = memory_check(plan, desk_model(()), desk_cluster(2), elementwise)
         assert report.totals.tolist() == [0, 0]
 
     def test_column_shards_replicate_rowwise_state(self):
@@ -1348,15 +1350,15 @@ class TestPlanToJson:
         flags = inspect.signature(simulate).parameters["flags"].default
         assert flags == CompressionFlags(rowwise_optimizer=True)
         for function in (plan_to_json, component_latencies):
-            assert inspect.signature(function).parameters["flags"].default is flags
-        assert inspect.signature(scaling_sweep).parameters["policy"].default.flags is flags
+            assert inspect.signature(function).parameters["flags"].default == flags
+        assert inspect.signature(scaling_sweep).parameters["policy"].default.flags == flags
         model, cluster = load_bundled_model("model_a"), load_bundled_cluster()
         plan = plan_4d(model, cluster, CostWeights(), CandidatePolicy(flags=flags))
         doc = json.loads(plan_to_json(plan, model, cluster))
         report = memory_check(plan, model, cluster, flags)
         assert [w["total_bytes"] for w in doc["workers"]] == report.totals.tolist()
         assert doc == json.loads(dict_plan_to_json(plan, model, cluster, flags))
-        elementwise = memory_check(plan, model, cluster, CompressionFlags())
+        elementwise = memory_check(plan, model, cluster, CompressionFlags(rowwise_optimizer=False))
         assert elementwise.totals.tolist() != report.totals.tolist()
 
     def test_empty_plans(self):
@@ -1535,7 +1537,7 @@ def shared_list_case(rng):
     plan = ShardingPlan(workers, gpus_per_node, tuple(assignments), "kk")
     model = desk_model(tables)
     cluster = desk_cluster(workers, gpus_per_node=gpus_per_node)
-    return model, cluster, plan, CompressionFlags()
+    return model, cluster, plan, CompressionFlags(rowwise_optimizer=False)
 
 
 class TestCostWeights:

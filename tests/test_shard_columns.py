@@ -15,6 +15,7 @@ from conftest import (
     bundled_plans,
     desk_cluster,
     desk_model,
+    index_bytes,
     mixed_desk_case,
 )
 
@@ -259,7 +260,7 @@ def input_loop(plan, model, num_workers):
             continue
         table = model.tables[model.table_indices([assignment.table_id])[0]]
         share = 1.0 / len(assignment.shards) if kind is SchemeKind.ROW_WISE else 1.0
-        payload = B * table.avg_pooling * share * table.index_bytes
+        payload = B * table.avg_pooling * share * index_bytes(table.num_rows)
         for shard in assignment.shards:
             owners.append(shard.worker)
             payloads.append(payload)
@@ -903,7 +904,7 @@ def test_enormous_table_raises_instead_of_wrapping():
     validate_plan(plan, model)
     cluster = desk_cluster(2)
     with pytest.raises(InvalidValue) as exc:
-        memory_check(plan, model, cluster, CompressionFlags())
+        memory_check(plan, model, cluster, CompressionFlags(rowwise_optimizer=False))
     assert exc.value.path == "model"
     with pytest.raises(InvalidValue):
         plan_to_json(plan, model, cluster)
@@ -935,7 +936,7 @@ def test_worker_out_of_range_raises(worker):
     tw = Scheme(SchemeKind.TABLE_WISE)
     plan = ShardingPlan(2, 2, (TableAssignment("t", tw, (Shard(worker),)),))
     with pytest.raises(InvalidScheme):
-        memory_check(plan, model, desk_cluster(2), CompressionFlags())
+        memory_check(plan, model, desk_cluster(2), CompressionFlags(rowwise_optimizer=False))
     with pytest.raises(InvalidScheme):
         volume_forward_alltoall(plan, model, 2)
 
@@ -961,7 +962,7 @@ def test_explicit_bound_outside_the_table_raises(axis, end):
         return ShardingPlan(2, 2, (TableAssignment("t", scheme, shards),))
 
     good = plan(extent)
-    flags = CompressionFlags()
+    flags = CompressionFlags(rowwise_optimizer=False)
     report = memory_check(good, model, cluster, flags)
     assert_report_matches(report, memory_check_loop(good, model, cluster, flags))
     assert report.table_bytes.tolist() == [800, 800]
@@ -1029,7 +1030,7 @@ def test_tiers_are_exact(total, hbm, dram_per_gpu, tier):
     model = desk_model([table], dense_param_bytes=total - 56)
     plan = plan_from_json(_one_table_plan_json())
     cluster = _capacities(desk_cluster(2), hbm, dram_per_gpu)
-    flags = CompressionFlags()
+    flags = CompressionFlags(rowwise_optimizer=False)
     report = memory_check(plan, model, cluster, flags)
     assert_report_matches(report, memory_check_loop(plan, model, cluster, flags))
     assert report.totals.tolist()[0] == total
@@ -1066,7 +1067,7 @@ def test_totals_past_int64_raise(rows, dense):
             assert exc.value.path == "model"
     exact = dataclasses.replace(model, dense_param_bytes=2**63 - 1 - 16)
     if rows == 1:
-        flags = CompressionFlags()
+        flags = CompressionFlags(rowwise_optimizer=False)
         report = memory_check(plan, exact, cluster, flags)
         assert report.totals.tolist() == [2**63 - 1, 2**63 - 1 - 16]
         assert_report_matches(report, memory_check_loop(plan, exact, cluster, flags))
@@ -1076,10 +1077,12 @@ def test_infeasible_messages_name_the_first_worker():
     """Ties go to the first worker: plan_4d and hierarchical_plan name the
     first worker with the largest total, component_latencies the first
     infeasible worker."""
+    flags = CompressionFlags(rowwise_optimizer=False)
+    policy = CandidatePolicy(flags=flags)
     model, cluster = _last_resort_case()
     with pytest.raises(Infeasible, match="^infeasible: no feasible placement found; "
                        "worker 1 needs 64 bytes$"):
-        plan_4d(model, cluster, CostWeights(), CandidatePolicy(flags=CompressionFlags()))
+        plan_4d(model, cluster, CostWeights(), policy)
     # 40, 40, 48, 48 bytes on two nodes of two 40-byte devices
     model = desk_model(
         [TableSpec(id="a", num_rows=2, dim=5, avg_pooling=1.0),
@@ -1088,7 +1091,7 @@ def test_infeasible_messages_name_the_first_worker():
     cluster = desk_cluster(4, 2, hbm=40, dram_per_node=2)
     with pytest.raises(Infeasible, match=r"^infeasible: hierarchical placement "
                        r"overflows worker 2 \(48 bytes\)$"):
-        hierarchical_plan(model, cluster, CostWeights(), CandidatePolicy(flags=CompressionFlags()))
+        hierarchical_plan(model, cluster, CostWeights(), policy)
     # workers 1 and 3 hold 64 and 80 bytes, over 56 + 0.25
     model, cluster = _last_resort_case()
     tw = Scheme(SchemeKind.TABLE_WISE)
@@ -1096,10 +1099,10 @@ def test_infeasible_messages_name_the_first_worker():
     plan = ShardingPlan(
         4, 4, tuple(TableAssignment(f"t{t}", tw, (Shard(w),)) for t, w in placed)
     )
-    report = memory_check(plan, model, cluster, CompressionFlags())
+    report = memory_check(plan, model, cluster, flags)
     assert report.tier.tolist() == [0, 2, 0, 2]
     with pytest.raises(Infeasible, match="^infeasible: worker 1 exceeds its memory budget$"):
-        component_latencies(model, plan, cluster, flags=CompressionFlags())
+        component_latencies(model, plan, cluster, flags=flags)
 
 
 # ---------------------------------------------------------------------------
