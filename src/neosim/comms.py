@@ -201,8 +201,8 @@ class ShardInput:
     """Post-redistribution input slice for one shard on one worker.
 
     position is the shard's index in its assignment's shard list; for a
-    data-parallel table, whose single shard is replicated, it is the index
-    of the worker's replica. The receiving worker is its WorkerSlice's.
+    data-parallel table, which every worker holds, it is the worker's
+    index. The receiving worker is its WorkerSlice's.
     """
 
     table_id: str
@@ -430,10 +430,11 @@ def collective_volumes(
 
 @dataclass
 class ShardedState:
-    """Post-step parameter state: placed shards plus DP replicas per worker."""
+    """Post-step state, each table held once: placed shards, views of their
+    drawn table, and data-parallel tables, the drawn table itself."""
 
     shards: dict[tuple[str, int], EmbeddingTable]
-    dp_replicas: dict[str, list[EmbeddingTable]]
+    dp_tables: dict[str, EmbeddingTable]
 
 
 def _slice_table(
@@ -442,10 +443,10 @@ def _slice_table(
     cols: tuple[int, int],
     cfg: OptimizerConfig,
 ) -> EmbeddingTable:
+    """A view of `full` at rows x cols, so updates write into `full`. Its
+    moment is its own: under row-wise AdaGrad a column shard's is per row."""
     (r0, r1), (c0, c1) = rows, cols
-    values = full.values[r0:r1, c0:c1].copy()
-    # under row-wise AdaGrad a column shard keeps its own moment per row
-    return _fresh_table(full.spec, values, cfg)
+    return _fresh_table(full.spec, full.values[r0:r1, c0:c1], cfg)
 
 
 def train_step_sharded(
@@ -457,14 +458,14 @@ def train_step_sharded(
 ) -> tuple[np.ndarray, ShardedState]:
     """Execute one iteration across W logical workers, deterministically.
 
-    Redistribute, then run each table end to end: slice its shards (or W
-    data-parallel replicas), train each on its received input with the
-    reference's per-piece step (_train_piece: each row's gradient is its
-    lookup count; DP replicas share the counts added in worker order, as the
-    AllReduce adds them) and assemble the pooled output (AlltoAll for TW/CW,
-    ReduceScatter for RW, worker-local rows for DP). A table reads only its
-    own shards, so this equals running every forward first. Outputs match
-    train_step_reference's shape.
+    Redistribute, then run each table end to end with the reference's
+    per-piece step (_train_piece: each row's gradient is its lookup count)
+    on inputs checked here, and assemble the pooled output (AlltoAll for
+    TW/CW, ReduceScatter for RW, worker-local rows for DP). Shards train
+    views of the drawn table and tile it, so no two write one cell; a DP
+    table trains once on the W local batches, counts added in worker order
+    as the AllReduce adds them. A table reads only its own shards, so this
+    equals running every forward first. Outputs match the reference's shape.
     """
     validate_plan(plan, model)
     batch.validate_against(model)
@@ -475,23 +476,20 @@ def train_step_sharded(
     full_tables = build_tables(model, cfg, seed)
     slices = alltoall_redistribute(to_wtb(batch, W), plan, model)
     inputs = {(s.table_id, s.position): (s.lengths, s.indices) for w in slices for s in w.inputs}
-    state = ShardedState(shards={}, dp_replicas={})
+    state = ShardedState(shards={}, dp_tables={})
     outputs = []
     tables = zip(model.tables, full_tables, _table_shards(plan, model))
     for table, full, (kind, _, rows, cols) in tables:
         if kind == DP:
-            replicas = [_slice_table(full, rows[0], cols[0], cfg) for _ in range(W)]
-            state.dp_replicas[table.id] = replicas
-            # the replicas are equal until the update, so one pools every
-            # worker's local batch; the gradient AllReduce merges in worker order
+            state.dp_tables[table.id] = full
             parts = [inputs[(table.id, w)] for w in range(W)]
-            outputs.append(_train_piece(replicas, parts, cfg))
+            outputs.append(_train_piece(full, parts, cfg))
             continue
         out = np.zeros((n, table.dim), dtype=np.float64)
         for i, (r, c) in enumerate(zip(rows, cols)):
             piece = _slice_table(full, r, c, cfg)
             state.shards[(table.id, i)] = piece
-            pooled = _train_piece([piece], [inputs[(table.id, i)]], cfg)
+            pooled = _train_piece(piece, [inputs[(table.id, i)]], cfg)
             if kind == RW:
                 out += pooled  # partial pools reduce in shard-list order
             else:
@@ -505,12 +503,12 @@ def train_step_sharded(
 def reassemble_values(
     model: ModelSpec, plan: ShardingPlan, state: ShardedState
 ) -> list[np.ndarray]:
-    """Stitch post-step shard values back into full (H, D) matrices; DP
-    tables come from replica 0 (replicas are identical by construction)."""
+    """Stitch post-step shard values back into fresh full (H, D) matrices;
+    a DP table's come from its one table."""
     out = []
     for table, (kind, _, rows, cols) in zip(model.tables, _table_shards(plan, model)):
         if kind == DP:
-            out.append(state.dp_replicas[table.id][0].values.copy())
+            out.append(state.dp_tables[table.id].values.copy())
             continue
         full = np.zeros((table.num_rows, table.dim), dtype=np.float64)
         for i, ((r0, r1), (c0, c1)) in enumerate(zip(rows, cols)):

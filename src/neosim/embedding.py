@@ -106,9 +106,9 @@ def _moment_for(spec_rows: int, dim: int, cfg: OptimizerConfig) -> Optional[np.n
 
 
 def _fresh_table(spec: TableSpec, values: np.ndarray, cfg: OptimizerConfig) -> EmbeddingTable:
-    """A table of `values`, a new 2-D float64 matrix, with the zero moment
-    of `cfg` (_moment_for): made here, so it skips the moment checks of a
-    caller's moment."""
+    """A table of `values`, a 2-D float64 matrix or a view of one, held as
+    given, with the zero moment of `cfg` (_moment_for): made here, so it
+    skips the moment checks of a caller's moment."""
     table = EmbeddingTable(spec, values)
     table.moment = _moment_for(*values.shape, cfg)
     return table
@@ -149,14 +149,14 @@ def _checked_input(
     return lengths, indices, np.arange(len(lengths)).repeat(lengths)
 
 
-def _pool(values: np.ndarray, batch: tuple) -> np.ndarray:
+def _pool(values: np.ndarray, lengths: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """out[s] = 0.0 + values[i1] + values[i2] + ... over sample s's ids in
     buffer order. Samples sorted by descending length (stably) put their
     k-th ids in one block of a position-major gather, so position k is one
     slice add over the samples still active at k. Those still active at
     `split` finish with a cumsum seeded with their partial sum; `split`
-    minimizes the numpy calls (slice adds before it, samples after it)."""
-    lengths, indices, _ = batch
+    minimizes the numpy calls (slice adds before it, samples after it).
+    The int64 lengths and indices are checked by the caller."""
     out = np.zeros((len(lengths), values.shape[1]))
     if not len(indices):
         return out
@@ -209,7 +209,8 @@ def forward_pooled(
     table: EmbeddingTable, lengths: np.ndarray, indices: np.ndarray
 ) -> np.ndarray:
     """Sum-pool table rows per sample; an empty sample yields a zero vector."""
-    return _pool(table.values, _checked_input(lengths, indices, table.num_rows, table.spec.id))
+    lengths, indices, _ = _checked_input(lengths, indices, table.num_rows, table.spec.id)
+    return _pool(table.values, lengths, indices)
 
 
 def fused_forward(
@@ -351,29 +352,26 @@ def storage_roundtrip(table: EmbeddingTable, rows: np.ndarray) -> None:
 
 
 def _train_piece(
-    replicas: Sequence[EmbeddingTable], parts: Sequence[tuple], cfg: OptimizerConfig
+    table: EmbeddingTable, parts: Sequence[tuple], cfg: OptimizerConfig
 ) -> np.ndarray:
-    """One training step of a table piece held by one or more equal replicas:
-    pool the (lengths, indices) of `parts` from replicas[0], stacked in
-    order, and backpropagate the sum-of-outputs loss, under which each row's
-    gradient is its lookup count in every column. Each part counts its ids
-    in one bincount and the counts add in part order, as a data-parallel
-    AllReduce adds them. Integer counts are exact, so the gradient equals,
-    byte for byte, the buffer-order float64 sum of an upstream of ones. Then
-    every replica is updated once per touched row and round-trips those
-    rows to storage precision. Returns the rows pooled before the update."""
+    """One training step of a table piece on the (lengths, indices) of
+    `parts`, checked by the caller: pool them, stacked in order, and
+    backpropagate the sum-of-outputs loss, under which each row's gradient
+    is its lookup count in every column. Each part counts its ids in one
+    bincount and the counts add in part order, as a data-parallel AllReduce
+    adds them. Integer counts are exact, so the gradient equals, byte for
+    byte, the buffer-order float64 sum of an upstream of ones. Then the
+    table is updated once per touched row and round-trips those rows to
+    storage precision. Returns the rows pooled before the update."""
     lengths, indices = (np.concatenate(column) for column in zip(*parts))
-    rows, dim = replicas[0].values.shape
-    batch = _checked_input(lengths, indices, rows, replicas[0].spec.id)
-    pooled = _pool(replicas[0].values, batch)
-    ends = np.array([len(i) for _, i in parts]).cumsum()
-    counts = sum(np.bincount(ids, minlength=rows) for ids in np.split(batch[1], ends[:-1]))
+    rows, dim = table.values.shape
+    pooled = _pool(table.values, lengths, indices)
+    counts = sum(np.bincount(ids, minlength=rows) for _, ids in parts)
     touched = counts.nonzero()[0]
     count = counts.take(touched).astype(np.float64)
     grads = RowGradients(touched, count.repeat(dim).reshape(-1, dim))
-    for replica in replicas:
-        apply_optimizer(replica, grads, cfg)
-        storage_roundtrip(replica, touched)
+    apply_optimizer(table, grads, cfg)
+    storage_roundtrip(table, touched)
     return pooled
 
 
@@ -387,11 +385,11 @@ def train_step_reference(
     the sum-of-outputs loss (each row's gradient is its lookup count) and
     takes its optimizer update (_train_piece). Tables are independent, so
     this equals fused_forward followed by a fused_backward_update per table
-    under an upstream gradient of ones."""
+    under an upstream gradient of ones. The batch is checked once, here."""
     batch.validate_against(model)
     tables = build_tables(model, cfg, seed)
     outputs = [
-        _train_piece([table], [batch.table_slice(t)], cfg) for t, table in enumerate(tables)
+        _train_piece(table, [batch.table_slice(t)], cfg) for t, table in enumerate(tables)
     ]
     return np.concatenate([np.zeros((batch.num_samples, 0)), *outputs], axis=1), tables
 

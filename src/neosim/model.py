@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from operator import mul
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -93,10 +94,6 @@ class TableSpec:
     def elem_bytes(self) -> int:
         return PRECISION_BYTES[self.value_precision]
 
-    @property
-    def num_params(self) -> int:
-        return self.num_rows * self.dim
-
 
 def _index_bytes(rows):
     """Bytes per row id of tables of `rows` rows: int32 where it fits, else int64."""
@@ -139,7 +136,8 @@ class ModelSpec:
     A model shrunk by _with_rows holds its rows in `table_columns` and
     builds `tables` on first access, from the TableSpecs of the model it
     was shrunk from. Shrinking, planning, plan_to_json, simulate,
-    validate_plan and memory_check read only the ids and the columns, so a
+    validate_plan, memory_check, total_table_params and
+    CombinedBatch.validate_against read only the ids and the columns, so a
     shrunk model that is planned and simulated builds no TableSpec. The
     ids only name tables: placement, memory repair and shrinking break
     their ties by table position. Equality, hash, repr, pickling and
@@ -203,7 +201,8 @@ class ModelSpec:
 
     @property
     def total_table_params(self) -> int:
-        return sum(t.num_params for t in self.tables)
+        tc = self.table_columns  # Python ints: no int64 overflow
+        return sum(map(mul, tc.rows.tolist(), tc.dim.tolist()))
 
     @property
     def bottom_mlp_flops_per_sample(self) -> float:
@@ -394,8 +393,9 @@ class CombinedBatch:
     def validate_against(self, model: ModelSpec) -> None:
         if self.num_tables != model.num_tables:
             raise InvalidValue("lengths", "table count does not match model")
-        for t, table in enumerate(model.tables):
-            _check_ids(self.table_slice(t)[1], table.num_rows, table.id)
+        rows = model.table_columns.rows.tolist()
+        for t, (num_rows, table_id) in enumerate(zip(rows, model._ids)):
+            _check_ids(self.table_slice(t)[1], num_rows, table_id)
 
     def __eq__(self, other) -> bool:
         return (

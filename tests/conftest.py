@@ -269,7 +269,7 @@ def pool_and_aggregate(
     One part gives forward_pooled and backward_sort_aggregate, checked once."""
     lengths, indices = (np.concatenate(column) for column in zip(*parts))
     batch = _checked_input(lengths, indices, table.num_rows, table.spec.id)
-    pooled, grads = _pool(table.values, batch), _upstream_rows(batch, upstream)
+    pooled, grads = _pool(table.values, *batch[:2]), _upstream_rows(batch, upstream)
     ends = np.array([len(i) for _, i in parts]).cumsum().tolist()
     sums = [_sum_rows(batch[1][a:b], grads[a:b], table.num_rows) for a, b in zip([0, *ends], ends)]
     # merging one part's sums is a no-op: they never hold -0.0

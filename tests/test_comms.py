@@ -705,9 +705,8 @@ class TestTrainStepSharded:
         def pieces(state):
             for key in sorted(state.shards):
                 yield key, state.shards[key]
-            for table_id in sorted(state.dp_replicas):
-                for w, replica in enumerate(state.dp_replicas[table_id]):
-                    yield (table_id, "replica", w), replica
+            for table_id in sorted(state.dp_tables):
+                yield (table_id, "dp"), state.dp_tables[table_id]
 
         for kind in OptimizerKind:
             if heuristic == "hierarchical":
@@ -761,7 +760,7 @@ class TestTrainStepSharded:
         """FP16 storage round-trips only the rows a step touched. Every other
         row is still FP16-exact from build_tables, so outputs, values and
         moments equal, byte for byte, those of a whole-table round trip, in
-        the reference, every shard and every data-parallel replica."""
+        the reference, every shard and every data-parallel table."""
         model, cluster, policy = mixed_desk_case()
         fp16 = Precision.FP16
         tables = tuple(dataclasses.replace(t, value_precision=fp16) for t in model.tables)
@@ -777,12 +776,11 @@ class TestTrainStepSharded:
             out, ref_tables = train_step_reference(model, batch, cfg, seed=43)
             sh_out, state = train_step_sharded(model, plan, batch, cfg, seed=43)
             pieces = [*ref_tables, *(state.shards[k] for k in sorted(state.shards))]
-            for table_id in sorted(state.dp_replicas):
-                pieces += state.dp_replicas[table_id]
+            pieces += [state.dp_tables[table_id] for table_id in sorted(state.dp_tables)]
             arrays = [out, sh_out]
             for piece in pieces:
                 arrays += [piece.values] if piece.moment is None else [piece.values, piece.moment]
-            return len(state.dp_replicas), [a.tobytes() for a in arrays]
+            return len(state.dp_tables), [a.tobytes() for a in arrays]
 
         def whole_table(table, rows):
             table.values[:], _ = quantize_fp16_roundtrip(table.values)
@@ -792,27 +790,71 @@ class TestTrainStepSharded:
         assert step_bytes() == (replicated, touched)
         assert replicated or heuristic == "hierarchical"
 
-    def test_dp_replicas_bitwise_identical(self):
-        model = desk_model(
-            [TableSpec(id="t", num_rows=16, dim=3, avg_pooling=2.0)], local_batch=2
-        )
-        plan = ShardingPlan(
-            4,
-            4,
-            (
-                TableAssignment(
-                    "t", Scheme(SchemeKind.DATA_PARALLEL), (Shard(worker=None),)
-                ),
-            ),
-        )
+    def test_dp_table_held_once(self):
+        """Each data-parallel assignment yields one EmbeddingTable, trained on
+        every worker's local batch: no W copies. Lookup counts are exact, so
+        it equals the reference's table bit for bit."""
+        model, cluster, policy = mixed_desk_case()
+        plan = plan_4d(model, cluster, CostWeights(), policy)
+        dp = [a.table_id for a in plan.assignments if a.scheme.kind is SchemeKind.DATA_PARALLEL]
+        batch = gen_synthetic_batch(model, 8 * model.local_batch, seed=8)
         cfg = OptimizerConfig(OptimizerKind.ROWWISE_ADAGRAD, lr=0.1, eps=1e-8)
-        batch = gen_synthetic_batch(model, 8, seed=8)
         _, state = train_step_sharded(model, plan, batch, cfg, seed=9)
-        replicas = state.dp_replicas["t"]
-        assert len(replicas) == 4
-        for replica in replicas[1:]:
-            assert np.array_equal(replica.values, replicas[0].values)
-            assert np.array_equal(replica.moment, replicas[0].moment)
+        _, ref_tables = train_step_reference(model, batch, cfg, seed=9)
+        assert dp and sorted(state.dp_tables) == sorted(dp)
+        assert not any(table_id in dp for table_id, _ in state.shards)
+        for table_id in dp:
+            table = state.dp_tables[table_id]
+            assert type(table) is embedding.EmbeddingTable
+            ref = ref_tables[model.table_indices([table_id])[0]]
+            assert np.array_equal(table.values, ref.values)
+            assert np.array_equal(table.moment, ref.moment)
+
+    def test_shards_are_views_of_one_table(self):
+        """Every shard of a table views one (H, D) matrix, the drawn table,
+        which after the step holds the reassembled post-step values."""
+        model, cluster, policy = mixed_desk_case()
+        plan = plan_4d(model, cluster, CostWeights(), policy)
+        batch = gen_synthetic_batch(model, 8 * model.local_batch, seed=10)
+        cfg = OptimizerConfig(OptimizerKind.ADAGRAD, lr=0.1, eps=1e-8)
+        _, state = train_step_sharded(model, plan, batch, cfg, seed=11)
+        values = reassemble_values(model, plan, state)
+        by_table = {}
+        for (table_id, _), piece in state.shards.items():
+            by_table.setdefault(table_id, []).append(piece.values)
+        assert max(map(len, by_table.values())) > 1
+        for table_id, pieces in by_table.items():
+            t = model.table_indices([table_id])[0]
+            drawn = pieces[0].base
+            assert drawn is not None and drawn.shape == values[t].shape
+            for piece in pieces:
+                assert np.shares_memory(piece, drawn) and piece.base is drawn
+            assert np.array_equal(drawn, values[t])
+            assert not np.shares_memory(values[t], drawn)  # reassembled afresh
+
+    def test_each_step_checks_its_batch_once(self, monkeypatch):
+        """The batch is checked at entry (CombinedBatch.validate_against), so
+        the reference runs no per-table input check and the sharded step
+        runs one per row-wise table, as bucketize_rowwise re-checks its
+        stream."""
+        model, cluster, policy = mixed_desk_case()
+        plan = plan_4d(model, cluster, CostWeights(), policy)
+        rw = [a.table_id for a in plan.assignments if a.scheme.kind is SchemeKind.ROW_WISE]
+        batch = gen_synthetic_batch(model, 8 * model.local_batch, seed=12)
+        cfg = OptimizerConfig(OptimizerKind.SGD, lr=0.1)
+        checked = []
+
+        def counted(lengths, indices, num_rows, table_id=""):
+            checked.append(table_id)
+            return real(lengths, indices, num_rows, table_id)
+
+        real = embedding._checked_input
+        monkeypatch.setattr(embedding, "_checked_input", counted)
+        monkeypatch.setattr(comms, "_checked_input", counted)
+        train_step_reference(model, batch, cfg, seed=13)
+        assert checked == []
+        train_step_sharded(model, plan, batch, cfg, seed=13)
+        assert rw and sorted(checked) == sorted(rw)
 
     def test_w1_bitwise_equals_reference(self):
         model = desk_model(

@@ -176,9 +176,9 @@ def test_pool_and_aggregate_parts_match_scalar_loop(case, data):
 
 @st.composite
 def piece_steps(draw):
-    """(replicas, parts, cfg) of one piece step: 1 to 4 equal replicas, one
-    part (a worker's pooled batch) each. Parts may hold no sample or only
-    empty samples, samples may repeat an id, rows may go untouched."""
+    """(table, parts, cfg) of one piece step on 1 to 4 parts (a worker's
+    pooled batch each). Parts may hold no sample or only empty samples,
+    samples may repeat an id, rows may go untouched."""
     rows = draw(st.integers(1, 10))
     dim = draw(st.integers(1, 4))
     precision = draw(st.sampled_from([Precision.FP32, Precision.FP16]))
@@ -202,8 +202,7 @@ def piece_steps(draw):
         flat = draw(st.lists(st.floats(0.0, 10.0), min_size=size, max_size=size))
         moment = np.array(flat, dtype=np.float64).reshape(shape)
     spec = TableSpec(id="t", num_rows=rows, dim=dim, avg_pooling=1.0, value_precision=precision)
-    replicas = [copied(EmbeddingTable(spec, values, moment)) for _ in parts]
-    return replicas, parts, OptimizerConfig(kind, lr=lr, eps=eps)
+    return EmbeddingTable(spec, values, moment), parts, OptimizerConfig(kind, lr=lr, eps=eps)
 
 
 def copied(table):
@@ -211,14 +210,13 @@ def copied(table):
     return EmbeddingTable(table.spec, table.values.copy(), moment)
 
 
-def step_by_upstream(replicas, parts, cfg):
+def step_by_upstream(table, parts, cfg):
     """_train_piece as it ran before it counted lookups: an upstream of ones
     aggregated per part and merged in part order."""
-    upstream = np.ones((sum(len(lengths) for lengths, _ in parts), replicas[0].dim))
-    pooled, grads = pool_and_aggregate(replicas[0], parts, upstream)
-    for replica in replicas:
-        apply_optimizer(replica, grads, cfg)
-        storage_roundtrip(replica, grads.ids)
+    upstream = np.ones((sum(len(lengths) for lengths, _ in parts), table.dim))
+    pooled, grads = pool_and_aggregate(table, parts, upstream)
+    apply_optimizer(table, grads, cfg)
+    storage_roundtrip(table, grads.ids)
     return pooled
 
 
@@ -228,11 +226,10 @@ def test_count_gradient_matches_upstream_of_ones(case):
     """The piece step's lookup-count gradient gives, byte for byte, the
     pooled rows, post-step values and moments of summing an all-ones
     upstream, under every optimizer, storage precision and part count."""
-    replicas, parts, cfg = case
-    twins = [copied(replica) for replica in replicas]
-    pooled = _train_piece(replicas, parts, cfg)
-    assert pooled.tobytes() == step_by_upstream(twins, parts, cfg).tobytes()
-    for got, want in zip(replicas, twins):
-        assert got.values.tobytes() == want.values.tobytes()
-        if cfg.kind is not OptimizerKind.SGD:
-            assert got.moment.tobytes() == want.moment.tobytes()
+    table, parts, cfg = case
+    twin = copied(table)
+    pooled = _train_piece(table, parts, cfg)
+    assert pooled.tobytes() == step_by_upstream(twin, parts, cfg).tobytes()
+    assert table.values.tobytes() == twin.values.tobytes()
+    if cfg.kind is not OptimizerKind.SGD:
+        assert table.moment.tobytes() == twin.moment.tobytes()

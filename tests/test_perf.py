@@ -13,15 +13,18 @@ from conftest import desk_cluster, desk_model, index_bytes, list_greedy_partitio
 
 from neosim import (
     CandidatePolicy,
+    CombinedBatch,
     CompressionFlags,
     ComponentLatencies,
     CostWeights,
+    IndexOutOfRange,
     InvalidValue,
     Precision,
     TableSpec,
     achieved_bw,
     component_latencies,
     effective_performance,
+    gen_synthetic_batch,
     hierarchical_plan,
     iteration_latency,
     memory_check,
@@ -663,6 +666,25 @@ class TestShrinkToFit:
         assert [t.num_rows for t in again.tables] == again.table_columns.rows.tolist()
         assert [t.id for t in again.tables] == list(model._ids)
         assert dataclasses.replace(again, local_batch=again.local_batch) == again
+
+    def test_verify_checks_build_no_table_spec(self):
+        """The verify command's parameter cap (total_table_params) and its
+        batch check (CombinedBatch.validate_against) read a shrunk model's
+        ids and columns: its `tables` is never built. The cap sums in
+        Python ints, past int64."""
+        dims = (2, 3, 4)
+        model = desk_model([TableSpec(f"t{i}", 10, d, 2.0) for i, d in enumerate(dims)])
+        shrunk = model._with_rows(np.array([4.0, 5.0, 2.0**62]))
+        twin = desk_model([TableSpec(t.id, 4, t.dim, 2.0) for t in model.tables])
+        batch = gen_synthetic_batch(twin, 6, seed=1)
+        assert shrunk.total_table_params == 4 * 2 + 5 * 3 + 2**62 * 4 > INT64_MAX
+        batch.validate_against(shrunk)
+        lengths = np.zeros((3, 1), dtype=np.int64)
+        lengths[1] = 1
+        with pytest.raises(IndexOutOfRange) as err:
+            CombinedBatch(lengths, [5]).validate_against(shrunk)  # a row of model, not shrunk
+        assert (err.value.table_id, err.value.index) == ("t1", 5)
+        assert "tables" not in vars(shrunk)
 
     def test_rows_past_int64_raise_as_table_spec_does(self):
         """A row count that rounds to 2**63 at factor 1.0 (the parent's

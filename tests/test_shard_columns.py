@@ -197,9 +197,8 @@ def gradient_loop(
     for assignment in plan.assignments:
         table = model.tables[model.table_indices([assignment.table_id])[0]]
         if assignment.scheme.kind is SchemeKind.DATA_PARALLEL:
-            dp_bytes += (
-                2 * (num_workers - 1) / num_workers * table.num_params * table.elem_bytes
-            )
+            params = table.num_rows * table.dim
+            dp_bytes += 2 * (num_workers - 1) / num_workers * params * table.elem_bytes
     for collective, label, elem in (
         (CollectiveKind.REDUCE_SCATTER, "rw_reduce_scatter_fwd", fwd_elem_bytes),
         (CollectiveKind.MANY_TO_MANY, "rw_gather_bwd", bwd_elem_bytes),
