@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -317,13 +318,12 @@ def cmd_verify(args) -> int:
     batch = gen_synthetic_batch(model, model.local_batch * W, seed=args.seed)
     ref_out, ref_tables = train_step_reference(model, batch, cfg, seed=args.seed)
     sh_out, state = train_step_sharded(model, plan, batch, cfg, seed=args.seed)
-    out_dev = float(np.max(np.abs(ref_out - sh_out))) if ref_out.size else 0.0
-    per_table = {}
-    worst = out_dev
-    for ref, values in zip(ref_tables, reassemble_values(model, plan, state)):
-        dev = float(np.max(np.abs(ref.values - values))) if ref.values.size else 0.0
-        per_table[ref.spec.id] = dev
-        worst = max(worst, dev)
+    out_dev = _max_deviation(ref_out, sh_out)
+    per_table = {
+        ref.spec.id: _max_deviation(ref.values, values)
+        for ref, values in zip(ref_tables, reassemble_values(model, plan, state))
+    }
+    worst = float(np.max([out_dev, *per_table.values()]))  # NaN and inf carry through
     passed = worst <= VERIFY_TOLERANCE
     bitwise = W == 1 and out_dev == 0.0 and all(v == 0.0 for v in per_table.values())
     if args.dump_tables:
@@ -335,9 +335,9 @@ def cmd_verify(args) -> int:
     body = {
         "workers": W,
         "optimizer": cfg.kind.value,
-        "max_output_deviation": out_dev,
-        "per_table_deviation": per_table,
-        "max_deviation": worst,
+        "max_output_deviation": _json_number(out_dev),
+        "per_table_deviation": {tid: _json_number(dev) for tid, dev in per_table.items()},
+        "max_deviation": _json_number(worst),
         "tolerance": VERIFY_TOLERANCE,
         "bitwise": bitwise,
         "passed": passed,
@@ -345,9 +345,28 @@ def cmd_verify(args) -> int:
     _write_report(args, [args.model, args.plan], body, args.seed)
     for tid, dev in per_table.items():
         print(f"table {tid}: max deviation {dev:.3e}")
-    print(f"{'PASS' if passed else 'FAIL'}: max deviation {worst:.3e} "
+    not_finite = [
+        name for name, dev in [("outputs", out_dev), *per_table.items()] if not math.isfinite(dev)
+    ]
+    if not_finite:
+        verdict = f"deviation not finite in {', '.join(not_finite)}"
+    else:
+        verdict = f"max deviation {worst:.3e}"
+    print(f"{'PASS' if passed else 'FAIL'}: {verdict} "
           f"(tolerance {VERIFY_TOLERANCE:.0e}, workers {W})")
     return 0 if passed else 3
+
+
+def _max_deviation(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b|, 0.0 if empty. A cell past FP16 range on both sides is
+    inf - inf, so NaN, and a NaN anywhere makes the maximum NaN."""
+    with np.errstate(invalid="ignore"):
+        return float(np.max(np.abs(a - b))) if a.size else 0.0
+
+
+def _json_number(x: float) -> Optional[float]:
+    """`x`, or null for a non-finite value, which strict JSON cannot hold."""
+    return x if math.isfinite(x) else None
 
 
 def _desk_cluster(workers: int) -> ClusterSpec:

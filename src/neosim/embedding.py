@@ -5,7 +5,9 @@ The fused backward path aggregates duplicate row ids before a single
 optimizer application per touched row; applying a non-linear sparse
 optimizer once per occurrence instead would corrupt the update. Master
 weights are float64; FP16 table storage is emulated by a round trip of the
-rows a step touched, at step boundaries.
+rows a step touched, at step boundaries. The initial values depend only on
+the seed and each table's rows, dim and storage precision; the last draw is
+held read-only, and each build_tables call trains a copy of it.
 
 Every sum adds each output cell's terms in buffer order starting from 0.0,
 exactly as a scalar loop does, so every result is bit-for-bit reproducible.
@@ -21,6 +23,8 @@ ids per part, exact in float64, with no upstream matrix.
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -29,7 +33,7 @@ from typing import IO, Optional, Sequence
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidValue, LayoutMismatch
-from .model import CombinedBatch, ModelSpec, Precision, TableSpec, _check_ids
+from .model import CombinedBatch, ModelSpec, Precision, TableSpec, _check_ids, _check_seed
 
 
 class OptimizerKind(str, Enum):
@@ -45,10 +49,10 @@ class OptimizerConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise InvalidValue("lr", "must be > 0")
-        if self.eps < 0:
-            raise InvalidValue("eps", "must be >= 0")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise InvalidValue("lr", "must be finite and > 0")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise InvalidValue("eps", "must be finite and >= 0")
 
 
 class EmbeddingTable:
@@ -114,20 +118,36 @@ def _fresh_table(spec: TableSpec, values: np.ndarray, cfg: OptimizerConfig) -> E
     return table
 
 
+@functools.lru_cache(maxsize=1)
+def _draw(seed: int, shapes: tuple[tuple[int, int, bool], ...]) -> tuple[np.ndarray, ...]:
+    """Read-only initial values of tables of (rows, dim, stores FP16) `shapes`,
+    in order, drawn per (seed, table position). It reads nothing else, so
+    the last draw is held: a reference and a sharded step on one (model,
+    seed) draw once."""
+    _check_seed(seed)
+    drawn = []
+    for t, (rows, dim, fp16) in enumerate(shapes):
+        values = np.random.default_rng([seed, t]).standard_normal((rows, dim))
+        if fp16:  # normals are finite and in range
+            values = values.astype(np.float16).astype(np.float64)
+        values.flags.writeable = False
+        drawn.append(values)
+    return tuple(drawn)
+
+
 def build_tables(
     model: ModelSpec,
     cfg: OptimizerConfig,
     seed: int = 0,
 ) -> list[EmbeddingTable]:
-    """Deterministic per-(seed, table) initialization of full tables."""
-    tables = []
-    for t, spec in enumerate(model.tables):
-        rng = np.random.default_rng([seed, t])
-        values = rng.standard_normal((spec.num_rows, spec.dim))
-        if spec.value_precision is Precision.FP16:  # normals are finite and in range
-            values = values.astype(np.float16).astype(np.float64)
-        tables.append(_fresh_table(spec, values, cfg))
-    return tables
+    """Deterministic per-(seed, table) initialization of full tables: writable
+    copies of the held draw (_draw), each with a zero moment of `cfg`."""
+    shapes = tuple(
+        (spec.num_rows, spec.dim, spec.value_precision is Precision.FP16)
+        for spec in model.tables
+    )
+    drawn = _draw(seed, shapes)
+    return [_fresh_table(spec, values.copy(), cfg) for spec, values in zip(model.tables, drawn)]
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +362,9 @@ def quantize_fp16_roundtrip(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def storage_roundtrip(table: EmbeddingTable, rows: np.ndarray) -> None:
     """Apply the table's storage precision at a step boundary to the rows
     the step touched. Every other row is still what build_tables or the last
-    round trip stored, which the round trip would leave as it is."""
+    round trip stored, which the round trip would leave as it is. A value
+    past the FP16 range is stored as +/-inf, not flagged: verify fails on
+    the non-finite deviation it causes."""
     if table.spec.value_precision is Precision.FP16:
         table.values[rows], _ = quantize_fp16_roundtrip(table.values.take(rows, 0))
 

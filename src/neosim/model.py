@@ -412,6 +412,13 @@ class CombinedBatch:
 # synthetic batch generation
 
 
+def _check_seed(seed: int) -> None:
+    """The seeds of the synthetic batch and of the initial tables, checked
+    before numpy sees them."""
+    if seed < 0:
+        raise InvalidValue("seed", "must be >= 0")
+
+
 def gen_synthetic_batch(model: ModelSpec, num_samples: int, seed: int) -> CombinedBatch:
     """Deterministic synthetic batch with expected per-sample pooling L.
 
@@ -420,6 +427,7 @@ def gen_synthetic_batch(model: ModelSpec, num_samples: int, seed: int) -> Combin
     """
     if num_samples < 1:
         raise InvalidValue("num_samples", "must be >= 1")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     lengths = np.empty((model.num_tables, num_samples), dtype=np.int64)
     chunks = []

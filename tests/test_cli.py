@@ -251,6 +251,52 @@ class TestVerifyCommand:
             assert loaded.dim == table.dim
 
 
+    def test_non_finite_deviation_fails_with_strict_json(self, tmp_path, capsys):
+        """SGD at lr 1e6 pushes FP16 table a past its range on both sides,
+        so its deviation is inf - inf = NaN: the run fails, names the table
+        and writes the deviation as null."""
+        doc = {
+            "spec_version": 1,
+            "local_batch": 4,
+            "mflops_per_sample": 1,
+            "tables": [
+                {"id": "a", "num_rows": 30, "dim": 4, "avg_pooling": 2.0,
+                 "value_precision": "FP16"},
+                {"id": "b", "num_rows": 20, "dim": 4, "avg_pooling": 2.0},
+            ],
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        argv = ["verify", "--model", str(path), "--workers", "2", "--optimizer", "sgd"]
+        assert main([*argv, "--lr", "1e6", "--out", str(tmp_path)]) == 3
+        assert "FAIL: deviation not finite in a (" in capsys.readouterr().out
+
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        body = json.loads((tmp_path / "verify.json").read_text(), parse_constant=reject)["body"]
+        assert body["per_table_deviation"] == {"a": None, "b": 0.0}
+        assert body["max_deviation"] is None
+        assert body["passed"] is False
+
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [
+            ("--eps", "inf", "eps"),
+            ("--eps", "nan", "eps"),
+            ("--eps", "-1", "eps"),
+            ("--lr", "inf", "lr"),
+            ("--lr", "0", "lr"),
+            ("--seed", "-1", "seed"),
+        ],
+    )
+    def test_bad_value_names_its_field(self, tmp_path, capsys, desk_model_file, flag, value, field):
+        argv = ["verify", "--model", desk_model_file, f"{flag}={value}"]
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        assert f"error: invalid value at {field}: " in capsys.readouterr().err
+        assert not (tmp_path / "verify.json").exists()
+
+
 class TestSimulateCommand:
     def test_quantized_comm_halves_a2a_volumes(self, tmp_path):
         args = [

@@ -1,14 +1,18 @@
 """Embedding operator reference semantics: pooling, fused backward, optimizers."""
 
+import dataclasses
 import io
+import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import desk_model, load_table, merge_row_gradients
+from conftest import desk_cluster, desk_model, load_table, merge_row_gradients
 
 from neosim import (
+    CandidatePolicy,
+    CostWeights,
     EmbeddingTable,
     InvalidValue,
     OptimizerConfig,
@@ -23,10 +27,14 @@ from neosim import (
     fused_backward_update,
     fused_forward,
     gen_synthetic_batch,
+    plan_4d,
     quantize_fp16_roundtrip,
     train_step_reference,
+    train_step_sharded,
 )
+from neosim.cli import main
 from neosim.embedding import (
+    _draw,
     apply_adagrad,
     apply_optimizer,
     apply_sgd,
@@ -154,6 +162,127 @@ class TestTableMoments:
                 shape = (H,) if kind is OptimizerKind.ROWWISE_ADAGRAD else (H, D)
                 assert table.moment.shape == shape and not table.moment.any()
         assert pieces[-1].values.tolist() == tables[1].values[1:4, 0:2].tolist()
+
+
+class TestOptimizerConfig:
+    @pytest.mark.parametrize(
+        "lr,eps,field",
+        [
+            (0.0, 1e-8, "lr"),
+            (-0.1, 1e-8, "lr"),
+            (math.inf, 1e-8, "lr"),
+            (math.nan, 1e-8, "lr"),
+            (0.1, -1e-8, "eps"),
+            (0.1, math.inf, "eps"),
+            (0.1, math.nan, "eps"),
+        ],
+    )
+    def test_bad_lr_or_eps_names_its_field(self, lr, eps, field):
+        """lr must be finite and > 0, eps finite and >= 0: an infinite eps
+        would make every update zero, an infinite lr every value infinite."""
+        with pytest.raises(InvalidValue, match=f"invalid value at {field}: must be finite"):
+            OptimizerConfig(OptimizerKind.ADAGRAD, lr=lr, eps=eps)
+
+
+def held_draw_model(**changes):
+    """Three tables, one FP16; `changes` maps a table field to a new value
+    for table 1."""
+    specs = [
+        TableSpec(id="a", num_rows=9, dim=3, avg_pooling=2.0),
+        TableSpec(id="b", num_rows=7, dim=2, avg_pooling=1.5, value_precision=Precision.FP16),
+        TableSpec(id="c", num_rows=5, dim=4, avg_pooling=3.0),
+    ]
+    specs[1] = dataclasses.replace(specs[1], **changes)
+    return desk_model(specs, local_batch=4)
+
+
+class TestHeldDraw:
+    """build_tables copies one held, read-only draw per (seed, table shapes)."""
+
+    cfg = OptimizerConfig(OptimizerKind.SGD, lr=0.5)
+
+    def test_training_a_build_leaves_the_next_build_as_drawn(self):
+        model = held_draw_model()
+        batch = gen_synthetic_batch(model, 4, seed=2)
+        _, trained = train_step_reference(model, batch, self.cfg, seed=4)
+        again = build_tables(model, self.cfg, seed=4)  # the held draw
+        build_tables(model, self.cfg, seed=5)  # another key drops it
+        fresh = build_tables(model, self.cfg, seed=4)
+        for t, (a, b, c) in enumerate(zip(trained, again, fresh, strict=True)):
+            assert a.values.tobytes() != b.values.tobytes(), t  # training wrote a copy
+            assert b.values.tobytes() == c.values.tobytes()
+            assert b.values.flags.writeable
+
+    def test_held_arrays_are_read_only(self):
+        model = held_draw_model()
+        build_tables(model, self.cfg, seed=6)
+        misses = _draw.cache_info().misses
+        held = _draw(6, ((9, 3, False), (7, 2, True), (5, 4, False)))
+        assert _draw.cache_info().misses == misses
+        for values in held:
+            assert not values.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                values[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "seed,changes",
+        [
+            (8, {}),
+            (7, {"num_rows": 8}),
+            (7, {"dim": 3}),
+            (7, {"value_precision": Precision.FP32}),
+        ],
+    )
+    def test_each_key_field_draws_afresh(self, seed, changes):
+        """The key is the seed and each table's rows, dim and FP16 flag; a
+        change to any one of them draws again, and gives what a draw of
+        that key from nothing gives."""
+        _draw.cache_clear()
+        build_tables(held_draw_model(), self.cfg, seed=7)
+        build_tables(held_draw_model(), OptimizerConfig(OptimizerKind.ADAGRAD, lr=0.1), seed=7)
+        assert _draw.cache_info().misses == 1  # the optimizer is not in the key
+        model = held_draw_model(**changes)
+        got = build_tables(model, self.cfg, seed=seed)
+        assert _draw.cache_info().misses == 2
+        _draw.cache_clear()
+        want = build_tables(model, self.cfg, seed=seed)
+        for a, b in zip(got, want, strict=True):
+            assert a.values.tobytes() == b.values.tobytes()
+
+    def test_reference_and_sharded_pair_draws_once(self):
+        model = held_draw_model()
+        plan = plan_4d(model, desk_cluster(2), CostWeights(), CandidatePolicy())
+        batch = gen_synthetic_batch(model, 8, seed=3)
+        _draw.cache_clear()
+        train_step_reference(model, batch, self.cfg, seed=9)
+        train_step_sharded(model, plan, batch, self.cfg, seed=9)
+        assert _draw.cache_info().misses == 1
+
+    def test_one_verify_run_draws_once(self, tmp_path):
+        model = {
+            "spec_version": 1,
+            "local_batch": 4,
+            "mflops_per_sample": 1,
+            "tables": [
+                {"id": "a", "num_rows": 30, "dim": 4, "avg_pooling": 2.0},
+                {"id": "b", "num_rows": 20, "dim": 8, "avg_pooling": 1.5},
+            ],
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        _draw.cache_clear()
+        argv = ["verify", "--model", str(path), "--workers", "2", "--seed", "12345"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        assert _draw.cache_info().misses == 1
+
+    @pytest.mark.parametrize("draw", ["build_tables", "gen_synthetic_batch"])
+    def test_negative_seed_names_the_seed(self, draw):
+        model = held_draw_model()
+        with pytest.raises(InvalidValue, match="invalid value at seed: must be >= 0"):
+            if draw == "build_tables":
+                build_tables(model, self.cfg, seed=-1)
+            else:
+                gen_synthetic_batch(model, 4, seed=-1)
 
 
 class TestForwardPooled:
