@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -56,47 +55,6 @@ VERIFY_MAX_PARAMS = 10**6
 VERIFY_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    inputs: dict[str, str]  # path -> sha256 digest
-    seed: Optional[int]  # None for commands that draw no random numbers
-    version: str
-    timestamp: str
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": dict(sorted(self.inputs.items())),
-            "seed": self.seed,
-            "version": self.version,
-            "timestamp": self.timestamp,
-        }
-
-
-def _digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def make_manifest(
-    command: str, paths: list[str], seed: Optional[int] = None
-) -> RunManifest:
-    return RunManifest(
-        command=command,
-        inputs={p: _digest(p) for p in paths if p},
-        seed=seed,
-        version=__version__,
-        timestamp=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-    )
-
-
-def render_report(manifest: RunManifest, body: dict) -> str:
-    # body first and sorted so identical inputs give byte-identical bodies
-    return json.dumps(
-        {"manifest": manifest.to_dict(), "body": body}, indent=2, sort_keys=True
-    )
-
-
 def _write(out_dir: str, name: str, text: str) -> Path:
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
@@ -107,9 +65,17 @@ def _write(out_dir: str, name: str, text: str) -> Path:
 
 def _write_report(args, inputs: list, body: dict, seed: Optional[int] = None) -> None:
     """Write `<command>.json`, the body under its run manifest, to --out and
-    say where."""
-    manifest = make_manifest(args.command, inputs, seed)
-    written = _write(args.out, f"{args.command}.json", render_report(manifest, body))
+    say where. Keys are sorted, so identical inputs give identical bodies;
+    the seed is None for commands that draw no random numbers."""
+    manifest = {
+        "command": args.command,
+        "inputs": {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs if p},
+        "seed": seed,
+        "version": __version__,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+    }
+    text = json.dumps({"manifest": manifest, "body": body}, indent=2, sort_keys=True)
+    written = _write(args.out, f"{args.command}.json", text)
     print(f"report written to {written}")
 
 

@@ -39,6 +39,7 @@ from .model import (
     CombinedBatch,
     ModelSpec,
     Precision,
+    _check_lengths,
     frozen_array,
 )
 from .planner import (
@@ -47,6 +48,7 @@ from .planner import (
     RW,
     TW,
     ShardingPlan,
+    _resolve_bounds,
     validate_plan,
 )
 
@@ -158,8 +160,7 @@ class LaidOutBatch:
             raise LayoutMismatch(
                 f"expected {expected} length entries, got {len(self.lengths)}"
             )
-        if int(np.sum(self.lengths)) != len(self.indices):
-            raise LayoutMismatch("lengths do not cover the index buffer")
+        _check_lengths(np.asarray(self.lengths), len(self.indices))
 
 
 def to_wtb(batch: CombinedBatch, workers: int) -> LaidOutBatch:
@@ -213,37 +214,31 @@ class ShardInput:
 
 @dataclass
 class WorkerSlice:
+    """The shard inputs one worker receives, appended by the redistribution."""
+
     worker: int
-    inputs: list[ShardInput] = field(default_factory=list)
+    inputs: list[ShardInput] = field(default_factory=list, init=False)
 
 
 def _table_shards(plan: ShardingPlan, model: ModelSpec) -> list[tuple]:
-    """Per model table, in model order, from the plan's shard columns: the
-    kind code of its assignment and, per shard in plan order, its worker and
-    its (start, end) row and column bounds, a bound the shard lacks resolved
-    to the table's extent. An assignment without shards places nothing, so
-    its kind reads TW. A table the plan does not assign raises KeyError."""
+    """Per model table, in model order: the kind code of its assignment and,
+    per shard in plan order, its worker and its (start, end) row and column
+    bounds (_resolve_bounds). An assignment without shards places nothing,
+    so its kind reads TW. Bad coverage raises in ShardColumns.tables."""
     cols = plan.shard_columns
-    first: dict[str, int] = {}  # table id -> its first assignment
-    for i, table_id in enumerate(cols.table_ids):
-        first.setdefault(table_id, i)
-    ends = cols.ends().tolist()
-    kind, worker = cols.kind.tolist(), cols.worker.tolist()
-    rows, has_rows = cols.rows.tolist(), cols.has_rows.tolist()
-    width, has_cols = cols.cols.tolist(), cols.has_cols.tolist()
-    out = []
-    for table in model.tables:
-        i = first[table.id]
-        span = range(ends[i - 1] if i else 0, ends[i])
-        out.append(
-            (
-                kind[span.start] if span else TW,
-                [worker[s] for s in span],
-                [tuple(rows[s]) if has_rows[s] else (0, table.num_rows) for s in span],
-                [tuple(width[s]) if has_cols[s] else (0, table.dim) for s in span],
-            )
-        )
-    return out
+    tc = model.table_columns
+    t = cols.tables(model)
+    # each table's shards are one assignment's, so a stable sort by table
+    # keeps them in plan order
+    order = np.argsort(t, kind="stable")
+    ends = np.cumsum(np.bincount(t, minlength=model.num_tables)).tolist()
+    kind, worker = cols.kind[order].tolist(), cols.worker[order].tolist()
+    r0, r1 = _resolve_bounds(cols.rows, cols.has_rows, tc.rows[t], "rows")
+    c0, c1 = _resolve_bounds(cols.cols, cols.has_cols, tc.dim[t], "cols")
+    rows = list(zip(r0[order].tolist(), r1[order].tolist()))
+    width = list(zip(c0[order].tolist(), c1[order].tolist()))
+    spans = zip([0, *ends], ends)
+    return [(kind[s] if e > s else TW, worker[s:e], rows[s:e], width[s:e]) for s, e in spans]
 
 
 def alltoall_redistribute(
@@ -470,11 +465,9 @@ def train_step_sharded(
     validate_plan(plan, model)
     batch.validate_against(model)
     W = plan.num_workers
-    if batch.num_samples % W:
-        raise LayoutMismatch("global batch must split evenly across workers")
     n = batch.num_samples
-    full_tables = build_tables(model, cfg, seed)
     slices = alltoall_redistribute(to_wtb(batch, W), plan, model)
+    full_tables = build_tables(model, cfg, seed)
     inputs = {(s.table_id, s.position): (s.lengths, s.indices) for w in slices for s in w.inputs}
     state = ShardedState(shards={}, dp_tables={})
     outputs = []

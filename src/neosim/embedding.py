@@ -33,7 +33,8 @@ from typing import IO, Optional, Sequence
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidValue, LayoutMismatch
-from .model import CombinedBatch, ModelSpec, Precision, TableSpec, _check_ids, _check_seed
+from .model import CombinedBatch, ModelSpec, Precision, TableSpec
+from .model import _check_ids, _check_lengths, _check_seed
 
 
 class OptimizerKind(str, Enum):
@@ -129,7 +130,7 @@ def _draw(seed: int, shapes: tuple[tuple[int, int, bool], ...]) -> tuple[np.ndar
     for t, (rows, dim, fp16) in enumerate(shapes):
         values = np.random.default_rng([seed, t]).standard_normal((rows, dim))
         if fp16:  # normals are finite and in range
-            values = values.astype(np.float16).astype(np.float64)
+            values, _ = quantize_fp16_roundtrip(values)
         values.flags.writeable = False
         drawn.append(values)
     return tuple(drawn)
@@ -161,10 +162,7 @@ def _checked_input(
     batch; raises IndexOutOfRange on the first id outside [0, num_rows)."""
     lengths = np.asarray(lengths, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
-    if (lengths < 0).any():
-        raise InvalidValue("lengths", "must be >= 0")
-    if int(lengths.sum()) != len(indices):
-        raise LayoutMismatch("lengths do not cover the index buffer")
+    _check_lengths(lengths, len(indices))
     _check_ids(indices, num_rows, table_id)
     return lengths, indices, np.arange(len(lengths)).repeat(lengths)
 
@@ -422,16 +420,10 @@ def train_step_reference(
 
 _MAGIC = b"NEOT"
 _PRECISION_CODE = {Precision.FP32: 0, Precision.FP16: 1}
-_MOMENT_CODE = {"none": 0, "rowwise": 1, "elementwise": 2}
 
 
 def dump_table(table: EmbeddingTable, fh: IO[bytes]) -> None:
-    if table.moment is None:
-        moment_kind = "none"
-    elif table.moment.ndim == 1:
-        moment_kind = "rowwise"
-    else:
-        moment_kind = "elementwise"
+    moment = table.moment
     fh.write(_MAGIC)
     fh.write(
         struct.pack(
@@ -439,10 +431,10 @@ def dump_table(table: EmbeddingTable, fh: IO[bytes]) -> None:
             table.num_rows,
             table.dim,
             _PRECISION_CODE[table.spec.value_precision],
-            _MOMENT_CODE[moment_kind],
+            0 if moment is None else moment.ndim,  # 1 row-wise, 2 element-wise
         )
     )
     fh.write(np.ascontiguousarray(table.values, dtype=np.float64).tobytes())
-    if table.moment is not None:
-        fh.write(np.ascontiguousarray(table.moment, dtype=np.float64).tobytes())
+    if moment is not None:
+        fh.write(np.ascontiguousarray(moment, dtype=np.float64).tobytes())
 

@@ -11,12 +11,13 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import repeat
 from operator import mul
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidValue, MalformedDocument, MissingKey
+from .errors import IndexOutOfRange, InvalidValue, LayoutMismatch, MalformedDocument, MissingKey
 
 SPEC_VERSION = 1
 
@@ -221,9 +222,9 @@ class ModelSpec:
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
     def table_indices(self, table_ids) -> np.ndarray:
-        """Positions in `tables` of each id; unknown ids raise KeyError."""
+        """Positions in `tables` of each id, -1 for an id the model lacks."""
         return np.fromiter(
-            map(self._table_pos.__getitem__, table_ids), np.int64, len(table_ids)
+            map(self._table_pos.get, table_ids, repeat(-1)), np.int64, len(table_ids)
         )
 
     def _with_rows(self, rows: np.ndarray) -> "ModelSpec":
@@ -352,6 +353,15 @@ def _check_ids(ids: np.ndarray, num_rows: int, table_id: str) -> None:
         raise IndexOutOfRange(table_id, int(ids[(ids < 0) | (ids >= num_rows)][0]))
 
 
+def _check_lengths(lengths: np.ndarray, num_indices: int) -> None:
+    """Raise InvalidValue at `lengths` unless the int64 pooling sizes are all
+    >= 0, then LayoutMismatch unless they cover a buffer of `num_indices`."""
+    if (lengths < 0).any():
+        raise InvalidValue("lengths", "must be >= 0")
+    if int(lengths.sum()) != num_indices:
+        raise LayoutMismatch("lengths do not cover the index buffer")
+
+
 class CombinedBatch:
     """Lengths-format sparse batch for all tables of one model.
 
@@ -365,12 +375,7 @@ class CombinedBatch:
         indices = np.asarray(indices, dtype=np.int64)
         if lengths.ndim != 2:
             raise InvalidValue("lengths", "must be a (tables, samples) matrix")
-        if np.any(lengths < 0):
-            raise InvalidValue("lengths", "must be >= 0")
-        if int(lengths.sum()) != len(indices):
-            raise InvalidValue(
-                "indices", "total index count must equal the sum of lengths"
-            )
+        _check_lengths(lengths, len(indices))
         self.lengths = lengths
         self.indices = indices
         # offset of each table's chunk inside the concatenated index buffer

@@ -243,11 +243,6 @@ class ShardColumns(NamedTuple):
         """(worker, shard) pairs charged: a replica counts once per worker."""
         return len(self.dest)
 
-    def ends(self) -> np.ndarray:
-        """Where each assignment's shards end: assignment i holds shards
-        ends[i - 1]:ends[i] (0:ends[0] for the first)."""
-        return np.cumsum(np.bincount(self.assignment, minlength=len(self.table_ids)))
-
     def shard_lists(self, make) -> tuple[list[tuple], list[int]]:
         """The distinct shard lists of the assignments, and the position of
         each assignment's list among them. A list holds make(worker, rows,
@@ -288,20 +283,23 @@ class ShardColumns(NamedTuple):
         )
 
     def tables(self, model: ModelSpec) -> np.ndarray:
-        """Each shard's position in `model.tables`."""
-        return model.table_indices(self.table_ids)[self.assignment]
+        """Each shard's position in `model.tables`. A plan that does not assign
+        each table once raises InvalidScheme as validate_plan words it."""
+        if self.table_ids is model._ids:  # a planner's plan: entry i holds table i
+            return self.assignment
+        table = model.table_indices(self.table_ids)
+        breach = _coverage(table, model.num_tables)
+        if breach is not None:
+            raise _coverage_error(self.table_ids, model, *breach)
+        return table[self.assignment]
 
     def extents(self, axis: str, full: np.ndarray) -> np.ndarray:
-        """Rows (axis "rows") or columns ("cols") of each shard; `full` holds
-        each shard's table extent, used where the shard has no bound on that
-        axis. A bound must be non-empty and lie in [0, full): an unvalidated
-        plan's other bounds raise InvalidScheme rather than be charged."""
-        bounds = getattr(self, axis)
-        given = getattr(self, f"has_{axis}")
-        start, end = bounds[:, 0], bounds[:, 1]
-        if np.any(given & ((start < 0) | (end <= start) | (end > full))):
-            raise InvalidScheme(f"a shard's {axis} bound is empty or outside its table")
-        return np.where(given, end - start, full)
+        """Rows (axis "rows") or columns ("cols") of each shard, its bounds
+        resolved by _resolve_bounds against its table extent `full`."""
+        start, end = _resolve_bounds(
+            getattr(self, axis), getattr(self, f"has_{axis}"), full, axis
+        )
+        return end - start
 
     def row_share(self) -> np.ndarray:
         """Each shard's share of its table's lookups: 1/k for a row-wise
@@ -323,6 +321,46 @@ class ShardColumns(NamedTuple):
         sums = np.zeros(num_workers, dtype=np.int64)
         np.add.at(sums, dest, charged)
         return sums
+
+
+def _coverage(table: np.ndarray, num_tables: int):
+    """None if assignments holding model positions `table` (-1: unknown id)
+    hold each of `num_tables` tables once, else (unknown, twice, unassigned):
+    per assignment, whether its id is unknown and whether an earlier one
+    holds its table, and the positions none holds."""
+    counts = np.bincount(table + 1, minlength=num_tables + 1)
+    if not counts[0] and (counts[1:] == 1).all():
+        return None
+    twice = np.ones(len(table), bool)
+    twice[np.unique(table, return_index=True)[1]] = False  # each table's first
+    return table < 0, twice, np.flatnonzero(counts[1:] == 0)
+
+
+_UNKNOWN_TABLE = "plan names unknown table {tid}"
+_TABLE_TWICE = "table {tid} assigned twice"
+
+
+def _coverage_error(ids, model: ModelSpec, unknown, twice, unassigned) -> InvalidScheme:
+    """The error of the first coverage breach (see _coverage) of assignments
+    with `ids`: the first unknown or repeated id in plan order, else the
+    tables left unassigned."""
+    repeated = unknown | twice
+    if repeated.any():
+        i = int(repeated.argmax())
+        return InvalidScheme((_UNKNOWN_TABLE if unknown[i] else _TABLE_TWICE).format(tid=ids[i]))
+    missing = [model._ids[t] for t in unassigned.tolist()]
+    return InvalidScheme(f"tables not assigned: {sorted(missing)}")
+
+
+def _resolve_bounds(bounds: np.ndarray, given: np.ndarray, full: np.ndarray, axis: str):
+    """(start, end) of each shard on `axis`: its `bounds` where `given`, else
+    (0, full), its table's extent. A bound must be non-empty and lie in
+    [0, full): an unvalidated plan's other bounds raise InvalidScheme."""
+    start = np.where(given, bounds[:, 0], 0)
+    end = np.where(given, bounds[:, 1], full)
+    if np.any((start < 0) | (end <= start) | (end > full)):
+        raise InvalidScheme(f"a shard's {axis} bound is empty or outside its table")
+    return start, end
 
 
 def _int64_column(values, count: int, name: str) -> np.ndarray:
@@ -1089,9 +1127,9 @@ def memory_check(
     if kept is not None and kept[0] is model and kept[1] is cluster and kept[2] == flags:
         return kept[3]
     cols = plan.shard_columns
+    t = cols.tables(model)
     _check_int64_bytes(cols.charges, model)
     tc = model.table_columns
-    t = cols.tables(model)
     report = _memory_report(
         model,
         cluster,
@@ -1208,14 +1246,16 @@ def _placement(model, cluster, flags, kind, num_shards, workers) -> _Placement:
     cols = _even_bounds_column(D, n, i, has_cols)
     W = cluster.num_workers
     _check_int64_bytes(len(table) + (W - 1) * int(replica.sum()), model)
+    r0, r1 = _resolve_bounds(rows, has_rows, H, "rows")
+    c0, c1 = _resolve_bounds(cols, has_cols, D, "cols")
     report = _memory_report(
         model,
         cluster,
         flags,
         (W, cluster.gpus_per_node),
         table,
-        np.where(has_rows, rows[:, 1] - rows[:, 0], H),
-        np.where(has_cols, cols[:, 1] - cols[:, 0], D),
+        r1 - r0,
+        c1 - c0,
         worker,
         replica,
     )
@@ -1437,10 +1477,11 @@ def validate_plan(plan: ShardingPlan, model: ModelSpec) -> None:
     cols = plan.shard_columns
     ids, schemes, a = cols.table_ids, cols.schemes, cols.assignment
     A = len(ids)
-    table = np.fromiter(map(model._table_pos.get, ids, repeat(-1)), np.int64, A)
+    table = model.table_indices(ids)
+    coverage = _coverage(table, model.num_tables)
     # an unknown id (-1) breaks the first rule, so its repeats need no own flag
-    twice = np.ones(A, bool)
-    twice[np.unique(table, return_index=True)[1]] = False  # each table's first
+    no = np.zeros(A, bool)
+    unknown, twice, _ = coverage or (no, no, None)
     counts = np.bincount(a, minlength=A)
     kind = np.zeros(A, np.int8)
     kind[a] = cols.kind
@@ -1492,8 +1533,8 @@ def validate_plan(plan: ShardingPlan, model: ModelSpec) -> None:
     odd_tag = tagged & ((kind != RW) | (tag != 1))
     # (the assignments that break a rule, the rule's message)
     rules = (
-        (table < 0, "plan names unknown table {tid}"),
-        (twice, "table {tid} assigned twice"),
+        (unknown, _UNKNOWN_TABLE),
+        (twice, _TABLE_TWICE),
         (single & (counts != 1), "{tid}: expected a single shard"),
         (
             any_shard(cols.replica != (cols.kind == DP)),
@@ -1535,11 +1576,8 @@ def validate_plan(plan: ShardingPlan, model: ModelSpec) -> None:
                 extent=extent[i],
             )
         )
-    assigned = np.zeros(model.num_tables, bool)
-    assigned[table[table >= 0]] = True
-    if not assigned.all():
-        missing = [model._ids[t] for t in np.flatnonzero(~assigned).tolist()]
-        raise InvalidScheme(f"tables not assigned: {sorted(missing)}")
+    if coverage is not None:  # only tables left unassigned remain
+        raise _coverage_error(ids, model, *coverage)
 
 
 def plan_to_json(

@@ -101,15 +101,21 @@ def test_allowlist_names_only_uncalled_definitions():
 
 # ---------------------------------------------------------------------------
 # options census: every defaulted parameter of a public function or method
-# is set by some program call, by keyword or by position. A call counts
-# when it names the function, plainly or as an attribute, or hands it to
-# perfbench's `tr.call(label, fn, *args, **kwargs)`; a `*args` or
+# is set by some program call, by keyword or by position, and so is every
+# defaulted constructor parameter of a public class: one of its __init__,
+# or a defaulted field of a public dataclass or NamedTuple. A call counts
+# when it names the function or class, plainly or as an attribute, or hands
+# it to perfbench's `tr.call(label, fn, *args, **kwargs)`; a `*args` or
 # `**kwargs` spread counts as setting every parameter it can reach.
 
 # defaulted parameters kept although only tests set them
 ALLOWED_OPTIONS = {
     "main.argv": "the console entry point calls main() without arguments",
     "load_bundled_cluster.name": "README's Python API",
+    "EmbeddingTable.moment": (
+        "tests hand a table a moment to check; the program's zero moments come "
+        "from _fresh_table, which skips the constructor's scan of them"
+    ),
 }
 
 
@@ -158,6 +164,46 @@ def public_functions(node) -> list[tuple[str, ast.FunctionDef, bool]]:
     ]
 
 
+def is_init_field(item) -> bool:
+    """Whether a class-body annotation is a constructor field: not a
+    ClassVar and not `field(init=False)`."""
+    annotation = ast.unparse(item.annotation)
+    if annotation.startswith(("ClassVar", "typing.ClassVar")):
+        return False
+    value = item.value
+    return not (
+        isinstance(value, ast.Call)
+        and getattr(value.func, "id", None) == "field"
+        and any(k.arg == "init" and getattr(k.value, "value", 1) is False for k in value.keywords)
+    )
+
+
+def has_default(value) -> bool:
+    """Whether a field's assigned value gives it a default."""
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        return any(k.arg in ("default", "default_factory") for k in value.keywords)
+    return value is not None
+
+
+def constructor_options(node) -> dict[str, int | None]:
+    """Defaulted constructor parameter -> its position among the call's
+    positional arguments, for a public class: its __init__'s, else the
+    defaulted fields of a dataclass or NamedTuple, in field order."""
+    if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+        return {}
+    for item in node.body:
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+            return defaulted_parameters(item, bound=True)
+    if not is_record(node):
+        return {}
+    fields = [
+        item
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and is_init_field(item)
+    ]
+    return {item.target.id: i for i, item in enumerate(fields) if has_default(item.value)}
+
+
 def options_census() -> tuple[dict[str, tuple[str, str, int | None]], set[str]]:
     """(option "function.parameter" -> (its module, the called name, its
     position), options some program call sets)."""
@@ -168,6 +214,8 @@ def options_census() -> tuple[dict[str, tuple[str, str, int | None]], set[str]]:
             for qualified, fn, method in public_functions(node):
                 for param, position in defaulted_parameters(fn, method).items():
                     options[f"{qualified}.{param}"] = (path.stem, fn.name, position)
+            for param, position in constructor_options(node).items():
+                options[f"{node.name}.{param}"] = (path.stem, node.name, position)
             if path.name != "__init__.py":
                 calls += program_calls(node, getattr(node, "name", None))
     set_ = set()

@@ -21,8 +21,8 @@ from neosim import (
     CombinedBatch,
     CostWeights,
     IndexOutOfRange,
+    InvalidScheme,
     InvalidValue,
-    LayoutMismatch,
     LayoutMismatch,
     OptimizerConfig,
     OptimizerKind,
@@ -290,6 +290,38 @@ class TestPermute:
             alltoall_redistribute(to_wtb(batch, 1), tw_plan(model, 2), model)
 
 
+# ---------------------------------------------------------------------------
+# the lengths rule: one check behind every batch form
+
+
+def _combined(lengths, indices):
+    return CombinedBatch(np.array([lengths]), np.array(indices))
+
+
+def _laid_out(lengths, indices):
+    return LaidOutBatch(1, 1, len(lengths), np.array(lengths), np.array(indices))
+
+
+def _pooled(lengths, indices):
+    table = embedding.EmbeddingTable(
+        TableSpec(id="t", num_rows=4, dim=2, avg_pooling=1.0), np.zeros((4, 2))
+    )
+    return embedding.forward_pooled(table, lengths, indices)
+
+
+@pytest.mark.parametrize("make", [_combined, _laid_out, _pooled])
+def test_every_batch_form_checks_lengths_alike(make):
+    make([1, 2], [0, 1, 2])  # lengths >= 0 that cover the buffer
+    with pytest.raises(InvalidValue) as err:
+        make([-1, 2], [0])  # sums to the buffer's length, but negative
+    assert err.value.path == "lengths"
+    with pytest.raises(LayoutMismatch, match="^lengths do not cover the index buffer$"):
+        make([2, 1], [1])
+    if make is _pooled:
+        with pytest.raises(IndexOutOfRange):
+            make([1], [4])
+
+
 class TestRedistribute:
     def test_table_wise_owner_receives_global_batch(self):
         model = desk_model(
@@ -309,7 +341,7 @@ class TestRedistribute:
         assert np.array_equal(worker0[0].indices, idx)
         # a model table the plan does not assign is named, not skipped
         fewer = dataclasses.replace(plan, assignments=plan.assignments[:1])
-        with pytest.raises(KeyError, match="t1"):
+        with pytest.raises(InvalidScheme, match=r"tables not assigned: \['t1'\]"):
             alltoall_redistribute(to_wtb(batch, 2), fewer, model)
 
     def test_bytes_conserved(self):

@@ -735,6 +735,48 @@ def test_broken_plans_reach_every_rule():
     }
 
 
+def coverage_breaches(plan, rng):
+    """Copies of `plan` that break only its coverage of the model: an id the
+    model lacks, a table left out, a table assigned twice, then a repeat
+    beside an unknown id and a repeat beside a loss, at random positions."""
+    a = list(plan.assignments)
+
+    def replaced(parts):
+        return dataclasses.replace(plan, assignments=tuple(parts))
+
+    i = int(rng.integers(len(a)))
+    # random_case names its tables t0..t{n-1}
+    unknown = dataclasses.replace(a[i], table_id=f"t{len(a) + int(rng.integers(3))}")
+    renamed = a[:i] + [unknown] + a[i + 1 :]
+    lost = a[:i] + a[i + 1 :]
+    yield replaced(renamed)
+    yield replaced(lost)
+    yield replaced(a[: (k := int(rng.integers(len(a) + 1)))] + [a[i]] + a[k:])
+    renamed.insert(int(rng.integers(len(renamed) + 1)), a[int(rng.integers(len(a)))])
+    yield replaced(renamed)
+    if lost:
+        lost.insert(int(rng.integers(len(lost) + 1)), lost[int(rng.integers(len(lost)))])
+        yield replaced(lost)
+
+
+@pytest.mark.parametrize("seed", CASES)
+def test_tables_words_a_coverage_breach_as_validate_plan(seed):
+    """ShardColumns.tables refuses exactly the plans whose entries miss,
+    repeat or invent a table, with validate_plan's message."""
+    model, plan, *_ = random_case(seed)
+
+    def tables(plan, model):
+        plan.shard_columns.tables(model)
+
+    assert _outcome(tables, plan, model) is None
+    rng = np.random.default_rng([20261018, seed, 2])
+    for broken in coverage_breaches(plan, rng):
+        expected = _outcome(validate_plan_loop, broken, model)
+        assert expected is not None
+        assert _outcome(validate_plan, broken, model) == expected
+        assert _outcome(tables, broken, model) == expected
+
+
 # ---------------------------------------------------------------------------
 # the cached columns cannot go stale or leak
 
