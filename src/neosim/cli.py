@@ -66,7 +66,8 @@ def _write(out_dir: str, name: str, text: str) -> Path:
 def _write_report(args, inputs: list, body: dict, seed: Optional[int] = None) -> None:
     """Write `<command>.json`, the body under its run manifest, to --out and
     say where. Keys are sorted, so identical inputs give identical bodies;
-    the seed is None for commands that draw no random numbers."""
+    the seed is None for commands that draw no random numbers. A body is
+    strict JSON: a non-finite number raises ValueError."""
     manifest = {
         "command": args.command,
         "inputs": {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs if p},
@@ -74,7 +75,9 @@ def _write_report(args, inputs: list, body: dict, seed: Optional[int] = None) ->
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
-    text = json.dumps({"manifest": manifest, "body": body}, indent=2, sort_keys=True)
+    text = json.dumps(
+        {"manifest": manifest, "body": body}, indent=2, sort_keys=True, allow_nan=False
+    )
     written = _write(args.out, f"{args.command}.json", text)
     print(f"report written to {written}")
 

@@ -48,8 +48,8 @@ from .planner import (
     RW,
     TW,
     ShardingPlan,
+    _plan_tables,
     _resolve_bounds,
-    validate_plan,
 )
 
 LENGTH_BYTES = 8  # lengths travel as int64 in the metadata phase
@@ -223,22 +223,21 @@ class WorkerSlice:
 def _table_shards(plan: ShardingPlan, model: ModelSpec) -> list[tuple]:
     """Per model table, in model order: the kind code of its assignment and,
     per shard in plan order, its worker and its (start, end) row and column
-    bounds (_resolve_bounds). An assignment without shards places nothing,
-    so its kind reads TW. Bad coverage raises in ShardColumns.tables."""
+    bounds (_resolve_bounds). A plan that breaks a validate_plan rule
+    raises at the gate (_plan_tables)."""
     cols = plan.shard_columns
     tc = model.table_columns
-    t = cols.tables(model)
+    t = _plan_tables(plan, model)
     # each table's shards are one assignment's, so a stable sort by table
     # keeps them in plan order
     order = np.argsort(t, kind="stable")
     ends = np.cumsum(np.bincount(t, minlength=model.num_tables)).tolist()
     kind, worker = cols.kind[order].tolist(), cols.worker[order].tolist()
-    r0, r1 = _resolve_bounds(cols.rows, cols.has_rows, tc.rows[t], "rows")
-    c0, c1 = _resolve_bounds(cols.cols, cols.has_cols, tc.dim[t], "cols")
+    r0, r1 = _resolve_bounds(cols.rows, cols.has_rows, tc.rows[t])
+    c0, c1 = _resolve_bounds(cols.cols, cols.has_cols, tc.dim[t])
     rows = list(zip(r0[order].tolist(), r1[order].tolist()))
     width = list(zip(c0[order].tolist(), c1[order].tolist()))
-    spans = zip([0, *ends], ends)
-    return [(kind[s] if e > s else TW, worker[s:e], rows[s:e], width[s:e]) for s, e in spans]
+    return [(kind[s], worker[s:e], rows[s:e], width[s:e]) for s, e in zip([0, *ends], ends)]
 
 
 def alltoall_redistribute(
@@ -292,16 +291,23 @@ def alltoall_redistribute(
 # collective volume models
 
 
+def _check_workers(plan: ShardingPlan, num_workers: int) -> None:
+    """A volume's worker count must be its plan's, whose workers it charges."""
+    if num_workers != plan.num_workers:
+        raise InvalidValue("num_workers", "plan and volume disagree on worker count")
+
+
 def _pooled_elements(
     plan: ShardingPlan, model: ModelSpec, num_workers: int
 ) -> np.ndarray:
     """Per-worker elements of the pooled AlltoAll, in either direction: each
     worker sends its local TW/CW shard rows destined to other workers,
     D_shard x (global - local)."""
+    _check_workers(plan, num_workers)
     global_batch = model.local_batch * num_workers
     remote = global_batch - model.local_batch
     cols = plan.shard_columns
-    width = cols.extents("cols", model.table_columns.dim[cols.tables(model)])
+    width = cols.extents("cols", model.table_columns.dim[_plan_tables(plan, model)])
     pooled = (cols.kind == TW) | (cols.kind == CW)
     return cols.per_worker(np.where(pooled, width * float(remote), 0.0), num_workers)
 
@@ -340,10 +346,11 @@ def volume_gradient_collectives(
     AllReduce at 2(W-1)/W x bytes, DP tables at the value precision of
     the model spec (a forced table precision does not apply).
     """
+    _check_workers(plan, num_workers)
     global_batch = model.local_batch * num_workers
     cols = plan.shard_columns
     tc = model.table_columns
-    t = cols.tables(model)
+    t = _plan_tables(plan, model)
     k = cols.num_shards
     rw = cols.kind == RW
     per_shard = (k - 1) / k * global_batch * tc.dim[t]
@@ -380,10 +387,11 @@ def volume_input_alltoall(
     unless it owns the shard, so worker w sends the total payload less the
     payload of its own shards.
     """
+    _check_workers(plan, num_workers)
     B = model.local_batch
     cols = plan.shard_columns
     tc = model.table_columns
-    t = cols.tables(model)
+    t = _plan_tables(plan, model)
     owned_by = cols.kind != DP
     payload = B * tc.pooling[t] * cols.row_share() * tc.index_bytes[t]
     owned = cols.per_worker(np.where(owned_by, payload, 0.0), num_workers)
@@ -462,7 +470,6 @@ def train_step_sharded(
     as the AllReduce adds them. A table reads only its own shards, so this
     equals running every forward first. Outputs match the reference's shape.
     """
-    validate_plan(plan, model)
     batch.validate_against(model)
     W = plan.num_workers
     n = batch.num_samples

@@ -35,6 +35,7 @@ from .planner import (
     ShardingPlan,
     _check_cluster_layout,
     _greedy_bins,
+    _plan_tables,
     _value_bytes,
     memory_check,
     plan_4d,
@@ -121,10 +122,13 @@ def iteration_latency(c: ComponentLatencies, global_batch: int) -> PerfEstimate:
 
     exposed_comm is the slowdown over the pure-compute critical path; the
     input AlltoAll beyond the top-MLP forward window and the H2D copy beyond
-    one full iteration surface as additional exposed time.
+    one full iteration surface as additional exposed time. An iteration of
+    no time has no QPS: it raises InvalidValue.
     """
     times = c.as_dict()
     t_fwd, t_bwd, t_total = _critical_path(**times)
+    if not t_total > 0:
+        raise InvalidValue("components", "QPS is undefined for an iteration with no work")
     compute_only = (
         max(c.botmlp_fwd, c.emb_lookup)
         + c.interaction_fwd
@@ -133,13 +137,12 @@ def iteration_latency(c: ComponentLatencies, global_batch: int) -> PerfEstimate:
         + c.interaction_bwd
         + max(c.emb_update, c.botmlp_bwd)
     )
-    qps = global_batch / t_total if t_total > 0 else math.inf
     return PerfEstimate(
         components=c,
         t_fwd=t_fwd,
         t_bwd=t_bwd,
         t_total=t_total,
-        qps=qps,
+        qps=global_batch / t_total,
         serialized_total=sum(times.values()),
         exposed_comm=t_total - compute_only,
         global_batch=global_batch,
@@ -282,7 +285,7 @@ def _component_latencies(
         )
     cols = plan.shard_columns
     tc = model.table_columns
-    t = cols.tables(model)
+    t = _plan_tables(plan, model)
     elem = _value_bytes(tc, flags)[t]
     pooling = tc.pooling[t]
     width = cols.extents("cols", tc.dim[t])

@@ -282,23 +282,10 @@ class ShardColumns(NamedTuple):
             map(TableAssignment, self.table_ids, self.schemes, map(lists.__getitem__, which))
         )
 
-    def tables(self, model: ModelSpec) -> np.ndarray:
-        """Each shard's position in `model.tables`. A plan that does not assign
-        each table once raises InvalidScheme as validate_plan words it."""
-        if self.table_ids is model._ids:  # a planner's plan: entry i holds table i
-            return self.assignment
-        table = model.table_indices(self.table_ids)
-        breach = _coverage(table, model.num_tables)
-        if breach is not None:
-            raise _coverage_error(self.table_ids, model, *breach)
-        return table[self.assignment]
-
     def extents(self, axis: str, full: np.ndarray) -> np.ndarray:
         """Rows (axis "rows") or columns ("cols") of each shard, its bounds
         resolved by _resolve_bounds against its table extent `full`."""
-        start, end = _resolve_bounds(
-            getattr(self, axis), getattr(self, f"has_{axis}"), full, axis
-        )
+        start, end = _resolve_bounds(getattr(self, axis), getattr(self, f"has_{axis}"), full)
         return end - start
 
     def row_share(self) -> np.ndarray:
@@ -310,11 +297,10 @@ class ShardColumns(NamedTuple):
         """Per-worker sums of a per-shard value, every replica on every worker.
 
         Float sums add in plan order from 0.0: np.bincount adds its weights
-        in buffer order. Integer sums are exact in int64.
+        in buffer order. Integer sums are exact in int64. The plan gate
+        (_plan_tables) keeps every worker in [0, num_workers).
         """
         dest = self.dest
-        if len(dest) and (dest.min() < 0 or dest.max() >= num_workers):
-            raise InvalidScheme("a shard's worker is out of range")
         charged = values[self.src]
         if charged.dtype.kind == "f":
             return np.bincount(dest, weights=charged, minlength=num_workers)
@@ -323,44 +309,11 @@ class ShardColumns(NamedTuple):
         return sums
 
 
-def _coverage(table: np.ndarray, num_tables: int):
-    """None if assignments holding model positions `table` (-1: unknown id)
-    hold each of `num_tables` tables once, else (unknown, twice, unassigned):
-    per assignment, whether its id is unknown and whether an earlier one
-    holds its table, and the positions none holds."""
-    counts = np.bincount(table + 1, minlength=num_tables + 1)
-    if not counts[0] and (counts[1:] == 1).all():
-        return None
-    twice = np.ones(len(table), bool)
-    twice[np.unique(table, return_index=True)[1]] = False  # each table's first
-    return table < 0, twice, np.flatnonzero(counts[1:] == 0)
-
-
-_UNKNOWN_TABLE = "plan names unknown table {tid}"
-_TABLE_TWICE = "table {tid} assigned twice"
-
-
-def _coverage_error(ids, model: ModelSpec, unknown, twice, unassigned) -> InvalidScheme:
-    """The error of the first coverage breach (see _coverage) of assignments
-    with `ids`: the first unknown or repeated id in plan order, else the
-    tables left unassigned."""
-    repeated = unknown | twice
-    if repeated.any():
-        i = int(repeated.argmax())
-        return InvalidScheme((_UNKNOWN_TABLE if unknown[i] else _TABLE_TWICE).format(tid=ids[i]))
-    missing = [model._ids[t] for t in unassigned.tolist()]
-    return InvalidScheme(f"tables not assigned: {sorted(missing)}")
-
-
-def _resolve_bounds(bounds: np.ndarray, given: np.ndarray, full: np.ndarray, axis: str):
-    """(start, end) of each shard on `axis`: its `bounds` where `given`, else
-    (0, full), its table's extent. A bound must be non-empty and lie in
-    [0, full): an unvalidated plan's other bounds raise InvalidScheme."""
-    start = np.where(given, bounds[:, 0], 0)
-    end = np.where(given, bounds[:, 1], full)
-    if np.any((start < 0) | (end <= start) | (end > full)):
-        raise InvalidScheme(f"a shard's {axis} bound is empty or outside its table")
-    return start, end
+def _resolve_bounds(bounds: np.ndarray, given: np.ndarray, full: np.ndarray):
+    """(start, end) of each shard: its `bounds` where `given`, else (0,
+    full), its table's extent. The bounds of a plan that passed validate_plan
+    tile their table, and a placement's come from _even_bounds_column."""
+    return np.where(given, bounds[:, 0], 0), np.where(given, bounds[:, 1], full)
 
 
 def _int64_column(values, count: int, name: str) -> np.ndarray:
@@ -402,7 +355,8 @@ class ShardingPlan:
     serializing, validating, simulating and verifying build no Shard.
     Equality, hash, repr, pickling and dataclasses.replace read
     `assignments`, so they behave the same for both; none of them sees the
-    memory report a plan keeps (see memory_check).
+    memory report a plan keeps (see memory_check) or the model it was
+    checked against (see _plan_tables).
     """
 
     num_workers: int
@@ -414,6 +368,9 @@ class ShardingPlan:
     # (model, cluster, flags, report) of the first memory report computed
     # for the plan; a class attribute, not a field
     _memory = None
+    # (model, each shard's position in model.tables) of the first model the
+    # plan passed validate_plan against; a class attribute, not a field
+    _checked = None
 
     def __post_init__(self):
         _check_layout(self.num_workers, self.gpus_per_node)
@@ -1088,8 +1045,10 @@ def _check_int64_bytes(charges: int, model: ModelSpec) -> None:
     int64.
 
     With Python ints: every charge holds at most the widest table's rows
-    times its widest dim elements (ShardColumns.extents refuses a bound
-    past its table), each of at most _MAX_ELEMENT_BYTES.
+    times its widest dim elements, each of at most _MAX_ELEMENT_BYTES. That
+    relies on validate_plan's tile and cover rules, which memory_check's
+    plans pass through the gate (_plan_tables), and on _even_bounds_column
+    for a placement's bounds: no bound passes its table.
     """
     tc = model.table_columns
     rows = int(tc.rows.max(initial=0))
@@ -1114,9 +1073,10 @@ def memory_check(
 
     Tiers compare each exact int64 total against the capacities floored to
     integers (_floor_bytes), so they match an exact comparison with a float
-    capacity; a total that would pass int64 raises InvalidValue at `model`,
-    and a plan whose worker count or GPUs per node differ from the
-    cluster's raises InvalidValue at `plan`.
+    capacity. A plan that breaks a validate_plan rule raises InvalidScheme
+    at the gate (_plan_tables); a total that would pass int64 raises
+    InvalidValue at `model`, and a plan whose worker count or GPUs per node
+    differ from the cluster's raises InvalidValue at `plan`.
 
     A plan keeps the first report computed for it, here or by plan_4d or
     hierarchical_plan, keyed by the identity of `model` and `cluster` and by
@@ -1127,7 +1087,7 @@ def memory_check(
     if kept is not None and kept[0] is model and kept[1] is cluster and kept[2] == flags:
         return kept[3]
     cols = plan.shard_columns
-    t = cols.tables(model)
+    t = _plan_tables(plan, model)
     _check_int64_bytes(cols.charges, model)
     tc = model.table_columns
     report = _memory_report(
@@ -1154,7 +1114,9 @@ def _memory_report(
     per-shard facts in plan order: the table (position in model.tables),
     rows, width, worker and whether the shard is a replica, charged to
     every worker. The caller has run _check_int64_bytes, so every piece's
-    product is exact; a placed worker outside [0, W) raises InvalidScheme.
+    product is exact. Every placed worker is in [0, W): validate_plan's
+    worker rule holds for memory_check's plans through the gate
+    (_plan_tables), and a placement's workers are partition bins.
     """
     _check_cluster_layout(*layout, cluster)
     W = cluster.num_workers
@@ -1162,8 +1124,6 @@ def _memory_report(
     value_bytes, state_bytes = _piece_bytes(rows, width, elem_bytes, flags, np.multiply)
     held = ~replica  # charged to its own worker only
     workers = worker[held]
-    if len(workers) and (workers.min() < 0 or workers.max() >= W):
-        raise InvalidScheme("a shard's worker is out of range")
     values, states = np.zeros(W, np.int64), np.zeros(W, np.int64)
     # integer sums are exact in any order
     np.add.at(values, workers, value_bytes[held])
@@ -1207,8 +1167,9 @@ class _Placement(NamedTuple):
     key: tuple
 
     def plan(self, schemes: Sequence[Scheme], tags: np.ndarray, heuristic: str) -> ShardingPlan:
-        """The plan of this placement, keeping its report: table t takes
-        schemes[t] with tag code tags[t]."""
+        """The plan of this placement, keeping its report and the record of
+        its model and its shards' tables (built for that model, so checked
+        against it): table t takes schemes[t] with tag code tags[t]."""
         model, cluster, _ = self.key
         W = cluster.num_workers
         columns = ShardColumns.build(
@@ -1222,6 +1183,8 @@ class _Placement(NamedTuple):
         )
         plan = ShardingPlan.from_columns(W, cluster.gpus_per_node, columns, heuristic)
         object.__setattr__(plan, "_memory", (*self.key, self.report))
+        self.table.flags.writeable = False
+        object.__setattr__(plan, "_checked", (model, self.table))
         return plan
 
 
@@ -1246,8 +1209,8 @@ def _placement(model, cluster, flags, kind, num_shards, workers) -> _Placement:
     cols = _even_bounds_column(D, n, i, has_cols)
     W = cluster.num_workers
     _check_int64_bytes(len(table) + (W - 1) * int(replica.sum()), model)
-    r0, r1 = _resolve_bounds(rows, has_rows, H, "rows")
-    c0, c1 = _resolve_bounds(cols, has_cols, D, "cols")
+    r0, r1 = _resolve_bounds(rows, has_rows, H)
+    c0, c1 = _resolve_bounds(cols, has_cols, D)
     report = _memory_report(
         model,
         cluster,
@@ -1458,7 +1421,7 @@ def hierarchical_plan(
 # plan validation and JSON round-trip
 
 
-def validate_plan(plan: ShardingPlan, model: ModelSpec) -> None:
+def validate_plan(plan: ShardingPlan, model: ModelSpec) -> np.ndarray:
     """Coverage and placement invariants; raises InvalidScheme on breach.
 
     Every table is assigned once. Table-wise and data-parallel tables hold
@@ -1473,15 +1436,21 @@ def validate_plan(plan: ShardingPlan, model: ModelSpec) -> None:
     Each rule is a pass over the shard columns. The error names the first
     assignment in plan order that breaks a rule, and the first rule in the
     order below that it breaks; tables left unassigned come last.
+
+    Returns each shard's position in model.tables, read-only. A plan that
+    passes keeps the first model it passed against, with those positions,
+    which every reader of the plan reads through the gate (_plan_tables).
     """
     cols = plan.shard_columns
     ids, schemes, a = cols.table_ids, cols.schemes, cols.assignment
     A = len(ids)
     table = model.table_indices(ids)
-    coverage = _coverage(table, model.num_tables)
-    # an unknown id (-1) breaks the first rule, so its repeats need no own flag
-    no = np.zeros(A, bool)
-    unknown, twice, _ = coverage or (no, no, None)
+    held = np.bincount(table + 1, minlength=model.num_tables + 1)[1:]  # per table
+    twice = np.zeros(A, bool)  # an earlier assignment holds the same table
+    if (held > 1).any():
+        # an unknown id (-1) breaks the first rule, so its repeats need no own flag
+        twice[:] = True
+        twice[np.unique(table, return_index=True)[1]] = False
     counts = np.bincount(a, minlength=A)
     kind = np.zeros(A, np.int8)
     kind[a] = cols.kind
@@ -1533,8 +1502,8 @@ def validate_plan(plan: ShardingPlan, model: ModelSpec) -> None:
     odd_tag = tagged & ((kind != RW) | (tag != 1))
     # (the assignments that break a rule, the rule's message)
     rules = (
-        (unknown, _UNKNOWN_TABLE),
-        (twice, _TABLE_TWICE),
+        (table < 0, "plan names unknown table {tid}"),
+        (twice, "table {tid} assigned twice"),
         (single & (counts != 1), "{tid}: expected a single shard"),
         (
             any_shard(cols.replica != (cols.kind == DP)),
@@ -1576,8 +1545,25 @@ def validate_plan(plan: ShardingPlan, model: ModelSpec) -> None:
                 extent=extent[i],
             )
         )
-    if coverage is not None:  # only tables left unassigned remain
-        raise _coverage_error(ids, model, *coverage)
+    unassigned = np.flatnonzero(held == 0).tolist()
+    if unassigned:
+        raise InvalidScheme(f"tables not assigned: {sorted(model._ids[t] for t in unassigned)}")
+    shard_tables = table[a]
+    shard_tables.flags.writeable = False
+    if plan._checked is None:
+        object.__setattr__(plan, "_checked", (model, shard_tables))
+    return shard_tables
+
+
+def _plan_tables(plan: ShardingPlan, model: ModelSpec) -> np.ndarray:
+    """Each shard's position in model.tables: the one plan gate, which every
+    reader of a plan passes. The plan's record if it is for this model
+    object, else validate_plan's, which raises InvalidScheme for a plan
+    that breaks one of its rules."""
+    checked = plan._checked
+    if checked is not None and checked[0] is model:
+        return checked[1]
+    return validate_plan(plan, model)
 
 
 def plan_to_json(

@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, reports, manifests, determinism."""
 
+import argparse
 import inspect
 import json
+import math
 from operator import attrgetter
 
 import pytest
@@ -22,7 +24,14 @@ from neosim import (
     train_step_sharded,
 )
 from neosim.bundled import data_path
-from neosim.cli import _policy_from_args, _precision, _weights_from_args, build_parser, main
+from neosim.cli import (
+    _policy_from_args,
+    _precision,
+    _weights_from_args,
+    _write_report,
+    build_parser,
+    main,
+)
 from neosim.comms import collective_volumes
 from neosim.planner import SchemeKind, plan_from_json
 
@@ -369,6 +378,33 @@ class TestSimulateCommand:
         lines = (tmp_path / "simulate.csv").read_text().splitlines()
         assert lines[0] == "component,serialized_ms,exposed_ms"
         assert len(lines) == 15  # 14 components + header
+
+
+class TestNoWorkModel:
+    """A model with no tables and no FLOPs has an iteration of no time, so
+    no QPS: simulate and sweep exit 1 and write no report, which would
+    otherwise hold Infinity and NaN."""
+
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--nodes", "1,2"]])
+    def test_exits_one(self, tmp_path, capsys, command):
+        model = tmp_path / "no_work.json"
+        model.write_text(
+            json.dumps(
+                {"spec_version": 1, "local_batch": 4, "mflops_per_sample": 0, "tables": []}
+            )
+        )
+        out = tmp_path / "out"
+        argv = [*command, "--model", str(model), "--cluster", CLUSTER, "--out", str(out)]
+        assert main(argv) == 1
+        assert "QPS is undefined for an iteration with no work" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_report_body_holds_no_non_finite_number(self, tmp_path):
+        args = argparse.Namespace(command="simulate", out=str(tmp_path))
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                _write_report(args, [], {"qps": value})
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweepCommand:

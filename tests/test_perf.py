@@ -146,6 +146,10 @@ class TestIterationLatency:
             est = iteration_latency(c, 128)
             assert est.t_total <= est.serialized_total + 1e-15
 
+    def test_an_iteration_of_no_time_has_no_qps(self):
+        with pytest.raises(InvalidValue, match="QPS is undefined for an iteration with no work"):
+            iteration_latency(ComponentLatencies(), 64)
+
     def test_qps_consistency(self):
         rng = np.random.default_rng(1)
         for _ in range(20):

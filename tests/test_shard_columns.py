@@ -761,12 +761,12 @@ def coverage_breaches(plan, rng):
 
 @pytest.mark.parametrize("seed", CASES)
 def test_tables_words_a_coverage_breach_as_validate_plan(seed):
-    """ShardColumns.tables refuses exactly the plans whose entries miss,
-    repeat or invent a table, with validate_plan's message."""
+    """The plan gate (_plan_tables) refuses exactly the plans whose entries
+    miss, repeat or invent a table, with validate_plan's message."""
     model, plan, *_ = random_case(seed)
 
     def tables(plan, model):
-        plan.shard_columns.tables(model)
+        planner_module._plan_tables(plan, model)
 
     assert _outcome(tables, plan, model) is None
     rng = np.random.default_rng([20261018, seed, 2])
