@@ -14,7 +14,6 @@ from .errors import (
     MalformedDocument,
     MissingKey,
     NeosimError,
-    NoFeasibleScheme,
 )
 from .model import (
     ClusterSpec,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .cache import CacheConfig, ReplacementPolicy, simulate_trace
-from .comms import reassemble_values, train_step_sharded, volume_forward_alltoall
+from .comms import collective_volumes, reassemble_values, train_step_sharded
 from .embedding import OptimizerConfig, OptimizerKind, dump_table, train_step_reference
 from .errors import Infeasible, InvalidValue, NeosimError
 from .model import (
@@ -146,7 +146,7 @@ def cmd_plan(args) -> int:
     text = plan_to_json(plan, model, cluster, policy.flags)
     Path(args.out).write_text(text)
     report = memory_check(plan, model, cluster, policy.flags)
-    sent = volume_forward_alltoall(plan, model, plan.num_workers).per_worker_send_bytes
+    sent = collective_volumes(plan, model)[0].per_worker_send_bytes  # pooled forward
     print(f"plan written to {args.out} ({len(plan.shard_columns.table_ids)} tables, "
           f"{plan.num_workers} workers)")
     print(f"{'worker':>6} {'memory_gb':>10} {'tier':>9} {'a2a_send_mb':>12}")
@@ -418,16 +418,28 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=".", help="output directory")
 
 
+class _Planning(argparse.Action):
+    """An option only planning reads: stores its value (True for a flag,
+    which takes none) and notes that it was given, so that the parser
+    refuses it beside --plan, which takes the plan as it is."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, True if self.nargs == 0 else values)
+        namespace.planning = self.option_strings[0]
+
+
 def _add_policy(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--heuristic", choices=["greedy", "kk"], default="greedy")
-    p.add_argument("--weights", default="1,1,1", help="w_comm,w_load,w_lat")
-    p.add_argument("--fine-grain", action="store_true",
+    p.add_argument("--heuristic", choices=["greedy", "kk"], default="greedy",
+                   action=_Planning)
+    p.add_argument("--weights", default="1,1,1", help="w_comm,w_load,w_lat",
+                   action=_Planning)
+    p.add_argument("--fine-grain", action=_Planning, nargs=0, default=False,
                    help="offer row/column sharding even for fitting tables")
     p.add_argument("--fp16-tables", action="store_true",
                    help="account tables at FP16 storage width")
     p.add_argument("--elementwise-state", action="store_true",
                    help="full H x D optimizer state instead of row-wise")
-    p.add_argument("--dp-threshold", type=int, default=None,
+    p.add_argument("--dp-threshold", type=int, default=None, action=_Planning,
                    help="max table bytes for data parallelism")
 
 
@@ -435,7 +447,7 @@ def _add_planner(p: argparse.ArgumentParser) -> None:
     """The policy options and --hierarchical, which sweep lacks: scaling_sweep
     plans every node count with plan_4d."""
     _add_policy(p)
-    p.add_argument("--hierarchical", action="store_true",
+    p.add_argument("--hierarchical", action=_Planning, nargs=0, default=False,
                    help="table-wise across nodes, then row-wise within")
 
 
@@ -452,6 +464,12 @@ def _add_sim(p: argparse.ArgumentParser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if getattr(namespace, "plan", None) and getattr(namespace, "planning", None):
+            self.error(f"argument {namespace.planning}: not allowed with argument --plan")
+        return namespace, extras
+
     def error(self, message):
         # argparse exits 2 on a usage error, which here means infeasible
         self.print_usage(sys.stderr)
@@ -486,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="sharded vs reference execution check")
     p.add_argument("--model", required=True)
     p.add_argument("--plan", help="plan JSON (desk-scale default when omitted)")
-    p.add_argument("--workers", type=int, default=2)
+    p.add_argument("--workers", type=int, default=2, action=_Planning)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".")
     p.add_argument("--optimizer", default="rowwise_adagrad",

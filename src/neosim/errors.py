@@ -26,10 +26,6 @@ class InvalidScheme(NeosimError):
     """Sharding scheme is not valid for the table it is applied to."""
 
 
-class NoFeasibleScheme(NeosimError):
-    """No sharding scheme can place the table on the given cluster."""
-
-
 class Infeasible(NeosimError):
     def __init__(self, reason: str):
         self.reason = reason

@@ -76,16 +76,7 @@ class TableSpec:
     index_skew: IndexSkew = field(default_factory=IndexSkew)
 
     def __post_init__(self):
-        if self.num_rows < 1:
-            raise InvalidValue(f"tables[{self.id}].num_rows", "must be >= 1")
-        if self.dim < 1:
-            raise InvalidValue(f"tables[{self.id}].dim", "must be >= 1")
-        # row ids and extents are int64 in batches and in the plan arithmetic
-        for name in ("num_rows", "dim"):
-            if getattr(self, name) > INT64_MAX:
-                raise InvalidValue(f"tables[{self.id}].{name}", "must be < 2**63")
-        if not self.avg_pooling > 0:
-            raise InvalidValue(f"tables[{self.id}].avg_pooling", "must be > 0")
+        _check_table_values(self.num_rows, self.dim, self.avg_pooling, f"tables[{self.id}]")
         if self.value_precision not in TABLE_PRECISIONS:
             raise InvalidValue(
                 f"tables[{self.id}].value_precision", "must be FP32 or FP16"
@@ -94,6 +85,20 @@ class TableSpec:
     @property
     def elem_bytes(self) -> int:
         return PRECISION_BYTES[self.value_precision]
+
+
+def _check_table_values(num_rows, dim, avg_pooling, path, dim_key="dim"):
+    """The value rules of one table: num_rows and dim are >= 1 and < 2**63,
+    and avg_pooling is > 0. An error names `path`.num_rows, `path`.avg_pooling
+    or `path`.`dim_key`."""
+    # row ids and extents are int64 in batches and in the plan arithmetic
+    for value, key in ((num_rows, "num_rows"), (dim, dim_key)):
+        if value < 1:
+            raise InvalidValue(f"{path}.{key}", "must be >= 1")
+        if value > INT64_MAX:
+            raise InvalidValue(f"{path}.{key}", "must be < 2**63")
+    if not avg_pooling > 0:
+        raise InvalidValue(f"{path}.avg_pooling", "must be > 0")
 
 
 def _index_bytes(rows):
@@ -544,12 +549,7 @@ def _parse_table(doc, path) -> TableSpec:
         _take(doc, "index_skew", path, required=False), f"{path}.index_skew"
     )
     _reject_unknown(doc, path)
-    if num_rows < 1:
-        raise InvalidValue(f"{path}.num_rows", "must be >= 1")
-    if dim < 1:
-        raise InvalidValue(f"{path}.dim", "must be >= 1")
-    if not pooling > 0:
-        raise InvalidValue(f"{path}.avg_pooling", "must be > 0")
+    _check_table_values(num_rows, dim, pooling, path)
     return TableSpec(
         id=tid,
         num_rows=num_rows,
@@ -582,12 +582,16 @@ def _expand_generator(doc, path) -> list[TableSpec]:
         raise InvalidValue(f"{path}.dims", "expected a non-empty list")
     precision = _parse_precision(prec, f"{path}.value_precision")
     skew = _parse_skew(skew_doc, f"{path}.index_skew")
+    palette = []  # the entries of dims that the tables use, checked at their paths
+    for j, dim in enumerate(dims[:count]):
+        palette.append(_as_int(dim, f"{path}.dims[{j}]"))
+        _check_table_values(num_rows, palette[j], pooling, path, f"dims[{j}]")
     width = len(str(count - 1))
     return [
         TableSpec(
             id=f"{prefix}_{i:0{width}d}",
             num_rows=num_rows,
-            dim=_as_int(dims[i % len(dims)], f"{path}.dims[{i % len(dims)}]"),
+            dim=palette[i % len(palette)],
             avg_pooling=pooling,
             value_precision=precision,
             index_skew=skew,

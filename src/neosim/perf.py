@@ -33,8 +33,8 @@ from .planner import (
     CompressionFlags,
     CostWeights,
     ShardingPlan,
+    _bins,
     _check_cluster_layout,
-    _greedy_bins,
     _plan_tables,
     _value_bytes,
     memory_check,
@@ -432,10 +432,7 @@ def shrink_to_fit(
     bound = sum(per_table.tolist()) + W * int(per_table.max())  # W x (S / W + largest)
     if bound * (2**53 + 4 * T) * den <= W * 2**53 * num:
         return model
-    # placement order (-bytes, table position)
-    order = np.argsort(-per_table, kind="stable")
-    worker = np.empty(T, np.int64)
-    worker[order] = _greedy_bins(per_table[order].tolist(), W)
+    worker = _bins(per_table, W, "greedy")
     # per-worker sums in table order from 0.0
     heaviest = float(np.bincount(worker, weights=per_table, minlength=W).max())
     if heaviest <= budget:

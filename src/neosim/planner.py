@@ -21,12 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    Infeasible,
-    InvalidScheme,
-    InvalidValue,
-    NoFeasibleScheme,
-)
+from .errors import Infeasible, InvalidScheme, InvalidValue
 from .model import (
     ACTIVATION_BYTES,
     INT64_MAX,
@@ -605,7 +600,7 @@ def _enumerate(tc: TableColumns, ids: Sequence[str], cluster, policy):
 
     Data parallelism is offered only below the policy's size threshold;
     row/column sharding only when the table cannot fit one device or the
-    policy asks for finer grain. Raises NoFeasibleScheme, naming its id from
+    policy asks for finer grain. Raises Infeasible, naming its id from
     `ids`, for the first table in model order that needs more than the
     whole cluster or that no scheme places, the former checked first.
     """
@@ -646,11 +641,11 @@ def _enumerate(tc: TableColumns, ids: Sequence[str], cluster, policy):
     if unplaced.any():
         t = int(unplaced.argmax())
         if too_big[t]:
-            raise NoFeasibleScheme(
+            raise Infeasible(
                 f"table {ids[t]} needs {int(full[t])} bytes, "
                 f"cluster has {cluster_total}"
             )
-        raise NoFeasibleScheme(f"no scheme places table {ids[t]} on this cluster")
+        raise Infeasible(f"no scheme places table {ids[t]} on this cluster")
     table, slot = np.nonzero(offered)
     n = len(counts)
     kind = np.array([TW, *[RW] * n, *[CW] * n, DP], np.int8)[slot]
@@ -687,8 +682,8 @@ class CandidateColumns(NamedTuple):
     def of(
         cls, model: ModelSpec, cluster: ClusterSpec, policy: CandidatePolicy
     ) -> "CandidateColumns":
-        """Every feasible scheme of every table; raises NoFeasibleScheme for
-        the first table in model order that has none (see _enumerate)."""
+        """Every feasible scheme of every table; raises Infeasible for the
+        first table in model order that has none (see _enumerate)."""
         tc = model.table_columns
         table, kind, num_shards, width, storage, start = _enumerate(
             tc, model._ids, cluster, policy
@@ -696,22 +691,6 @@ class CandidateColumns(NamedTuple):
         global_batch = model.local_batch * cluster.num_workers
         costs = _shard_costs(tc, table, kind, num_shards, width, cluster, global_batch)
         return cls(table, kind, num_shards, storage, *costs, start)
-
-    @classmethod
-    def table_wise(
-        cls, model: ModelSpec, cluster: ClusterSpec, flags: CompressionFlags
-    ) -> "CandidateColumns":
-        """One table-wise row per table, whether or not it fits a device:
-        the node-level candidates of hierarchical planning."""
-        tc = model.table_columns
-        T = len(tc.rows)
-        table = np.arange(T)
-        kind = np.full(T, TW, np.int8)
-        num_shards = np.ones(T, np.int64)
-        global_batch = model.local_batch * cluster.num_workers
-        costs = _shard_costs(tc, table, kind, num_shards, tc.dim, cluster, global_batch)
-        storage = table_bytes(tc, flags)
-        return cls(table, kind, num_shards, storage, *costs, np.arange(T + 1))
 
 
 def _schemes(kind: np.ndarray, num_shards: np.ndarray, dim: np.ndarray) -> list[Scheme]:
@@ -772,8 +751,8 @@ def greedy_partition(items: Sequence[tuple], k: int) -> dict:
     the lightest bin. {item id: bin}, in placement order (-cost, id).
 
     Ties between bins break toward the lowest bin index. perfbench and the
-    tests call it; the planners run _greedy_bins on their items in plan
-    order.
+    tests call it; the planners partition their items in plan order with
+    _bins.
     """
     _check_partition_input(items, k)
     order = sorted(items, key=lambda it: (-it[1], it[0]))
@@ -805,7 +784,7 @@ def karmarkar_karp_partition(items: Sequence[tuple], k: int) -> dict:
     B's at each merge. k=1 puts every item in bin 0, in the given order;
     k=2 is the classic LDM. Raises InvalidValue for a k that is not an int
     >= 1 and for a non-finite cost. perfbench and the tests call it; the
-    planners run _kk_bins on their items in plan order.
+    planners partition their items in plan order with _bins.
     """
     _check_partition_input(items, k)
     if k == 1:
@@ -956,6 +935,26 @@ def _kk_bins(raw: list, k: int) -> tuple[list[int], list[int]]:
     return seqs, bins
 
 
+def _bins(cost: np.ndarray, k: int, heuristic: str) -> np.ndarray:
+    """The bin of each item, in plan order, when the items costing `cost`
+    are partitioned into k bins by the heuristic ("greedy" or "kk"). Ties
+    go to the earlier item: greedy places the items largest first, equal
+    costs in plan order, and KK ranks them by (-cost, plan position), so the
+    bins equal greedy_partition's and karmarkar_karp_partition's with ids
+    ranked by position. A non-finite cost raises InvalidValue naming the
+    first such item, items[i]."""
+    if not np.isfinite(cost).all():
+        _check_costs(cost.tolist())
+    bins = np.empty(len(cost), np.int64)
+    if heuristic == "greedy":
+        order = np.argsort(-cost, kind="stable")
+        bins[order] = _greedy_bins(cost[order].tolist(), k)
+    else:
+        seqs, kk_bins = _kk_bins(cost.tolist(), k)
+        bins[seqs] = kk_bins
+    return bins
+
+
 HEURISTICS = ("greedy", "kk")
 
 
@@ -963,33 +962,18 @@ HEURISTICS = ("greedy", "kk")
 # scalar objective
 
 
-@dataclass(frozen=True)
-class CostNorms:
-    """Per-term means used to bring comm/load/latency to a common scale."""
-
-    comm: float
-    load: float
-    latency: float
-
-
-def cost_norms(costs: CandidateColumns) -> CostNorms:
-    """Per-term means over the rows of a CandidateColumns. Each mean adds its
-    terms in row order from 0."""
-    terms = [costs.comm_bytes.tolist(), costs.load.tolist(), costs.fixed_latency.tolist()]
-    n = max(len(terms[0]), 1)
-    return CostNorms(*(sum(values) / n for values in terms))
-
-
-def scalar_objective(cost, weights: CostWeights, norms: CostNorms):
-    """The normalized weighted cost of a ShardCost, or of every row of a
-    CandidateColumns as one array."""
-    total = 0.0
-    if norms.comm > 0:
-        total += weights.w_comm * cost.comm_bytes / norms.comm
-    if norms.load > 0:
-        total += weights.w_load * cost.load / norms.load
-    if norms.latency > 0:
-        total += weights.w_latency * cost.fixed_latency / norms.latency
+def _objective(costs: Sequence[np.ndarray], weights: CostWeights) -> np.ndarray:
+    """The normalized weighted cost of each row of the (comm_bytes, load,
+    fixed_latency) columns `costs`: each term is weight x column / norm,
+    where the norm is the column's mean, its values added in row order from
+    0; the terms add from 0.0 in that order, and a term of norm 0 adds
+    nothing."""
+    n = max(len(costs[0]), 1)
+    total = np.zeros(len(costs[0]))
+    for weight, column in zip((weights.w_comm, weights.w_load, weights.w_latency), costs):
+        norm = sum(column.tolist()) / n
+        if norm > 0:
+            total += weight * column / norm
     return total
 
 
@@ -1275,11 +1259,8 @@ def plan_4d(
         raise Infeasible(
             f"model needs {total_bytes} bytes, cluster has {cluster_total}"
         )
-    try:
-        cands = CandidateColumns.of(model, cluster, policy)
-    except NoFeasibleScheme as exc:
-        raise Infeasible(str(exc)) from None
-    objective = scalar_objective(cands, weights, cost_norms(cands))
+    cands = CandidateColumns.of(model, cluster, policy)
+    objective = _objective((cands.comm_bytes, cands.load, cands.fixed_latency), weights)
     # DP replicas charge every worker, so they weigh W times in the
     # pooled-AlltoAll vs whole-table-AllReduce trade-off
     aggregate = np.where(cands.kind == DP, W, cands.num_shards) * objective
@@ -1337,24 +1318,13 @@ def _place(
 ) -> _Placement:
     """The placement of one chosen candidate row per table (model order):
     each non-DP shard i of table t is a partition item costing
-    item_costs[row], in plan order (table position, then i); DP tables are
-    replicated. Ties go to the earlier item in plan order: greedy places
-    the items largest first, equal costs in plan order, and KK ranks them
-    by (-cost, plan position)."""
+    item_costs[row], in plan order (table position, then i), placed by
+    _bins; DP tables are replicated."""
     kind = cands.kind[rows]
     num_shards = cands.num_shards[rows]
     placed = np.where(kind == DP, 0, num_shards)  # items per table
-    table = np.repeat(np.arange(len(rows)), placed)
-    cost = item_costs[rows][table]
-    if not np.isfinite(cost).all():
-        _check_costs(cost.tolist())  # names the first non-finite item
-    workers = np.empty(len(table), np.int64)
-    if heuristic == "greedy":
-        order = np.argsort(-cost, kind="stable")
-        workers[order] = _greedy_bins(cost[order].tolist(), cluster.num_workers)
-    else:
-        seqs, bins = _kk_bins(cost.tolist(), cluster.num_workers)
-        workers[seqs] = bins
+    cost = item_costs[rows][np.repeat(np.arange(len(rows)), placed)]
+    workers = _bins(cost, cluster.num_workers, heuristic)
     return _placement(model, cluster, flags, kind, num_shards, workers)
 
 
@@ -1375,17 +1345,17 @@ def hierarchical_plan(
     W = cluster.num_workers
     if not model.num_tables:
         return ShardingPlan(W, cluster.gpus_per_node, (), "kk")
-    tw = CandidateColumns.table_wise(model, cluster, policy.flags)
-    objective = scalar_objective(tw, weights, cost_norms(tw))
-    # KK over the tables' objectives, seq by table position
-    if not np.isfinite(objective).all():
-        _check_costs(objective.tolist())  # names the first non-finite item
-    seqs, bins = _kk_bins(objective.tolist(), cluster.num_nodes)
-    node = np.empty(len(seqs), np.int64)
-    node[seqs] = bins
+    # KK over each table's objective as one table-wise shard
+    tc = model.table_columns
+    T = len(tc.rows)
+    costs = _shard_costs(
+        tc, np.arange(T), np.full(T, TW, np.int8), np.ones(T, np.int64), tc.dim,
+        cluster, model.local_batch * W,
+    )
+    node = _bins(_objective(costs, weights), cluster.num_nodes, "kk")
     gpn = cluster.gpus_per_node
     # table t holds k = min(gpn, H) row shards, shard i on GPU i of its node
-    k = np.minimum(model.table_columns.rows, gpn)
+    k = np.minimum(tc.rows, gpn)
     counts = k.tolist()
     schemes = {
         n: Scheme(
@@ -1397,7 +1367,6 @@ def hierarchical_plan(
     }
     # node * gpn + i is that GPU, i the shard's plan position less t's first
     first = node * gpn - (np.cumsum(k) - k)
-    T = len(counts)
     placed = _placement(
         model,
         cluster,

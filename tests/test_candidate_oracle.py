@@ -12,11 +12,14 @@ vectorized planner must give equal candidate lists, equal costs down to
 the repr of every float, equal errors and equal plans. One edit breaks the
 verbatim copy: placement items, the hierarchical node split and memory
 repair key tables by position in the model, not by id, so every placement
-tie goes by plan order.
+tie goes by plan order. A table no scheme places raises Infeasible, as the
+vectorized enumeration does, so the planner passes it on unchanged.
 """
 
+import ast
 from dataclasses import replace
-from typing import Optional, Sequence
+from pathlib import Path
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ import pytest
 from conftest import desk_model, index_bytes
 
 from neosim import planner
-from neosim.errors import Infeasible, InvalidValue, NoFeasibleScheme
+from neosim.errors import Infeasible, InvalidValue
 from neosim.model import ClusterSpec, ModelSpec, Precision, PRECISION_BYTES, TableSpec
 from neosim.perf import shrink_to_fit
 from neosim.planner import (
@@ -34,7 +37,6 @@ from neosim.planner import (
     CandidateColumns,
     CandidatePolicy,
     CompressionFlags,
-    CostNorms,
     CostWeights,
     Scheme,
     SchemeKind,
@@ -144,7 +146,7 @@ def enumerate_candidates(
         + cluster.num_nodes * cluster.dram_capacity_per_node
     )
     if full_bytes > cluster_total:
-        raise NoFeasibleScheme(
+        raise Infeasible(
             f"table {table.id} needs {full_bytes} bytes, cluster has {cluster_total}"
         )
     fits_device = full_bytes <= device_budget
@@ -176,8 +178,16 @@ def enumerate_candidates(
     if table.num_rows * table.dim * table.elem_bytes <= threshold and fits_device:
         candidates.append(Scheme(SchemeKind.DATA_PARALLEL))
     if not candidates:
-        raise NoFeasibleScheme(f"no scheme places table {table.id} on this cluster")
+        raise Infeasible(f"no scheme places table {table.id} on this cluster")
     return candidates
+
+
+class CostNorms(NamedTuple):
+    """Per-term means used to bring comm/load/latency to a common scale."""
+
+    comm: float
+    load: float
+    latency: float
 
 
 def cost_norms(costs: Sequence[ShardCost]) -> CostNorms:
@@ -271,10 +281,7 @@ def plan_4d(
         raise Infeasible(
             f"model needs {total_bytes} bytes, cluster has {cluster_total}"
         )
-    try:
-        cands = candidate_costs(model, cluster, policy)
-    except NoFeasibleScheme as exc:
-        raise Infeasible(str(exc)) from None
+    cands = candidate_costs(model, cluster, policy)
     norms = cost_norms([c for lst in cands.values() for _, c in lst])
 
     def aggregate(entry):
@@ -508,7 +515,7 @@ def outcome(fn, *args):
     """fn's result, or its error's type and message."""
     try:
         return fn(*args)
-    except (NoFeasibleScheme, Infeasible, InvalidValue) as exc:
+    except (Infeasible, InvalidValue) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -550,13 +557,12 @@ def test_norms_and_objective_match_oracle(seed):
     model, cluster, policy, weights = random_case(seed)
     try:
         cands = CandidateColumns.of(model, cluster, policy)
-    except NoFeasibleScheme:
+    except Infeasible:
         return
     costs = [c for lst in candidate_costs(model, cluster, policy).values() for _, c in lst]
-    norms = planner.cost_norms(cands)
-    assert repr(norms) == repr(cost_norms(costs))
-    objective = planner.scalar_objective(cands, weights, norms)
-    assert [repr(v) for v in np.broadcast_to(objective, len(costs)).tolist()] == [
+    norms = cost_norms(costs)
+    objective = planner._objective((cands.comm_bytes, cands.load, cands.fixed_latency), weights)
+    assert [repr(v) for v in objective.tolist()] == [
         repr(float(scalar_objective(c, weights, norms))) for c in costs
     ]
 
@@ -663,7 +669,7 @@ def test_first_unplaced_table_is_named(order, message):
     policy = CandidatePolicy(flags=CompressionFlags(rowwise_optimizer=False))
     got = outcome(planner.candidate_costs, model, cluster, policy)
     assert got == outcome(candidate_costs, model, cluster, policy)
-    assert got == ("NoFeasibleScheme", message)
+    assert got == ("Infeasible", f"infeasible: {message}")
     # the flat planner reports a table no scheme places as infeasible
     model = desk_model(tables[:2])
     weights = CostWeights()
@@ -849,6 +855,56 @@ def test_cores_match_their_public_wrappers():
                 assert list(got.items()) == list(want.items())
 
 
+def test_bins_match_their_public_partitions():
+    """_bins gives each item in plan order the bin that greedy_partition and
+    karmarkar_karp_partition give it on the same items, ids ranked by
+    position: float costs with ties and zeros, and int costs past 2**53
+    that tie as floats. A non-finite cost raises at items[i], i the first
+    such item in plan order, under either heuristic."""
+    partitions = {"greedy": greedy_partition, "kk": karmarkar_karp_partition}
+    for seed in range(48):
+        rng = np.random.default_rng([seed, 34])
+        n = int(rng.integers(0, 80))
+        if seed % 2:
+            cost = np.array([0.0, 0.25, 1.0, 1.0, 7.5, 2.0**53])[rng.integers(6, size=n)]
+        else:
+            cost = 2**53 + rng.integers(0, 4, size=n) * rng.integers(0, 2, size=n) * 2**40
+            cost += rng.integers(0, 3, size=n)  # 2**53 + 1 rounds to 2**53
+        items = list(enumerate(cost.tolist()))
+        for k in (1, 2, 3, 7, 16):
+            for heuristic, partition in partitions.items():
+                got = planner._bins(cost, k, heuristic).tolist()
+                want = partition(items, k)
+                assert got == [want[i] for i in range(n)], (seed, k, heuristic)
+        if n:
+            bad = np.array(cost, float)
+            spots = rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)), replace=False)
+            bad[spots] = rng.choice([np.nan, np.inf, -np.inf], size=len(spots))
+            for heuristic in partitions:
+                with pytest.raises(InvalidValue) as err:
+                    planner._bins(bad, 2, heuristic)
+                assert err.value.path == f"items[{spots.min()}]"
+
+
+def test_only_bins_and_the_public_partitions_run_the_cores():
+    """In src/neosim only _bins, greedy_partition and
+    karmarkar_karp_partition name _greedy_bins or _kk_bins (by call,
+    attribute or import), so every placement partitions through one call."""
+    cores = {"_greedy_bins", "_kk_bins"}
+    allowed = {"_bins", "greedy_partition", "karmarkar_karp_partition", *cores}
+    found = []
+    for path in sorted(Path(planner.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if getattr(node, "name", None) in allowed:
+                continue
+            for sub in ast.walk(node):
+                names = [getattr(sub, "id", None), getattr(sub, "attr", None)]
+                if isinstance(sub, ast.ImportFrom):
+                    names += [alias.name for alias in sub.names]
+                found += [(path.name, name) for name in names if name in cores]
+    assert found == []
+
+
 @pytest.mark.parametrize("heuristic", ["greedy", "kk"])
 @pytest.mark.parametrize(
     "ids", [("a", "a!"), ("a", "a\x00"), ("a", "a "), ("t1", "t1#"), ("a", "a#0"), ("a", "a0")]
@@ -879,7 +935,11 @@ def test_non_finite_costs_name_the_item_in_plan_order():
     model = desk_model(tables)
     cluster = _cluster(2, 2, 2**30, 2**30)
     policy = CandidatePolicy(dp_threshold_bytes=0)
-    comm = CandidateColumns.table_wise(model, cluster, policy.flags).comm_bytes
+    tc = model.table_columns
+    comm = planner._shard_costs(
+        tc, np.arange(2), np.full(2, planner.TW, np.int8), np.ones(2, np.int64), tc.dim,
+        cluster, model.local_batch * cluster.num_workers,
+    )[0]
     # w_comm x comm passes the float range for t1 only
     weights = CostWeights(w_comm=float(np.finfo(float).max) / comm[1] * 1.5)
     error = ("InvalidValue", "invalid value at items[1]: expected a finite cost")

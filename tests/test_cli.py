@@ -554,6 +554,65 @@ class TestInputHardening:
         assert message in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("first", [False, True])
+    @pytest.mark.parametrize(
+        "command, given",
+        [
+            ("simulate", "--hierarchical"),
+            ("simulate", "--weights 0,1,0"),
+            ("simulate", "--weights nonsense"),
+            ("simulate", "--heuristic kk"),
+            ("simulate", "--heuristic greedy"),  # the default, given
+            ("simulate", "--fine-grain"),
+            ("simulate", "--dp-threshold 0"),
+            ("verify", "--workers 4"),
+            ("verify", "--workers 2"),  # the default, given
+        ],
+    )
+    def test_plan_refuses_planning_options(
+        self, tmp_path, capsys, desk_model_file, tiny_cluster_file, command, given, first
+    ):
+        """A stored plan is used as it is, so an option only planning reads
+        is a usage error beside --plan, before or after it and at its
+        default value too; the error names the option. Without it the plan
+        is used."""
+        tw = {"kind": "table_wise"}
+        plan_doc = {
+            "spec_version": 1,
+            "num_workers": 2,
+            "gpus_per_node": 2,
+            "tables": [
+                {"table_id": f"t{i}", "scheme": tw, "shards": [{"worker": i % 2}]}
+                for i in range(3)
+            ],
+        }
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan_doc))
+        argv = [command, "--model", desk_model_file, "--plan", str(plan_path)]
+        if command == "simulate":
+            argv += ["--cluster", tiny_cluster_file]
+        out = ["--out", str(tmp_path / "out")]
+        given = given.split()
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], *given, *argv[1:], *out] if first else [*argv, *given, *out])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: neosim {command} ")
+        assert f"error: argument {given[0]}: not allowed with argument --plan" in err
+        assert not (tmp_path / "out").exists()
+        assert main([*argv, *out]) == 0
+
+    def test_plan_keeps_the_memory_accounting_options(
+        self, tmp_path, desk_model_file, tiny_cluster_file
+    ):
+        """--fp16-tables and --elementwise-state set how simulate accounts
+        memory, which a stored plan does not fix, so --plan accepts them."""
+        plan_path = tmp_path / "plan.json"
+        argv = ["--model", desk_model_file, "--cluster", tiny_cluster_file]
+        assert main(["plan", *argv, "--out", str(plan_path)]) == 0
+        argv += ["--plan", str(plan_path), "--fp16-tables", "--elementwise-state"]
+        assert main(["simulate", *argv, "--out", str(tmp_path)]) == 0
+
     def test_help_exit_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--help"])

@@ -230,6 +230,38 @@ class TestParseModelSpec:
         assert err.value.path == path
         assert err.value.reason == "expected a finite number"
 
+    @pytest.mark.parametrize(
+        "path, value, reason",
+        [
+            ("table_generator.num_rows", 0, "must be >= 1"),
+            ("table_generator.num_rows", 2**63, "must be < 2**63"),
+            ("table_generator.avg_pooling", 0, "must be > 0"),
+            ("table_generator.dims[0]", 0, "must be >= 1"),
+            ("table_generator.dims[1]", 2**63, "must be < 2**63"),
+            ("tables[1].num_rows", 0, "must be >= 1"),
+            ("tables[1].num_rows", 2**63, "must be < 2**63"),
+            ("tables[1].dim", 2**63, "must be < 2**63"),
+            ("tables[1].avg_pooling", 0, "must be > 0"),
+        ],
+    )
+    def test_table_value_errors_name_document_paths(self, path, value, reason):
+        """A table value out of range is named by its path in the document,
+        for a listed table and for a generator stanza alike."""
+        doc = {
+            "spec_version": 1,
+            "local_batch": 4,
+            "mflops_per_sample": 1,
+            "tables": [
+                {"id": "t", "num_rows": 5, "dim": 2, "avg_pooling": 1.0},
+                {"id": "t3", "num_rows": 5, "dim": 2, "avg_pooling": 1.0},
+            ],
+            "table_generator": {"count": 3, "dims": [4, 8], "num_rows": 8, "avg_pooling": 2.0},
+        }
+        parse_model_spec(json.dumps(doc))
+        with pytest.raises(InvalidValue) as err:
+            parse_model_spec(json.dumps(_set_path(doc, path, value)))
+        assert (err.value.path, err.value.reason) == (path, reason)
+
 
 def _set_path(doc, path, value):
     """doc with the dotted, indexed path (a.b[0].c) set to value."""

@@ -743,8 +743,8 @@ class TestShrinkToFit:
 
             monkeypatch.setattr(module, name, counted)
 
-        count(perf_module, "_greedy_bins")
-        for name in ("_greedy_bins", "greedy_partition", "karmarkar_karp_partition"):
+        count(perf_module, "_bins")
+        for name in ("_greedy_bins", "_kk_bins", "greedy_partition", "karmarkar_karp_partition"):
             count(planner_module, name)
         model, cluster = load_bundled_model("model_a"), load_bundled_cluster()
         flags = CompressionFlags(table_precision, rowwise_optimizer=True)
@@ -753,7 +753,8 @@ class TestShrinkToFit:
             assert shrink_to_fit(model, at, flags) is model
         assert calls == []
         shrunk = shrink_to_fit(model, dataclasses.replace(cluster, num_nodes=4), flags)
-        assert shrunk is not model and calls == ["neosim.perf._greedy_bins"]
+        assert shrunk is not model
+        assert calls == ["neosim.perf._bins", "neosim.planner._greedy_bins"]
 
 
 def iteration_times_oracle(c: ComponentLatencies) -> tuple[float, float, float]:

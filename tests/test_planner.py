@@ -23,15 +23,12 @@ from conftest import (
 
 from neosim import (
     CandidatePolicy,
-    ClusterSpec,
     CompressionFlags,
     CostWeights,
     Infeasible,
     InvalidScheme,
     InvalidValue,
     MissingKey,
-    ModelSpec,
-    NoFeasibleScheme,
     Precision,
     Scheme,
     SchemeKind,
@@ -60,32 +57,21 @@ from neosim.planner import (
     TIERS,
     TW,
     CandidateColumns,
-    CostNorms,
+    _objective,
     candidate_costs,
-    cost_norms,
     even_bounds,
-    scalar_objective,
 )
 
 ITEMS_87654 = [("a", 8.0), ("b", 7.0), ("c", 6.0), ("d", 5.0), ("e", 4.0)]
 
 
 # the planner's weighted per-worker objective, the exhaustive search's yardstick
-def plan_objective(
-    plan: ShardingPlan,
-    model: ModelSpec,
-    cluster: ClusterSpec,
-    weights: CostWeights,
-    norms: CostNorms,
-) -> float:
-    """Max over workers of the weighted per-worker cost; DP shards charge
-    every worker identically."""
-    global_batch = model.local_batch * plan.num_workers
+def plan_objective(plan: ShardingPlan, objective: dict) -> float:
+    """Max over workers of the weighted per-worker cost, each shard costing
+    objective[table id, scheme]; DP shards charge every worker identically."""
     totals = [0.0] * plan.num_workers
     for assignment in plan.assignments:
-        table = model.tables[model.table_indices([assignment.table_id])[0]]
-        cost = shard_cost(table, assignment.scheme, cluster, global_batch)
-        obj = scalar_objective(cost, weights, norms)
+        obj = objective[assignment.table_id, assignment.scheme]
         for shard in assignment.shards:
             if shard.worker is None:
                 for w in range(plan.num_workers):
@@ -292,7 +278,7 @@ class TestEnumerateCandidates:
     def test_table_exceeding_cluster_is_infeasible(self):
         cluster = desk_cluster(2, hbm=2**20, dram_per_node=2**20)
         table = TableSpec(id="huge", num_rows=10**9, dim=64, avg_pooling=2.0)
-        with pytest.raises(NoFeasibleScheme):
+        with pytest.raises(Infeasible):
             self.kinds(table, cluster)
 
 
@@ -743,15 +729,18 @@ class TestPlan4d:
             policy = CandidatePolicy(dp_threshold_bytes=64 * 2**10)
             plan = plan_4d(model, cluster, weights, policy, heuristic="kk")
             cands = candidate_costs(model, cluster, policy)
-            norms = cost_norms(CandidateColumns.of(model, cluster, policy))
-            achieved = plan_objective(plan, model, cluster, weights, norms)
+            cols = CandidateColumns.of(model, cluster, policy)
+            per_row = _objective((cols.comm_bytes, cols.load, cols.fixed_latency), weights)
+            rows = [(tid, scheme) for tid, lst in cands.items() for scheme, _ in lst]
+            objective = dict(zip(rows, per_row.tolist()))
+            achieved = plan_objective(plan, objective)
 
             # exhaustive optimum over (scheme, placement) per table
             per_table_options = []
             for table in tables:
                 options = []
-                for scheme, cost in cands[table.id]:
-                    obj = scalar_objective(cost, weights, norms)
+                for scheme, _ in cands[table.id]:
+                    obj = objective[table.id, scheme]
                     if scheme.kind is SchemeKind.DATA_PARALLEL:
                         options.append((obj, obj))
                     else:
